@@ -202,12 +202,12 @@ def _resolve_settings(args) -> dict:
 
 
 def _sampler_config(settings: dict) -> SamplerConfig:
+    # the chain samples or fixes theta and c; the stick law gives its kind
     kind = settings["stick_kind"].replace("-", "_")
-    theta_seed = settings["fix_theta"] if settings["fix_theta"] else 1.0
     if kind == "dp":
-        stick = StickConfig.dp(theta_seed, c=1.0)
+        stick = StickConfig.dp(1.0, c=1.0)
     elif kind == "pitman_yor":
-        stick = StickConfig.pitman_yor(theta_seed, settings["sigma"], c=1.0)
+        stick = StickConfig.pitman_yor(1.0, settings["sigma"], c=1.0)
     else:
         raise UsageError(f"unsupported stick kind {settings['stick_kind']!r}")
     centering = CenteringMeasure(

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gibbs import PosteriorDraws
-from .measure import sticks_to_weights_matrix
-from .mixture import gaussian_logpdf
+from .mixture import gaussian_logpdf, renormalised_mixture
 
 MODE_BINS = 512
 MODE_MASS = 0.10
@@ -127,15 +126,12 @@ def histogram_mode(samples: np.ndarray, bins: int = MODE_BINS,
     return float(0.5 * (edges[start] + edges[start + width]))
 
 
-def summarize(draws: PosteriorDraws, y_grid,
-              data=None) -> DensitySurface:
+def summarize(draws: PosteriorDraws, y_grid) -> DensitySurface:
     """Evaluate every draw on the grid and reduce to pointwise summaries.
 
     Densities are renormalised by the retained weight mass of each draw
-    so each curve integrates to one. The data argument is accepted for
-    interface symmetry and not needed by the computation.
+    so each curve integrates to one.
     """
-    del data
     if draws.n_draws == 0:
         raise ValueError("empty draws")
     y_grid = np.asarray(y_grid, dtype=float)
@@ -149,12 +145,10 @@ def summarize(draws: PosteriorDraws, y_grid,
         sticks = draws.sticks[i, :mi, :]
         means = draws.atom_mean[i, :mi]
         precs = draws.atom_prec[i, :mi]
-        w = sticks_to_weights_matrix(sticks)
-        kept = 1.0 - np.prod(1.0 - sticks, axis=0)
         kernel = np.exp(gaussian_logpdf(y_grid[None, :], means[:, None],
                                         precs[:, None]))
-        dens[i] = (w.T @ kernel) / kept[:, None]
-        mean_fn[i] = (w.T @ means) / kept
+        dens[i] = renormalised_mixture(sticks, kernel)
+        mean_fn[i] = renormalised_mixture(sticks, means)
     q = np.quantile(dens, [0.025, 0.5, 0.975], axis=0)
     lo, med, hi = np.quantile(mean_fn, [0.025, 0.5, 0.975], axis=0)
     mode = np.array([histogram_mode(mean_fn[:, i]) for i in range(n)])

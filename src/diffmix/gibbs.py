@@ -37,7 +37,7 @@ from .archive import read_container, write_container
 from .data import TimeGridDataset
 from .errors import DataError, NumericalError, TruncationCapError
 from .measure import MeasureState, StickConfig, sticks_to_weights_matrix
-from .mixture import CenteringMeasure, gaussian_logpdf
+from .mixture import CenteringMeasure, gaussian_logpdf, renormalised_mixture
 
 DEFAULT_M_CAP = 512
 MH_TARGET_ACCEPT = 0.44
@@ -118,8 +118,6 @@ class SamplerConfig:
             raise ValueError("fixed_truncation must be positive")
         if self.tie_c_to_theta and self.fix_c is not None:
             raise ValueError("fix_c conflicts with tie_c_to_theta")
-        if isinstance(self.stick.c, tuple):
-            raise ValueError("the sampler supports a single shared rate c")
         if self.fix_theta is not None and not self.fix_theta > 0:
             raise ValueError("fix_theta must be positive")
         if self.fix_c is not None and not self.fix_c > 0:
@@ -179,32 +177,9 @@ class ChainState:
     mh: MHAdaptation = field(default_factory=MHAdaptation)
     sweep: int = 0
 
-    def measure_state(self, times) -> MeasureState:
-        return MeasureState(times=np.asarray(times, dtype=float),
-                            sticks=self.sticks.copy(),
-                            atoms=self.atoms.copy())
-
     def slice_bounds(self, eta: float) -> np.ndarray:
         """floor(psi_inv(u)) per observation: the 1-based candidate count."""
         return np.floor(-np.log(self.u) / eta).astype(np.int64)
-
-
-def _stick_abc(cfg: SamplerConfig, theta: float, c: float, m: int):
-    """Per-stick (a, b, c) arrays for the current hyperparameter values."""
-    kind = cfg.stick.kind
-    if kind == "dp":
-        a = np.ones(m)
-        b = np.full(m, theta)
-    elif kind == "pitman_yor":
-        sigma = cfg.stick.sigma
-        a = np.full(m, 1.0 - sigma)
-        b = theta + sigma * np.arange(1, m + 1)
-    else:
-        pairs = cfg.stick.pairs
-        idx = np.minimum(np.arange(m), len(pairs) - 1)
-        a = np.array([pairs[i][0] for i in idx])
-        b = np.array([pairs[i][1] for i in idx])
-    return a, b, np.full(m, c)
 
 
 def _categorical_rows(log_mass: np.ndarray, valid: np.ndarray,
@@ -227,19 +202,27 @@ def _categorical_rows(log_mass: np.ndarray, valid: np.ndarray,
     return idx
 
 
-def _sample_prior_transition(a, b, c, tau, v_prev, eta2, rng, uniform: bool):
-    """(o, k, d, v_next) from the augmented prior, one entry per stick."""
-    m = len(v_prev)
+def _sample_prior_index(a, b, c, tau, rng, uniform: bool) -> np.ndarray:
+    """Series index d ~ r_tau per stick; one draw for all when uniform."""
     if uniform:
         params = wf.WFParams(a[0], b[0], c[0])
-        d = np.asarray(wf.sample_nb(tau, params, rng, size=m))
-    else:
-        d = np.array([wf.sample_nb(tau, wf.WFParams(a[j], b[j], c[j]), rng)
-                      for j in range(m)], dtype=np.int64)
+        return np.asarray(wf.sample_nb(tau, params, rng, size=len(a)))
+    return np.array([wf.sample_nb(tau, wf.WFParams(a[j], b[j], c[j]), rng)
+                     for j in range(len(a))], dtype=np.int64)
+
+
+def _sample_slice(d, eta2, rng) -> np.ndarray:
+    """o | d ~ U(0, g(d)), kept strictly inside the interval."""
+    return np.exp(-eta2 * d) * np.maximum(rng.uniform(size=np.shape(d)), 1e-17)
+
+
+def _sample_prior_transition(a, b, c, tau, v_prev, eta2, rng, uniform: bool):
+    """(o, k, d, v_next) from the augmented prior, one entry per stick."""
+    d = _sample_prior_index(a, b, c, tau, rng, uniform)
     k = rng.binomial(d, v_prev)
     v_next = rng.beta(a + k, b + d - k)
     v_next = np.clip(v_next, *_OPEN_UNIT)
-    o = np.exp(-eta2 * d) * np.maximum(rng.uniform(size=m), 1e-17)
+    o = _sample_slice(d, eta2, rng)
     return o, k.astype(np.int64), d.astype(np.int64), v_next
 
 
@@ -253,7 +236,7 @@ def _prior_components(cfg: SamplerConfig, theta: float, c: float,
     jointly along the path: v(t_1) from its Beta marginal, then
     d ~ r_tau, k ~ Bin(d, v_prev), v_next ~ Beta(a + k, b + d - k).
     """
-    a_all, b_all, c_all = _stick_abc(cfg, theta, c, offset + count)
+    a_all, b_all, c_all = cfg.stick.params(offset + count, theta, c)
     a = a_all[offset:]
     b = b_all[offset:]
     c_arr = c_all[offset:]
@@ -309,28 +292,18 @@ def init_chain(data: TimeGridDataset, cfg: SamplerConfig,
     elif m > cfg.m_cap:
         raise TruncationCapError(f"initial truncation {m} exceeds cap {cfg.m_cap}")
 
-    a, b, c_arr = _stick_abc(cfg, theta, c, m)
+    a, b, c_arr = cfg.stick.params(m, theta, c)
     sticks = rng.beta(a[:, None], b[:, None], size=(m, n))
     sticks = np.clip(sticks, *_OPEN_UNIT)
 
-    taus = data.gaps
     o = np.empty((m, n - 1))
     kk = np.empty((m, n - 1), dtype=np.int64)
     dd = np.empty((m, n - 1), dtype=np.int64)
     uniform = cfg.stick.kind == "dp"
-    for w, tau in enumerate(taus):
-        if uniform:
-            params = wf.WFParams(a[0], b[0], c_arr[0])
-            d_col = np.asarray(wf.sample_nb(float(tau), params, rng, size=m))
-        else:
-            d_col = np.array(
-                [wf.sample_nb(float(tau), wf.WFParams(a[j], b[j], c_arr[j]), rng)
-                 for j in range(m)], dtype=np.int64)
-        k_col = rng.binomial(d_col, sticks[:, w])
-        dd[:, w] = d_col
-        kk[:, w] = k_col
-        o[:, w] = np.exp(-cfg.trans_slice_eta * d_col) \
-            * np.maximum(rng.uniform(size=m), 1e-17)
+    for w, tau in enumerate(data.gaps):
+        dd[:, w] = _sample_prior_index(a, b, c_arr, float(tau), rng, uniform)
+        kk[:, w] = rng.binomial(dd[:, w], sticks[:, w])
+        o[:, w] = _sample_slice(dd[:, w], cfg.trans_slice_eta, rng)
 
     atoms = cfg.centering.sample(rng, m)
     return ChainState(m=m, s=s.astype(np.int64), u=u, sticks=sticks,
@@ -394,15 +367,13 @@ def update_transition_latents(state: ChainState, data: TimeGridDataset,
         return state
     eta2 = cfg.trans_slice_eta
     m = state.m
-    a, b, c = _stick_abc(cfg, state.theta, state.c, m)
+    a, b, c = cfg.stick.params(m, state.theta, state.c)
     v0 = state.sticks[:, :-1]
     v1 = state.sticks[:, 1:]
     tau = data.gaps[None, :]
     d = state.trans_d
 
-    # o | d ~ U(0, g(d)), kept strictly inside the interval
-    state.trans_o = np.exp(-eta2 * d) * np.maximum(
-        rng.uniform(size=d.shape), 1e-17)
+    state.trans_o = _sample_slice(d, eta2, rng)
 
     shape = d.shape
     A = np.broadcast_to(a[:, None], shape).ravel()
@@ -492,7 +463,7 @@ def stick_conditional_shapes(state: ChainState, data: TimeGridDataset,
     check the algebra without touching the draw.
     """
     m, n = state.sticks.shape
-    a, b, _ = _stick_abc(cfg, state.theta, state.c, m)
+    a, b, _ = cfg.stick.params(m, state.theta, state.c)
     eq, gt = membership_counts(state, data)
     k_in = np.zeros((m, n))
     k_out = np.zeros((m, n))
@@ -574,8 +545,7 @@ def _log_stick_likelihood(sticks, trans_k, trans_d, taus, a, b, c) -> float:
     d = trans_d
     k = trans_k
     v1 = sticks[:, 1:]
-    log_q = np.log(-np.expm1(-ct))
-    series = gammaln(r + d) - gammaln(r) - gammaln(d + 1.0) - d * ct + r * log_q
+    series = wf.log_nb_weight(d, r, ct)
     comp = (gammaln(r + d) - gammaln(A + k) - gammaln(B + d - k)
             + (A + k - 1.0) * np.log(v1)
             + (B + d - k - 1.0) * np.log1p(-v1))
@@ -584,7 +554,7 @@ def _log_stick_likelihood(sticks, trans_k, trans_d, taus, a, b, c) -> float:
 
 def _hyper_log_target(state: ChainState, data: TimeGridDataset,
                       cfg: SamplerConfig, theta: float, c: float) -> float:
-    a, b, c_arr = _stick_abc(cfg, theta, c, state.m)
+    a, b, c_arr = cfg.stick.params(state.m, theta, c)
     lik = _log_stick_likelihood(state.sticks, state.trans_k, state.trans_d,
                                 data.gaps, a, b, c_arr)
     return lik
@@ -621,14 +591,10 @@ def update_hyperparams(state: ChainState, data: TimeGridDataset,
 
     move_theta = cfg.fix_theta is None and cfg.stick.kind != "gem"
     if move_theta:
-        if cfg.tie_c_to_theta:
-            def target(th):
-                return cfg.theta_prior.logpdf(th) + _hyper_log_target(
-                    state, data, cfg, th, th / 2.0)
-        else:
-            def target(th):
-                return cfg.theta_prior.logpdf(th) + _hyper_log_target(
-                    state, data, cfg, th, state.c)
+        def target(th):
+            c = th / 2.0 if cfg.tie_c_to_theta else state.c
+            return cfg.theta_prior.logpdf(th) + _hyper_log_target(
+                state, data, cfg, th, c)
         new_theta, accepted = step(state.theta, mh.log_step_theta, target)
         mh.proposals_theta += 1
         mh.accepts_theta += int(accepted)
@@ -697,13 +663,6 @@ def update_membership(state: ChainState, data: TimeGridDataset,
     return state
 
 
-def _stick_row_log_prior(row_sticks, row_k, row_d, taus, a, b, c) -> float:
-    """Augmented path log density of one stick under position parameters."""
-    return _log_stick_likelihood(row_sticks[None, :], row_k[None, :],
-                                 row_d[None, :], taus,
-                                 np.array([a]), np.array([b]), np.array([c]))
-
-
 def update_label_swaps(state: ChainState, data: TimeGridDataset,
                        cfg: SamplerConfig,
                        rng: np.random.Generator) -> ChainState:
@@ -724,7 +683,7 @@ def update_label_swaps(state: ChainState, data: TimeGridDataset,
     _, tidx = data.flat
     eta = cfg.slice_eta
     uniform = cfg.stick.kind == "dp"
-    a, b, c = _stick_abc(cfg, state.theta, state.c, m)
+    a, b, c = cfg.stick.params(m, state.theta, state.c)
     taus = data.gaps
     unif = rng.uniform(size=m - 1)
     for j in range(m - 1):
@@ -744,13 +703,15 @@ def update_label_swaps(state: ChainState, data: TimeGridDataset,
             log_ratio += -float(np.sum(np.log1p(-state.sticks[j, t_down]))) \
                 - eta * int(at_j1.sum())
         if not uniform:
+            # each stick's path prior at the other's position, less its own
             for lo, hi in ((j, j + 1), (j + 1, j)):
-                log_ratio += _stick_row_log_prior(
-                    state.sticks[hi], state.trans_k[hi], state.trans_d[hi],
-                    taus, a[lo], b[lo], c[lo])
-                log_ratio -= _stick_row_log_prior(
-                    state.sticks[lo], state.trans_k[lo], state.trans_d[lo],
-                    taus, a[lo], b[lo], c[lo])
+                pos, other = slice(lo, lo + 1), slice(hi, hi + 1)
+                log_ratio += _log_stick_likelihood(
+                    state.sticks[other], state.trans_k[other],
+                    state.trans_d[other], taus, a[pos], b[pos], c[pos])
+                log_ratio -= _log_stick_likelihood(
+                    state.sticks[pos], state.trans_k[pos],
+                    state.trans_d[pos], taus, a[pos], b[pos], c[pos])
         if np.log(max(unif[j], 1e-300)) < log_ratio:
             for arr in (state.sticks, state.trans_o, state.trans_k,
                         state.trans_d, state.atoms):
@@ -781,12 +742,9 @@ def data_log_likelihood(state: ChainState, data: TimeGridDataset) -> float:
     """Log likelihood of the data under the current truncated mixture,
     renormalised by the retained weight mass."""
     y, tidx = data.flat
-    w = sticks_to_weights_matrix(state.sticks)
-    log_kernel = gaussian_logpdf(y[:, None], state.atoms[None, :, 0],
-                                 state.atoms[None, :, 1])
-    dens = np.einsum("jn,nj->n", w[:, tidx], np.exp(log_kernel))
-    kept = 1.0 - np.prod(1.0 - state.sticks, axis=0)
-    dens = dens / kept[tidx]
+    kernel = np.exp(gaussian_logpdf(y[:, None], state.atoms[None, :, 0],
+                                    state.atoms[None, :, 1]))
+    dens = renormalised_mixture(state.sticks, kernel, tidx)
     return float(np.sum(np.log(np.maximum(dens, 1e-300))))
 
 

@@ -30,7 +30,7 @@ MAX_STICKS = 100_000
 
 @dataclass(frozen=True)
 class StickConfig:
-    """Stick law plus time-scale rate(s) for the weight processes.
+    """Stick law plus the time-scale rate c shared by the weight processes.
 
     kind is one of "dp", "pitman_yor" or "gem". Use the constructors
     dp(), pitman_yor() and general_gem() rather than filling fields by
@@ -42,7 +42,7 @@ class StickConfig:
     theta: float | None = None
     sigma: float | None = None
     pairs: tuple[tuple[float, float], ...] | None = None
-    c: float | tuple[float, ...] = 1.0
+    c: float = 1.0
 
     @classmethod
     def dp(cls, theta: float, c: float | None = None) -> "StickConfig":
@@ -55,13 +55,11 @@ class StickConfig:
             raise ValueError("theta must be positive")
         if c is None:
             c = theta / 2.0
-        if not c > 0:
-            raise ValueError("c must be positive")
-        return cls(kind="dp", theta=float(theta), c=float(c))
+        return cls(kind="dp", theta=float(theta), c=_check_rate(c))
 
     @classmethod
     def pitman_yor(cls, theta: float, sigma: float,
-                   c: float | Sequence[float] = 1.0) -> "StickConfig":
+                   c: float = 1.0) -> "StickConfig":
         """Pitman-Yor sticks, Beta(1 - sigma, theta + j sigma) marginals."""
         if not (0.0 <= sigma < 1.0):
             raise ValueError("sigma must lie in [0, 1)")
@@ -72,13 +70,12 @@ class StickConfig:
             raise ValueError(
                 "theta must be positive so every stick has a_j + b_j > 1"
             )
-        c_val = _check_rates(c)
         return cls(kind="pitman_yor", theta=float(theta),
-                   sigma=float(sigma), c=c_val)
+                   sigma=float(sigma), c=_check_rate(c))
 
     @classmethod
     def general_gem(cls, pairs: Sequence[tuple[float, float]],
-                    c: float | Sequence[float] = 1.0) -> "StickConfig":
+                    c: float = 1.0) -> "StickConfig":
         """Explicit per-stick (a_j, b_j) list; the last pair repeats beyond it.
 
         Weights sum to one only when sum_j log(1 + a_j / b_j) diverges.
@@ -101,52 +98,33 @@ class StickConfig:
                 "not sum to one",
                 stacklevel=2,
             )
-        c_val = _check_rates(c)
-        return cls(kind="gem", pairs=pairs, c=c_val)
+        return cls(kind="gem", pairs=pairs, c=_check_rate(c))
 
-    def stick_params(self, j: int) -> WFParams:
-        """WFParams of stick j (1-based)."""
-        if j < 1:
-            raise ValueError("stick index is 1-based")
-        a, b = self._ab(j)
-        return WFParams(a, b, self._rate(j))
+    def params(self, m: int, theta: float | None = None,
+               c: float | None = None):
+        """(a, b, c) arrays for the first m sticks.
 
-    def param_arrays(self, m: int):
-        """(a, b, c) arrays for the first m sticks."""
-        idx = np.arange(1, m + 1)
+        theta and c default to the configured values; the sampler passes
+        its current chain state instead. Explicit-pair sticks ignore
+        theta, and their last pair repeats beyond the list.
+        """
+        theta = self.theta if theta is None else theta
+        c = self.c if c is None else c
         if self.kind == "dp":
             a = np.ones(m)
-            b = np.full(m, self.theta)
+            b = np.full(m, theta)
         elif self.kind == "pitman_yor":
             a = np.full(m, 1.0 - self.sigma)
-            b = self.theta + idx * self.sigma
+            b = theta + self.sigma * np.arange(1, m + 1)
         else:
-            ext = [self._ab(j) for j in idx]
-            a = np.array([p[0] for p in ext])
-            b = np.array([p[1] for p in ext])
-        if isinstance(self.c, tuple):
-            c = np.array([self._rate(j) for j in idx])
-        else:
-            c = np.full(m, self.c)
-        return a, b, c
-
-    def _ab(self, j: int) -> tuple[float, float]:
-        if self.kind == "dp":
-            return 1.0, self.theta
-        if self.kind == "pitman_yor":
-            return 1.0 - self.sigma, self.theta + j * self.sigma
-        return self.pairs[min(j, len(self.pairs)) - 1]
-
-    def _rate(self, j: int) -> float:
-        if isinstance(self.c, tuple):
-            return self.c[min(j, len(self.c)) - 1]
-        return self.c
+            idx = np.minimum(np.arange(m), len(self.pairs) - 1)
+            a = np.array([self.pairs[i][0] for i in idx])
+            b = np.array([self.pairs[i][1] for i in idx])
+        return a, b, np.full(m, c)
 
     @property
     def uniform_sticks(self) -> bool:
         """True when every stick shares one (a, b, c) triple."""
-        if isinstance(self.c, tuple) and len(self.c) > 1:
-            return False
         if self.kind == "dp":
             return True
         if self.kind == "pitman_yor":
@@ -154,15 +132,10 @@ class StickConfig:
         return len(self.pairs) == 1
 
 
-def _check_rates(c) -> float | tuple[float, ...]:
-    if np.isscalar(c):
-        if not c > 0:
-            raise ValueError("c must be positive")
-        return float(c)
-    c = tuple(float(x) for x in c)
-    if not c or any(x <= 0 for x in c):
-        raise ValueError("all rates must be positive")
-    return c
+def _check_rate(c) -> float:
+    if not c > 0:
+        raise ValueError("c must be positive")
+    return float(c)
 
 
 class MeasureProbability(NamedTuple):
@@ -216,7 +189,7 @@ class MeasureState:
     def weights(self, time_index: int | None = None) -> np.ndarray:
         """Stick-breaking weights, one column per time or one vector."""
         v = self.sticks if time_index is None else self.sticks[:, time_index]
-        return sticks_to_weights_matrix(v) if v.ndim == 2 else sticks_to_weights(v)
+        return sticks_to_weights_matrix(v)
 
     def deficit(self, time_index: int | None = None):
         """Untracked tail mass 1 - sum_j w_j = prod_j (1 - v_j)."""
@@ -233,12 +206,11 @@ def sticks_to_weights(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if np.any(v <= 0.0) or np.any(v >= 1.0):
         raise ValueError("stick values must lie strictly inside (0, 1)")
-    rem = np.concatenate([[1.0], np.cumprod(1.0 - v)[:-1]])
-    return v * rem
+    return sticks_to_weights_matrix(v)
 
 
 def sticks_to_weights_matrix(v: np.ndarray) -> np.ndarray:
-    """Column-wise sticks_to_weights for an (m, n) stick matrix."""
+    """Unchecked sticks_to_weights, column-wise for an (m, n) matrix."""
     v = np.asarray(v, dtype=float)
     rem = np.ones_like(v)
     rem[1:] = np.cumprod(1.0 - v, axis=0)[:-1]
@@ -299,7 +271,7 @@ def sample_marginal(config: StickConfig,
                 f"deficit did not reach {trunc_tol} within {max_sticks} sticks"
             )
         hi = min(lo + block, max_sticks)
-        a, b, _ = config.param_arrays(hi)
+        a, b, _ = config.params(hi)
         draws = rng.beta(a[lo:hi], b[lo:hi])
         draws = np.clip(draws, 1e-300, np.nextafter(1.0, 0.0))
         for v in draws:
@@ -327,7 +299,7 @@ def evolve(state: MeasureState, config: StickConfig, dt: float,
         raise ValueError("dt must be positive")
     v = state.sticks
     m = state.m
-    a, b, c = config.param_arrays(m)
+    a, b, c = config.params(m)
     new = np.empty_like(v)
     if config.uniform_sticks:
         params = WFParams(a[0], b[0], c[0])

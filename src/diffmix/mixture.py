@@ -15,24 +15,12 @@ import numpy as np
 from scipy.special import gammaln
 
 from .data import TimeGridDataset
-from .measure import MeasureState
+from .measure import MeasureState, sticks_to_weights_matrix
 
 LOG_2PI = math.log(2.0 * math.pi)
 
 # Toy data generator: N(cos(2t) + t/2, 1/10) sampled on an even grid.
 TOY_VARIANCE = 0.1
-
-
-@dataclass(frozen=True)
-class KernelParam:
-    """Gaussian kernel location and precision (variance = 1 / precision)."""
-
-    mean: float
-    precision: float
-
-    def __post_init__(self):
-        if not self.precision > 0:
-            raise ValueError("precision must be positive")
 
 
 @dataclass(frozen=True)
@@ -100,37 +88,44 @@ def gaussian_logpdf(y, means, precisions):
         - 0.5 * precisions * (y - means) ** 2
 
 
-def kernel_eval(y, x: KernelParam):
-    """Gaussian kernel density N(y | x.mean, 1 / x.precision)."""
-    out = np.exp(gaussian_logpdf(y, x.mean, x.precision))
-    return float(out) if out.ndim == 0 else out
+def renormalised_mixture(sticks: np.ndarray, values: np.ndarray,
+                         time_index: np.ndarray | None = None):
+    """Mixture average sum_j w_j(t) values_j / (1 - prod_j (1 - v_j(t))).
+
+    The stick-breaking weights of the (m, n) stick matrix are divided by
+    the mass the m components keep at each time, so a mixture of kernel
+    densities integrates to one. Without time_index, values is (m,) or
+    (m, g), shared by every time, and the result is (n,) or (n, g).
+    With time_index, values is (N, m) and row i is averaged at time
+    time_index[i], giving (N,).
+    """
+    w = sticks_to_weights_matrix(sticks)
+    kept = 1.0 - np.prod(1.0 - sticks, axis=0)
+    if time_index is not None:
+        return np.einsum("jn,nj->n", w[:, time_index], values) \
+            / kept[time_index]
+    out = w.T @ values
+    return out / (kept[:, None] if out.ndim == 2 else kept)
 
 
-def density_eval(state: MeasureState, time_index: int, y,
-                 renormalized: bool = True):
+def density_eval(state: MeasureState, time_index: int, y):
     """Mixture density sum_j w_j(t_i) N(y | atom_j) at one time.
 
-    With renormalized=True the weights are divided by 1 - deficit so the
-    reported curve integrates to one; the raw truncated sum is what the
-    sampler itself works with.
+    The weights are divided by 1 - deficit, so the curve integrates to
+    one.
     """
-    w = state.weights(time_index)
-    means = state.atoms[:, 0]
-    precs = state.atoms[:, 1]
     y = np.asarray(y, dtype=float)
     grid = np.atleast_1d(y)
-    dens = np.exp(gaussian_logpdf(grid[None, :], means[:, None],
-                                  precs[:, None]))
-    out = w @ dens
-    if renormalized:
-        out = out / (1.0 - state.deficit(time_index))
+    kernel = np.exp(gaussian_logpdf(grid[None, :], state.atoms[:, 0, None],
+                                    state.atoms[:, 1, None]))
+    out = renormalised_mixture(state.sticks[:, [time_index]], kernel)[0]
     return float(out[0]) if y.ndim == 0 else out
 
 
 def mean_functional(state: MeasureState, time_index: int) -> float:
     """First moment of the renormalized mixture, sum_j w_j mean_j / (1 - deficit)."""
-    w = state.weights(time_index)
-    return float(w @ state.atoms[:, 0] / (1.0 - state.deficit(time_index)))
+    return float(renormalised_mixture(state.sticks[:, [time_index]],
+                                      state.atoms[:, 0])[0])
 
 
 def toy_mean(t):

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaln, gammaln, logsumexp
+from scipy.special import betaln, gammaln
 from scipy.stats import beta as beta_dist
 
 from .errors import SeriesTruncationError
@@ -57,36 +57,6 @@ EULER_CLAMP = 1e-12
 
 _LINEAGE_TAIL = 1e-12
 _LINEAGE_ACCURACY = 1e-9
-
-
-@dataclass(frozen=True)
-class TransitionAug:
-    """Slice triple (o, k, d) augmenting one transition of one stick.
-
-    d indexes the series term, k the Beta-Binomial component within it,
-    and o slices d through a decreasing function g, by default
-    g(d) = exp(-decay * d). Requires 0 <= k <= d and 0 < o < g(d).
-    The sampler stores these triples as arrays, one per stick and time
-    gap; this type is the validated single-cell view.
-    """
-
-    o: float
-    k: int
-    d: int
-    decay: float = 0.5
-
-    def __post_init__(self):
-        if self.d < 0 or not 0 <= self.k <= self.d:
-            raise ValueError(f"need 0 <= k <= d, got k={self.k}, d={self.d}")
-        if not 0.0 < self.o < self.g(self.d):
-            raise ValueError(
-                f"slice o={self.o} outside (0, g(d)) = (0, {self.g(self.d)})")
-
-    def g(self, d) -> float:
-        return float(np.exp(-self.decay * d))
-
-    def g_inverse(self, o) -> float:
-        return float(-np.log(o) / self.decay)
 
 
 @dataclass(frozen=True)
@@ -150,14 +120,14 @@ def invariant_density(v, p: WFParams):
 # Negative-Binomial series weights (slice-augmentation machinery)
 # ---------------------------------------------------------------------------
 
-def _log_nb_weight(m, t: float, p: WFParams):
-    """Log of r_t(m) for integer array m."""
-    m = np.asarray(m, dtype=float)
-    r = p.a + p.b
-    ct = p.c * t
-    # 1 - e^{-ct} via expm1 for small ct
-    log_q = np.log(-np.expm1(-ct))
-    return gammaln(r + m) - gammaln(r) - gammaln(m + 1.0) - m * ct + r * log_q
+def log_nb_weight(m, r, ct):
+    """Log of the series weight r_t(m) with size r = a + b and ct = c t.
+
+    Broadcasts over all arguments; 1 - e^{-ct} goes through expm1 so
+    small ct keeps its precision.
+    """
+    return gammaln(r + m) - gammaln(r) - gammaln(m + 1.0) - m * ct \
+        + r * np.log(-np.expm1(-ct))
 
 
 def nb_weight(m, t: float, p: WFParams):
@@ -171,25 +141,29 @@ def nb_weight(m, t: float, p: WFParams):
     m_arr = np.asarray(m)
     if np.any(m_arr < 0):
         raise ValueError("m must be nonnegative")
-    out = np.exp(_log_nb_weight(m_arr, t, p))
+    out = np.exp(log_nb_weight(m_arr, p.a + p.b, p.c * t))
     return float(out) if out.ndim == 0 else out
 
 
 @lru_cache(maxsize=256)
 def _nb_cumulative(r: float, ct: float, cap: int) -> np.ndarray:
-    """Cumulative Negative-Binomial weights up to machine-resolution tail."""
+    """Cumulative Negative-Binomial weights up to machine-resolution tail.
+
+    Summation stops at the end of a block once the terms are past the
+    mode and the tail after the last term m, bounded by the geometric
+    series w_m rho / (1 - rho) with rho = (r + m) / (m + 1) e^{-ct} (the
+    term ratio, which only falls beyond m), is below 1e-16. A test on
+    1 - partial sum cannot serve: rounding can hold it above 1e-15.
+    """
     block = 64
     parts = []
-    total = 0.0
     start = 0
     while start <= cap:
         m = np.arange(start, min(start + block, cap + 1), dtype=float)
-        lw = gammaln(r + m) - gammaln(r) - gammaln(m + 1.0) \
-            - m * ct + r * np.log(-np.expm1(-ct))
-        w = np.exp(lw)
+        w = np.exp(log_nb_weight(m, r, ct))
         parts.append(w)
-        total += w.sum()
-        if 1.0 - total < 1e-15:
+        rho = (r + m[-1]) / (m[-1] + 1.0) * np.exp(-ct)
+        if rho < 1.0 and w[-1] * rho / (1.0 - rho) < 1e-16:
             break
         start += block
         block = min(2 * block, 1 << 16)
@@ -264,34 +238,31 @@ def _lineage_row_double(theta: float, ts: float, m: int):
     return total, max_log
 
 
-def _lineage_table_double(theta: float, ts: float, cap: int):
-    """All q_m by double-precision summation.
+def _lineage_table(row, ts: float, cap: int):
+    """All q_m, m = 0, 1, ..., from the per-row evaluator row(m).
 
-    Returns (weights, error_estimate, total); weights is None when the
-    alternating series cancels too heavily for double arithmetic, which
-    signals the arbitrary-precision fallback.
+    row returns q_m in its own number type (float or mpmath), or None to
+    abandon the table. Returns (weights as floats, total in the row's
+    number type); weights is None when the table was abandoned.
     """
     weights = []
-    total = 0.0
-    err = 0.0
+    total = 0
     m = 0
     negligible = 0
     while True:
-        q_m, max_log = _lineage_row_double(theta, ts, m)
-        err += 4.0e-16 * np.exp(min(max_log, 700.0))
-        if not np.isfinite(q_m) or err > 1e-8:
-            return None, err, total
-        weights.append(q_m)
+        q_m = row(m)
+        if q_m is None:
+            return None, total
+        weights.append(float(q_m))
         total += q_m
         negligible = negligible + 1 if abs(q_m) < 1e-14 else 0
-        done = 1.0 - total < _LINEAGE_TAIL and abs(q_m) < 1e-13
+        done = 1 - total < _LINEAGE_TAIL and abs(q_m) < 1e-13
         if done or (negligible >= 4 and total > 0.5):
-            break
+            return np.array(weights), total
         m += 1
         if m > cap:
             raise SeriesTruncationError(
                 f"lineage-count support exceeds cap {cap} at ts={ts}")
-    return np.array(weights), err, total
 
 
 def _lineage_table_mp(theta: float, ts: float, cap: int,
@@ -303,12 +274,10 @@ def _lineage_table_mp(theta: float, ts: float, cap: int,
         th = mp.mpf(theta)
         tt = mp.mpf(ts)
         cutoff = mp.mpf(10) ** (-(dps - 8))
-        weights = []
-        total = mp.mpf(0)
-        m = 0
         terms_used = 0
-        negligible = 0
-        while True:
+
+        def row(m):
+            nonlocal terms_used
             base = mp.loggamma(m + 1) + mp.loggamma(th + m)
             q_m = mp.mpf(0)
             i = m
@@ -325,20 +294,11 @@ def _lineage_table_mp(theta: float, ts: float, cap: int,
                     raise SeriesTruncationError(
                         f"t too small for series evaluation at ts={ts}")
                 if prev_mag is not None and mag < prev_mag and mag < cutoff:
-                    break
+                    return q_m
                 prev_mag = mag
                 i += 1
-            weights.append(float(q_m))
-            total += q_m
-            negligible = negligible + 1 if abs(q_m) < 1e-14 else 0
-            done = 1 - total < _LINEAGE_TAIL and abs(q_m) < 1e-13
-            if done or (negligible >= 4 and total > 0.5):
-                break
-            m += 1
-            if m > cap:
-                raise SeriesTruncationError(
-                    f"lineage-count support exceeds cap {cap} at ts={ts}")
-        return np.array(weights)
+
+        return _lineage_table(row, ts, cap)[0]
 
 
 @lru_cache(maxsize=128)
@@ -352,10 +312,19 @@ def _lineage_cumulative(theta: float, ts: float,
     """
     if not ts > 0:
         raise ValueError("standardised time must be positive")
+    err = 0.0
+
+    def row_double(m):
+        # None once double arithmetic loses the series to cancellation
+        nonlocal err
+        q_m, max_log = _lineage_row_double(theta, ts, m)
+        err += 4.0e-16 * np.exp(min(max_log, 700.0))
+        return q_m if np.isfinite(q_m) and not err > 1e-8 else None
+
     try:
-        weights, err, total = _lineage_table_double(theta, ts, cap)
+        weights, total = _lineage_table(row_double, ts, cap)
     except (OverflowError, FloatingPointError):
-        weights, err, total = None, np.inf, 0.0
+        weights, total = None, 0.0
     if weights is not None and (err > _LINEAGE_ACCURACY
                                 or abs(total - 1.0) > 1e-8
                                 or np.any(weights < -1e-9)):
@@ -426,40 +395,23 @@ def transition_mixture_component(v1, m: int, v0: float, p: WFParams):
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if not (0.0 <= v0 <= 1.0):
-        raise ValueError("v0 must lie in [0, 1]")
-    v1 = np.asarray(v1, dtype=float)
-    if np.any(v1 <= 0.0) or np.any(v1 >= 1.0):
-        raise ValueError("v1 must lie strictly inside (0, 1)")
-    k = np.arange(m + 1, dtype=float)
-    if v0 == 0.0:
-        log_bin = np.where(k == 0, 0.0, -np.inf)
-    elif v0 == 1.0:
-        log_bin = np.where(k == m, 0.0, -np.inf)
-    else:
-        log_bin = (
-            gammaln(m + 1.0) - gammaln(k + 1.0) - gammaln(m - k + 1.0)
-            + k * np.log(v0) + (m - k) * np.log1p(-v0)
-        )
-    a1 = p.a + k
-    b1 = p.b + m - k
-    grid = np.atleast_1d(v1)
-    log_beta_pdf = (
-        -betaln(a1, b1)[:, None]
-        + (a1 - 1.0)[:, None] * np.log(grid)[None, :]
-        + (b1 - 1.0)[:, None] * np.log1p(-grid)[None, :]
-    )
-    dens = np.exp(logsumexp(log_bin[:, None] + log_beta_pdf, axis=0))
-    return float(dens[0]) if v1.ndim == 0 else dens
+    v1 = _check_transition_args(v1, v0)
+    log_weights = np.full(m + 1, -np.inf)
+    log_weights[m] = 0.0
+    return _mixture_density(log_weights, v0, v1, p)
 
 
-def _mixture_density(log_weights: np.ndarray, v0: float, grid: np.ndarray,
-                     p: WFParams) -> np.ndarray:
-    """sum_m w_m D(grid | m, v0) from per-index log weights."""
-    m_sizes = np.arange(len(log_weights))
+def _mixture_density(log_weights: np.ndarray, v0: float, v1: np.ndarray,
+                     p: WFParams):
+    """sum_m w_m D(v1 | m, v0) from per-index log weights.
+
+    Indices whose log weight is -inf are skipped. v1 is a checked array;
+    a 0-d v1 gives a float.
+    """
+    m_sizes = np.flatnonzero(np.isfinite(log_weights))
     pair_m = np.repeat(m_sizes, m_sizes + 1).astype(float)
     pair_k = np.concatenate([np.arange(m + 1) for m in m_sizes]).astype(float)
-    pair_logw = np.repeat(log_weights, m_sizes + 1)
+    pair_logw = np.repeat(log_weights[m_sizes], m_sizes + 1)
 
     if v0 == 0.0:
         log_bin = np.where(pair_k == 0, 0.0, -np.inf)
@@ -475,6 +427,7 @@ def _mixture_density(log_weights: np.ndarray, v0: float, grid: np.ndarray,
     b1 = p.b + pair_m - pair_k
     log_w = pair_logw + log_bin - betaln(a1, b1)
 
+    grid = np.atleast_1d(v1)
     log_v1 = np.log(grid)
     log_1mv1 = np.log1p(-grid)
     dens = np.zeros_like(grid)
@@ -488,12 +441,10 @@ def _mixture_density(log_weights: np.ndarray, v0: float, grid: np.ndarray,
                 + (b1[sl] - 1.0)[:, None] * log_1mv1[None, :]
             )
             dens += np.nansum(contrib, axis=0)
-    return dens
+    return float(dens[0]) if v1.ndim == 0 else dens
 
 
-def _check_transition_args(v1, v0, t):
-    if not t > 0:
-        raise ValueError("t must be positive")
+def _check_transition_args(v1, v0):
     if not (0.0 <= v0 <= 1.0):
         raise ValueError("v0 must lie in [0, 1]")
     v1 = np.asarray(v1, dtype=float)
@@ -515,15 +466,13 @@ def transition_density(v1, v0: float, t: float, p: WFParams,
 
     v1 may be an array; v0 and t are scalars.
     """
-    v1 = _check_transition_args(v1, v0, t)
+    v1 = _check_transition_args(v1, v0)
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must lie in (0, 1)")
     weights = lineage_weights(t, p, tol=min(tol, _LINEAGE_TAIL * 10))
     with np.errstate(divide="ignore"):
         log_weights = np.log(weights)
-    grid = np.atleast_1d(v1)
-    dens = _mixture_density(log_weights, v0, grid, p)
-    return float(dens[0]) if v1.ndim == 0 else dens
+    return _mixture_density(log_weights, v0, v1, p)
 
 
 def series_transition_density(v1, v0: float, t: float, p: WFParams,
@@ -536,12 +485,12 @@ def series_transition_density(v1, v0: float, t: float, p: WFParams,
     exact density but with r_t(m) weights. It is truncated at the
     smallest M with tail mass below tol and integrates to one within tol.
     """
-    v1 = _check_transition_args(v1, v0, t)
+    if not t > 0:
+        raise ValueError("t must be positive")
+    v1 = _check_transition_args(v1, v0)
     M = nb_truncation_index(t, p, tol, cap)
-    log_weights = _log_nb_weight(np.arange(M + 1), t, p)
-    grid = np.atleast_1d(v1)
-    dens = _mixture_density(log_weights, v0, grid, p)
-    return float(dens[0]) if v1.ndim == 0 else dens
+    log_weights = log_nb_weight(np.arange(M + 1), p.a + p.b, p.c * t)
+    return _mixture_density(log_weights, v0, v1, p)
 
 
 def sample_transition(v0, t: float, p: WFParams, rng: np.random.Generator,

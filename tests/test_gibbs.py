@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 from scipy.special import logsumexp
 
-from diffmix import measure, mixture, wf
+from diffmix import gibbs, measure, mixture, wf
 from diffmix.data import TimeGridDataset
 from diffmix.errors import DataError, TruncationCapError
 from diffmix.gibbs import (GammaPrior, PosteriorDraws,
@@ -511,6 +511,27 @@ class TestHyperparams:
 
 
 class TestSweepAndChain:
+    @pytest.mark.parametrize("swaps", [True, False])
+    def test_sweep_calls_updates_in_documented_order(self, rng, monkeypatch,
+                                                     swaps):
+        # the benchmark's traced replay of run_chain relies on this order
+        order = ["update_slice_and_truncation", "update_transition_latents",
+                 "update_stick_values", "update_locations",
+                 "update_hyperparams", "update_membership",
+                 "update_label_swaps"]
+        calls = []
+        for name in order:
+            monkeypatch.setattr(
+                gibbs, name,
+                lambda state, data, cfg, rng, name=name:
+                    calls.append(name) or state)
+        data = small_data(rng)
+        cfg = dp_config(label_swap_moves=swaps)
+        state = init_chain(data, cfg, rng)
+        gibbs_sweep(state, data, cfg, rng)
+        assert calls == (order if swaps else order[:-1])
+        assert state.sweep == 1
+
     def test_invariants_after_many_sweeps(self, rng):
         data = small_data(rng, n_times=8, per_time=2)
         cfg = dp_config()

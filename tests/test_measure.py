@@ -56,6 +56,11 @@ class TestWeightMaps:
         v = np.array(values)
         back = weights_to_sticks(sticks_to_weights(v))
         assert np.max(np.abs(back - v)) < 1e-12
+        # the (m, n) form used by the mixture layer maps every column alike
+        np.testing.assert_array_equal(
+            measure.sticks_to_weights_matrix(np.column_stack([v, v[::-1]])),
+            np.column_stack([sticks_to_weights(v),
+                             sticks_to_weights(v[::-1])]))
 
     def test_round_trip_fifty_dp_sticks(self, rng):
         # a 50-deep truncation is the many-small-sticks regime
@@ -82,8 +87,8 @@ class TestStickConfig:
     def test_dp_defaults_to_standard_rate(self):
         cfg = StickConfig.dp(3.0)
         assert cfg.c == pytest.approx(1.5)
-        p = cfg.stick_params(5)
-        assert (p.a, p.b) == (1.0, 3.0)
+        a, b, c = cfg.params(5)
+        assert (a[4], b[4], c[4]) == (1.0, 3.0, 1.5)
 
     def test_dp_invalid(self):
         with pytest.raises(ValueError):
@@ -91,9 +96,10 @@ class TestStickConfig:
 
     def test_pitman_yor_params(self):
         cfg = StickConfig.pitman_yor(1.0, 0.25, c=2.0)
-        p3 = cfg.stick_params(3)
-        assert p3.a == pytest.approx(0.75)
-        assert p3.b == pytest.approx(1.75)
+        a, b, c = cfg.params(3)
+        assert a[2] == pytest.approx(0.75)
+        assert b[2] == pytest.approx(1.75)
+        assert c[2] == 2.0
 
     def test_pitman_yor_validation(self):
         with pytest.raises(ValueError):
@@ -104,7 +110,8 @@ class TestStickConfig:
 
     def test_gem_validation_and_tail_repeat(self):
         cfg = StickConfig.general_gem([(1.0, 2.0), (1.5, 1.0)], c=1.0)
-        assert cfg.stick_params(10).a == pytest.approx(1.5)
+        a, _, _ = cfg.params(10)
+        assert a[9] == pytest.approx(1.5)
         with pytest.raises(ValueError):
             StickConfig.general_gem([(0.5, 0.4)])
 
@@ -116,6 +123,35 @@ class TestStickConfig:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             StickConfig.general_gem([(1.0, 2.0), (1.0, 2.0)])
+
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(0, 40), theta=st.floats(0.05, 20.0),
+           sigma=st.floats(0.0, 0.95), c=st.floats(0.01, 10.0),
+           pairs=st.lists(st.tuples(st.floats(0.6, 5.0),
+                                    st.floats(0.6, 5.0)),
+                          min_size=1, max_size=5))
+    def test_params_match_closed_forms(self, m, theta, sigma, c, pairs):
+        j = np.arange(1, m + 1)
+        a, b, cc = StickConfig.dp(1.0).params(m, theta, c)
+        np.testing.assert_array_equal(a, np.ones(m))
+        np.testing.assert_array_equal(b, np.full(m, theta))
+        np.testing.assert_array_equal(cc, np.full(m, c))
+        # configured values and sampler overrides give the same law
+        for cfg, over in ((StickConfig.pitman_yor(theta, sigma, c=c), {}),
+                          (StickConfig.pitman_yor(1.0, sigma),
+                           dict(theta=theta, c=c))):
+            a, b, cc = cfg.params(m, **over)
+            np.testing.assert_allclose(a, np.full(m, 1.0 - sigma))
+            np.testing.assert_allclose(b, theta + j * sigma)
+            np.testing.assert_array_equal(cc, np.full(m, c))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            gem = StickConfig.general_gem(pairs, c=c)
+        a, b, cc = gem.params(m, theta=123.0)
+        expected = [pairs[min(i, len(pairs)) - 1] for i in j]
+        np.testing.assert_array_equal(a, [p[0] for p in expected])
+        np.testing.assert_array_equal(b, [p[1] for p in expected])
+        np.testing.assert_array_equal(cc, np.full(m, c))
 
 
 class TestSampleMarginal:

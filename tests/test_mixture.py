@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from diffmix import mixture
 from diffmix.measure import MeasureState, weights_to_sticks
-from diffmix.mixture import (CenteringMeasure, KernelParam, density_eval,
-                             kernel_eval, mean_functional, simulate_toy,
-                             toy_mean)
+from diffmix.mixture import (CenteringMeasure, density_eval, gaussian_logpdf,
+                             mean_functional, renormalised_mixture,
+                             simulate_toy, toy_mean)
 
 
 def unit_gauss_legendre(lo, hi, n):
@@ -29,33 +32,29 @@ def rng():
     return np.random.default_rng(11)
 
 
+def kernel(y, mean, precision):
+    return np.exp(gaussian_logpdf(y, mean, precision))
+
+
 class TestKernel:
     def test_peak_value(self):
-        x = KernelParam(mean=2.0, precision=1.0)
-        assert kernel_eval(2.0, x) == pytest.approx(1.0 / np.sqrt(2 * np.pi))
+        assert kernel(2.0, 2.0, 1.0) == pytest.approx(1.0 / np.sqrt(2 * np.pi))
 
     def test_symmetry(self):
-        x = KernelParam(mean=0.5, precision=3.0)
-        assert kernel_eval(0.5 + 0.7, x) == pytest.approx(
-            kernel_eval(0.5 - 0.7, x))
+        assert kernel(0.5 + 0.7, 0.5, 3.0) == pytest.approx(
+            kernel(0.5 - 0.7, 0.5, 3.0))
 
     def test_integrates_to_one(self):
-        x = KernelParam(mean=-1.0, precision=4.0)
         grid, w = unit_gauss_legendre(-9.0, 7.0, 400)
-        assert w @ kernel_eval(grid, x) == pytest.approx(1.0, abs=1e-8)
-
-    def test_precision_validation(self):
-        with pytest.raises(ValueError):
-            KernelParam(0.0, 0.0)
+        assert w @ kernel(grid, -1.0, 4.0) == pytest.approx(1.0, abs=1e-8)
 
 
 class TestDensityEval:
     def test_single_dominant_atom(self):
         state = state_from_weights([1 - 1e-10], [1.5], [2.0])
-        x = KernelParam(1.5, 2.0)
         grid = np.linspace(-2, 5, 20)
         np.testing.assert_allclose(density_eval(state, 0, grid),
-                                   kernel_eval(grid, x), rtol=1e-8)
+                                   kernel(grid, 1.5, 2.0), rtol=1e-8)
 
     def test_renormalized_integrates_to_one(self):
         state = state_from_weights([0.4, 0.3, 0.2], [0.0, 1.0, -2.0],
@@ -63,8 +62,6 @@ class TestDensityEval:
         grid, w = unit_gauss_legendre(-14.0, 12.0, 600)
         total = w @ density_eval(state, 0, grid)
         assert total == pytest.approx(1.0, abs=1e-6)
-        raw = w @ density_eval(state, 0, grid, renormalized=False)
-        assert raw == pytest.approx(0.9, abs=1e-6)
 
     def test_bimodal_with_separated_atoms(self):
         state = state_from_weights([0.5, 0.5 - 1e-9], [-1.0, 1.0],
@@ -92,6 +89,48 @@ class TestMeanFunctional:
         grid, w = unit_gauss_legendre(-12.0, 13.0, 800)
         quad = w @ (grid * density_eval(state, 0, grid))
         assert mean_functional(state, 0) == pytest.approx(quad, abs=1e-6)
+
+
+@st.composite
+def mixture_states(draw):
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 4))
+    sticks = draw(hnp.arrays(float, (m, n),
+                             elements=st.floats(0.02, 0.98)))
+    means = draw(hnp.arrays(float, m, elements=st.floats(-2.0, 2.0)))
+    precs = draw(hnp.arrays(float, m, elements=st.floats(0.5, 4.0)))
+    return MeasureState(times=np.arange(n, dtype=float), sticks=sticks,
+                        atoms=np.column_stack([means, precs]))
+
+
+class TestRenormalisedMixture:
+    @settings(max_examples=60, deadline=None)
+    @given(mixture_states(), st.integers(0, 2 ** 32 - 1))
+    def test_shapes_agree_with_per_time_density(self, state, seed):
+        means, precs = state.atoms[:, 0], state.atoms[:, 1]
+        # precisions >= 0.5 and |means| <= 2 keep all mass inside +-15
+        grid, w = unit_gauss_legendre(-15.0, 15.0, 600)
+        surface = renormalised_mixture(
+            state.sticks,
+            kernel(grid[None, :], means[:, None], precs[:, None]))
+        for i in range(state.n_times):
+            np.testing.assert_allclose(
+                surface[i], density_eval(state, i, grid), rtol=1e-12,
+                atol=1e-300)
+        np.testing.assert_allclose(surface @ w, 1.0, atol=1e-8)
+        # per-observation form: each value at its own time
+        rng = np.random.default_rng(seed)
+        tidx = rng.integers(0, state.n_times, size=12)
+        ys = rng.uniform(-3.0, 3.0, size=12)
+        per_obs = renormalised_mixture(
+            state.sticks, kernel(ys[:, None], means[None, :], precs[None, :]),
+            tidx)
+        expected = [density_eval(state, t, y) for t, y in zip(tidx, ys)]
+        np.testing.assert_allclose(per_obs, expected, rtol=1e-12)
+        np.testing.assert_allclose(
+            renormalised_mixture(state.sticks, means),
+            [mean_functional(state, i) for i in range(state.n_times)],
+            rtol=1e-12, atol=1e-15)
 
 
 class TestPriorPredictive:

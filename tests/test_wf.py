@@ -41,20 +41,6 @@ class TestParams:
         assert p.standardised_time(0.7) == pytest.approx(0.7)
 
 
-class TestTransitionAug:
-    def test_valid_triple(self):
-        aug = wf.TransitionAug(o=0.05, k=2, d=5)
-        assert aug.g_inverse(aug.o) > aug.d
-
-    def test_rejects_bad_count(self):
-        with pytest.raises(ValueError):
-            wf.TransitionAug(o=0.01, k=6, d=5)
-
-    def test_rejects_slice_outside_band(self):
-        with pytest.raises(ValueError):
-            wf.TransitionAug(o=0.5, k=0, d=5)
-
-
 class TestInvariantDensity:
     def test_uniform_case(self):
         assert wf.invariant_density(0.5, WFParams(1, 1, 1)) == pytest.approx(1.0)
@@ -105,6 +91,25 @@ class TestSeriesWeights:
         p = WFParams(1, 4, 2)
         with pytest.raises(SeriesTruncationError):
             wf.nb_truncation_index(1e-7, p, 1e-10, cap=1000)
+
+    @pytest.mark.parametrize("r, ct", [(5.2, 0.41), (3.0, 0.1)])
+    def test_cumulative_stops_at_resolved_tail(self, r, ct):
+        # for these keys rounding holds 1 - partial sum near 2e-15, so a
+        # stop on it would sum all cap + 1 terms
+        cap = wf.DEFAULT_SERIES_CAP
+        cum = wf._nb_cumulative(r, ct, cap)
+        assert len(cum) < 1000
+        full = np.cumsum(np.exp(wf.log_nb_weight(np.arange(cap + 1.0), r, ct)))
+        np.testing.assert_array_equal(cum, full[:len(cum)])
+        assert full[-1] - cum[-1] < 1e-15
+        p = WFParams(r / 2.0, r / 2.0, ct)
+        draws = wf.sample_nb(1.0, p, np.random.default_rng(8), size=20_000)
+        u = np.random.default_rng(8).uniform(size=20_000)
+        np.testing.assert_array_equal(
+            draws, np.minimum(np.searchsorted(full, u), cap))
+        for tol in (1e-8, 1e-9, 1e-10, 1e-11, 1e-12):
+            assert wf.nb_truncation_index(1.0, p, tol) == \
+                int(np.searchsorted(full, 1.0 - tol))
 
     def test_sample_nb_matches_pmf(self, rng):
         p = WFParams(1.5, 2.5, 1.0)
