@@ -36,7 +36,8 @@ from . import wf
 from .archive import read_container, write_container
 from .data import TimeGridDataset
 from .errors import DataError, NumericalError, TruncationCapError
-from .measure import MeasureState, StickConfig, sticks_to_weights_matrix
+from .measure import (OPEN_UNIT, MeasureState, StickConfig, stick_runs,
+                      sticks_to_weights_matrix)
 from .mixture import CenteringMeasure, gaussian_logpdf, renormalised_mixture
 
 DEFAULT_M_CAP = 512
@@ -44,7 +45,8 @@ MH_TARGET_ACCEPT = 0.44
 ARCHIVE_VERSION = 1
 CHECKPOINT_VERSION = 1
 
-_OPEN_UNIT = (1e-300, float(np.nextafter(1.0, 0.0)))
+# ChainState arrays holding one row per component, in _prior_components order
+_COMPONENTS = ("sticks", "trans_o", "trans_k", "trans_d", "atoms")
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,8 @@ class SamplerConfig:
     """Everything the chain needs besides the data.
 
     stick fixes the stick family (kind, sigma, explicit pairs); the
-    chain samples its own theta and c, so the values carried by the
-    StickConfig only seed defaults elsewhere. slice_eta and
+    chain carries its own theta and c, so the sampler never reads the
+    theta and c stored in the StickConfig. slice_eta and
     trans_slice_eta are the decay rates of the two slice label
     functions and must lie strictly inside (0, 1). iters counts
     post-burn-in sweeps; every thin-th of them is stored.
@@ -202,13 +204,15 @@ def _categorical_rows(log_mass: np.ndarray, valid: np.ndarray,
     return idx
 
 
-def _sample_prior_index(a, b, c, tau, rng, uniform: bool) -> np.ndarray:
-    """Series index d ~ r_tau per stick; one draw for all when uniform."""
-    if uniform:
-        params = wf.WFParams(a[0], b[0], c[0])
-        return np.asarray(wf.sample_nb(tau, params, rng, size=len(a)))
-    return np.array([wf.sample_nb(tau, wf.WFParams(a[j], b[j], c[j]), rng)
-                     for j in range(len(a))], dtype=np.int64)
+def _sample_u(s, eta, rng) -> np.ndarray:
+    """u | s ~ U(0, psi(s + 1)), floored so log(u) stays finite."""
+    return np.maximum(rng.uniform(0.0, np.exp(-eta * (s + 1.0))), 1e-300)
+
+
+def _sample_prior_index(runs, tau, rng) -> np.ndarray:
+    """Series index d ~ r_tau per stick, one draw per run of stick_runs."""
+    return np.concatenate([wf.sample_nb(tau, params, rng, size=hi - lo)
+                           for lo, hi, params in runs])
 
 
 def _sample_slice(d, eta2, rng) -> np.ndarray:
@@ -216,14 +220,13 @@ def _sample_slice(d, eta2, rng) -> np.ndarray:
     return np.exp(-eta2 * d) * np.maximum(rng.uniform(size=np.shape(d)), 1e-17)
 
 
-def _sample_prior_transition(a, b, c, tau, v_prev, eta2, rng, uniform: bool):
+def _sample_prior_transition(a, b, runs, tau, v_prev, eta2, rng):
     """(o, k, d, v_next) from the augmented prior, one entry per stick."""
-    d = _sample_prior_index(a, b, c, tau, rng, uniform)
+    d = _sample_prior_index(runs, tau, rng)
     k = rng.binomial(d, v_prev)
-    v_next = rng.beta(a + k, b + d - k)
-    v_next = np.clip(v_next, *_OPEN_UNIT)
+    v_next = np.clip(rng.beta(a + k, b + d - k), *OPEN_UNIT)
     o = _sample_slice(d, eta2, rng)
-    return o, k.astype(np.int64), d.astype(np.int64), v_next
+    return o, k.astype(np.int64), d, v_next
 
 
 def _prior_components(cfg: SamplerConfig, theta: float, c: float,
@@ -236,21 +239,19 @@ def _prior_components(cfg: SamplerConfig, theta: float, c: float,
     jointly along the path: v(t_1) from its Beta marginal, then
     d ~ r_tau, k ~ Bin(d, v_prev), v_next ~ Beta(a + k, b + d - k).
     """
-    a_all, b_all, c_all = cfg.stick.params(offset + count, theta, c)
-    a = a_all[offset:]
-    b = b_all[offset:]
-    c_arr = c_all[offset:]
-    uniform = cfg.stick.kind == "dp"
+    a, b, c_arr = (x[offset:] for x in
+                   cfg.stick.params(offset + count, theta, c))
+    runs = stick_runs(a, b, c_arr)
     n = len(taus) + 1
     sticks = np.empty((count, n))
     o = np.empty((count, n - 1))
     kk = np.empty((count, n - 1), dtype=np.int64)
     dd = np.empty((count, n - 1), dtype=np.int64)
-    v = np.clip(rng.beta(a, b), *_OPEN_UNIT)
+    v = np.clip(rng.beta(a, b), *OPEN_UNIT)
     sticks[:, 0] = v
     for w, tau in enumerate(taus):
         o[:, w], kk[:, w], dd[:, w], v = _sample_prior_transition(
-            a, b, c_arr, float(tau), v, cfg.trans_slice_eta, rng, uniform)
+            a, b, runs, float(tau), v, cfg.trans_slice_eta, rng)
         sticks[:, w + 1] = v
     atoms = cfg.centering.sample(rng, count)
     return sticks, o, kk, dd, atoms
@@ -279,29 +280,26 @@ def init_chain(data: TimeGridDataset, cfg: SamplerConfig,
     else:
         c = cfg.c_prior.sample(rng)
 
-    m0 = max(10, math.ceil(math.log(n_obs)))
-    if cfg.fixed_truncation is not None:
-        m0 = cfg.fixed_truncation
-    s = rng.integers(0, m0, size=n_obs)
-    u = rng.uniform(0.0, np.exp(-eta * (s + 1.0)))
-    u = np.maximum(u, 1e-300)
-    bounds = np.floor(-np.log(u) / eta).astype(np.int64)
-    m = int(max(m0, bounds.max()))
-    if cfg.fixed_truncation is not None:
-        m = cfg.fixed_truncation
-    elif m > cfg.m_cap:
-        raise TruncationCapError(f"initial truncation {m} exceeds cap {cfg.m_cap}")
+    fixed = cfg.fixed_truncation
+    m = fixed if fixed is not None else max(10, math.ceil(math.log(n_obs)))
+    s = rng.integers(0, m, size=n_obs)
+    u = _sample_u(s, eta, rng)
+    if fixed is None:
+        m = int(max(m, np.floor(-np.log(u) / eta).max()))
+        if m > cfg.m_cap:
+            raise TruncationCapError(
+                f"initial truncation {m} exceeds cap {cfg.m_cap}")
 
     a, b, c_arr = cfg.stick.params(m, theta, c)
+    runs = stick_runs(a, b, c_arr)
     sticks = rng.beta(a[:, None], b[:, None], size=(m, n))
-    sticks = np.clip(sticks, *_OPEN_UNIT)
+    sticks = np.clip(sticks, *OPEN_UNIT)
 
     o = np.empty((m, n - 1))
     kk = np.empty((m, n - 1), dtype=np.int64)
     dd = np.empty((m, n - 1), dtype=np.int64)
-    uniform = cfg.stick.kind == "dp"
     for w, tau in enumerate(data.gaps):
-        dd[:, w] = _sample_prior_index(a, b, c_arr, float(tau), rng, uniform)
+        dd[:, w] = _sample_prior_index(runs, float(tau), rng)
         kk[:, w] = rng.binomial(dd[:, w], sticks[:, w])
         o[:, w] = _sample_slice(dd[:, w], cfg.trans_slice_eta, rng)
 
@@ -321,9 +319,7 @@ def update_slice_and_truncation(state: ChainState, data: TimeGridDataset,
     prior. With fixed_truncation the level is pinned instead.
     """
     eta = cfg.slice_eta
-    psi = np.exp(-eta * (state.s + 1.0))
-    u = rng.uniform(0.0, psi)
-    state.u = np.maximum(u, 1e-300)
+    state.u = _sample_u(state.s, eta, rng)
     if cfg.fixed_truncation is not None:
         return state
     m_new = int(state.slice_bounds(eta).max())
@@ -333,20 +329,13 @@ def update_slice_and_truncation(state: ChainState, data: TimeGridDataset,
             f"{state.sweep}; increase m_cap or slice_eta"
         )
     if m_new > state.m:
-        sticks, o, kk, dd, atoms = _prior_components(
-            cfg, state.theta, state.c, m_new - state.m, state.m,
-            data.gaps, rng)
-        state.sticks = np.vstack([state.sticks, sticks])
-        state.trans_o = np.vstack([state.trans_o, o])
-        state.trans_k = np.vstack([state.trans_k, kk])
-        state.trans_d = np.vstack([state.trans_d, dd])
-        state.atoms = np.vstack([state.atoms, atoms])
+        fresh = _prior_components(cfg, state.theta, state.c,
+                                  m_new - state.m, state.m, data.gaps, rng)
+        for name, rows in zip(_COMPONENTS, fresh):
+            setattr(state, name, np.vstack([getattr(state, name), rows]))
     elif m_new < state.m:
-        state.sticks = state.sticks[:m_new]
-        state.trans_o = state.trans_o[:m_new]
-        state.trans_k = state.trans_k[:m_new]
-        state.trans_d = state.trans_d[:m_new]
-        state.atoms = state.atoms[:m_new]
+        for name in _COMPONENTS:
+            setattr(state, name, getattr(state, name)[:m_new])
     state.m = m_new
     return state
 
@@ -492,7 +481,7 @@ def update_stick_values(state: ChainState, data: TimeGridDataset,
         return state
     shape1, shape2 = stick_conditional_shapes(state, data, cfg)
     v = rng.beta(shape1, shape2)
-    state.sticks = np.clip(v, *_OPEN_UNIT)
+    state.sticks = np.clip(v, *OPEN_UNIT)
     return state
 
 
@@ -589,8 +578,7 @@ def update_hyperparams(state: ChainState, data: TimeGridDataset,
         accept = math.log(max(rng.uniform(), 1e-300)) < log_acc
         return (new if accept else value), accept
 
-    move_theta = cfg.fix_theta is None and cfg.stick.kind != "gem"
-    if move_theta:
+    if cfg.fix_theta is None:
         def target(th):
             c = th / 2.0 if cfg.tie_c_to_theta else state.c
             return cfg.theta_prior.logpdf(th) + _hyper_log_target(
@@ -649,8 +637,7 @@ def update_membership(state: ChainState, data: TimeGridDataset,
     s_new = draw()
     bad = np.nonzero(s_new < 0)[0]
     if len(bad) > 0:
-        psi = np.exp(-eta * (state.s[bad] + 1.0))
-        state.u[bad] = np.maximum(rng.uniform(0.0, psi), 1e-300)
+        state.u[bad] = _sample_u(state.s[bad], eta, rng)
         s_new[bad] = draw(bad)
         if np.any(s_new[bad] < 0):
             worst = int(bad[0])
@@ -674,16 +661,17 @@ def update_label_swaps(state: ChainState, data: TimeGridDataset,
     component (stick path, transition triples, atom) between positions j
     and j + 1, with memberships relabelled, is a standard accelerator.
     The acceptance ratio collects the membership-mass change of affected
-    observations, the slice indicators u_i < psi(new label), and (for
-    non-identical stick laws) the change of path prior across positions.
+    observations, the slice indicators u_i < psi(new label), and, only
+    when positions j and j + 1 carry different (a, b, c), the change of
+    path prior of both sticks across the two positions.
     """
     m = state.m
     if m < 2:
         return state
     _, tidx = data.flat
     eta = cfg.slice_eta
-    uniform = cfg.stick.kind == "dp"
     a, b, c = cfg.stick.params(m, state.theta, state.c)
+    law_changes = {lo for lo, _, _ in stick_runs(a, b, c)[1:]}
     taus = data.gaps
     unif = rng.uniform(size=m - 1)
     for j in range(m - 1):
@@ -702,7 +690,7 @@ def update_label_swaps(state: ChainState, data: TimeGridDataset,
             t_down = tidx[at_j1]
             log_ratio += -float(np.sum(np.log1p(-state.sticks[j, t_down]))) \
                 - eta * int(at_j1.sum())
-        if not uniform:
+        if j + 1 in law_changes:
             # each stick's path prior at the other's position, less its own
             for lo, hi in ((j, j + 1), (j + 1, j)):
                 pos, other = slice(lo, lo + 1), slice(hi, hi + 1)
@@ -713,8 +701,8 @@ def update_label_swaps(state: ChainState, data: TimeGridDataset,
                     state.sticks[pos], state.trans_k[pos],
                     state.trans_d[pos], taus, a[pos], b[pos], c[pos])
         if np.log(max(unif[j], 1e-300)) < log_ratio:
-            for arr in (state.sticks, state.trans_o, state.trans_k,
-                        state.trans_d, state.atoms):
+            for name in _COMPONENTS:
+                arr = getattr(state, name)
                 arr[[j, j + 1]] = arr[[j + 1, j]]
             state.s[at_j] = j + 1
             state.s[at_j1] = j
@@ -767,9 +755,8 @@ def check_invariants(state: ChainState, data: TimeGridDataset,
         "transition slice outside (0, g(d))"
     assert state.theta > 0 and state.c > 0
     assert np.all(state.atoms[:, 1] > 0)
-    for arr in (state.sticks, state.trans_o, state.trans_k, state.trans_d,
-                state.atoms):
-        assert arr.shape[0] == state.m, "component arrays out of sync with m"
+    assert all(getattr(state, name).shape[0] == state.m
+               for name in _COMPONENTS), "component arrays out of sync with m"
 
 
 @dataclass(frozen=True)

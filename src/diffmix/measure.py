@@ -26,6 +26,8 @@ from .wf import WFParams
 
 DEFAULT_TRUNC_TOL = 1e-4
 MAX_STICKS = 100_000
+# clamp for stick draws, which must stay strictly inside (0, 1)
+OPEN_UNIT = (1e-300, float(np.nextafter(1.0, 0.0)))
 
 
 @dataclass(frozen=True)
@@ -122,20 +124,24 @@ class StickConfig:
             b = np.array([self.pairs[i][1] for i in idx])
         return a, b, np.full(m, c)
 
-    @property
-    def uniform_sticks(self) -> bool:
-        """True when every stick shares one (a, b, c) triple."""
-        if self.kind == "dp":
-            return True
-        if self.kind == "pitman_yor":
-            return self.sigma == 0.0
-        return len(self.pairs) == 1
-
 
 def _check_rate(c) -> float:
     if not c > 0:
         raise ValueError("c must be positive")
     return float(c)
+
+
+def stick_runs(a, b, c) -> list[tuple[int, int, WFParams]]:
+    """(lo, hi, params) for each maximal run of sticks sharing (a, b, c).
+
+    Draws go one run at a time: a Dirichlet process is one run, and
+    Pitman-Yor with sigma > 0 one run per stick.
+    """
+    triples = list(zip(a.tolist(), b.tolist(), c.tolist()))
+    starts = [j for j in range(len(triples))
+              if j == 0 or triples[j] != triples[j - 1]]
+    return [(lo, hi, WFParams(*triples[lo]))
+            for lo, hi in zip(starts, starts[1:] + [len(triples)])]
 
 
 class MeasureProbability(NamedTuple):
@@ -273,7 +279,7 @@ def sample_marginal(config: StickConfig,
         hi = min(lo + block, max_sticks)
         a, b, _ = config.params(hi)
         draws = rng.beta(a[lo:hi], b[lo:hi])
-        draws = np.clip(draws, 1e-300, np.nextafter(1.0, 0.0))
+        draws = np.clip(draws, *OPEN_UNIT)
         for v in draws:
             sticks.append(float(v))
             log_deficit += np.log1p(-v)
@@ -287,31 +293,24 @@ def sample_marginal(config: StickConfig,
 
 def evolve(state: MeasureState, config: StickConfig, dt: float,
            rng: np.random.Generator) -> MeasureState:
-    """Advance every stick by dt through its exact transition law.
+    """Advance a single-time state by dt through the exact transition law.
 
-    Atoms stay fixed; only the weights move. Each (stick, time) entry is
-    advanced conditionally independently given its current value, which
-    gives the exact law for single-time states (the intended use); for
-    multi-time states each column is marginally correct but the joint
-    path law across columns is not preserved.
+    Atoms stay fixed; only the weights move. Each stick moves
+    independently given its current value, one vectorised draw per run
+    of sticks sharing (a, b, c). Multi-time states raise ValueError:
+    moving each column on its own would not preserve the joint path law.
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
-    v = state.sticks
-    m = state.m
-    a, b, c = config.params(m)
+    if state.n_times != 1:
+        raise ValueError("evolve takes a single-time state")
+    v = state.sticks[:, 0]
     new = np.empty_like(v)
-    if config.uniform_sticks:
-        params = WFParams(a[0], b[0], c[0])
-        for col in range(v.shape[1]):
-            new[:, col] = wf.sample_transition(v[:, col], dt, params, rng)
-    else:
-        for j in range(m):
-            params = WFParams(a[j], b[j], c[j])
-            for col in range(v.shape[1]):
-                new[j, col] = wf.sample_transition(v[j, col], dt, params, rng)
-    new = np.clip(new, 1e-300, np.nextafter(1.0, 0.0))
-    return MeasureState(times=state.times + dt, sticks=new, atoms=state.atoms)
+    for lo, hi, params in stick_runs(*config.params(state.m)):
+        new[lo:hi] = wf.sample_transition(v[lo:hi], dt, params, rng)
+    new = np.clip(new, *OPEN_UNIT)
+    return MeasureState(times=state.times + dt, sticks=new[:, None],
+                        atoms=state.atoms)
 
 
 def measure_eval(state: MeasureState, time_index: int,

@@ -11,7 +11,7 @@ their full sizes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import stats
@@ -283,8 +283,5 @@ def run_validation(names=None, quick: bool = False,
         partial = FULL_CHECKS[name](rng)
         elapsed = time.perf_counter() - start
         for res in partial:
-            results.append(CheckResult(
-                name=res.name, passed=res.passed, value=res.value,
-                threshold=res.threshold, comparison=res.comparison,
-                detail=res.detail, seconds=elapsed / len(partial)))
+            results.append(replace(res, seconds=elapsed / len(partial)))
     return results

@@ -454,8 +454,7 @@ def _check_transition_args(v1, v0):
 
 
 def transition_density(v1, v0: float, t: float, p: WFParams,
-                       tol: float = 1e-10,
-                       cap: int = DEFAULT_SERIES_CAP):
+                       tol: float = 1e-10):
     """Exact transition density p(v1 | v0, t) of the diffusion.
 
     Uses the lineage-count weights, truncated once their remaining tail

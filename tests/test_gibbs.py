@@ -510,6 +510,48 @@ class TestHyperparams:
             assert state.c == pytest.approx(state.theta / 2.0)
 
 
+class TestLabelSwaps:
+    @staticmethod
+    def _count_path_prior_calls(stick, monkeypatch, u_fn):
+        data = simulate_toy(6, 3, 2.0, np.random.default_rng(1))
+        cfg = dp_config(stick=stick, fixed_truncation=6, fix_theta=1.0)
+        rng = np.random.default_rng(3)
+        state = init_chain(data, cfg, rng)
+        state.s[:] = 0
+        state.u = u_fn(cfg.slice_eta, data.n_obs)
+        calls = [0]
+        original = gibbs._log_stick_likelihood
+
+        def counted(*args):
+            calls[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(gibbs, "_log_stick_likelihood", counted)
+        update_label_swaps(state, data, cfg, rng)
+        return calls[0]
+
+    @pytest.mark.parametrize("stick, pairs_differing", [
+        (StickConfig.dp(1.0), 0),
+        (StickConfig.pitman_yor(1.0, 0.0), 0),
+        (StickConfig.general_gem([(1.0, 2.0)]), 0),
+        (StickConfig.general_gem([(1.0, 1.0), (1.0, 2.0), (1.5, 2.5)]), 2),
+        (StickConfig.pitman_yor(1.0, 0.3), 5),
+    ], ids=["dp", "py_sigma0", "gem_one_pair", "gem_three_pairs", "py"])
+    def test_path_prior_only_for_differing_neighbours(
+            self, stick, pairs_differing, monkeypatch):
+        # with u tiny every pair of the m = 6 labels passes the slice
+        # check; each pair with different (a, b, c) costs four terms
+        tiny = lambda eta, n: np.full(n, 1e-300)
+        assert self._count_path_prior_calls(stick, monkeypatch, tiny) \
+            == 4 * pairs_differing
+        # every observation at label 1 with u above psi(2): pair (1, 2)
+        # fails the slice check and no swap moves any membership
+        high = lambda eta, n: np.full(n, np.exp(-1.5 * eta))
+        expected = 4 * pairs_differing - (4 if pairs_differing else 0)
+        assert self._count_path_prior_calls(stick, monkeypatch, high) \
+            == expected
+
+
 class TestSweepAndChain:
     @pytest.mark.parametrize("swaps", [True, False])
     def test_sweep_calls_updates_in_documented_order(self, rng, monkeypatch,
@@ -615,6 +657,27 @@ class TestSweepAndChain:
         for _ in range(40):
             gibbs_sweep(state, data, cfg, rng)
             check_invariants(state, data, cfg)
+
+    def test_pitman_yor_sigma_zero_matches_dp(self, rng, monkeypatch):
+        # Pitman-Yor with sigma = 0 is the DP law: same draws, same
+        # number of series-index calls
+        data = small_data(rng, n_times=8)
+        original = wf.sample_nb
+        draws, calls = [], []
+        for stick in (StickConfig.dp(1.0), StickConfig.pitman_yor(1.0, 0.0)):
+            count = [0]
+
+            def counted(t, p, gen, size=None, count=count):
+                count[0] += 1
+                return original(t, p, gen, size=size)
+
+            monkeypatch.setattr(wf, "sample_nb", counted)
+            draws.append(run_chain(data, dp_config(stick=stick, seed=4)))
+            calls.append(count[0])
+        assert calls[0] == calls[1] > 0
+        for field in ("m", "theta", "c", "sticks", "atom_mean", "atom_prec"):
+            np.testing.assert_array_equal(getattr(draws[0], field),
+                                          getattr(draws[1], field))
 
     def test_unequal_spacing_runs_and_uses_gaps(self, rng):
         values = tuple(np.array([v]) for v in [0.1, 0.5, -0.2, 0.3])

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from diffmix import measure
 from diffmix.errors import NumericalError
@@ -153,6 +154,30 @@ class TestStickConfig:
         np.testing.assert_array_equal(b, [p[1] for p in expected])
         np.testing.assert_array_equal(cc, np.full(m, c))
 
+    @settings(max_examples=100, deadline=None)
+    @given(m=st.integers(0, 40), kind=st.sampled_from(["dp", "py", "gem"]),
+           theta=st.floats(0.05, 20.0), sigma=st.sampled_from([0.0, 0.4]),
+           pairs=st.lists(st.sampled_from([(1.0, 2.0), (0.5, 1.5),
+                                           (2.0, 0.5)]),
+                          min_size=1, max_size=5))
+    def test_stick_runs_partition_by_triple(self, m, kind, theta, sigma,
+                                            pairs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            cfg = {"dp": StickConfig.dp(theta),
+                   "py": StickConfig.pitman_yor(theta, sigma),
+                   "gem": StickConfig.general_gem(pairs)}[kind]
+        a, b, c = cfg.params(m)
+        runs = measure.stick_runs(a, b, c)
+        triples = list(zip(a, b, c))
+        covered = [j for lo, hi, _ in runs for j in range(lo, hi)]
+        assert covered == list(range(m))
+        for lo, hi, p in runs:
+            assert hi > lo
+            assert all(t == (p.a, p.b, p.c) for t in triples[lo:hi])
+        for (_, hi, _), (lo, _, _) in zip(runs, runs[1:]):
+            assert triples[hi - 1] != triples[lo]
+
 
 class TestSampleMarginal:
     def test_deficit_below_tolerance(self, rng):
@@ -239,6 +264,30 @@ class TestEvolve:
         m4 = np.mean((vals - vals.mean()) ** 4)
         se_var = np.sqrt(max(m4 - s2 ** 2, 0) / reps)
         assert abs(s2 - 0.125) < 3 * se_var
+
+
+    @pytest.mark.parametrize("cfg", [
+        StickConfig.pitman_yor(1.0, 0.3),
+        StickConfig.general_gem([(1.0, 1.0), (1.0, 2.0), (1.5, 2.5)]),
+    ], ids=["pitman_yor", "gem_three_pairs"])
+    def test_non_dp_keeps_each_beta_marginal(self, cfg, rng):
+        # stationary start: evolving must keep stick j Beta(a_j, b_j)
+        m, reps = 5, 2000
+        a, b, _ = cfg.params(m)
+        moved = np.empty((reps, m))
+        for i in range(reps):
+            state = MeasureState(times=[0.0], sticks=rng.beta(a, b)[:, None],
+                                 atoms=np.zeros(m))
+            moved[i] = evolve(state, cfg, 0.4, rng).sticks[:, 0]
+        for j in range(m):
+            ks = stats.kstest(moved[:, j], stats.beta(a[j], b[j]).cdf)
+            assert ks.pvalue > 0.001, (j, ks)
+
+    def test_rejects_multi_time_state(self):
+        state = MeasureState(times=[0.0, 1.0], sticks=np.full((3, 2), 0.5),
+                             atoms=np.zeros(3))
+        with pytest.raises(ValueError, match="single-time"):
+            evolve(state, StickConfig.dp(1.0), 0.5, np.random.default_rng(0))
 
 
 class TestMeasureEval:
