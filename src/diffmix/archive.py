@@ -39,14 +39,22 @@ def _writestr(zf: zipfile.ZipFile, name: str, payload: bytes) -> None:
     zf.writestr(info, payload)
 
 
-def read_container(path) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read back a container written by write_container."""
+def read_container(path, fmt: str,
+                   version: int) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read back a container written by write_container.
+
+    Raises DataError unless its meta names format fmt at this version.
+    """
     try:
         with zipfile.ZipFile(path, "r") as zf:
             names = zf.namelist()
             if "meta.json" not in names:
                 raise DataError(f"{path}: not a diffmix archive (no meta.json)")
             meta = json.loads(zf.read("meta.json").decode())
+            if (meta.get("format"), meta.get("version")) != (fmt, version):
+                raise DataError(f"{path}: not a {fmt} archive at version "
+                                f"{version} (found {meta.get('format')} "
+                                f"version {meta.get('version')}); rewrite it")
             arrays = {}
             for name in names:
                 if name.endswith(".npy"):

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .data import TimeGridDataset
 from .errors import DataError, DiffmixError, NumericalError, UsageError
 from .estimation import gelman_rubin, summarize
-from .gibbs import GammaPrior, PosteriorDraws, SamplerConfig, run_chain
+from .gibbs import PosteriorDraws, SamplerConfig, run_chain
 from .measure import StickConfig
 from .mixture import CenteringMeasure, simulate_toy
 from .validate import FULL_CHECKS, run_validation
@@ -37,17 +37,9 @@ CONFIG_KEYS = {
     "chains": int,
 }
 
-DEFAULTS = {
-    "burn_in": 500, "iters": 1000, "thin": 1, "seed": 0,
-    "slice_eta": 0.5, "trans_slice_eta": 0.5,
-    "theta_prior_shape": 2.0, "theta_prior_rate": 0.5,
-    "c_prior_shape": 2.0, "c_prior_rate": 0.5,
-    "fix_theta": None, "fix_c": None, "tie_c_to_theta": False,
-    "m_cap": 512, "stick_kind": "dp", "sigma": 0.0,
-    "centering_mean0": 0.0, "centering_precision_scale": 1e-3,
-    "centering_shape": 10.0, "centering_rate": 1.0,
-    "chains": 1,
-}
+# settings with no dataclass field to default from; the sampler
+# configuration takes the defaults of SamplerConfig and its parts
+_CLI_DEFAULTS = {"chains": 1, "stick_kind": "dp", "sigma": 0.0}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,7 +165,7 @@ def _load_config_file(path) -> dict:
 
 
 def _resolve_settings(args) -> dict:
-    settings = dict(DEFAULTS)
+    settings = dict(_CLI_DEFAULTS)
     if args.config:
         settings.update(_load_config_file(args.config))
     for key in CONFIG_KEYS:
@@ -201,40 +193,32 @@ def _resolve_settings(args) -> dict:
     return settings
 
 
+def _with_settings(obj, settings: dict, prefix: str = ""):
+    """obj with each field whose prefixed name is in settings replaced."""
+    return replace(obj, **{f.name: settings[prefix + f.name]
+                           for f in fields(obj) if prefix + f.name in settings})
+
+
 def _sampler_config(settings: dict) -> SamplerConfig:
     # the chain samples or fixes theta and c; the stick law gives its kind
     kind = settings["stick_kind"].replace("-", "_")
-    if kind == "dp":
-        stick = StickConfig.dp(1.0, c=1.0)
-    elif kind == "pitman_yor":
-        stick = StickConfig.pitman_yor(1.0, settings["sigma"], c=1.0)
-    else:
+    if kind not in ("dp", "pitman_yor"):
         raise UsageError(f"unsupported stick kind {settings['stick_kind']!r}")
-    centering = CenteringMeasure(
-        mean0=settings["centering_mean0"],
-        precision_scale=settings["centering_precision_scale"],
-        shape=settings["centering_shape"],
-        rate=settings["centering_rate"])
     try:
-        return SamplerConfig(
-            stick=stick, centering=centering,
-            slice_eta=settings["slice_eta"],
-            trans_slice_eta=settings["trans_slice_eta"],
-            iters=settings["iters"], burn_in=settings["burn_in"],
-            thin=settings["thin"],
-            theta_prior=GammaPrior(settings["theta_prior_shape"],
-                                   settings["theta_prior_rate"]),
-            c_prior=GammaPrior(settings["c_prior_shape"],
-                               settings["c_prior_rate"]),
-            fix_theta=settings["fix_theta"], fix_c=settings["fix_c"],
-            tie_c_to_theta=settings["tie_c_to_theta"],
-            m_cap=settings["m_cap"], seed=settings["seed"])
+        stick = StickConfig.dp(1.0, c=1.0) if kind == "dp" else \
+            StickConfig.pitman_yor(1.0, settings["sigma"], c=1.0)
+        cfg = _with_settings(
+            SamplerConfig(stick=stick, centering=CenteringMeasure()), settings)
+        return replace(cfg, **{part: _with_settings(getattr(cfg, part),
+                                                    settings, part + "_")
+                               for part in ("centering", "theta_prior",
+                                            "c_prior")})
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _chain_path(base: str, chain: int, chains: int) -> str:
-    if chains == 1:
+    if not base or chains == 1:
         return base
     p = Path(base)
     return str(p.with_name(f"{p.stem}.chain{chain}{p.suffix}"))
@@ -267,6 +251,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if (args.checkpoint is None) != (args.checkpoint_every is None):
+        raise UsageError("--checkpoint and --checkpoint-every go together: "
+                         "give both or neither")
+    if args.checkpoint_every is not None and args.checkpoint_every < 1:
+        raise UsageError("--checkpoint-every must be at least 1")
     settings = _resolve_settings(args)
     cfg = _sampler_config(settings)
     data = TimeGridDataset.from_csv(args.data, date_column=args.date_column)
@@ -279,10 +268,8 @@ def cmd_fit(args) -> int:
     for chain in range(chains):
         chain_cfg = replace(cfg, seed=cfg.seed + chain)
         out_path = _chain_path(args.out, chain, chains)
-        telemetry = _chain_path(args.telemetry, chain, chains) \
-            if args.telemetry else None
-        checkpoint = _chain_path(args.checkpoint, chain, chains) \
-            if args.checkpoint else None
+        telemetry = _chain_path(args.telemetry, chain, chains)
+        checkpoint = _chain_path(args.checkpoint, chain, chains)
         jobs.append((data, chain_cfg, out_path, telemetry, checkpoint,
                      args.checkpoint_every, args.resume))
     if args.workers > 1 and chains > 1:

@@ -42,11 +42,15 @@ from .mixture import CenteringMeasure, gaussian_logpdf, renormalised_mixture
 
 DEFAULT_M_CAP = 512
 MH_TARGET_ACCEPT = 0.44
-ARCHIVE_VERSION = 1
-CHECKPOINT_VERSION = 1
+DRAWS_FORMAT, ARCHIVE_VERSION = "diffmix-draws", 1
+CHECKPOINT_FORMAT, CHECKPOINT_VERSION = "diffmix-checkpoint", 2
 
 # ChainState arrays holding one row per component, in _prior_components order
 _COMPONENTS = ("sticks", "trans_o", "trans_k", "trans_d", "atoms")
+# ChainState arrays a checkpoint stores
+_STATE_ARRAYS = ("s", "u", *_COMPONENTS)
+# PosteriorDraws arrays besides times; a checkpoint stores them as draws_<name>
+_DRAW_ARRAYS = ("m", "theta", "c", "sticks", "atom_mean", "atom_prec")
 
 
 @dataclass(frozen=True)
@@ -114,6 +118,9 @@ class SamplerConfig:
             raise ValueError("thin must be at least 1")
         if self.iters < 1 or self.burn_in < 0:
             raise ValueError("need iters >= 1 and burn_in >= 0")
+        if self.iters < self.thin:
+            raise ValueError(f"iters {self.iters} < thin {self.thin} keeps "
+                             "no draw; raise iters or lower thin")
         if self.m_cap < 1:
             raise ValueError("m_cap must be positive")
         if self.fixed_truncation is not None and self.fixed_truncation < 1:
@@ -793,45 +800,37 @@ class PosteriorDraws:
         if not snapshots:
             raise ValueError("no snapshots collected")
         times = np.asarray(times, dtype=float)
-        n = len(times)
-        ms = np.array([s["sticks"].shape[0] for s in snapshots], dtype=np.int64)
-        m_max = int(ms.max())
-        d = len(snapshots)
-        sticks = np.full((d, m_max, n), np.nan)
-        mean = np.full((d, m_max), np.nan)
-        prec = np.full((d, m_max), np.nan)
-        for i, snap in enumerate(snapshots):
-            mi = ms[i]
-            sticks[i, :mi, :] = snap["sticks"]
-            mean[i, :mi] = snap["atoms"][:, 0]
-            prec[i, :mi] = snap["atoms"][:, 1]
-        return cls(times=times, m=ms,
-                   theta=np.array([s["theta"] for s in snapshots]),
-                   c=np.array([s["c"] for s in snapshots]),
-                   sticks=sticks, atom_mean=mean, atom_prec=prec,
+        return cls(times=times, **_padded(snapshots, len(times)),
                    config_json=cfg.to_json() if cfg else "",
                    config_digest=cfg.digest() if cfg else "")
 
     def save(self, path) -> None:
-        meta = {"format": "diffmix-draws", "version": ARCHIVE_VERSION,
+        meta = {"format": DRAWS_FORMAT, "version": ARCHIVE_VERSION,
                 "config": self.config_json, "config_digest": self.config_digest}
-        write_container(path, meta, {
-            "times": self.times, "m": self.m, "theta": self.theta,
-            "c": self.c, "sticks": self.sticks, "atom_mean": self.atom_mean,
-            "atom_prec": self.atom_prec,
-        })
+        write_container(path, meta, {name: getattr(self, name)
+                                     for name in ("times", *_DRAW_ARRAYS)})
 
     @classmethod
     def load(cls, path) -> "PosteriorDraws":
-        meta, arrays = read_container(path)
-        if meta.get("format") != "diffmix-draws":
-            raise DataError(f"{path}: not a draws archive")
-        return cls(times=arrays["times"], m=arrays["m"],
-                   theta=arrays["theta"], c=arrays["c"],
-                   sticks=arrays["sticks"], atom_mean=arrays["atom_mean"],
-                   atom_prec=arrays["atom_prec"],
+        meta, arrays = read_container(path, DRAWS_FORMAT, ARCHIVE_VERSION)
+        return cls(**{name: arrays[name] for name in ("times", *_DRAW_ARRAYS)},
                    config_json=meta.get("config", ""),
                    config_digest=meta.get("config_digest", ""))
+
+
+def _padded(snapshots: list[dict], n: int) -> dict[str, np.ndarray]:
+    """The _DRAW_ARRAYS of a snapshot list over n times, NaN-padded to
+    the largest truncation level; an empty list gives zero rows."""
+    ms = np.array([len(s["sticks"]) for s in snapshots], dtype=np.int64)
+    shape = (len(snapshots), int(ms.max(initial=0)))
+    sticks = np.full((*shape, n), np.nan)
+    atoms = np.full((*shape, 2), np.nan)
+    for i, snap in enumerate(snapshots):
+        sticks[i, :ms[i]] = snap["sticks"]
+        atoms[i, :ms[i]] = snap["atoms"]
+    return {"m": ms, "theta": np.array([s["theta"] for s in snapshots]),
+            "c": np.array([s["c"] for s in snapshots]), "sticks": sticks,
+            "atom_mean": atoms[..., 0].copy(), "atom_prec": atoms[..., 1].copy()}
 
 
 def _snapshot(state: ChainState) -> dict:
@@ -843,51 +842,36 @@ def save_checkpoint(path, state: ChainState, rng: np.random.Generator,
                     cfg: SamplerConfig, snapshots: list[dict]) -> None:
     """Freeze the chain, generator and collected snapshots to disk."""
     meta = {
-        "format": "diffmix-checkpoint", "version": CHECKPOINT_VERSION,
+        "format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
         "config_digest": cfg.digest(), "sweep": state.sweep,
         "m": state.m, "theta": state.theta, "c": state.c,
         "mh": asdict(state.mh),
         "rng_state": rng.bit_generator.state,
-        "n_snapshots": len(snapshots),
     }
-    arrays = {
-        "s": state.s, "u": state.u, "sticks": state.sticks,
-        "atoms": state.atoms, "trans_o": state.trans_o,
-        "trans_k": state.trans_k, "trans_d": state.trans_d,
-    }
-    for i, snap in enumerate(snapshots):
-        arrays[f"snap_{i:06d}_sticks"] = snap["sticks"]
-        arrays[f"snap_{i:06d}_atoms"] = snap["atoms"]
-        arrays[f"snap_{i:06d}_hyper"] = np.array([snap["theta"], snap["c"]])
+    arrays = {name: getattr(state, name) for name in _STATE_ARRAYS}
+    draws = _padded(snapshots, state.sticks.shape[1])
+    arrays.update({"draws_" + name: draws[name] for name in _DRAW_ARRAYS})
     write_container(path, meta, arrays)
 
 
 def load_checkpoint(path, cfg: SamplerConfig):
     """Restore (state, rng, snapshots); the config digest must match."""
-    meta, arrays = read_container(path)
-    if meta.get("format") != "diffmix-checkpoint":
-        raise DataError(f"{path}: not a checkpoint")
+    meta, arrays = read_container(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
     if meta["config_digest"] != cfg.digest():
         raise DataError(
             f"{path}: checkpoint was written under a different configuration"
         )
-    mh = MHAdaptation(**meta["mh"])
     state = ChainState(
-        m=int(meta["m"]), s=arrays["s"], u=arrays["u"],
-        sticks=arrays["sticks"], atoms=arrays["atoms"],
-        trans_o=arrays["trans_o"], trans_k=arrays["trans_k"],
-        trans_d=arrays["trans_d"], theta=float(meta["theta"]),
-        c=float(meta["c"]), mh=mh, sweep=int(meta["sweep"]))
+        m=int(meta["m"]), **{name: arrays[name] for name in _STATE_ARRAYS},
+        theta=float(meta["theta"]), c=float(meta["c"]),
+        mh=MHAdaptation(**meta["mh"]), sweep=int(meta["sweep"]))
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng_state"]
-    snapshots = []
-    for i in range(int(meta["n_snapshots"])):
-        hyper = arrays[f"snap_{i:06d}_hyper"]
-        snapshots.append({
-            "sticks": arrays[f"snap_{i:06d}_sticks"],
-            "atoms": arrays[f"snap_{i:06d}_atoms"],
-            "theta": float(hyper[0]), "c": float(hyper[1]),
-        })
+    d = {name: arrays["draws_" + name] for name in _DRAW_ARRAYS}
+    atoms = np.stack([d["atom_mean"], d["atom_prec"]], axis=-1)
+    snapshots = [{"sticks": d["sticks"][i, :mi], "atoms": atoms[i, :mi],
+                  "theta": float(d["theta"][i]), "c": float(d["c"][i])}
+                 for i, mi in enumerate(d["m"].tolist())]
     return state, rng, snapshots
 
 
@@ -900,11 +884,20 @@ def run_chain(data: TimeGridDataset, cfg: SamplerConfig,
 
     Telemetry, when given a stream, receives one machine-readable
     key=value line per sweep. Checkpoints capture chain, generator and
-    snapshots; resuming from one reproduces the uninterrupted run bit for
-    bit under the same seed.
+    snapshots every checkpoint_every sweeps (both checkpoint arguments
+    or neither); resuming from one reproduces the uninterrupted run bit
+    for bit under the same seed and data.
     """
+    if (checkpoint_path is None) != (checkpoint_every is None):
+        raise ValueError("checkpoint_path and checkpoint_every go together")
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise ValueError("checkpoint_every must be at least 1")
     if resume_from is not None:
         state, rng, snapshots = load_checkpoint(resume_from, cfg)
+        if (state.sticks.shape[1], len(state.s)) != (data.n_times, data.n_obs):
+            raise DataError(f"{resume_from}: written for another dataset "
+                            f"({state.sticks.shape[1]} times, {len(state.s)} "
+                            f"observations); resume on that dataset")
     else:
         if rng is None:
             rng = np.random.default_rng(cfg.seed)
@@ -922,7 +915,7 @@ def run_chain(data: TimeGridDataset, cfg: SamplerConfig,
                 f"c={state.c:.6g} acc_theta={state.mh.rate_theta():.3f} "
                 f"acc_c={state.mh.rate_c():.3f} "
                 f"loglik={data_log_likelihood(state, data):.6g}\n")
-        if checkpoint_path is not None and checkpoint_every is not None \
+        if checkpoint_every is not None \
                 and state.sweep % checkpoint_every == 0 and state.sweep < total:
             save_checkpoint(checkpoint_path, state, rng, cfg, snapshots)
     return PosteriorDraws.from_snapshots(data.times, snapshots, cfg)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from diffmix.archive import write_container
 from diffmix.cli import main
 from diffmix.gibbs import PosteriorDraws
 
@@ -82,6 +83,14 @@ class TestFit:
                        str(tmp_path / "d.npz"), "--theta-prior", "nope")
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [
+        ("--stick", "pitman-yor", "--sigma", "1.5"),
+        ("--centering", "0,-1,10,1"),
+    ])
+    def test_invalid_law_values_exit_one(self, dataset, tmp_path, flags):
+        assert run_cli("fit", str(dataset), "--out", str(tmp_path / "d.npz"),
+                       *flags) == 1
+
     def test_telemetry_written(self, dataset, tmp_path):
         out = tmp_path / "draws.npz"
         tele = tmp_path / "telemetry.log"
@@ -124,6 +133,62 @@ class TestFit:
         out2 = tmp_path / "b.npz"
         run_cli(*self.fit_args(dataset, out2, "--resume", str(cp)))
         assert out1.read_bytes() == out2.read_bytes()
+
+
+    def test_iters_below_thin_exit_one(self, dataset, tmp_path, capsys):
+        out = tmp_path / "d.npz"
+        assert run_cli("fit", str(dataset), "--out", str(out), "--iters", "3",
+                       "--thin", "5") == 1
+        assert "thin" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (("--checkpoint", "CP", "--checkpoint-every", "0"),
+         "--checkpoint-every must be"),
+        (("--checkpoint", "CP"), "--checkpoint-every go together"),
+        (("--checkpoint-every", "5"), "--checkpoint and"),
+    ])
+    def test_checkpoint_flags_exit_one(self, dataset, tmp_path, capsys,
+                                       flags, named):
+        cp = tmp_path / "cp.npz"
+        flags = [str(cp) if f == "CP" else f for f in flags]
+        assert run_cli(*self.fit_args(dataset, tmp_path / "d.npz",
+                                      *flags)) == 1
+        assert named in capsys.readouterr().err
+        assert not cp.exists()
+
+    def test_resume_on_other_dataset_exit_two(self, dataset, tmp_path,
+                                              capsys):
+        cp = tmp_path / "cp.npz"
+        run_cli(*self.fit_args(dataset, tmp_path / "a.npz", "--checkpoint",
+                               str(cp), "--checkpoint-every", "23"))
+        other = tmp_path / "other.csv"
+        run_cli("simulate", "--times", "9", "--per-time", "2",
+                "--t-max", "2", "--seed", "5", "--out", str(other))
+        assert run_cli(*self.fit_args(other, tmp_path / "b.npz",
+                                      "--resume", str(cp))) == 2
+        assert "another dataset" in capsys.readouterr().err
+
+    def test_version_one_checkpoint_exit_two(self, dataset, tmp_path,
+                                             capsys):
+        cp = tmp_path / "cp.npz"
+        write_container(cp, {"format": "diffmix-checkpoint", "version": 1,
+                             "n_snapshots": 0}, {})
+        assert run_cli(*self.fit_args(dataset, tmp_path / "d.npz",
+                                      "--resume", str(cp))) == 2
+        assert "version" in capsys.readouterr().err
+
+    def test_worker_processes_match_serial(self, dataset, tmp_path):
+        # the process-pool path writes the same archives as the serial one
+        serial, pooled = tmp_path / "serial.npz", tmp_path / "pooled.npz"
+        assert run_cli(*self.fit_args(dataset, serial, "--chains", "2",
+                                      "--workers", "1")) == 0
+        assert run_cli(*self.fit_args(dataset, pooled, "--chains", "2",
+                                      "--workers", "2")) == 0
+        for i in range(2):
+            a = tmp_path / f"serial.chain{i}.npz"
+            b = tmp_path / f"pooled.chain{i}.npz"
+            assert a.read_bytes() == b.read_bytes()
 
 
 class TestSummarize:

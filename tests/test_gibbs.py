@@ -1,12 +1,15 @@
 """Sampler tests: every full conditional against an enumeration or
 quadrature oracle, chain invariants, determinism, checkpointing."""
 
+import zipfile
+
 import numpy as np
 import pytest
 from scipy import stats
 from scipy.special import logsumexp
 
 from diffmix import gibbs, measure, mixture, wf
+from diffmix.archive import write_container
 from diffmix.data import TimeGridDataset
 from diffmix.errors import DataError, TruncationCapError
 from diffmix.gibbs import (GammaPrior, PosteriorDraws,
@@ -51,6 +54,11 @@ class TestConfigValidation:
             dp_config(thin=0)
         with pytest.raises(ValueError):
             dp_config(iters=0)
+
+    def test_iters_below_thin_keeps_no_draw(self):
+        with pytest.raises(ValueError, match="keeps no draw"):
+            dp_config(iters=3, thin=5)
+        dp_config(iters=5, thin=5)
 
     def test_tie_conflicts_with_fix(self):
         with pytest.raises(ValueError):
@@ -649,6 +657,78 @@ class TestSweepAndChain:
         save_checkpoint(cp, state, rng, cfg, [])
         with pytest.raises(DataError, match="different configuration"):
             load_checkpoint(cp, dp_config(iters=10, burn_in=2, seed=99))
+
+    def test_checkpoint_members_fixed(self, rng, tmp_path):
+        # the state arrays and the padded draws, however many draws
+        data = small_data(rng)
+        cfg = dp_config()
+        state = init_chain(data, cfg, rng)
+        snap = gibbs._snapshot(state)
+        expected = {"meta.json"} | {f"{name}.npy" for name in (
+            "s", "u", "sticks", "trans_o", "trans_k", "trans_d", "atoms",
+            *(f"draws_{a}" for a in ("m", "theta", "c", "sticks",
+                                     "atom_mean", "atom_prec")))}
+        for count in (0, 1, 4):
+            cp = tmp_path / f"cp{count}.npz"
+            save_checkpoint(cp, state, rng, cfg, [snap] * count)
+            assert set(zipfile.ZipFile(cp).namelist()) == expected
+            assert len(load_checkpoint(cp, cfg)[2]) == count
+
+    def test_resume_from_burn_in_checkpoint(self, rng, tmp_path):
+        # the only checkpoint falls in burn-in and holds no draws
+        data = small_data(rng)
+        cfg = dp_config(iters=6, burn_in=10, thin=2, seed=8)
+        cp = tmp_path / "cp.npz"
+        full = run_chain(data, cfg, checkpoint_path=cp, checkpoint_every=8)
+        state, _, snapshots = load_checkpoint(cp, cfg)
+        assert state.sweep == 8 and snapshots == []
+        resumed = run_chain(data, cfg, resume_from=cp)
+        p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
+        full.save(p1)
+        resumed.save(p2)
+        assert p1.read_bytes() == p2.read_bytes()
+
+    def test_version_one_checkpoint_refused(self, rng, tmp_path):
+        cfg = dp_config()
+        cp = tmp_path / "cp.npz"
+        write_container(cp, {"format": "diffmix-checkpoint", "version": 1,
+                             "config_digest": cfg.digest(),
+                             "n_snapshots": 0}, {})
+        with pytest.raises(DataError, match="version 2"):
+            load_checkpoint(cp, cfg)
+
+    def test_draws_archive_format_and_version_checked(self, rng, tmp_path):
+        data = small_data(rng)
+        cfg = dp_config(iters=4, burn_in=2)
+        draws = run_chain(data, cfg)
+        arrays = {name: getattr(draws, name) for name in (
+            "times", "m", "theta", "c", "sticks", "atom_mean", "atom_prec")}
+        path = tmp_path / "draws.npz"
+        write_container(path, {"format": "diffmix-draws", "version": 2}, arrays)
+        with pytest.raises(DataError, match="version 1"):
+            PosteriorDraws.load(path)
+        cp = tmp_path / "cp.npz"
+        save_checkpoint(cp, init_chain(data, cfg, rng), rng, cfg, [])
+        with pytest.raises(DataError, match="diffmix-draws"):
+            PosteriorDraws.load(cp)
+
+    def test_checkpoint_arguments_validated(self, rng, tmp_path):
+        data = small_data(rng)
+        cp = tmp_path / "cp.npz"
+        for kwargs in ({"checkpoint_path": cp, "checkpoint_every": 0},
+                       {"checkpoint_path": cp},
+                       {"checkpoint_every": 5}):
+            with pytest.raises(ValueError):
+                run_chain(data, dp_config(), **kwargs)
+
+    def test_resume_on_other_dataset_refused(self, rng, tmp_path):
+        cfg = dp_config(iters=6, burn_in=4, seed=2)
+        cp = tmp_path / "cp.npz"
+        run_chain(small_data(rng), cfg, checkpoint_path=cp,
+                  checkpoint_every=5)
+        for other in (small_data(rng, n_times=7), small_data(rng, per_time=3)):
+            with pytest.raises(DataError, match="another dataset"):
+                run_chain(other, cfg, resume_from=cp)
 
     def test_pitman_yor_runs(self, rng):
         data = small_data(rng)
