@@ -27,7 +27,7 @@ import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field
-from typing import IO
+from typing import IO, NamedTuple
 
 import numpy as np
 from scipy.special import betaln, gammaln
@@ -192,8 +192,9 @@ class ChainState:
 
 
 def _categorical_rows(log_mass: np.ndarray, valid: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Inverse-CDF draw per row from masked unnormalised log masses.
+                      u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per row from masked unnormalised log masses, one
+    uniform u per row.
 
     Rows whose valid entries all underflow to zero mass come back as -1.
     """
@@ -205,7 +206,7 @@ def _categorical_rows(log_mass: np.ndarray, valid: np.ndarray,
     csum = np.cumsum(p, axis=1)
     total = csum[:, -1]
     # target in (0, total]: strictly positive so zero-mass prefixes are skipped
-    target = total * (1.0 - rng.uniform(size=len(total)))
+    target = total * (1.0 - u)
     idx = np.argmax(csum >= target[:, None], axis=1)
     idx[total <= 0.0] = -1
     return idx
@@ -366,73 +367,121 @@ def update_transition_latents(state: ChainState, data: TimeGridDataset,
     a, b, c = cfg.stick.params(m, state.theta, state.c)
     v0 = state.sticks[:, :-1]
     v1 = state.sticks[:, 1:]
-    tau = data.gaps[None, :]
     d = state.trans_d
 
-    state.trans_o = _sample_slice(d, eta2, rng)
+    o = _sample_slice(d, eta2, rng)
+    if not np.all(o > 0.0):
+        j, w = np.argwhere(~(o > 0.0))[0]
+        raise NumericalError(
+            f"transition slice o = exp(-{eta2:g} d) U underflowed to 0 at "
+            f"latent index d={d[j, w]} (stick {j}, gap {w}) in sweep "
+            f"{state.sweep}; lower --trans-eta (trans_slice_eta)")
+    state.trans_o = o
+    d_hi = np.floor(-np.log(o) / eta2).astype(np.int64).ravel()
 
-    shape = d.shape
-    A = np.broadcast_to(a[:, None], shape).ravel()
-    B = np.broadcast_to(b[:, None], shape).ravel()
-    C = np.broadcast_to(c[:, None], shape).ravel()
-    T = np.broadcast_to(tau, shape).ravel()
     lv0 = np.log(v0).ravel()
     lv1 = np.log(v1).ravel()
     l1mv0 = np.log1p(-v0).ravel()
     l1mv1 = np.log1p(-v1).ravel()
     d_flat = d.ravel()
+    tab = _offset_gammaln(a, b, stick_runs(a, b, c),
+                          size=int(max(d_flat.max(), d_hi.max())) + 1)
+    base = np.repeat(tab.base, n - 1)
 
     # k | d, v on {0..d}
     ratio = lv1 + lv0 - l1mv1 - l1mv0
     k_flat = _draw_rows(
-        lambda rows, supp: (
-            gammaln(d_flat[rows, None] + 1.0)
-            - gammaln(supp + 1.0)
-            - gammaln(d_flat[rows, None] - supp + 1.0)
-            - gammaln(A[rows, None] + supp)
-            - gammaln(B[rows, None] + d_flat[rows, None] - supp)
-            + supp * ratio[rows, None]
-        ),
-        upper=d_flat, lower=np.zeros_like(d_flat), rng=rng)
-    state.trans_k = k_flat.reshape(shape)
+        lambda rows, j: _k_log_mass(tab, base[rows, None], d_flat[rows, None],
+                                    ratio[rows, None], j),
+        lower=np.zeros_like(d_flat), upper=d_flat, rng=rng)
+    state.trans_k = k_flat.reshape(d.shape)
 
     # d | k, o on {k..floor(g_inv(o))}
-    o_flat = state.trans_o.ravel()
-    d_hi = np.floor(-np.log(o_flat) / eta2).astype(np.int64)
-    decay = (l1mv1 + l1mv0 - C * T + eta2)
+    decay = l1mv1 + l1mv0 - (c[:, None] * data.gaps[None, :]).ravel() + eta2
     d_new = _draw_rows(
-        lambda rows, supp: (
-            2.0 * gammaln(A[rows, None] + B[rows, None] + supp)
-            - gammaln(B[rows, None] + supp - k_flat[rows, None])
-            - gammaln(supp - k_flat[rows, None] + 1.0)
-            + supp * decay[rows, None]
-        ),
-        upper=d_hi, lower=k_flat, rng=rng)
+        lambda rows, j: _d_log_mass(tab, base[rows, None], k_flat[rows, None],
+                                    decay[rows, None], j),
+        lower=k_flat, upper=d_hi, rng=rng)
     if np.any(d_new < 0):
         raise NumericalError("transition-index conditional underflowed")
-    state.trans_d = d_new.reshape(shape)
+    state.trans_d = d_new.reshape(d.shape)
     return state
 
 
-def _draw_rows(log_mass_fn, upper: np.ndarray, lower: np.ndarray,
+class _OffsetGammaln(NamedTuple):
+    """gammaln at integer offsets j = 0..size - 1, built once per scan.
+
+    fact[j] = gammaln(j + 1). a, b and ab hold gammaln(x + j) for x the
+    a, b and a + b of each run of stick_runs, run r at [r size, (r + 1)
+    size); base[i] is the start of stick i's run.
+    """
+
+    fact: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    ab: np.ndarray
+    base: np.ndarray
+
+
+def _offset_gammaln(a, b, runs, size: int) -> _OffsetGammaln:
+    j = np.arange(size, dtype=float)
+    lo = np.array([lo for lo, _, _ in runs])
+    a_r, b_r = a[lo][:, None], b[lo][:, None]
+    base = np.repeat(np.arange(len(runs)) * size,
+                     [hi - lo for lo, hi, _ in runs])
+    return _OffsetGammaln(gammaln(j + 1.0), gammaln(a_r + j).ravel(),
+                          gammaln(b_r + j).ravel(),
+                          gammaln((a_r + b_r) + j).ravel(), base)
+
+
+def _k_log_mass(tab: _OffsetGammaln, base, d, ratio, j) -> np.ndarray:
+    """log P(k = j | d, v) up to a row constant; column arguments per row.
+
+    -log j! - log (d - j)! - log Gamma(a + j) - log Gamma(b + d - j)
+    + j ratio; entries past a row's d are padding.
+    """
+    dj = d - j
+    return (-tab.fact[j] - np.take(tab.fact, dj, mode="clip")
+            - np.take(tab.a, base + j)
+            - np.take(tab.b, base + dj, mode="clip") + j * ratio)
+
+
+def _d_log_mass(tab: _OffsetGammaln, base, k, decay, j) -> np.ndarray:
+    """log P(d = k + j | k, o, v) up to a row constant, for j inside the
+    slice: 2 log Gamma(a + b + k + j) - log Gamma(b + j) - log j!
+    + j decay."""
+    return (2.0 * np.take(tab.ab, base + k + j, mode="clip")
+            - np.take(tab.b, base + j) - tab.fact[j]
+            + j * decay)
+
+
+def _draw_rows(log_mass_fn, lower: np.ndarray, upper: np.ndarray,
                rng: np.random.Generator) -> np.ndarray:
     """Draw one value per row from {lower..upper} with masses from a callback.
 
-    log_mass_fn(rows, supp) returns unnormalised log masses on the shared
-    support grid supp (one row per requested cell). Rows are processed in
-    chunks to bound the temporary (rows x support) matrices.
+    log_mass_fn(rows, j) returns unnormalised log masses at offsets j
+    (a row vector) from each requested row's lower bound. Rows go in
+    power-of-two classes of their width upper - lower + 1, each padded
+    to its own widest row and cut into blocks of at most 4M entries, so
+    the evaluated points stay within twice the summed widths. The
+    uniforms are drawn once, in row order. Rows without mass (or with an
+    empty support) come back as -1.
     """
-    n_rows = len(upper)
-    out = np.empty(n_rows, dtype=np.int64)
-    s_max = int(upper.max(initial=0))
-    supp = np.arange(s_max + 1, dtype=float)[None, :]
-    chunk = max(1, 4_000_000 // (s_max + 1))
-    for lo in range(0, n_rows, chunk):
-        rows = np.arange(lo, min(lo + chunk, n_rows))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            lm = log_mass_fn(rows, supp)
-        valid = (supp >= lower[rows, None]) & (supp <= upper[rows, None])
-        out[rows] = _categorical_rows(lm, valid, rng)
+    u = rng.uniform(size=len(upper))
+    out = np.empty(len(upper), dtype=np.int64)
+    width = upper - lower + 1
+    # class e holds widths in (2^(e - 1), 2^e]; empty supports join e = 0
+    cls = np.frexp(np.maximum(width - 1, 0))[1]
+    for e in np.unique(cls):
+        members = np.flatnonzero(cls == e)
+        w = max(1, int(width[members].max()))
+        j = np.arange(w)[None, :]
+        chunk = max(1, 4_000_000 // w)
+        for lo in range(0, len(members), chunk):
+            rows = members[lo:lo + chunk]
+            idx = _categorical_rows(log_mass_fn(rows, j),
+                                    j < width[rows, None], u[rows])
+            out[rows] = np.where(idx < 0, -1, lower[rows] + idx)
     return out
 
 
@@ -564,13 +613,20 @@ def update_hyperparams(state: ChainState, data: TimeGridDataset,
     Step sizes chase an acceptance rate near 0.44 with diminishing
     adaptation, frozen once the sweep count passes the burn-in. Fixed
     hyperparameters are left untouched; with tie_c_to_theta the single
-    theta move carries c = theta / 2 along.
+    theta move carries c = theta / 2 along. When both move, the c move
+    reuses the stick likelihood at the theta move's kept value, so the
+    sweep evaluates it three times rather than four.
     """
     mh = state.mh
     adapt = state.sweep < cfg.burn_in
 
-    def step(value, log_step, log_target):
-        cur = log_target(value)
+    def step(value, log_step, log_prior, log_lik, lik):
+        """One move; lik is the log likelihood at value, or None to
+        evaluate it. Returns the kept value, whether the proposal was
+        accepted and the log likelihood at the kept value."""
+        if lik is None:
+            lik = log_lik(value)
+        cur = log_prior(value) + lik
         if not np.isfinite(cur):
             raise NumericalError(
                 "non-finite hyperparameter log posterior at current state: "
@@ -581,16 +637,20 @@ def update_hyperparams(state: ChainState, data: TimeGridDataset,
         x = math.log(value)
         x_new = x + math.exp(log_step) * rng.standard_normal()
         new = math.exp(x_new)
-        log_acc = log_target(new) - cur + (x_new - x)
+        lik_new = log_lik(new)
+        log_acc = log_prior(new) + lik_new - cur + (x_new - x)
         accept = math.log(max(rng.uniform(), 1e-300)) < log_acc
-        return (new if accept else value), accept
+        return (new, True, lik_new) if accept else (value, False, lik)
 
+    # the stick log likelihood the theta move kept; the c move starts there
+    lik = None
     if cfg.fix_theta is None:
-        def target(th):
+        def lik_theta(th):
             c = th / 2.0 if cfg.tie_c_to_theta else state.c
-            return cfg.theta_prior.logpdf(th) + _hyper_log_target(
-                state, data, cfg, th, c)
-        new_theta, accepted = step(state.theta, mh.log_step_theta, target)
+            return _hyper_log_target(state, data, cfg, th, c)
+        new_theta, accepted, lik = step(state.theta, mh.log_step_theta,
+                                        cfg.theta_prior.logpdf, lik_theta,
+                                        None)
         mh.proposals_theta += 1
         mh.accepts_theta += int(accepted)
         if adapt:
@@ -601,10 +661,10 @@ def update_hyperparams(state: ChainState, data: TimeGridDataset,
             state.c = new_theta / 2.0
 
     if cfg.fix_c is None and not cfg.tie_c_to_theta:
-        def target_c(cv):
-            return cfg.c_prior.logpdf(cv) + _hyper_log_target(
-                state, data, cfg, state.theta, cv)
-        new_c, accepted = step(state.c, mh.log_step_c, target_c)
+        new_c, accepted, _ = step(
+            state.c, mh.log_step_c, cfg.c_prior.logpdf,
+            lambda cv: _hyper_log_target(state, data, cfg, state.theta, cv),
+            lik)
         mh.proposals_c += 1
         mh.accepts_c += int(accepted)
         if adapt:
@@ -634,14 +694,13 @@ def update_membership(state: ChainState, data: TimeGridDataset,
     labels = np.arange(1, m + 1, dtype=float)
     log_mass = log_w[:, tidx].T + eta * labels[None, :] + log_kernel
 
-    def draw(rows=None):
-        bounds = np.minimum(state.slice_bounds(eta), m)
+    def draw(rows):
+        bounds = np.minimum(state.slice_bounds(eta)[rows], m)
         valid = labels[None, :] <= bounds[:, None]
-        if rows is None:
-            return _categorical_rows(log_mass, valid, rng)
-        return _categorical_rows(log_mass[rows], valid[rows], rng)
+        return _categorical_rows(log_mass[rows], valid,
+                                 rng.uniform(size=len(bounds)))
 
-    s_new = draw()
+    s_new = draw(slice(None))
     bad = np.nonzero(s_new < 0)[0]
     if len(bad) > 0:
         state.u[bad] = _sample_u(state.s[bad], eta, rng)

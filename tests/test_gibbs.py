@@ -1,17 +1,21 @@
 """Sampler tests: every full conditional against an enumeration or
 quadrature oracle, chain invariants, determinism, checkpointing."""
 
+import copy
+import warnings
 import zipfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 from diffmix import gibbs, measure, mixture, wf
 from diffmix.archive import write_container
 from diffmix.data import TimeGridDataset
-from diffmix.errors import DataError, TruncationCapError
+from diffmix.errors import DataError, NumericalError, TruncationCapError
 from diffmix.gibbs import (GammaPrior, PosteriorDraws,
                            SamplerConfig, check_invariants, gibbs_sweep,
                            init_chain, load_checkpoint, run_chain,
@@ -376,6 +380,166 @@ class TestTransitionLatents:
             assert np.all(state.trans_o > 0)
 
 
+    def test_slice_underflow_names_index_sweep_and_flag(self, rng):
+        # exp(-0.5 * 1600) underflows to 0, so o cannot slice d
+        data = small_data(rng, n_times=3)
+        cfg = dp_config(fix_theta=1.0, fix_c=1.0, fixed_truncation=2)
+        state = init_chain(data, cfg, rng)
+        state.trans_d[1, 0] = 1600
+        state.trans_k[1, 0] = 0
+        state.sweep = 17
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NumericalError) as err:
+                update_transition_latents(state, data, cfg, rng)
+        assert not [w for w in caught
+                    if issubclass(w.category, RuntimeWarning)]
+        msg = str(err.value)
+        assert "latent index d=1600" in msg
+        assert "sweep 17" in msg
+        assert "--trans-eta" in msg
+
+
+def _ref_draw_rows(log_mass_fn, upper, lower, rng):
+    """Every row padded to the global widest support, as gibbs drew
+    before it grouped rows by width."""
+    n_rows = len(upper)
+    out = np.empty(n_rows, dtype=np.int64)
+    s_max = int(upper.max(initial=0))
+    supp = np.arange(s_max + 1, dtype=float)[None, :]
+    chunk = max(1, 4_000_000 // (s_max + 1))
+    for lo in range(0, n_rows, chunk):
+        rows = np.arange(lo, min(lo + chunk, n_rows))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            lm = log_mass_fn(rows, supp)
+        valid = (supp >= lower[rows, None]) & (supp <= upper[rows, None])
+        out[rows] = gibbs._categorical_rows(lm, valid,
+                                            rng.uniform(size=len(rows)))
+    return out
+
+
+def _ref_k_mass(d, A, B, ratio):
+    """Closed-form k | d, v log masses at support points supp."""
+    return lambda rows, supp: (
+        gammaln(d[rows, None] + 1.0) - gammaln(supp + 1.0)
+        - gammaln(d[rows, None] - supp + 1.0) - gammaln(A[rows, None] + supp)
+        - gammaln(B[rows, None] + d[rows, None] - supp)
+        + supp * ratio[rows, None])
+
+
+def _ref_d_mass(k, A, B, decay):
+    """Closed-form d | k, o log masses at support points supp."""
+    return lambda rows, supp: (
+        2.0 * gammaln(A[rows, None] + B[rows, None] + supp)
+        - gammaln(B[rows, None] + supp - k[rows, None])
+        - gammaln(supp - k[rows, None] + 1.0) + supp * decay[rows, None])
+
+
+def _ref_update_transition_latents(state, data, cfg, rng):
+    """The (o, k, d) scan with global padding and closed-form masses."""
+    eta2 = cfg.trans_slice_eta
+    a, b, c = cfg.stick.params(state.m, state.theta, state.c)
+    v0, v1 = state.sticks[:, :-1], state.sticks[:, 1:]
+    d = state.trans_d
+    shape = d.shape
+    state.trans_o = gibbs._sample_slice(d, eta2, rng)
+    A, B, C, T = (np.broadcast_to(x, shape).ravel() for x in
+                  (a[:, None], b[:, None], c[:, None], data.gaps[None, :]))
+    lv0, lv1 = np.log(v0).ravel(), np.log(v1).ravel()
+    l1mv0, l1mv1 = np.log1p(-v0).ravel(), np.log1p(-v1).ravel()
+    d_flat = d.ravel()
+    k = _ref_draw_rows(_ref_k_mass(d_flat, A, B, lv1 + lv0 - l1mv1 - l1mv0),
+                       d_flat, np.zeros_like(d_flat), rng)
+    state.trans_k = k.reshape(shape)
+    d_hi = np.floor(-np.log(state.trans_o.ravel()) / eta2).astype(np.int64)
+    decay = l1mv1 + l1mv0 - C * T + eta2
+    state.trans_d = _ref_draw_rows(_ref_d_mass(k, A, B, decay), d_hi, k,
+                                   rng).reshape(shape)
+
+
+LAWS = {
+    "dp": dict(stick=StickConfig.dp(1.0)),
+    "py": dict(stick=StickConfig.pitman_yor(1.0, 0.25)),
+    "gem_three_pairs": dict(
+        stick=StickConfig.general_gem([(1.0, 1.0), (1.0, 2.0), (1.5, 2.5)],
+                                      c=1.0), fix_theta=1.0),
+}
+
+
+class TestTransitionDrawReference:
+    """Width classes and log-gamma tables against the global-padding,
+    closed-form draw: same masses up to rounding, same picks."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(law=st.sampled_from(sorted(LAWS)), m=st.integers(1, 5),
+           gaps=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1),
+           wide=st.lists(st.integers(0, 1500), min_size=1, max_size=15))
+    def test_masses_and_draws_match(self, law, m, gaps, seed, wide):
+        gen = np.random.default_rng(seed)
+        cells = m * gaps
+        d = np.resize(np.array(wide), cells)
+        d = np.where(gen.uniform(size=cells) < 0.5,
+                     gen.integers(0, 4, size=cells), d)
+        k = gen.integers(0, d + 1)
+        d_hi = d + gen.integers(0, 1501 - d)
+        # theta 1.7 keeps the Dirichlet b = theta off the integers
+        theta = 1.0 if law == "gem_three_pairs" else 1.7
+        a, b, c = LAWS[law]["stick"].params(m, theta, 0.8)
+        A, B = np.repeat(a, gaps), np.repeat(b, gaps)
+        v = gen.uniform(0.01, 0.99, size=(2, cells))
+        ratio = np.log(v[1]) + np.log(v[0]) - np.log1p(-v[1]) - np.log1p(-v[0])
+        decay = (np.log1p(-v[1]) + np.log1p(-v[0])
+                 - np.repeat(c, gaps) * gen.uniform(0.01, 1.0, size=cells)
+                 + 0.5)
+        tab = gibbs._offset_gammaln(a, b, measure.stick_runs(a, b, c),
+                                    size=int(max(d.max(), d_hi.max())) + 1)
+        base = np.repeat(tab.base, gaps)
+
+        def new_k(rows, j):
+            return gibbs._k_log_mass(tab, base[rows, None], d[rows, None],
+                                     ratio[rows, None], j)
+
+        def new_d(rows, j):
+            return gibbs._d_log_mass(tab, base[rows, None], k[rows, None],
+                                     decay[rows, None], j)
+
+        rows = np.arange(cells)
+        for fresh, ref, lower, upper in (
+                (new_k, _ref_k_mass(d, A, B, ratio), np.zeros_like(d), d),
+                (new_d, _ref_d_mass(k, A, B, decay), k, d_hi)):
+            j = np.arange(int((upper - lower).max()) + 1)[None, :]
+            valid = j <= (upper - lower)[:, None]
+            got = np.where(valid, fresh(rows, j), -np.inf)
+            want = np.where(valid, ref(rows, lower[:, None] + j), -np.inf)
+            got = got - got.max(axis=1, keepdims=True)
+            want = want - want.max(axis=1, keepdims=True)
+            np.testing.assert_allclose(got[valid], want[valid], rtol=0,
+                                       atol=1e-10)
+            draws = gibbs._draw_rows(fresh, lower=lower, upper=upper,
+                                     rng=np.random.default_rng(seed))
+            expect = _ref_draw_rows(ref, upper, lower,
+                                    np.random.default_rng(seed))
+            np.testing.assert_array_equal(draws, expect)
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_sweeps_bitwise_equal_on_dense_grid(self, law):
+        data = simulate_toy(20, 2, 0.38, np.random.default_rng(5))
+        assert np.allclose(data.gaps, 0.02)
+        cfg = dp_config(**LAWS[law], fixed_truncation=6)
+        state = init_chain(data, cfg, np.random.default_rng(1))
+        ref = copy.deepcopy(state)
+        rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
+        for _ in range(30):
+            update_transition_latents(state, data, cfg, rng)
+            _ref_update_transition_latents(ref, data, cfg, ref_rng)
+            for name in ("trans_o", "trans_k", "trans_d"):
+                np.testing.assert_array_equal(getattr(state, name),
+                                              getattr(ref, name))
+            update_stick_values(state, data, cfg, rng)
+            update_stick_values(ref, data, cfg, ref_rng)
+        assert state.trans_d.max() >= 64  # rows span several width classes
+
+
 class TestStickValues:
     def test_shapes_reduce_to_displayed_formulas(self, rng):
         # single observation per time: the three boundary/interior/terminal
@@ -508,6 +672,28 @@ class TestHyperparams:
                                   left=0.0, right=1.0))
         tv = 0.5 * np.abs(obs / obs.sum() - exp_p / exp_p.sum()).sum()
         assert tv < 0.03
+
+    @pytest.mark.parametrize("fixed, calls", [
+        ({}, 3), ({"fix_theta": 2.0}, 2), ({"fix_c": 1.0}, 2),
+        ({"tie_c_to_theta": True}, 2)])
+    def test_stick_likelihood_evaluations(self, rng, monkeypatch, fixed,
+                                          calls):
+        # the c move starts from the likelihood the theta move kept
+        data = small_data(rng)
+        cfg = dp_config(**fixed)
+        state = init_chain(data, cfg, rng)
+        count = [0]
+        target = gibbs._hyper_log_target
+
+        def counted(*args):
+            count[0] += 1
+            return target(*args)
+
+        monkeypatch.setattr(gibbs, "_hyper_log_target", counted)
+        for _ in range(5):
+            count[0] = 0
+            update_hyperparams(state, data, cfg, rng)
+            assert count[0] == calls
 
     def test_tie_keeps_c_locked(self, rng):
         data = small_data(rng)
