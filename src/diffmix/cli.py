@@ -41,6 +41,15 @@ CONFIG_KEYS = {
 # configuration takes the defaults of SamplerConfig and its parts
 _CLI_DEFAULTS = {"chains": 1, "stick_kind": "dp", "sigma": 0.0}
 
+# comma-separated float flags: dest -> (metavar, the settings they fill)
+_FLOAT_LISTS = {
+    "theta_prior": ("SHAPE,RATE", ("theta_prior_shape", "theta_prior_rate")),
+    "c_prior": ("SHAPE,RATE", ("c_prior_shape", "c_prior_rate")),
+    "centering": ("MEAN0,PSCALE,SHAPE,RATE",
+                  ("centering_mean0", "centering_precision_scale",
+                   "centering_shape", "centering_rate")),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reports usage problems via UsageError."""
@@ -79,8 +88,8 @@ def _build_parser() -> _Parser:
                      help="membership slice decay rate in (0,1)")
     fit.add_argument("--trans-eta", type=float, dest="trans_slice_eta",
                      help="transition slice decay rate in (0,1)")
-    fit.add_argument("--theta-prior", metavar="SHAPE,RATE")
-    fit.add_argument("--c-prior", metavar="SHAPE,RATE")
+    fit.add_argument("--theta-prior", metavar=_FLOAT_LISTS["theta_prior"][0])
+    fit.add_argument("--c-prior", metavar=_FLOAT_LISTS["c_prior"][0])
     fit.add_argument("--fix-theta", type=float, dest="fix_theta")
     fit.add_argument("--fix-c", type=float, dest="fix_c")
     fit.add_argument("--tie-c", action="store_true", default=None,
@@ -91,7 +100,7 @@ def _build_parser() -> _Parser:
                      dest="stick_kind")
     fit.add_argument("--sigma", type=float,
                      help="Pitman-Yor discount in [0,1)")
-    fit.add_argument("--centering", metavar="MEAN0,PSCALE,SHAPE,RATE",
+    fit.add_argument("--centering", metavar=_FLOAT_LISTS["centering"][0],
                      help="normal-gamma atom prior parameters")
     fit.add_argument("--date-column",
                      help="parse this CSV column as ISO dates mapped to days")
@@ -118,12 +127,13 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_pair(text: str, flag: str) -> tuple[float, float]:
+def _parse_floats(text: str, flag: str, metavar: str) -> list[float]:
+    """The comma-separated numbers of a flag, as many as metavar names."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"{flag} expects SHAPE,RATE")
+    if len(parts) != metavar.count(",") + 1:
+        raise UsageError(f"{flag} expects {metavar}")
     try:
-        return float(parts[0]), float(parts[1])
+        return [float(x) for x in parts]
     except ValueError as exc:
         raise UsageError(f"{flag}: cannot parse {text!r}") from exc
 
@@ -172,24 +182,11 @@ def _resolve_settings(args) -> dict:
         flag_val = getattr(args, key, None)
         if flag_val is not None:
             settings[key] = flag_val
-    if args.theta_prior is not None:
-        settings["theta_prior_shape"], settings["theta_prior_rate"] = \
-            _parse_pair(args.theta_prior, "--theta-prior")
-    if args.c_prior is not None:
-        settings["c_prior_shape"], settings["c_prior_rate"] = \
-            _parse_pair(args.c_prior, "--c-prior")
-    if args.centering is not None:
-        parts = args.centering.split(",")
-        if len(parts) != 4:
-            raise UsageError("--centering expects MEAN0,PSCALE,SHAPE,RATE")
-        try:
-            (settings["centering_mean0"],
-             settings["centering_precision_scale"],
-             settings["centering_shape"],
-             settings["centering_rate"]) = (float(x) for x in parts)
-        except ValueError as exc:
-            raise UsageError(f"--centering: cannot parse {args.centering!r}") \
-                from exc
+    for dest, (metavar, keys) in _FLOAT_LISTS.items():
+        text = getattr(args, dest)
+        if text is not None:
+            flag = "--" + dest.replace("_", "-")
+            settings.update(zip(keys, _parse_floats(text, flag, metavar)))
     return settings
 
 
@@ -289,9 +286,9 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _default_grid(draws: PosteriorDraws, data_path, date_column=None):
+def _default_grid(draws: PosteriorDraws, data_path):
     if data_path:
-        data = TimeGridDataset.from_csv(data_path, date_column=date_column)
+        data = TimeGridDataset.from_csv(data_path)
         y, _ = data.flat
         lo, hi = float(y.min()), float(y.max())
         pad = 0.2 * (hi - lo) + 1e-6

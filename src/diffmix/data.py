@@ -73,10 +73,6 @@ class TimeGridDataset:
         """Consecutive time differences, length n - 1."""
         return np.diff(self.times)
 
-    def shifted(self, offset: float) -> "TimeGridDataset":
-        """Same observations on a globally shifted time grid."""
-        return TimeGridDataset(times=self.times + offset, values=self.values)
-
     @classmethod
     def from_pairs(cls, times, values) -> "TimeGridDataset":
         """Build from parallel per-observation arrays, grouping by time.

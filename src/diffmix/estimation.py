@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,31 +44,17 @@ class DensitySurface:
 
     def to_density_csv(self, path) -> None:
         """Long-format rows t, y, q025, q50, q975, mean."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "y", "q025", "q50", "q975", "mean"])
-            for i, t in enumerate(self.times):
-                for g, y in enumerate(self.y_grid):
-                    writer.writerow([
-                        repr(float(t)), repr(float(y)),
-                        repr(float(self.dens_q025[i, g])),
-                        repr(float(self.dens_q50[i, g])),
-                        repr(float(self.dens_q975[i, g])),
-                        repr(float(self.dens_mean[i, g])),
-                    ])
+        n, g = self.dens_mean.shape
+        _write_columns(path, ["t", "y", "q025", "q50", "q975", "mean"],
+                       [np.repeat(self.times, g), np.tile(self.y_grid, n),
+                        self.dens_q025, self.dens_q50, self.dens_q975,
+                        self.dens_mean])
 
     def to_mean_csv(self, path) -> None:
         """Mean-functional rows t, mode, mean, lo, hi."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "mode", "mean", "lo", "hi"])
-            for i, t in enumerate(self.times):
-                writer.writerow([
-                    repr(float(t)), repr(float(self.mean_mode[i])),
-                    repr(float(self.mean_mean[i])),
-                    repr(float(self.mean_lo[i])),
-                    repr(float(self.mean_hi[i])),
-                ])
+        _write_columns(path, ["t", "mode", "mean", "lo", "hi"],
+                       [self.times, self.mean_mode, self.mean_mean,
+                        self.mean_lo, self.mean_hi])
 
     def to_json(self, path) -> None:
         payload = {
@@ -88,7 +75,18 @@ class DensitySurface:
             },
         }
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
+            fh.write(json.dumps(payload))
+
+
+def _write_columns(path, header: list[str], columns) -> None:
+    """CSV with one row per entry of the (flattened) columns, each value
+    written as repr(float) so it reads back exactly."""
+    cols = [map(repr, np.asarray(c, dtype=float).ravel().tolist())
+            for c in columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cols))
 
 
 def histogram_mode(samples: np.ndarray, bins: int = MODE_BINS,
@@ -106,24 +104,19 @@ def histogram_mode(samples: np.ndarray, bins: int = MODE_BINS,
     if x.max() == x.min():
         return float(x[0])
     counts, edges = np.histogram(x, bins=bins)
-    need = mass * x.size
-    best = None  # (width, -mass, start)
     csum = np.concatenate([[0], np.cumsum(counts)])
-    j = 0
-    for i in range(bins):
-        if j < i + 1:
-            j = i + 1
-        while j <= bins and csum[j] - csum[i] < need:
-            j += 1
-        if j > bins:
-            break
-        window = (j - i, -(csum[j] - csum[i]), i)
-        if best is None or window < best:
-            best = window
-    if best is None:  # mass target above 1: fall back to the full range
+    start = np.arange(bins)
+    # each start's shortest window: the first end whose count reaches the
+    # target (counts are integers, so ceil keeps the search exact)
+    need = math.ceil(mass * x.size)
+    end = np.maximum(np.searchsorted(csum, csum[:-1] + need), start + 1)
+    fits = end <= bins
+    if not fits.any():  # mass target above 1: fall back to the full range
         return float(0.5 * (edges[0] + edges[-1]))
-    width, _, start = best
-    return float(0.5 * (edges[start] + edges[start + width]))
+    start, end = start[fits], end[fits]
+    # smallest (width, -mass, start)
+    best = np.lexsort((start, csum[start] - csum[end], end - start))[0]
+    return float(0.5 * (edges[start[best]] + edges[end[best]]))
 
 
 def summarize(draws: PosteriorDraws, y_grid) -> DensitySurface:

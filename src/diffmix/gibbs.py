@@ -36,7 +36,7 @@ from . import wf
 from .archive import read_container, write_container
 from .data import TimeGridDataset
 from .errors import DataError, NumericalError, TruncationCapError
-from .measure import (OPEN_UNIT, MeasureState, StickConfig, stick_runs,
+from .measure import (OPEN_UNIT, StickConfig, stick_runs,
                       sticks_to_weights_matrix)
 from .mixture import CenteringMeasure, gaussian_logpdf, renormalised_mixture
 
@@ -228,15 +228,6 @@ def _sample_slice(d, eta2, rng) -> np.ndarray:
     return np.exp(-eta2 * d) * np.maximum(rng.uniform(size=np.shape(d)), 1e-17)
 
 
-def _sample_prior_transition(a, b, runs, tau, v_prev, eta2, rng):
-    """(o, k, d, v_next) from the augmented prior, one entry per stick."""
-    d = _sample_prior_index(runs, tau, rng)
-    k = rng.binomial(d, v_prev)
-    v_next = np.clip(rng.beta(a + k, b + d - k), *OPEN_UNIT)
-    o = _sample_slice(d, eta2, rng)
-    return o, k.astype(np.int64), d, v_next
-
-
 def _prior_components(cfg: SamplerConfig, theta: float, c: float,
                       count: int, offset: int, taus: np.ndarray,
                       rng: np.random.Generator):
@@ -255,12 +246,13 @@ def _prior_components(cfg: SamplerConfig, theta: float, c: float,
     o = np.empty((count, n - 1))
     kk = np.empty((count, n - 1), dtype=np.int64)
     dd = np.empty((count, n - 1), dtype=np.int64)
-    v = np.clip(rng.beta(a, b), *OPEN_UNIT)
-    sticks[:, 0] = v
+    # v stays contiguous: binomial draws on a strided column take twice as long
+    sticks[:, 0] = v = np.clip(rng.beta(a, b), *OPEN_UNIT)
     for w, tau in enumerate(taus):
-        o[:, w], kk[:, w], dd[:, w], v = _sample_prior_transition(
-            a, b, runs, float(tau), v, cfg.trans_slice_eta, rng)
-        sticks[:, w + 1] = v
+        dd[:, w] = d = _sample_prior_index(runs, float(tau), rng)
+        kk[:, w] = k = rng.binomial(d, v)
+        sticks[:, w + 1] = v = np.clip(rng.beta(a + k, b + d - k), *OPEN_UNIT)
+        o[:, w] = _sample_slice(d, cfg.trans_slice_eta, rng)
     atoms = cfg.centering.sample(rng, count)
     return sticks, o, kk, dd, atoms
 
@@ -846,13 +838,6 @@ class PosteriorDraws:
     @property
     def n_draws(self) -> int:
         return len(self.m)
-
-    def state_at(self, i: int) -> MeasureState:
-        mi = int(self.m[i])
-        atoms = np.column_stack([self.atom_mean[i, :mi],
-                                 self.atom_prec[i, :mi]])
-        return MeasureState(times=self.times, sticks=self.sticks[i, :mi, :],
-                            atoms=atoms)
 
     @classmethod
     def from_snapshots(cls, times, snapshots, cfg: SamplerConfig | None = None):

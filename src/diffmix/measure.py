@@ -256,8 +256,7 @@ def weights_to_sticks(w: np.ndarray) -> np.ndarray:
 def sample_marginal(config: StickConfig,
                     atom_sampler: Callable[[np.random.Generator, int], np.ndarray],
                     trunc_tol: float = DEFAULT_TRUNC_TOL,
-                    rng: np.random.Generator | None = None,
-                    max_sticks: int = MAX_STICKS) -> MeasureState:
+                    rng: np.random.Generator | None = None) -> MeasureState:
     """Draw a single-time measure, truncated once the deficit < trunc_tol.
 
     Sticks are sampled from their Beta(a_j, b_j) marginals and atoms from
@@ -272,11 +271,11 @@ def sample_marginal(config: StickConfig,
     block = 16
     while log_deficit >= np.log(trunc_tol):
         lo = len(sticks)
-        if lo >= max_sticks:
+        if lo >= MAX_STICKS:
             raise NumericalError(
-                f"deficit did not reach {trunc_tol} within {max_sticks} sticks"
+                f"deficit did not reach {trunc_tol} within {MAX_STICKS} sticks"
             )
-        hi = min(lo + block, max_sticks)
+        hi = min(lo + block, MAX_STICKS)
         a, b, _ = config.params(hi)
         draws = rng.beta(a[lo:hi], b[lo:hi])
         draws = np.clip(draws, *OPEN_UNIT)
@@ -342,34 +341,32 @@ def acf_series_constants(theta: float) -> tuple[float, float, float]:
     return c1, c2, (1.0 + theta) / 2.0
 
 
-def expected_weight_overlap(theta: float, s, rate: float | None = None):
+def expected_weight_overlap(theta: float, s):
     """E[sum_j w_j(t) w_j(t+s)] at stationarity, via the geometric series.
 
     Summing E[w_j(t) w_j(t+s)] over sticks gives
     (c1 + c2 E) / (1 - c1 theta^2 - c2 E) with E = e^{-rate s}.
     """
-    c1, c2, default_rate = acf_series_constants(theta)
-    lam = default_rate if rate is None else rate
-    e = np.exp(-lam * np.asarray(s, dtype=float))
+    c1, c2, rate = acf_series_constants(theta)
+    e = np.exp(-rate * np.asarray(s, dtype=float))
     out = (c1 + c2 * e) / (1.0 - c1 * theta ** 2 - c2 * e)
     return float(out) if out.ndim == 0 else out
 
 
-def theoretical_acf(theta: float, s, rate: float | None = None):
+def theoretical_acf(theta: float, s):
     """Corr(P_t(A), P_{t+s}(A)) for Dirichlet-process sticks, closed form.
 
     Equals (1+theta) [(2+theta) + theta e^{-rate s}]
     / [(2+theta)(1+2theta) - theta e^{-rate s}] and does not depend on
     the set A. It decays from 1 at s = 0 to (1+theta)/(1+2theta) as
-    s grows. rate defaults to (1+theta)/2, the standard parametrisation;
-    pass the stick's mean-reversion rate for a free time scale.
+    s grows. rate is (1+theta)/2, the standard parametrisation.
     """
     if not theta > 0:
         raise ValueError("theta must be positive")
     if np.any(np.asarray(s) < 0):
         raise ValueError("lag must be nonnegative")
-    lam = (1.0 + theta) / 2.0 if rate is None else rate
-    e = np.exp(-lam * np.asarray(s, dtype=float))
+    rate = (1.0 + theta) / 2.0
+    e = np.exp(-rate * np.asarray(s, dtype=float))
     out = (1.0 + theta) * ((2.0 + theta) + theta * e) \
         / ((2.0 + theta) * (1.0 + 2.0 * theta) - theta * e)
     return float(out) if out.ndim == 0 else out

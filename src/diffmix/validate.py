@@ -38,9 +38,13 @@ class CheckResult:
                 + (f" detail={self.detail}" if self.detail else ""))
 
 
-def _result(name, passed, value, threshold, comparison, detail=""):
-    return CheckResult(name=name, passed=bool(passed), value=float(value),
-                       threshold=float(threshold), comparison=comparison,
+def _result(name, value, threshold, comparison, detail=""):
+    """A check passes when value < threshold or value > threshold,
+    strictly, as comparison says."""
+    value, threshold = float(value), float(threshold)
+    passed = value < threshold if comparison == "<" else value > threshold
+    return CheckResult(name=name, passed=passed, value=value,
+                       threshold=threshold, comparison=comparison,
                        detail=detail)
 
 
@@ -61,8 +65,8 @@ def check_series_normalization(rng) -> list[CheckResult]:
         n_terms = wf.nb_truncation_index(t, p, 1e-12)
         total = wf.nb_weight(np.arange(n_terms + 1), t, p).sum()
         err = abs(total - 1.0)
-        out.append(_result("series_normalization", err < 1e-10, err, 1e-10,
-                           "<", f"a={a},b={b},c={c},t={t}"))
+        out.append(_result("series_normalization", err, 1e-10, "<",
+                           f"a={a},b={b},c={c},t={t}"))
     return out
 
 
@@ -83,12 +87,12 @@ def check_transition_normalization(rng,
         for v0 in (0.1, 0.5, 0.9):
             dens = wf.transition_density(x, v0, t, p, tol=tol)
             err = abs(float(w @ dens) - 1.0)
-            out.append(_result("transition_normalization", err < 1e-6, err,
-                               1e-6, "<", f"v0={v0},t={t}"))
+            out.append(_result("transition_normalization", err, 1e-6, "<",
+                               f"v0={v0},t={t}"))
             dens_series = wf.series_transition_density(x, v0, t, p, tol=tol)
             err_s = abs(float(w @ dens_series) - 1.0)
-            out.append(_result("series_kernel_normalization", err_s < 1e-6,
-                               err_s, 1e-6, "<", f"v0={v0},t={t}"))
+            out.append(_result("series_kernel_normalization", err_s, 1e-6,
+                               "<", f"v0={v0},t={t}"))
     return out
 
 
@@ -101,8 +105,8 @@ def check_stationarity(rng, n: int = 100_000) -> list[CheckResult]:
         moved = wf.sample_transition(start, t, p, rng)
         reference = rng.beta(p.a, p.b, size=n)
         stat, pval = stats.ks_2samp(moved, reference)
-        out.append(_result("wf_stationarity_ks", pval > 0.001, pval, 0.001,
-                           ">", f"t={t},ks={stat:.4g}"))
+        out.append(_result("wf_stationarity_ks", pval, 0.001, ">",
+                           f"t={t},ks={stat:.4g}"))
     return out
 
 
@@ -119,7 +123,7 @@ def check_chapman_kolmogorov(rng, n: int = 100_000) -> list[CheckResult]:
     cdf_grid /= cdf_grid[-1]
     emp = np.interp(np.sort(end), grid, cdf_grid)
     ks = float(np.max(np.abs(emp - (np.arange(1, n + 1) / n))))
-    return [_result("chapman_kolmogorov_ks", ks < 0.01, ks, 0.01, "<",
+    return [_result("chapman_kolmogorov_ks", ks, 0.01, "<",
                     f"t1={t1},t2={t2}")]
 
 
@@ -131,7 +135,7 @@ def check_exact_vs_euler(rng, n: int = 100_000,
     exact = wf.sample_transition(np.full(n, v0), t, p, rng)
     euler = wf.euler_endpoints(v0, t, step, p, rng, size=n)
     ks, _ = stats.ks_2samp(exact, euler)
-    return [_result("exact_vs_euler_ks", ks < 0.01, float(ks), 0.01, "<",
+    return [_result("exact_vs_euler_ks", ks, 0.01, "<",
                     f"t={t},step={step}")]
 
 
@@ -155,10 +159,10 @@ def check_dp_moments(rng, reps: int = 10_000) -> list[CheckResult]:
     var_se = np.sqrt(max(m4 - s2 ** 2, 0.0) / reps)
     var_err = abs(s2 - 0.125)
     return [
-        _result("dp_moment_mean", mean_err < 3 * mean_se, mean_err,
-                3 * mean_se, "<", f"mean={vals.mean():.5f}"),
-        _result("dp_moment_var", var_err < 3 * var_se, var_err,
-                3 * var_se, "<", f"var={s2:.5f}"),
+        _result("dp_moment_mean", mean_err, 3 * mean_se, "<",
+                f"mean={vals.mean():.5f}"),
+        _result("dp_moment_var", var_err, 3 * var_se, "<",
+                f"var={s2:.5f}"),
     ]
 
 
@@ -190,8 +194,7 @@ def check_acf(rng, reps: int = 10_000) -> list[CheckResult]:
         target = measure.theoretical_acf(theta, s)
         if s == 0.0:
             err = abs(target - 1.0)
-            out.append(_result("acf_lag0_identity", err < 1e-12, err, 1e-12,
-                               "<"))
+            out.append(_result("acf_lag0_identity", err, 1e-12, "<"))
             continue
         r_hat = float(np.corrcoef(vals[:, 0], vals[:, col])[0, 1])
         boot_r = np.array([
@@ -200,14 +203,12 @@ def check_acf(rng, reps: int = 10_000) -> list[CheckResult]:
         ])
         se = float(boot_r.std(ddof=1))
         err = abs(r_hat - target)
-        out.append(_result(f"acf_lag_{s:g}", err < 3 * se, err, 3 * se, "<",
+        out.append(_result(f"acf_lag_{s:g}", err, 3 * se, "<",
                            f"mc={r_hat:.4f},closed={target:.4f}"))
         if s == lags[-1]:
             floor_val = (1.0 + theta) / (1.0 + 2.0 * theta)
-            out.append(_result(
-                "acf_floor", r_hat >= floor_val - 3 * se,
-                r_hat, floor_val - 3 * se, ">",
-                f"floor={floor_val:.4f}"))
+            out.append(_result("acf_floor", r_hat, floor_val - 3 * se, ">",
+                               f"floor={floor_val:.4f}"))
     return out
 
 
@@ -224,7 +225,7 @@ def check_mean_reversion(rng, n: int = 200_000) -> list[CheckResult]:
         gaps[i] = abs(draws.mean() - target)
     slope = np.polyfit(ts, np.log(gaps), 1)[0]
     rel = abs(-slope - rate) / rate
-    return [_result("mean_reversion_rate", rel < 0.05, rel, 0.05, "<",
+    return [_result("mean_reversion_rate", rel, 0.05, "<",
                     f"fitted={-slope:.4f},rate={rate:.4f}")]
 
 
@@ -236,7 +237,7 @@ def check_deficit(rng, reps: int = 100_000) -> list[CheckResult]:
     target = (theta / (1.0 + theta)) ** m
     se = deficit.std(ddof=1) / np.sqrt(reps)
     err = abs(deficit.mean() - target)
-    return [_result("stick_deficit_mean", err < 3 * se, err, 3 * se, "<",
+    return [_result("stick_deficit_mean", err, 3 * se, "<",
                     f"mc={deficit.mean():.6f},closed={target:.6f}")]
 
 
@@ -246,7 +247,7 @@ def check_euler_ergodic(rng, steps: int = 1_000_000) -> list[CheckResult]:
     _, path = wf.euler_path(0.5, steps * 0.01, 0.01, p, rng)
     burn = len(path) // 20
     ks = float(stats.kstest(path[burn:], stats.beta(p.a, p.b).cdf).statistic)
-    return [_result("euler_ergodic_ks", ks < 0.02, ks, 0.02, "<",
+    return [_result("euler_ergodic_ks", ks, 0.02, "<",
                     f"steps={steps}")]
 
 

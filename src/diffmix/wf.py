@@ -201,10 +201,14 @@ def sample_nb(t: float, p: WFParams, rng: np.random.Generator, size=None):
         raise SeriesTruncationError(
             f"series index distribution not resolved within cap for t={t}"
         )
+    return _draw_index(cum, rng, size)
+
+
+def _draw_index(cum: np.ndarray, rng: np.random.Generator, size):
+    """Inverse-CDF draw(s) of a series index from cumulative weights."""
     u = rng.uniform(size=size)
-    out = np.searchsorted(cum, u)
     # u beyond the resolved tail (< 1e-15 mass): clamp to the last index
-    out = np.minimum(out, len(cum) - 1)
+    out = np.minimum(np.searchsorted(cum, u), len(cum) - 1)
     return int(out) if size is None else out.astype(np.int64)
 
 
@@ -374,15 +378,6 @@ def lineage_weights(t: float, p: WFParams,
     return out
 
 
-def sample_lineage_count(t: float, p: WFParams, rng: np.random.Generator,
-                         size=None):
-    """Inverse-CDF draw(s) of the exact series index."""
-    cum = _lineage_cumulative(p.a + p.b, p.standardised_time(t))
-    u = rng.uniform(size=size)
-    out = np.minimum(np.searchsorted(cum, u), len(cum) - 1)
-    return int(out) if size is None else out.astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # Beta-Binomial mixture components shared by both weight systems
 # ---------------------------------------------------------------------------
@@ -475,8 +470,7 @@ def transition_density(v1, v0: float, t: float, p: WFParams,
 
 
 def series_transition_density(v1, v0: float, t: float, p: WFParams,
-                              tol: float = 1e-10,
-                              cap: int = DEFAULT_SERIES_CAP):
+                              tol: float = 1e-10):
     """Transition density of the Negative-Binomial series model.
 
     This is the kernel the slice-augmented Gibbs sampler targets between
@@ -487,7 +481,7 @@ def series_transition_density(v1, v0: float, t: float, p: WFParams,
     if not t > 0:
         raise ValueError("t must be positive")
     v1 = _check_transition_args(v1, v0)
-    M = nb_truncation_index(t, p, tol, cap)
+    M = nb_truncation_index(t, p, tol)
     log_weights = log_nb_weight(np.arange(M + 1), p.a + p.b, p.c * t)
     return _mixture_density(log_weights, v0, v1, p)
 
@@ -511,7 +505,8 @@ def sample_transition(v0, t: float, p: WFParams, rng: np.random.Generator,
         if size is not None:
             raise ValueError("size must be None when v0 is an array")
         n = v0_arr.shape
-    m = sample_lineage_count(t, p, rng, size=n)
+    m = _draw_index(_lineage_cumulative(p.a + p.b, p.standardised_time(t)),
+                    rng, n)
     m_arr = np.asarray(m)
     k = rng.binomial(m_arr, v0_arr)
     v1 = rng.beta(p.a + k, p.b + m_arr - k)
@@ -524,6 +519,22 @@ def sample_transition(v0, t: float, p: WFParams, rng: np.random.Generator,
 # Euler-Maruyama reference simulator (oracle only)
 # ---------------------------------------------------------------------------
 
+def _euler_setup(v0: float, span: float, step: float, p: WFParams):
+    """Checks and constants of an Euler scheme run for time span.
+
+    Returns (n_steps, drift_scale, diff_scale, sqrt_dt, start): the
+    generalised drift is drift_scale (a - (a + b) v), the squared
+    diffusion diff_scale v (1 - v), and start is v0 clamped.
+    """
+    if not (0.0 <= v0 <= 1.0):
+        raise ValueError("v0 must lie in [0, 1]")
+    if not (step > 0 and span > 0 and step <= span):
+        raise ValueError("need 0 < step <= span")
+    denom = p.a + p.b - 1.0
+    return (int(round(span / step)), p.c / denom, 2.0 * p.c / denom,
+            np.sqrt(step), min(max(v0, EULER_CLAMP), 1.0 - EULER_CLAMP))
+
+
 def euler_path(v0: float, horizon: float, step: float, p: WFParams,
                rng: np.random.Generator, noise: bool = True):
     """Euler-Maruyama path on [0, horizon] with the generalised drift.
@@ -534,18 +545,11 @@ def euler_path(v0: float, horizon: float, step: float, p: WFParams,
     independent oracle and never feeds inference. With noise=False the
     path solves the deterministic relaxation toward a / (a + b).
     """
-    if not (0.0 <= v0 <= 1.0):
-        raise ValueError("v0 must lie in [0, 1]")
-    if not (step > 0 and horizon > 0 and step <= horizon):
-        raise ValueError("need 0 < step <= horizon")
-    n_steps = int(round(horizon / step))
-    denom = p.a + p.b - 1.0
-    drift_scale = p.c / denom
-    diff_scale = 2.0 * p.c / denom
-    sqrt_dt = np.sqrt(step)
+    n_steps, drift_scale, diff_scale, sqrt_dt, v = _euler_setup(
+        v0, horizon, step, p)
     z = rng.standard_normal(n_steps) if noise else np.zeros(n_steps)
     values = np.empty(n_steps + 1)
-    values[0] = v = min(max(v0, EULER_CLAMP), 1.0 - EULER_CLAMP)
+    values[0] = v
     ab = p.a + p.b
     for i in range(n_steps):
         v = v + drift_scale * (p.a - ab * v) * step \
@@ -565,15 +569,10 @@ def euler_endpoints(v0: float, t: float, step: float, p: WFParams,
 
     Vectorised across paths; same scheme and clamp as euler_path.
     """
-    if not (step > 0 and t > 0 and step <= t):
-        raise ValueError("need 0 < step <= t")
-    n_steps = int(round(t / step))
-    denom = p.a + p.b - 1.0
-    drift_scale = p.c / denom
-    diff_scale = 2.0 * p.c / denom
-    sqrt_dt = np.sqrt(step)
+    n_steps, drift_scale, diff_scale, sqrt_dt, start = _euler_setup(
+        v0, t, step, p)
     ab = p.a + p.b
-    v = np.full(size, min(max(v0, EULER_CLAMP), 1.0 - EULER_CLAMP))
+    v = np.full(size, start)
     for _ in range(n_steps):
         z = rng.standard_normal(size)
         v = v + drift_scale * (p.a - ab * v) * step \

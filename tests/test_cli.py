@@ -83,6 +83,19 @@ class TestFit:
                        str(tmp_path / "d.npz"), "--theta-prior", "nope")
         assert code == 1
 
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--centering", "1,2,3", "expects MEAN0,PSCALE,SHAPE,RATE"),
+        ("--centering", "0,x,10,1", "cannot parse '0,x,10,1'"),
+        ("--c-prior", "1", "expects SHAPE,RATE"),
+        ("--theta-prior", "1,2,3", "expects SHAPE,RATE"),
+    ])
+    def test_float_list_parse_errors_exit_one(self, dataset, tmp_path, capsys,
+                                              flag, text, message):
+        assert run_cli("fit", str(dataset), "--out", str(tmp_path / "d.npz"),
+                       flag, text) == 1
+        err = capsys.readouterr().err
+        assert flag in err and message in err
+
     @pytest.mark.parametrize("flags", [
         ("--stick", "pitman-yor", "--sigma", "1.5"),
         ("--centering", "0,-1,10,1"),

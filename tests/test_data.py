@@ -33,12 +33,6 @@ class TestConstruction:
         with pytest.raises(DataError):
             TimeGridDataset(times=[0.0], values=(np.array([np.nan]),))
 
-    def test_shifted_keeps_gaps(self):
-        data = TimeGridDataset.from_pairs([0.0, 0.5, 1.5], [1.0, 2.0, 3.0])
-        moved = data.shifted(10.0)
-        np.testing.assert_allclose(moved.gaps, data.gaps)
-        np.testing.assert_allclose(moved.times, data.times + 10.0)
-
 
 class TestCsv:
     def test_round_trip(self, tmp_path):

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diffmix import estimation
 from diffmix.estimation import (coverage_report, effective_sample_size,
@@ -104,6 +106,35 @@ class TestHistogramMode:
     def test_deterministic(self, rng):
         x = rng.normal(size=1000)
         assert histogram_mode(x) == histogram_mode(x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.integers(-3, 3), min_size=1, max_size=60)
+           | st.lists(st.integers(-4000, 4000).map(lambda i: i / 1000),
+                      min_size=1, max_size=60),
+           bins=st.sampled_from([1, 7, 32]),
+           mass=st.sampled_from([0.001, 0.1, 1.0, 1.5]))
+    def test_matches_brute_force_window_search(self, values, bins, mass):
+        x = np.array(values, dtype=float)
+        assert histogram_mode(x, bins, mass) == _brute_force_mode(x, bins, mass)
+
+
+def _brute_force_mode(x, bins, mass):
+    """Every bin window, O(bins^2): the midpoint of the smallest
+    (width, -mass, start) among those holding at least mass * len(x)."""
+    if x.max() == x.min():
+        return float(x[0])
+    counts, edges = np.histogram(x, bins=bins)
+    best = None
+    for i in range(bins):
+        for j in range(i + 1, bins + 1):
+            held = int(counts[i:j].sum())
+            if held >= mass * x.size and (best is None
+                                          or (j - i, -held, i) < best):
+                best = (j - i, -held, i)
+    if best is None:
+        return float(0.5 * (edges[0] + edges[-1]))
+    width, _, start = best
+    return float(0.5 * (edges[start] + edges[start + width]))
 
 
 class TestGelmanRubin:

@@ -806,7 +806,7 @@ class TestSweepAndChain:
         data = small_data(rng)
         cfg = dp_config(iters=25, burn_in=5, thin=5, seed=3)
         d1 = run_chain(data, cfg)
-        d2 = run_chain(data.shifted(37.5), cfg)
+        d2 = run_chain(TimeGridDataset(data.times + 37.5, data.values), cfg)
         np.testing.assert_array_equal(d1.theta, d2.theta)
         np.testing.assert_array_equal(
             d1.sticks[~np.isnan(d1.sticks)], d2.sticks[~np.isnan(d2.sticks)])
@@ -821,8 +821,6 @@ class TestSweepAndChain:
         np.testing.assert_array_equal(
             back.sticks[~np.isnan(back.sticks)],
             draws.sticks[~np.isnan(draws.sticks)])
-        state = back.state_at(0)
-        assert state.m == back.m[0]
 
     def test_checkpoint_resume_bit_identical(self, rng, tmp_path):
         data = small_data(rng)
@@ -955,7 +953,7 @@ class TestSweepAndChain:
             check_invariants(state, data, cfg)
         # a global shift leaves the gaps, and hence the draws, unchanged
         d1 = run_chain(data, cfg)
-        d2 = run_chain(data.shifted(-5.0), cfg)
+        d2 = run_chain(TimeGridDataset(data.times - 5.0, data.values), cfg)
         np.testing.assert_array_equal(d1.theta, d2.theta)
 
     def test_single_time_dataset_runs(self, rng):

@@ -313,3 +313,13 @@ class TestEuler:
         _, path = wf.euler_path(0.99, 5.0, 1e-3, p, rng)
         assert np.all(path >= wf.EULER_CLAMP)
         assert np.all(path <= 1 - wf.EULER_CLAMP)
+
+    @pytest.mark.parametrize("v0, step", [(1.5, 1e-3), (-0.5, 1e-3),
+                                          (0.5, 0.0), (0.5, 1.0)])
+    def test_endpoints_check_start_and_step_like_path(self, rng, v0, step):
+        p = WFParams(1, 4, 2)
+        with pytest.raises(ValueError) as path_exc:
+            wf.euler_path(v0, 0.1, step, p, rng)
+        with pytest.raises(ValueError) as end_exc:
+            wf.euler_endpoints(v0, 0.1, step, p, rng, size=4)
+        assert str(end_exc.value) == str(path_exc.value)
