@@ -116,6 +116,9 @@ def _build_parser() -> _Parser:
     summ.add_argument("--y-grid", metavar="LO:HI:COUNT",
                       help="evaluation grid; default derives from the draws")
     summ.add_argument("--data", help="dataset CSV, used for the default grid")
+    summ.add_argument("--date-column",
+                      help="read --data with this CSV column as ISO dates, "
+                      "as fit does")
 
     val = sub.add_parser("validate", help="run the analytic-identity battery")
     val.add_argument("--quick", action="store_true",
@@ -286,9 +289,9 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _default_grid(draws: PosteriorDraws, data_path):
+def _default_grid(draws: PosteriorDraws, data_path, date_column=None):
     if data_path:
-        data = TimeGridDataset.from_csv(data_path)
+        data = TimeGridDataset.from_csv(data_path, date_column=date_column)
         y, _ = data.flat
         lo, hi = float(y.min()), float(y.max())
         pad = 0.2 * (hi - lo) + 1e-6
@@ -313,7 +316,7 @@ def cmd_summarize(args) -> int:
             raise UsageError("--y-grid needs HI > LO and COUNT >= 2")
         grid = np.linspace(lo, hi, count)
     else:
-        grid = _default_grid(draws, args.data)
+        grid = _default_grid(draws, args.data, args.date_column)
     surface = summarize(draws, grid)
     prefix = args.out_prefix
     surface.to_density_csv(f"{prefix}.density.csv")

@@ -253,62 +253,83 @@ def weights_to_sticks(w: np.ndarray) -> np.ndarray:
     return v
 
 
-def sample_marginal(config: StickConfig,
-                    atom_sampler: Callable[[np.random.Generator, int], np.ndarray],
-                    trunc_tol: float = DEFAULT_TRUNC_TOL,
-                    rng: np.random.Generator | None = None) -> MeasureState:
-    """Draw a single-time measure, truncated once the deficit < trunc_tol.
+def sample_sticks(config: StickConfig, trunc_tol: float,
+                  rng: np.random.Generator, reps: int = 1) -> np.ndarray:
+    """(M, reps) matrix of sticks from their Beta(a_j, b_j) marginals.
 
-    Sticks are sampled from their Beta(a_j, b_j) marginals and atoms from
-    atom_sampler(rng, count). The result is marginally a truncation of
-    the Dirichlet (or GEM / Pitman-Yor) process.
+    Rows are drawn in blocks of 16, 32, ... up to 4096 sticks, every
+    column at once. M is the first row at which every column's deficit
+    prod_j (1 - v_j) is below trunc_tol, so each replicate is truncated
+    at least as deep as it would be on its own.
     """
     if not (0.0 < trunc_tol < 1.0):
         raise ValueError("trunc_tol must lie in (0, 1)")
-    rng = np.random.default_rng() if rng is None else rng
-    sticks: list[float] = []
-    log_deficit = 0.0
-    block = 16
-    while log_deficit >= np.log(trunc_tol):
-        lo = len(sticks)
+    log_tol = np.log(trunc_tol)
+    blocks: list[np.ndarray] = []
+    log_deficit = np.zeros((1, reps))
+    lo, block = 0, 16
+    while True:
         if lo >= MAX_STICKS:
             raise NumericalError(
                 f"deficit did not reach {trunc_tol} within {MAX_STICKS} sticks"
             )
         hi = min(lo + block, MAX_STICKS)
         a, b, _ = config.params(hi)
-        draws = rng.beta(a[lo:hi], b[lo:hi])
+        draws = rng.beta(a[lo:hi, None], b[lo:hi, None], size=(hi - lo, reps))
         draws = np.clip(draws, *OPEN_UNIT)
-        for v in draws:
-            sticks.append(float(v))
-            log_deficit += np.log1p(-v)
-            if log_deficit < np.log(trunc_tol):
-                break
-        block = min(2 * block, 1 << 12)
-    v = np.array(sticks)
-    atoms = np.asarray(atom_sampler(rng, len(v)))
-    return MeasureState(times=[0.0], sticks=v[:, None], atoms=atoms)
+        blocks.append(draws)
+        # running sums from the previous row, added one stick at a time
+        log_deficit = np.cumsum(
+            np.concatenate([log_deficit[-1:], np.log1p(-draws)]), axis=0)[1:]
+        done = np.flatnonzero(log_deficit.max(axis=1) < log_tol)
+        if done.size:
+            return np.concatenate(blocks)[:lo + done[0] + 1]
+        lo, block = hi, min(2 * block, 1 << 12)
+
+
+def sample_marginal(config: StickConfig,
+                    atom_sampler: Callable[[np.random.Generator, int], np.ndarray],
+                    trunc_tol: float = DEFAULT_TRUNC_TOL,
+                    rng: np.random.Generator | None = None) -> MeasureState:
+    """Draw a single-time measure, truncated once the deficit < trunc_tol.
+
+    Sticks come from sample_sticks and atoms from atom_sampler(rng,
+    count). The result is marginally a truncation of the Dirichlet (or
+    GEM / Pitman-Yor) process.
+    """
+    rng = np.random.default_rng() if rng is None else rng
+    sticks = sample_sticks(config, trunc_tol, rng)
+    atoms = np.asarray(atom_sampler(rng, len(sticks)))
+    return MeasureState(times=[0.0], sticks=sticks, atoms=atoms)
+
+
+def move_sticks(sticks: np.ndarray, config: StickConfig, dt: float,
+                rng: np.random.Generator) -> np.ndarray:
+    """Move an (m, ...) array of sticks by dt through the exact transition.
+
+    Row j holds stick j; each stick moves independently given its
+    current value, one vectorised draw per run of rows sharing (a, b, c).
+    """
+    if not dt > 0:
+        raise ValueError("dt must be positive")
+    new = np.empty_like(sticks)
+    for lo, hi, params in stick_runs(*config.params(len(sticks))):
+        new[lo:hi] = wf.sample_transition(sticks[lo:hi], dt, params, rng)
+    return np.clip(new, *OPEN_UNIT)
 
 
 def evolve(state: MeasureState, config: StickConfig, dt: float,
            rng: np.random.Generator) -> MeasureState:
-    """Advance a single-time state by dt through the exact transition law.
+    """Advance a single-time state by dt through move_sticks.
 
-    Atoms stay fixed; only the weights move. Each stick moves
-    independently given its current value, one vectorised draw per run
-    of sticks sharing (a, b, c). Multi-time states raise ValueError:
-    moving each column on its own would not preserve the joint path law.
+    Atoms stay fixed; only the weights move. Multi-time states raise
+    ValueError: moving each column on its own would not preserve the
+    joint path law.
     """
-    if not dt > 0:
-        raise ValueError("dt must be positive")
     if state.n_times != 1:
         raise ValueError("evolve takes a single-time state")
-    v = state.sticks[:, 0]
-    new = np.empty_like(v)
-    for lo, hi, params in stick_runs(*config.params(state.m)):
-        new[lo:hi] = wf.sample_transition(v[lo:hi], dt, params, rng)
-    new = np.clip(new, *OPEN_UNIT)
-    return MeasureState(times=state.times + dt, sticks=new[:, None],
+    return MeasureState(times=state.times + dt,
+                        sticks=move_sticks(state.sticks, config, dt, rng),
                         atoms=state.atoms)
 
 

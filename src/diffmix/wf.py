@@ -41,6 +41,7 @@ differing only in the law of the series index m:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -54,6 +55,8 @@ DEFAULT_SERIES_CAP = 100_000
 
 # Euler paths are clamped inside the open interval; oracle-only bias.
 EULER_CLAMP = 1e-12
+# normals euler_endpoints draws per generator call, whole steps at a time
+EULER_NORMALS_BLOCK = 1 << 20
 
 _LINEAGE_TAIL = 1e-12
 _LINEAGE_ACCURACY = 1e-9
@@ -524,15 +527,17 @@ def _euler_setup(v0: float, span: float, step: float, p: WFParams):
 
     Returns (n_steps, drift_scale, diff_scale, sqrt_dt, start): the
     generalised drift is drift_scale (a - (a + b) v), the squared
-    diffusion diff_scale v (1 - v), and start is v0 clamped.
+    diffusion diff_scale v (1 - v), and start is v0 clamped. All but
+    n_steps are Python floats.
     """
     if not (0.0 <= v0 <= 1.0):
         raise ValueError("v0 must lie in [0, 1]")
     if not (step > 0 and span > 0 and step <= span):
         raise ValueError("need 0 < step <= span")
     denom = p.a + p.b - 1.0
-    return (int(round(span / step)), p.c / denom, 2.0 * p.c / denom,
-            np.sqrt(step), min(max(v0, EULER_CLAMP), 1.0 - EULER_CLAMP))
+    return (int(round(span / step)), float(p.c / denom),
+            float(2.0 * p.c / denom), math.sqrt(step),
+            float(min(max(v0, EULER_CLAMP), 1.0 - EULER_CLAMP)))
 
 
 def euler_path(v0: float, horizon: float, step: float, p: WFParams,
@@ -547,35 +552,52 @@ def euler_path(v0: float, horizon: float, step: float, p: WFParams,
     """
     n_steps, drift_scale, diff_scale, sqrt_dt, v = _euler_setup(
         v0, horizon, step, p)
-    z = rng.standard_normal(n_steps) if noise else np.zeros(n_steps)
-    values = np.empty(n_steps + 1)
-    values[0] = v
-    ab = p.a + p.b
-    for i in range(n_steps):
-        v = v + drift_scale * (p.a - ab * v) * step \
-            + np.sqrt(diff_scale * v * (1.0 - v)) * sqrt_dt * z[i]
-        if v < EULER_CLAMP:
-            v = EULER_CLAMP
-        elif v > 1.0 - EULER_CLAMP:
-            v = 1.0 - EULER_CLAMP
-        values[i + 1] = v
+    z = rng.standard_normal(n_steps).tolist() if noise else [0.0] * n_steps
+    a, ab, step = float(p.a), float(p.a + p.b), float(step)
+    lo, hi = EULER_CLAMP, 1.0 - EULER_CLAMP
+    values = [v]
+    for zi in z:
+        v = v + drift_scale * (a - ab * v) * step \
+            + math.sqrt(diff_scale * v * (1.0 - v)) * sqrt_dt * zi
+        if v < lo:
+            v = lo
+        elif v > hi:
+            v = hi
+        values.append(v)
     times = np.arange(n_steps + 1) * step
-    return times, values
+    return times, np.array(values)
 
 
 def euler_endpoints(v0: float, t: float, step: float, p: WFParams,
                     rng: np.random.Generator, size: int) -> np.ndarray:
     """Endpoints at time t of `size` independent Euler-Maruyama paths.
 
-    Vectorised across paths; same scheme and clamp as euler_path.
+    Vectorised across paths; same scheme, clamp and arithmetic as
+    euler_path. The normals come EULER_NORMALS_BLOCK at a time, one row
+    of `size` per step, which is the stream of one call per step.
     """
     n_steps, drift_scale, diff_scale, sqrt_dt, start = _euler_setup(
         v0, t, step, p)
     ab = p.a + p.b
     v = np.full(size, start)
-    for _ in range(n_steps):
-        z = rng.standard_normal(size)
-        v = v + drift_scale * (p.a - ab * v) * step \
-            + np.sqrt(diff_scale * v * (1.0 - v)) * sqrt_dt * z
-        np.clip(v, EULER_CLAMP, 1.0 - EULER_CLAMP, out=v)
+    drift = np.empty(size)
+    diffusion = np.empty(size)
+    rows = max(1, EULER_NORMALS_BLOCK // max(size, 1))
+    for first in range(0, n_steps, rows):
+        for z in rng.standard_normal((min(rows, n_steps - first), size)):
+            # v + drift_scale (a - ab v) step
+            #   + sqrt(diff_scale v (1 - v)) sqrt_dt z, in euler_path's order
+            np.multiply(ab, v, out=drift)
+            np.subtract(p.a, drift, out=drift)
+            np.multiply(drift_scale, drift, out=drift)
+            np.multiply(drift, step, out=drift)
+            np.add(v, drift, out=drift)
+            np.multiply(diff_scale, v, out=diffusion)
+            np.subtract(1.0, v, out=v)
+            np.multiply(diffusion, v, out=diffusion)
+            np.sqrt(diffusion, out=diffusion)
+            np.multiply(diffusion, sqrt_dt, out=diffusion)
+            np.multiply(diffusion, z, out=diffusion)
+            np.add(drift, diffusion, out=v)
+            np.clip(v, EULER_CLAMP, 1.0 - EULER_CLAMP, out=v)
     return v

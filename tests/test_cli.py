@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from diffmix import validate
 from diffmix.archive import write_container
 from diffmix.cli import main
 from diffmix.gibbs import PosteriorDraws
@@ -234,6 +235,19 @@ class TestSummarize:
                        str(tmp_path / "s"), "--y-grid", "oops")
         assert code == 1
 
+    def test_default_grid_from_date_column_data(self, tmp_path):
+        data = tmp_path / "dated.csv"
+        data.write_text("date,value\n2024-01-01,0.5\n2024-01-03,-0.2\n"
+                        "2024-01-04,1.1\n2024-01-08,0.3\n2024-01-09,-0.7\n")
+        draws = tmp_path / "draws.npz"
+        assert run_cli("fit", str(data), "--out", str(draws), "--iters", "6",
+                       "--burn-in", "2", "--seed", "3",
+                       "--date-column", "date") == 0
+        prefix = tmp_path / "s"
+        assert run_cli("summarize", str(draws), "--out-prefix", str(prefix),
+                       "--data", str(data), "--date-column", "date") == 0
+        assert (tmp_path / "s.density.csv").exists()
+
 
 class TestValidate:
     def test_subset_passes(self, capsys, tmp_path):
@@ -251,3 +265,16 @@ class TestValidate:
 
     def test_corrupted_flag_exit_one(self):
         assert run_cli("validate", "--seed", "not-an-int") == 1
+
+    def test_failing_check_exit_three(self, monkeypatch, capsys, tmp_path):
+        failing = lambda rng: [validate._result("deficit_forced", 1.0, 0.5,
+                                                "<")]
+        monkeypatch.setitem(validate.FULL_CHECKS, "deficit", failing)
+        report = tmp_path / "report.txt"
+        code = run_cli("validate", "--checks", "deficit", "--report",
+                       str(report))
+        assert code == 3
+        assert "1 validation check(s) failed" in capsys.readouterr().err
+        lines = report.read_text().splitlines()
+        assert "check=deficit_forced pass=false" in lines[0]
+        assert lines[-1].endswith("failures=1")

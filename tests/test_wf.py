@@ -283,6 +283,64 @@ class TestMeanReversion:
         assert abs(-slope - rate) / rate < 0.05
 
 
+def reference_euler(v0, span, step, p, rng, size, noise=True):
+    """(n_steps + 1, size) values of the Euler scheme, one step at a time.
+
+    Plain numpy arithmetic and one standard_normal(size) call per step;
+    euler_path and euler_endpoints must reproduce it bit for bit.
+    """
+    n_steps = int(round(span / step))
+    denom = p.a + p.b - 1.0
+    drift_scale, diff_scale = p.c / denom, 2.0 * p.c / denom
+    v = np.full(size, min(max(v0, wf.EULER_CLAMP), 1.0 - wf.EULER_CLAMP))
+    values = [v]
+    for _ in range(n_steps):
+        z = rng.standard_normal(size) if noise else np.zeros(size)
+        v = v + drift_scale * (p.a - (p.a + p.b) * v) * step \
+            + np.sqrt(diff_scale * v * (1.0 - v)) * np.sqrt(step) * z
+        v = np.clip(v, wf.EULER_CLAMP, 1.0 - wf.EULER_CLAMP)
+        values.append(v)
+    return np.array(values)
+
+
+EULER_CASES = {
+    # b < 1: the boundary at 1 is reached and the clamp acts
+    "clamped": (WFParams(1.1, 0.4, 0.7), 0.99, 5.0, 1e-3, True),
+    "no_noise": (WFParams(2, 3, 1.5), 0.9, 2.0, 1e-3, False),
+    "standard": (WFParams.standard(1, 4), 0.5, 50.0, 0.01, True),
+}
+
+
+class TestEulerBitIdentity:
+    @pytest.mark.parametrize("case", EULER_CASES)
+    def test_path_matches_reference_loop(self, case):
+        p, v0, span, step, noise = EULER_CASES[case]
+        ref = reference_euler(v0, span, step, p, np.random.default_rng(5),
+                              1, noise)[:, 0]
+        times, path = wf.euler_path(v0, span, step, p,
+                                    np.random.default_rng(5), noise=noise)
+        assert np.array_equal(path, ref)
+        assert np.array_equal(times, np.arange(len(ref)) * step)
+        if case == "clamped":
+            assert np.any(ref == 1.0 - wf.EULER_CLAMP)
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_endpoints_match_reference_loop(self, monkeypatch, rows):
+        # span 0.7 is 700 steps, whole blocks of 1 or 7 rows; 0.703 is
+        # 703 steps, which ends on a partial 7-row block
+        p, v0, _, step, _ = EULER_CASES["clamped"]
+        size = 40
+        if rows is not None:
+            monkeypatch.setattr(wf, "EULER_NORMALS_BLOCK", rows * size)
+        for span in (0.7, 0.703):
+            ref = reference_euler(v0, span, step, p,
+                                  np.random.default_rng(9), size)
+            out = wf.euler_endpoints(v0, span, step, p,
+                                     np.random.default_rng(9), size)
+            assert np.array_equal(out, ref[-1])
+            assert np.any(ref == 1.0 - wf.EULER_CLAMP)
+
+
 class TestEuler:
     def test_zero_noise_solves_linear_ode(self, rng):
         p = WFParams(2, 3, 1.5)
