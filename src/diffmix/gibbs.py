@@ -35,7 +35,8 @@ from scipy.special import betaln, gammaln
 from . import wf
 from .archive import read_container, write_container
 from .data import TimeGridDataset
-from .errors import DataError, NumericalError, TruncationCapError
+from .errors import (DataError, NumericalError, SeriesTruncationError,
+                     TruncationCapError)
 from .measure import (OPEN_UNIT, StickConfig, stick_runs,
                       sticks_to_weights_matrix)
 from .mixture import CenteringMeasure, gaussian_logpdf, renormalised_mixture
@@ -219,8 +220,13 @@ def _sample_u(s, eta, rng) -> np.ndarray:
 
 def _sample_prior_index(runs, tau, rng) -> np.ndarray:
     """Series index d ~ r_tau per stick, one draw per run of stick_runs."""
-    return np.concatenate([wf.sample_nb(tau, params, rng, size=hi - lo)
-                           for lo, hi, params in runs])
+    try:
+        return np.concatenate([wf.sample_nb(tau, params, rng, size=hi - lo)
+                               for lo, hi, params in runs])
+    except SeriesTruncationError as exc:
+        raise SeriesTruncationError(
+            f"gap {tau:g} between consecutive observation times is too "
+            f"small ({exc}); merge near-duplicate times") from exc
 
 
 def _sample_slice(d, eta2, rng) -> np.ndarray:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaln, gammaln
+from scipy.special import gammaln, xlog1py, xlogy
 from scipy.stats import beta as beta_dist
 
 from .errors import SeriesTruncationError
@@ -60,6 +60,12 @@ EULER_NORMALS_BLOCK = 1 << 20
 
 _LINEAGE_TAIL = 1e-12
 _LINEAGE_ACCURACY = 1e-9
+
+# largest M |d log x| and M |d log(1 - x)| across one block of nodes in
+# the Beta-Binomial mixture evaluator: a term then stays within e^300 of
+# its value at the block's centre, so none overflows and no node loses
+# its own largest term to underflow
+_BLOCK_LOG_SPAN = 300.0
 
 
 @dataclass(frozen=True)
@@ -281,20 +287,22 @@ def _lineage_table_mp(theta: float, ts: float, cap: int,
         th = mp.mpf(theta)
         tt = mp.mpf(ts)
         cutoff = mp.mpf(10) ** (-(dps - 8))
+        step_decay = mp.exp(-tt)
         terms_used = 0
 
         def row(m):
             nonlocal terms_used
-            base = mp.loggamma(m + 1) + mp.loggamma(th + m)
+            # term i = m from log-gammas; each next term by the ratio
+            # e^{-(2i + theta) ts / 2} (theta + 2i + 1) / (theta + 2i - 1)
+            #   * (theta + m + i - 1) / (i - m + 1)
+            mag = mp.exp(-m * (m + th - 1) * tt / 2 + mp.log(th + 2 * m - 1)
+                         + mp.loggamma(th + 2 * m - 1)
+                         - mp.loggamma(m + 1) - mp.loggamma(th + m))
+            decay = mp.exp(-(2 * m + th) * tt / 2)
             q_m = mp.mpf(0)
             i = m
             prev_mag = None
             while True:
-                log_mag = (-i * (i + th - 1) * tt / 2
-                           + mp.log(th + 2 * i - 1)
-                           + mp.loggamma(th + m + i - 1)
-                           - mp.loggamma(i - m + 1) - base)
-                mag = mp.e ** log_mag
                 q_m += mag if ((i - m) % 2 == 0) else -mag
                 terms_used += 1
                 if terms_used > 400_000:
@@ -303,12 +311,17 @@ def _lineage_table_mp(theta: float, ts: float, cap: int,
                 if prev_mag is not None and mag < prev_mag and mag < cutoff:
                     return q_m
                 prev_mag = mag
+                mag *= (decay * (th + 2 * i + 1) / (th + 2 * i - 1)
+                        * (th + m + i - 1) / (i - m + 1))
+                decay *= step_decay
                 i += 1
 
         return _lineage_table(row, ts, cap)[0]
 
 
-@lru_cache(maxsize=128)
+# one key per distinct (a + b, time) pair: a Pitman-Yor state moved by one
+# dt needs one table per stick, so the bound sits well above the stick count
+@lru_cache(maxsize=1024)
 def _lineage_cumulative(theta: float, ts: float,
                         cap: int = DEFAULT_SERIES_CAP) -> np.ndarray:
     """Cached cumulative lineage-count weights at standardised time ts.
@@ -403,43 +416,57 @@ def _mixture_density(log_weights: np.ndarray, v0: float, v1: np.ndarray,
                      p: WFParams):
     """sum_m w_m D(v1 | m, v0) from per-index log weights.
 
-    Indices whose log weight is -inf are skipped. v1 is a checked array;
+    With x = v1, y = 1 - v1 and j = m - k, the pair (k, j) adds
+    exp(L[k, j]) x^(a+k-1) y^(b+j-1), where
+
+        L[k, j] = log w_{k+j} + log C(k+j, k) + k log v0 + j log(1 - v0)
+                  - log B(a + k, b + j),
+
+    so the density is x^(a-1) y^(b-1) sum_k x^k (exp(L) @ Y)[k] with
+    Y[j] = y^j: one matrix product per block of nodes. The sorted nodes
+    are cut into blocks across which M |d log x| and M |d log y| stay
+    within _BLOCK_LOG_SPAN (M the largest index); each block measures its
+    powers from its centre node and shifts L by the largest term there, so
+    every term of every node stays inside double range. A single global
+    shift cannot: at large M it loses the nodes near 0 and 1.
+
+    Indices whose log weight is -inf add nothing. v1 is a checked array;
     a 0-d v1 gives a float.
     """
-    m_sizes = np.flatnonzero(np.isfinite(log_weights))
-    pair_m = np.repeat(m_sizes, m_sizes + 1).astype(float)
-    pair_k = np.concatenate([np.arange(m + 1) for m in m_sizes]).astype(float)
-    pair_logw = np.repeat(log_weights[m_sizes], m_sizes + 1)
+    m_max = int(np.flatnonzero(np.isfinite(log_weights))[-1])
+    n = np.arange(m_max + 1)
+    # L[k, j] = row[k] + col[j] + diag[k + j], log B split into log-gammas
+    diag = np.full(2 * m_max + 1, -np.inf)
+    diag[:m_max + 1] = (log_weights[:m_max + 1] + gammaln(n + 1.0)
+                        + gammaln(p.a + p.b + n))
+    row = xlogy(n, v0) - gammaln(n + 1.0) - gammaln(p.a + n)
+    col = xlog1py(n, -v0) - gammaln(n + 1.0) - gammaln(p.b + n)
+    log_pair = row[:, None] + col[None, :] + diag[n[:, None] + n[None, :]]
 
-    if v0 == 0.0:
-        log_bin = np.where(pair_k == 0, 0.0, -np.inf)
-    elif v0 == 1.0:
-        log_bin = np.where(pair_k == pair_m, 0.0, -np.inf)
-    else:
-        log_bin = (
-            gammaln(pair_m + 1.0) - gammaln(pair_k + 1.0)
-            - gammaln(pair_m - pair_k + 1.0)
-            + pair_k * np.log(v0) + (pair_m - pair_k) * np.log1p(-v0)
-        )
-    a1 = p.a + pair_k
-    b1 = p.b + pair_m - pair_k
-    log_w = pair_logw + log_bin - betaln(a1, b1)
-
-    grid = np.atleast_1d(v1)
-    log_v1 = np.log(grid)
-    log_1mv1 = np.log1p(-grid)
-    dens = np.zeros_like(grid)
-    chunk = max(1, (1 << 22) // max(1, grid.size))
-    with np.errstate(invalid="ignore"):
-        for lo in range(0, len(pair_m), chunk):
-            sl = slice(lo, lo + chunk)
-            contrib = np.exp(
-                log_w[sl][:, None]
-                + (a1[sl] - 1.0)[:, None] * log_v1[None, :]
-                + (b1[sl] - 1.0)[:, None] * log_1mv1[None, :]
-            )
-            dens += np.nansum(contrib, axis=0)
-    return float(dens[0]) if v1.ndim == 0 else dens
+    grid = v1.ravel()
+    order = np.argsort(grid)
+    log_x = np.log(grid[order])
+    log_y = np.log1p(-grid[order])
+    dens = np.empty(grid.size)
+    span = _BLOCK_LOG_SPAN / max(m_max, 1)
+    lo = 0
+    while lo < grid.size:
+        # log x rises and log y falls along the sorted nodes
+        hi = min(np.searchsorted(log_x, log_x[lo] + span, side="right"),
+                 np.searchsorted(-log_y, span - log_y[lo], side="right"))
+        mid = (lo + hi - 1) // 2
+        block = slice(lo, hi)
+        centred = (log_pair + n[:, None] * log_x[mid]
+                   + n[None, :] * log_y[mid])
+        shift = centred.max()
+        x_pow = np.exp(np.outer(n, log_x[block] - log_x[mid]))
+        y_pow = np.exp(np.outer(n, log_y[block] - log_y[mid]))
+        total = np.einsum("kn,kn->n", x_pow, np.exp(centred - shift) @ y_pow)
+        dens[order[block]] = np.exp(shift + (p.a - 1.0) * log_x[block]
+                                    + (p.b - 1.0) * log_y[block]
+                                    + np.log(total))
+        lo = hi
+    return float(dens[0]) if v1.ndim == 0 else dens.reshape(v1.shape)
 
 
 def _check_transition_args(v1, v0):

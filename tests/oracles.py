@@ -1,6 +1,7 @@
 """Shared simulation oracles used by the unit and acceptance suites."""
 
 import numpy as np
+from scipy.special import betaln, gammaln
 
 from diffmix import wf
 from diffmix.data import TimeGridDataset
@@ -9,6 +10,71 @@ from diffmix.gibbs import (GammaPrior, SamplerConfig, gibbs_sweep, init_chain,
                            update_stick_values, update_transition_latents)
 from diffmix.measure import StickConfig
 from diffmix.mixture import CenteringMeasure
+
+
+def pair_mixture_density(log_weights, v0, v1, p):
+    """sum_m w_m D(v1 | m, v0) with one exponential per (m, k) pair and node.
+
+    The reference for wf._mixture_density: every term
+    w_m Bin(k | m, v0) Beta(v1 | a + k, b + m - k) is formed in log space
+    on its own and summed in double precision. Indices whose log weight
+    is -inf are skipped; v1 is a 1-d array.
+    """
+    m_sizes = np.flatnonzero(np.isfinite(log_weights))
+    pair_m = np.repeat(m_sizes, m_sizes + 1).astype(float)
+    pair_k = np.concatenate([np.arange(m + 1) for m in m_sizes]).astype(float)
+    pair_logw = np.repeat(log_weights[m_sizes], m_sizes + 1)
+    if v0 == 0.0:
+        log_bin = np.where(pair_k == 0, 0.0, -np.inf)
+    elif v0 == 1.0:
+        log_bin = np.where(pair_k == pair_m, 0.0, -np.inf)
+    else:
+        log_bin = (gammaln(pair_m + 1.0) - gammaln(pair_k + 1.0)
+                   - gammaln(pair_m - pair_k + 1.0)
+                   + pair_k * np.log(v0) + (pair_m - pair_k) * np.log1p(-v0))
+    a1 = p.a + pair_k
+    b1 = p.b + pair_m - pair_k
+    log_w = pair_logw + log_bin - betaln(a1, b1)
+    log_v1, log_1mv1 = np.log(v1), np.log1p(-v1)
+    dens = np.zeros(len(v1))
+    chunk = max(1, (1 << 22) // len(v1))
+    for lo in range(0, len(pair_m), chunk):
+        sl = slice(lo, lo + chunk)
+        dens += np.exp(log_w[sl][:, None]
+                       + (a1[sl] - 1.0)[:, None] * log_v1[None, :]
+                       + (b1[sl] - 1.0)[:, None] * log_1mv1[None, :]
+                       ).sum(axis=0)
+    return dens
+
+
+def lineage_table_loggamma(theta, ts, dps, cap=wf.DEFAULT_SERIES_CAP):
+    """Lineage-count weights at dps digits, each alternating term from its
+    own log-gammas.
+
+    The reference for wf._lineage_table_mp, which steps from term to term
+    by their ratio; both share wf._lineage_table's row loop and stop rule.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        th, tt = mp.mpf(theta), mp.mpf(ts)
+        cutoff = mp.mpf(10) ** (-(dps - 8))
+
+        def row(m):
+            base = mp.loggamma(m + 1) + mp.loggamma(th + m)
+            q_m, i, prev_mag = mp.mpf(0), m, None
+            while True:
+                mag = mp.e ** (-i * (i + th - 1) * tt / 2
+                               + mp.log(th + 2 * i - 1)
+                               + mp.loggamma(th + m + i - 1)
+                               - mp.loggamma(i - m + 1) - base)
+                q_m += mag if (i - m) % 2 == 0 else -mag
+                if prev_mag is not None and mag < prev_mag and mag < cutoff:
+                    return q_m
+                prev_mag = mag
+                i += 1
+
+        return wf._lineage_table(row, ts, cap)[0]
 
 
 def stick_joint_tv(rng, replicates=300, sweeps=800, burn=100, grid_n=20,

@@ -74,6 +74,16 @@ class TestFit:
                        "--iters", "5", "--burn-in", "1")
         assert code == 2
 
+    def test_near_duplicate_times_exit_three(self, tmp_path, capsys):
+        data = tmp_path / "near.csv"
+        data.write_text("time,value\n0,0.5\n1e-9,0.2\n1,0.1\n2,0.3\n")
+        code = run_cli("fit", str(data), "--out", str(tmp_path / "d.npz"),
+                       "--iters", "5", "--burn-in", "1")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "gap 1e-09 between consecutive observation times" in err
+        assert "merge near-duplicate times" in err
+
     def test_missing_file_exit_two(self, tmp_path):
         code = run_cli("fit", str(tmp_path / "absent.csv"), "--out",
                        str(tmp_path / "d.npz"))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from diffmix import wf
 from diffmix.measure import (StickConfig, evolve, move_sticks,
                              sample_marginal, sample_sticks)
 
@@ -94,3 +95,18 @@ def test_move_sticks_keeps_each_pitman_yor_marginal():
         assert ks.pvalue > 0.001, (j, ks)
     # the move is not the identity
     assert np.mean(moved != start) > 0.99
+
+
+def test_second_move_of_a_wide_pitman_yor_state_reuses_every_table():
+    # each Pitman-Yor stick has its own (a + b, time) table key; past the
+    # cache bound every table would be evicted before its reuse. At dt 3
+    # every table is resolved in double precision, so the test is quick.
+    cfg = StickConfig.pitman_yor(1.0, 0.25)
+    m = 140
+    rng = np.random.default_rng(3)
+    a, b, _ = cfg.params(m)
+    sticks = rng.beta(a[:, None], b[:, None], size=(m, 1))
+    move_sticks(sticks, cfg, 3.0, rng)
+    misses = wf._lineage_cumulative.cache_info().misses
+    move_sticks(sticks, cfg, 3.0, rng)
+    assert wf._lineage_cumulative.cache_info().misses == misses

@@ -12,6 +12,7 @@ from scipy import stats
 from diffmix import wf
 from diffmix.errors import SeriesTruncationError
 from diffmix.wf import WFParams
+from oracles import lineage_table_loggamma, pair_mixture_density
 
 
 def unit_gauss_legendre(n):
@@ -146,6 +147,15 @@ class TestLineageWeights:
             assert slope == pytest.approx(
                 np.exp(-wf.mean_reversion_rate(p) * t), abs=1e-9)
 
+    @pytest.mark.parametrize("ts, dps", [(0.05, 40), (0.02, 56)])
+    def test_ratio_rows_match_loggamma_rows(self, ts, dps):
+        # theta = 5 is (a, b) = (1, 4); dps is the precision
+        # _lineage_cumulative starts from at these times
+        table = wf._lineage_table_mp(5.0, ts, wf.DEFAULT_SERIES_CAP, dps)
+        ref = lineage_table_loggamma(5.0, ts, dps)
+        assert len(table) == len(ref)
+        np.testing.assert_allclose(table, ref, rtol=0.0, atol=1e-15)
+
 
 class TestMixtureComponent:
     def test_m0_is_invariant_density(self):
@@ -163,6 +173,77 @@ class TestMixtureComponent:
         x, w = unit_gauss_legendre(256)
         dens = wf.transition_mixture_component(x, 3, 0.3, p)
         assert w @ dens == pytest.approx(1.0, abs=1e-8)
+
+
+def series_log_weights(t, p, tol=1e-9):
+    m_max = wf.nb_truncation_index(t, p, tol)
+    return wf.log_nb_weight(np.arange(m_max + 1), p.a + p.b, p.c * t)
+
+
+def lineage_log_weights(t, p, tol=1e-9):
+    with np.errstate(divide="ignore"):
+        return np.log(wf.lineage_weights(t, p, tol=tol))
+
+
+def assert_matches_pair_oracle(log_weights, v0, x, p):
+    """The blocked evaluator against one exponential per pair and node:
+    relative 1e-12 wherever the oracle is above 1e-250, never negative."""
+    dens = wf._mixture_density(log_weights, v0, x, p)
+    ref = pair_mixture_density(log_weights, v0, x, p)
+    assert np.all(dens >= 0.0)
+    keep = ref > 1e-250
+    np.testing.assert_allclose(dens[keep], ref[keep], rtol=1e-12, atol=0.0)
+
+
+class TestMixtureEvaluator:
+    @pytest.mark.parametrize("t", [0.05, 0.5, 5.0])
+    @pytest.mark.parametrize("law", [series_log_weights, lineage_log_weights])
+    def test_validate_grids(self, t, law):
+        # the nodes and weights check_transition_normalization integrates
+        p = WFParams(1, 4, 2)
+        support = max(len(wf.lineage_weights(t, p, tol=1e-9)),
+                      wf.nb_truncation_index(t, p, 1e-9))
+        x, _ = unit_gauss_legendre(max(256, min(2048, support + 64)))
+        for v0 in (0.1, 0.5, 0.9):
+            assert_matches_pair_oracle(law(t, p), v0, x, p)
+
+    @pytest.mark.parametrize("v0", [0.0, 1.0])
+    @pytest.mark.parametrize("law", [series_log_weights, lineage_log_weights])
+    def test_start_on_the_boundary(self, v0, law):
+        p = WFParams(1.5, 2.5, 1.0)
+        x = np.linspace(0.001, 0.999, 301)
+        assert_matches_pair_oracle(law(0.1, p), v0, x, p)
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    def test_single_components(self, m):
+        p = WFParams(1, 4, 2)
+        x = np.linspace(0.001, 0.999, 301)
+        log_weights = np.full(m + 1, -np.inf)
+        log_weights[m] = 0.0
+        for v0 in (0.0, 0.3, 1.0):
+            dens = wf.transition_mixture_component(x, m, v0, p)
+            ref = pair_mixture_density(log_weights, v0, x, p)
+            np.testing.assert_allclose(dens, ref, rtol=1e-12, atol=0.0)
+
+    def test_large_index_near_both_ends(self):
+        # M near 1,600: exponents span thousands of units across (0, 1),
+        # which one global shift cannot hold in double range
+        p = WFParams(1, 4, 2)
+        log_weights = series_log_weights(0.01, p)
+        assert len(log_weights) > 1500
+        x = np.concatenate([[1e-9, 1e-6, 1.0 - 1e-6, 1.0 - 1e-9],
+                            np.linspace(0.0005, 0.9995, 41)])
+        assert_matches_pair_oracle(log_weights, 0.3, x, p)
+
+    def test_shape_follows_v1(self):
+        p = WFParams(1, 4, 2)
+        x = np.array([[0.9, 0.2], [0.5, 0.01]])
+        dens = wf.series_transition_density(x, 0.4, 0.3, p)
+        assert dens.shape == (2, 2)
+        flat = wf.series_transition_density(x.ravel(), 0.4, 0.3, p)
+        np.testing.assert_array_equal(dens.ravel(), flat)
+        assert isinstance(wf.series_transition_density(0.2, 0.4, 0.3, p),
+                          float)
 
 
 class TestTransitionDensity:
