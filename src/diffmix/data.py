@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -51,6 +52,15 @@ class TimeGridDataset:
                 raise DataError(f"time {times[i]} has no observations")
             if np.any(~np.isfinite(v)):
                 raise DataError(f"non-finite observation at time {times[i]}")
+        y, idx = self.flat
+        # the atom updates square and sum observations
+        with np.errstate(over="ignore"):
+            if not np.isfinite(y @ y):
+                i = int(np.argmax(np.abs(y)))
+                raise DataError(
+                    f"the sum of squared observations overflows; largest "
+                    f"|value| {abs(y[i]):g} at time {times[idx[i]]:g}; "
+                    "rescale the data")
 
     @property
     def n_times(self) -> int:
@@ -72,6 +82,12 @@ class TimeGridDataset:
     def gaps(self) -> np.ndarray:
         """Consecutive time differences, length n - 1."""
         return np.diff(self.times)
+
+    def digest(self) -> str:
+        """Stable hash of the times and the grouped values."""
+        y, idx = self.flat
+        return hashlib.sha256(b"".join(
+            a.tobytes() for a in (self.times, idx, y))).hexdigest()
 
     @classmethod
     def from_pairs(cls, times, values) -> "TimeGridDataset":

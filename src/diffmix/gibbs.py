@@ -44,7 +44,7 @@ from .mixture import CenteringMeasure, gaussian_logpdf, renormalised_mixture
 DEFAULT_M_CAP = 512
 MH_TARGET_ACCEPT = 0.44
 DRAWS_FORMAT, ARCHIVE_VERSION = "diffmix-draws", 1
-CHECKPOINT_FORMAT, CHECKPOINT_VERSION = "diffmix-checkpoint", 2
+CHECKPOINT_FORMAT, CHECKPOINT_VERSION = "diffmix-checkpoint", 3
 
 # ChainState arrays holding one row per component, in _prior_components order
 _COMPONENTS = ("sticks", "trans_o", "trans_k", "trans_d", "atoms")
@@ -171,7 +171,8 @@ class ChainState:
     s stores 0-based memberships; the label entering psi is s + 1.
     trans_* hold one (o, k, d) triple per stick and per consecutive-time
     transition, shape (m, n_times - 1). Only the first m components exist;
-    nothing beyond index m - 1 is ever stored or read.
+    nothing beyond index m - 1 is ever stored or read. data_digest names
+    the dataset the chain runs on, so a checkpoint resumes only on it.
     """
 
     m: int
@@ -186,6 +187,7 @@ class ChainState:
     c: float
     mh: MHAdaptation = field(default_factory=MHAdaptation)
     sweep: int = 0
+    data_digest: str = ""
 
     def slice_bounds(self, eta: float) -> np.ndarray:
         """floor(psi_inv(u)) per observation: the 1-based candidate count."""
@@ -294,7 +296,8 @@ def init_chain(data: TimeGridDataset, cfg: SamplerConfig,
         m = int(max(m, np.floor(-np.log(u) / eta).max()))
         if m > cfg.m_cap:
             raise TruncationCapError(
-                f"initial truncation {m} exceeds cap {cfg.m_cap}")
+                f"initial truncation {m} exceeds cap {cfg.m_cap}; raise "
+                "--m-cap (m_cap) or --eta (slice_eta)")
 
     a, b, c_arr = cfg.stick.params(m, theta, c)
     runs = stick_runs(a, b, c_arr)
@@ -312,7 +315,8 @@ def init_chain(data: TimeGridDataset, cfg: SamplerConfig,
     atoms = cfg.centering.sample(rng, m)
     return ChainState(m=m, s=s.astype(np.int64), u=u, sticks=sticks,
                       atoms=atoms, trans_o=o, trans_k=kk, trans_d=dd,
-                      theta=float(theta), c=float(c))
+                      theta=float(theta), c=float(c),
+                      data_digest=data.digest())
 
 
 def update_slice_and_truncation(state: ChainState, data: TimeGridDataset,
@@ -895,7 +899,7 @@ def save_checkpoint(path, state: ChainState, rng: np.random.Generator,
         "format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
         "config_digest": cfg.digest(), "sweep": state.sweep,
         "m": state.m, "theta": state.theta, "c": state.c,
-        "mh": asdict(state.mh),
+        "mh": asdict(state.mh), "data_digest": state.data_digest,
         "rng_state": rng.bit_generator.state,
     }
     arrays = {name: getattr(state, name) for name in _STATE_ARRAYS}
@@ -914,7 +918,8 @@ def load_checkpoint(path, cfg: SamplerConfig):
     state = ChainState(
         m=int(meta["m"]), **{name: arrays[name] for name in _STATE_ARRAYS},
         theta=float(meta["theta"]), c=float(meta["c"]),
-        mh=MHAdaptation(**meta["mh"]), sweep=int(meta["sweep"]))
+        mh=MHAdaptation(**meta["mh"]), sweep=int(meta["sweep"]),
+        data_digest=meta["data_digest"])
     rng = np.random.default_rng()
     rng.bit_generator.state = meta["rng_state"]
     d = {name: arrays["draws_" + name] for name in _DRAW_ARRAYS}
@@ -944,10 +949,9 @@ def run_chain(data: TimeGridDataset, cfg: SamplerConfig,
         raise ValueError("checkpoint_every must be at least 1")
     if resume_from is not None:
         state, rng, snapshots = load_checkpoint(resume_from, cfg)
-        if (state.sticks.shape[1], len(state.s)) != (data.n_times, data.n_obs):
-            raise DataError(f"{resume_from}: written for another dataset "
-                            f"({state.sticks.shape[1]} times, {len(state.s)} "
-                            f"observations); resume on that dataset")
+        if state.data_digest != data.digest():
+            raise DataError(f"{resume_from}: written for another dataset; "
+                            "resume on that dataset")
     else:
         if rng is None:
             rng = np.random.default_rng(cfg.seed)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from . import wf
 from .errors import NumericalError
 from .wf import WFParams
 
-DEFAULT_TRUNC_TOL = 1e-4
 MAX_STICKS = 100_000
 # clamp for stick draws, which must stay strictly inside (0, 1)
 OPEN_UNIT = (1e-300, float(np.nextafter(1.0, 0.0)))
@@ -112,16 +111,15 @@ class StickConfig:
         """
         theta = self.theta if theta is None else theta
         c = self.c if c is None else c
-        if self.kind == "dp":
-            a = np.ones(m)
-            b = np.full(m, theta)
-        elif self.kind == "pitman_yor":
-            a = np.full(m, 1.0 - self.sigma)
-            b = theta + self.sigma * np.arange(1, m + 1)
-        else:
+        if self.kind == "gem":
             idx = np.minimum(np.arange(m), len(self.pairs) - 1)
             a = np.array([self.pairs[i][0] for i in idx])
             b = np.array([self.pairs[i][1] for i in idx])
+        else:
+            # a Dirichlet process is Pitman-Yor with sigma = 0, bit for bit
+            sigma = self.sigma or 0.0
+            a = np.full(m, 1.0 - sigma)
+            b = theta + sigma * np.arange(1, m + 1)
         return a, b, np.full(m, c)
 
 
@@ -144,113 +142,17 @@ def stick_runs(a, b, c) -> list[tuple[int, int, WFParams]]:
             for lo, hi in zip(starts, starts[1:] + [len(triples)])]
 
 
-class MeasureProbability(NamedTuple):
-    """Measure of a set under a truncated state.
-
-    value sums the weights of atoms in the set; the exact probability
-    lies in [value, value + deficit], deficit being the untracked tail
-    mass of the truncation.
-    """
-
-    value: float
-    deficit: float
-
-
-@dataclass(frozen=True)
-class MeasureState:
-    """Truncated random measure observed on a time grid.
-
-    sticks has shape (m, n) for m sticks at n times, every entry strictly
-    inside (0, 1); atoms is any array-like indexed by stick along its
-    first axis and does not change with time.
-    """
-
-    times: np.ndarray
-    sticks: np.ndarray
-    atoms: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", np.atleast_1d(
-            np.asarray(self.times, dtype=float)))
-        object.__setattr__(self, "sticks", np.atleast_2d(
-            np.asarray(self.sticks, dtype=float)))
-        object.__setattr__(self, "atoms", np.asarray(self.atoms))
-        if self.sticks.shape[1] != len(self.times):
-            raise ValueError("sticks must have one column per time")
-        if len(self.atoms) != self.sticks.shape[0]:
-            raise ValueError("one atom per stick required")
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if np.any(self.sticks <= 0.0) or np.any(self.sticks >= 1.0):
-            raise ValueError("stick values must lie strictly inside (0, 1)")
-
-    @property
-    def m(self) -> int:
-        return self.sticks.shape[0]
-
-    @property
-    def n_times(self) -> int:
-        return self.sticks.shape[1]
-
-    def weights(self, time_index: int | None = None) -> np.ndarray:
-        """Stick-breaking weights, one column per time or one vector."""
-        v = self.sticks if time_index is None else self.sticks[:, time_index]
-        return sticks_to_weights_matrix(v)
-
-    def deficit(self, time_index: int | None = None):
-        """Untracked tail mass 1 - sum_j w_j = prod_j (1 - v_j)."""
-        v = self.sticks if time_index is None else self.sticks[:, time_index]
-        return np.prod(1.0 - v, axis=0)
-
-
-def sticks_to_weights(v: np.ndarray) -> np.ndarray:
-    """Map stick values to weights: w_j = v_j prod_{i<j} (1 - v_i).
-
-    The weights plus the leftover mass prod_j (1 - v_j) sum to one
-    exactly, up to rounding.
-    """
-    v = np.asarray(v, dtype=float)
-    if np.any(v <= 0.0) or np.any(v >= 1.0):
-        raise ValueError("stick values must lie strictly inside (0, 1)")
-    return sticks_to_weights_matrix(v)
-
-
 def sticks_to_weights_matrix(v: np.ndarray) -> np.ndarray:
-    """Unchecked sticks_to_weights, column-wise for an (m, n) matrix."""
+    """Stick-breaking weights w_j = v_j prod_{i<j} (1 - v_i), column-wise.
+
+    Takes sticks as an (m,) vector or an (m, n) matrix, one column per
+    time or replicate, and does not check them. The weights plus the
+    leftover mass prod_j (1 - v_j) sum to one, up to rounding.
+    """
     v = np.asarray(v, dtype=float)
     rem = np.ones_like(v)
     rem[1:] = np.cumprod(1.0 - v, axis=0)[:-1]
     return v * rem
-
-
-def weights_to_sticks(w: np.ndarray) -> np.ndarray:
-    """Invert the stick-breaking map: v_j = w_j / (1 - sum_{i<j} w_i).
-
-    The remaining mass is carried multiplicatively through the recovered
-    sticks (rem -> rem * (1 - v_j)), which avoids the cancellation of
-    1 - cumsum(w). Recovery is inherently ill-conditioned once the
-    remainder approaches machine precision: rounding already present in
-    the weights then dominates, and the function raises NumericalError,
-    as it does when a partial sum genuinely reaches one before the last
-    entry. The last stick may come out as exactly 1.0 when the weights
-    exhaust all mass.
-    """
-    w = np.asarray(w, dtype=float)
-    if np.any(w < 0.0):
-        raise ValueError("weights must be nonnegative")
-    v = np.empty_like(w)
-    rem = 1.0
-    for j, wj in enumerate(w):
-        vj = wj / rem if rem > 0.0 else np.inf
-        if vj > 1.0 + 1e-9:
-            raise NumericalError(
-                f"partial weight sum reaches 1 before entry {j} (or the "
-                "remaining mass is below numerical resolution); remaining "
-                "sticks are undefined"
-            )
-        v[j] = min(vj, 1.0)
-        rem *= 1.0 - v[j]
-    return v
 
 
 def sample_sticks(config: StickConfig, trunc_tol: float,
@@ -287,22 +189,6 @@ def sample_sticks(config: StickConfig, trunc_tol: float,
         lo, block = hi, min(2 * block, 1 << 12)
 
 
-def sample_marginal(config: StickConfig,
-                    atom_sampler: Callable[[np.random.Generator, int], np.ndarray],
-                    trunc_tol: float = DEFAULT_TRUNC_TOL,
-                    rng: np.random.Generator | None = None) -> MeasureState:
-    """Draw a single-time measure, truncated once the deficit < trunc_tol.
-
-    Sticks come from sample_sticks and atoms from atom_sampler(rng,
-    count). The result is marginally a truncation of the Dirichlet (or
-    GEM / Pitman-Yor) process.
-    """
-    rng = np.random.default_rng() if rng is None else rng
-    sticks = sample_sticks(config, trunc_tol, rng)
-    atoms = np.asarray(atom_sampler(rng, len(sticks)))
-    return MeasureState(times=[0.0], sticks=sticks, atoms=atoms)
-
-
 def move_sticks(sticks: np.ndarray, config: StickConfig, dt: float,
                 rng: np.random.Generator) -> np.ndarray:
     """Move an (m, ...) array of sticks by dt through the exact transition.
@@ -316,62 +202,6 @@ def move_sticks(sticks: np.ndarray, config: StickConfig, dt: float,
     for lo, hi, params in stick_runs(*config.params(len(sticks))):
         new[lo:hi] = wf.sample_transition(sticks[lo:hi], dt, params, rng)
     return np.clip(new, *OPEN_UNIT)
-
-
-def evolve(state: MeasureState, config: StickConfig, dt: float,
-           rng: np.random.Generator) -> MeasureState:
-    """Advance a single-time state by dt through move_sticks.
-
-    Atoms stay fixed; only the weights move. Multi-time states raise
-    ValueError: moving each column on its own would not preserve the
-    joint path law.
-    """
-    if state.n_times != 1:
-        raise ValueError("evolve takes a single-time state")
-    return MeasureState(times=state.times + dt,
-                        sticks=move_sticks(state.sticks, config, dt, rng),
-                        atoms=state.atoms)
-
-
-def measure_eval(state: MeasureState, time_index: int,
-                 predicate: Callable[[np.ndarray], np.ndarray]) -> MeasureProbability:
-    """P_t(A) for the set A described by a vectorised atom predicate.
-
-    Returns the summed weight of atoms inside A together with the
-    truncation deficit, which bounds the unobserved remainder.
-    """
-    w = state.weights(time_index)
-    mask = np.asarray(predicate(state.atoms), dtype=bool)
-    if mask.shape != (state.m,):
-        raise ValueError("predicate must return one boolean per atom")
-    return MeasureProbability(value=float(w[mask].sum()),
-                              deficit=float(state.deficit(time_index)))
-
-
-def acf_series_constants(theta: float) -> tuple[float, float, float]:
-    """Constants (c1, c2, rate) of the weight-overlap geometric series.
-
-    E[v(t) v(t+s)] for one Beta(1, theta) stick equals
-    c1 + c2 e^{-rate s} with c1 = 1/(1+theta)^2,
-    c2 = theta / ((1+theta)^2 (2+theta)) and rate = (1+theta)/2.
-    """
-    if not theta > 0:
-        raise ValueError("theta must be positive")
-    c1 = 1.0 / (1.0 + theta) ** 2
-    c2 = theta / ((1.0 + theta) ** 2 * (2.0 + theta))
-    return c1, c2, (1.0 + theta) / 2.0
-
-
-def expected_weight_overlap(theta: float, s):
-    """E[sum_j w_j(t) w_j(t+s)] at stationarity, via the geometric series.
-
-    Summing E[w_j(t) w_j(t+s)] over sticks gives
-    (c1 + c2 E) / (1 - c1 theta^2 - c2 E) with E = e^{-rate s}.
-    """
-    c1, c2, rate = acf_series_constants(theta)
-    e = np.exp(-rate * np.asarray(s, dtype=float))
-    out = (c1 + c2 * e) / (1.0 - c1 * theta ** 2 - c2 * e)
-    return float(out) if out.ndim == 0 else out
 
 
 def theoretical_acf(theta: float, s):

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .data import TimeGridDataset
-from .measure import MeasureState, sticks_to_weights_matrix
+from .measure import sticks_to_weights_matrix
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -106,26 +106,6 @@ def renormalised_mixture(sticks: np.ndarray, values: np.ndarray,
             / kept[time_index]
     out = w.T @ values
     return out / (kept[:, None] if out.ndim == 2 else kept)
-
-
-def density_eval(state: MeasureState, time_index: int, y):
-    """Mixture density sum_j w_j(t_i) N(y | atom_j) at one time.
-
-    The weights are divided by 1 - deficit, so the curve integrates to
-    one.
-    """
-    y = np.asarray(y, dtype=float)
-    grid = np.atleast_1d(y)
-    kernel = np.exp(gaussian_logpdf(grid[None, :], state.atoms[:, 0, None],
-                                    state.atoms[:, 1, None]))
-    out = renormalised_mixture(state.sticks[:, [time_index]], kernel)[0]
-    return float(out[0]) if y.ndim == 0 else out
-
-
-def mean_functional(state: MeasureState, time_index: int) -> float:
-    """First moment of the renormalized mixture, sum_j w_j mean_j / (1 - deficit)."""
-    return float(renormalised_mixture(state.sticks[:, [time_index]],
-                                      state.atoms[:, 0])[0])
 
 
 def toy_mean(t):

@@ -42,12 +42,12 @@ differing only in the law of the series index m:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
-from scipy.stats import beta as beta_dist
 
 from .errors import SeriesTruncationError
 
@@ -57,6 +57,8 @@ DEFAULT_SERIES_CAP = 100_000
 EULER_CLAMP = 1e-12
 # normals euler_endpoints draws per generator call, whole steps at a time
 EULER_NORMALS_BLOCK = 1 << 20
+# normals euler_path draws per generator call, the stream of one call
+EULER_PATH_BLOCK = 1 << 16
 
 _LINEAGE_TAIL = 1e-12
 _LINEAGE_ACCURACY = 1e-9
@@ -114,15 +116,6 @@ def mean_reversion_rate(p: WFParams) -> float:
     reduces to (1 + theta) / 2.
     """
     return p.c * (p.a + p.b) / (p.a + p.b - 1.0)
-
-
-def invariant_density(v, p: WFParams):
-    """Beta(a, b) invariant density at v, for v strictly inside (0, 1)."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v <= 0.0) or np.any(v >= 1.0):
-        raise ValueError("v must lie strictly inside (0, 1)")
-    out = beta_dist.pdf(v, p.a, p.b)
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +391,6 @@ def lineage_weights(t: float, p: WFParams,
 # Beta-Binomial mixture components shared by both weight systems
 # ---------------------------------------------------------------------------
 
-def transition_mixture_component(v1, m: int, v0: float, p: WFParams):
-    """Beta-Binomial mixture component D(v1 | m, v0).
-
-    A density in v1 for every (m, v0): the k-th term weights
-    Beta(v1 | a + k, b + m - k) by Bin(k | m, v0).
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    v1 = _check_transition_args(v1, v0)
-    log_weights = np.full(m + 1, -np.inf)
-    log_weights[m] = 0.0
-    return _mixture_density(log_weights, v0, v1, p)
-
-
 def _mixture_density(log_weights: np.ndarray, v0: float, v1: np.ndarray,
                      p: WFParams):
     """sum_m w_m D(v1 | m, v0) from per-index log weights.
@@ -579,20 +558,23 @@ def euler_path(v0: float, horizon: float, step: float, p: WFParams,
     """
     n_steps, drift_scale, diff_scale, sqrt_dt, v = _euler_setup(
         v0, horizon, step, p)
-    z = rng.standard_normal(n_steps).tolist() if noise else [0.0] * n_steps
     a, ab, step = float(p.a), float(p.a + p.b), float(step)
     lo, hi = EULER_CLAMP, 1.0 - EULER_CLAMP
-    values = [v]
-    for zi in z:
-        v = v + drift_scale * (a - ab * v) * step \
-            + math.sqrt(diff_scale * v * (1.0 - v)) * sqrt_dt * zi
-        if v < lo:
-            v = lo
-        elif v > hi:
-            v = hi
-        values.append(v)
+    values = array("d", [v])
+    append = values.append
+    for first in range(0, n_steps, EULER_PATH_BLOCK):
+        count = min(EULER_PATH_BLOCK, n_steps - first)
+        z = rng.standard_normal(count).tolist() if noise else [0.0] * count
+        for zi in z:
+            v = v + drift_scale * (a - ab * v) * step \
+                + math.sqrt(diff_scale * v * (1.0 - v)) * sqrt_dt * zi
+            if v < lo:
+                v = lo
+            elif v > hi:
+                v = hi
+            append(v)
     times = np.arange(n_steps + 1) * step
-    return times, np.array(values)
+    return times, np.frombuffer(values, dtype=float)
 
 
 def euler_endpoints(v0: float, t: float, step: float, p: WFParams,

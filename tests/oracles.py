@@ -1,6 +1,7 @@
 """Shared simulation oracles used by the unit and acceptance suites."""
 
 import numpy as np
+from scipy import stats
 from scipy.special import betaln, gammaln
 
 from diffmix import wf
@@ -45,6 +46,50 @@ def pair_mixture_density(log_weights, v0, v1, p):
                        + (b1[sl] - 1.0)[:, None] * log_1mv1[None, :]
                        ).sum(axis=0)
     return dens
+
+
+def transition_mixture_component(v1, m: int, v0: float, p):
+    """Beta-Binomial mixture component D(v1 | m, v0).
+
+    A density in v1 for every (m, v0): the k-th term weights
+    Beta(v1 | a + k, b + m - k) by Bin(k | m, v0). The per-component
+    reference of the latent full-conditional tests, evaluated by
+    wf._mixture_density with all weight on index m.
+    """
+    if m < 0:
+        raise ValueError("m must be nonnegative")
+    v1 = wf._check_transition_args(v1, v0)
+    log_weights = np.full(m + 1, -np.inf)
+    log_weights[m] = 0.0
+    return wf._mixture_density(log_weights, v0, v1, p)
+
+
+def acf_series_constants(theta: float) -> tuple[float, float, float]:
+    """Constants (c1, c2, rate) of the weight-overlap geometric series.
+
+    E[v(t) v(t+s)] for one Beta(1, theta) stick equals
+    c1 + c2 e^{-rate s} with c1 = 1/(1+theta)^2,
+    c2 = theta / ((1+theta)^2 (2+theta)) and rate = (1+theta)/2.
+    """
+    if not theta > 0:
+        raise ValueError("theta must be positive")
+    c1 = 1.0 / (1.0 + theta) ** 2
+    c2 = theta / ((1.0 + theta) ** 2 * (2.0 + theta))
+    return c1, c2, (1.0 + theta) / 2.0
+
+
+def expected_weight_overlap(theta: float, s):
+    """E[sum_j w_j(t) w_j(t+s)] at stationarity, via the geometric series.
+
+    Summing E[w_j(t) w_j(t+s)] over sticks gives
+    (c1 + c2 E) / (1 - c1 theta^2 - c2 E) with E = e^{-rate s}. The
+    series form that measure.theoretical_acf's closed form is checked
+    against.
+    """
+    c1, c2, rate = acf_series_constants(theta)
+    e = np.exp(-rate * np.asarray(s, dtype=float))
+    out = (c1 + c2 * e) / (1.0 - c1 * theta ** 2 - c2 * e)
+    return float(out) if out.ndim == 0 else out
 
 
 def lineage_table_loggamma(theta, ts, dps, cap=wf.DEFAULT_SERIES_CAP):
@@ -109,7 +154,7 @@ def stick_joint_tv(rng, replicates=300, sweeps=800, burn=100, grid_n=20,
     p = wf.WFParams(1.0, theta, c)
     sub = 4
     pts = (np.arange(grid_n * sub) + 0.5) / (grid_n * sub)
-    prior = wf.invariant_density(pts, p)
+    prior = stats.beta.pdf(pts, p.a, p.b)
     dens = np.array([
         wf.series_transition_density(pts, float(v1), tau, p, tol=1e-8)
         for v1 in pts])

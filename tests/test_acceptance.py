@@ -20,7 +20,8 @@ from diffmix.gibbs import (GammaPrior, SamplerConfig, init_chain, run_chain,
 from diffmix.measure import StickConfig, sticks_to_weights_matrix
 from diffmix.mixture import CenteringMeasure, gaussian_logpdf
 
-from oracles import run_geweke, stick_joint_tv
+from oracles import (run_geweke, stick_joint_tv,
+                     transition_mixture_component)
 
 
 def report(criterion: str, passed: bool, detail: str, seconds: float,
@@ -155,7 +156,7 @@ class TestCriterion6FullConditionals:
         dmax = 60
         mass = np.array([
             wf.nb_weight(d, 1.0, p)
-            * wf.transition_mixture_component(v1b, d, v0b, p)
+            * transition_mixture_component(v1b, d, v0b, p)
             for d in range(dmax)])
         mass /= mass.sum()
         obs_counts = np.bincount(draws, minlength=dmax)[:dmax]

@@ -89,6 +89,44 @@ class TestFit:
                        str(tmp_path / "d.npz"))
         assert code == 2
 
+    def test_overflowing_observation_exit_two(self, dataset, tmp_path,
+                                              capsys):
+        # 1e160 squared overflows; the atom updates would turn it to NaN
+        big = tmp_path / "big.csv"
+        big.write_text(dataset.read_text() + "2.0,1e160\n")
+        out = tmp_path / "d.npz"
+        assert run_cli(*self.fit_args(big, out)) == 2
+        err = capsys.readouterr().err
+        assert "largest |value| 1e+160 at time 2" in err
+        assert not out.exists()
+
+    def test_far_outlier_fits(self, dataset, tmp_path):
+        big = tmp_path / "big.csv"
+        big.write_text(dataset.read_text() + "2.0,1e153\n")
+        out = tmp_path / "d.npz"
+        assert run_cli(*self.fit_args(big, out)) == 0
+        draws = PosteriorDraws.load(out)
+        assert np.all(np.isfinite(draws.theta))
+        inside = np.arange(draws.atom_mean.shape[1]) < draws.m[:, None]
+        assert np.all(np.isfinite(draws.atom_mean[inside]))
+        assert np.all(np.isfinite(draws.atom_prec[inside]))
+
+    def test_truncation_cap_exit_three(self, dataset, tmp_path, capsys):
+        assert run_cli(*self.fit_args(dataset, tmp_path / "d.npz",
+                                      "--m-cap", "3")) == 3
+        err = capsys.readouterr().err
+        assert "exceeds cap 3" in err
+        assert "--m-cap (m_cap) or --eta (slice_eta)" in err
+
+    def test_constant_data_fits_and_summarizes(self, tmp_path):
+        data = tmp_path / "const.csv"
+        data.write_text("time,value\n" + "".join(
+            f"{t},1.5\n" for t in range(6)))
+        draws = tmp_path / "draws.npz"
+        assert run_cli(*self.fit_args(data, draws)) == 0
+        assert run_cli("summarize", str(draws), "--out-prefix",
+                       str(tmp_path / "s"), "--data", str(data)) == 0
+
     def test_bad_flag_exit_one(self, dataset, tmp_path):
         code = run_cli("fit", str(dataset), "--out",
                        str(tmp_path / "d.npz"), "--theta-prior", "nope")

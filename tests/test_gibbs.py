@@ -2,13 +2,17 @@
 quadrature oracle, chain invariants, determinism, checkpointing."""
 
 import copy
+import tempfile
 import warnings
 import zipfile
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import stats
 from scipy.special import gammaln, logsumexp
 
@@ -27,7 +31,7 @@ from diffmix.gibbs import (GammaPrior, PosteriorDraws,
 from diffmix.measure import StickConfig, sticks_to_weights_matrix
 from diffmix.mixture import CenteringMeasure, gaussian_logpdf, simulate_toy
 
-from oracles import stick_joint_tv
+from oracles import stick_joint_tv, transition_mixture_component
 
 
 def dp_config(**kw):
@@ -355,7 +359,7 @@ class TestTransitionLatents:
         dmax = 60
         mass = np.array([
             wf.nb_weight(d, 1.0, p)
-            * wf.transition_mixture_component(v1, d, v0, p)
+            * transition_mixture_component(v1, d, v0, p)
             for d in range(dmax)])
         mass /= mass.sum()
         counts = np.bincount(draws, minlength=dmax)[:dmax]
@@ -822,6 +826,42 @@ class TestSweepAndChain:
             back.sticks[~np.isnan(back.sticks)],
             draws.sticks[~np.isnan(draws.sticks)])
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_archive_round_trip_exact(self, data):
+        # any draws, NaN padding beyond each draw's own m included, come
+        # back exactly and save to the same bytes again
+        n_draws = data.draw(st.integers(1, 5))
+        n_times = data.draw(st.integers(1, 4))
+        ms = np.array(data.draw(st.lists(st.integers(1, 6), min_size=n_draws,
+                                         max_size=n_draws)), dtype=np.int64)
+        floats = st.floats(allow_nan=False, allow_infinity=False)
+
+        def padded(*shape):
+            out = data.draw(hnp.arrays(float, (n_draws, int(ms.max()), *shape),
+                                       elements=floats))
+            for i, mi in enumerate(ms):
+                out[i, mi:] = np.nan
+            return out
+
+        draws = PosteriorDraws(
+            times=np.sort(data.draw(hnp.arrays(float, n_times,
+                                               elements=floats))),
+            m=ms, theta=data.draw(hnp.arrays(float, n_draws, elements=floats)),
+            c=data.draw(hnp.arrays(float, n_draws, elements=floats)),
+            sticks=padded(n_times), atom_mean=padded(), atom_prec=padded(),
+            config_json=data.draw(st.text()),
+            config_digest=data.draw(st.text()))
+        with tempfile.TemporaryDirectory() as tmp:
+            first, again = Path(tmp, "a.npz"), Path(tmp, "b.npz")
+            draws.save(first)
+            back = PosteriorDraws.load(first)
+            for field in fields(PosteriorDraws):
+                np.testing.assert_array_equal(getattr(back, field.name),
+                                              getattr(draws, field.name))
+            back.save(again)
+            assert again.read_bytes() == first.read_bytes()
+
     def test_checkpoint_resume_bit_identical(self, rng, tmp_path):
         data = small_data(rng)
         cfg = dp_config(iters=30, burn_in=10, thin=2, seed=21)
@@ -873,13 +913,16 @@ class TestSweepAndChain:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_version_one_checkpoint_refused(self, rng, tmp_path):
+        # version 2 carries no dataset digest and is refused as well
         cfg = dp_config()
         cp = tmp_path / "cp.npz"
-        write_container(cp, {"format": "diffmix-checkpoint", "version": 1,
-                             "config_digest": cfg.digest(),
-                             "n_snapshots": 0}, {})
-        with pytest.raises(DataError, match="version 2"):
-            load_checkpoint(cp, cfg)
+        for version in (1, 2):
+            write_container(cp, {"format": "diffmix-checkpoint",
+                                 "version": version,
+                                 "config_digest": cfg.digest(),
+                                 "n_snapshots": 0}, {})
+            with pytest.raises(DataError, match="version 3"):
+                load_checkpoint(cp, cfg)
 
     def test_draws_archive_format_and_version_checked(self, rng, tmp_path):
         data = small_data(rng)
@@ -910,7 +953,9 @@ class TestSweepAndChain:
         cp = tmp_path / "cp.npz"
         run_chain(small_data(rng), cfg, checkpoint_path=cp,
                   checkpoint_every=5)
-        for other in (small_data(rng, n_times=7), small_data(rng, per_time=3)):
+        same_shape = small_data(rng)
+        for other in (small_data(rng, n_times=7), small_data(rng, per_time=3),
+                      same_shape):
             with pytest.raises(DataError, match="another dataset"):
                 run_chain(other, cfg, resume_from=cp)
 

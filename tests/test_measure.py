@@ -1,4 +1,9 @@
-"""Stick-breaking measure tests: weight maps, marginals, evolution, ACF."""
+"""Stick-breaking measure tests: weight maps, marginals, moves, ACF.
+
+The measure is a stick matrix: one row per stick, one column per time or
+replicate, drawn by sample_sticks, moved by move_sticks and mapped to
+weights by sticks_to_weights_matrix.
+"""
 
 import warnings
 
@@ -9,10 +14,9 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from diffmix import measure
-from diffmix.errors import NumericalError
-from diffmix.measure import (MeasureState, StickConfig, evolve, measure_eval,
-                             sample_marginal, sticks_to_weights,
-                             theoretical_acf, weights_to_sticks)
+from diffmix.measure import (StickConfig, move_sticks, sample_sticks,
+                             sticks_to_weights_matrix, theoretical_acf)
+from oracles import expected_weight_overlap
 
 
 @pytest.fixture
@@ -20,33 +24,31 @@ def rng():
     return np.random.default_rng(77)
 
 
+def sticks_from_weights(w):
+    """The stick-breaking recursion run backwards, v_j = w_j / rem_j,
+    carrying the remaining mass rem_j = prod_{i<j} (1 - v_i)."""
+    v, rem = np.empty_like(w), 1.0
+    for j, wj in enumerate(w):
+        v[j] = wj / rem
+        rem *= 1.0 - v[j]
+    return v
+
+
 class TestWeightMaps:
     def test_simple_example(self):
-        w = sticks_to_weights(np.array([0.5, 0.5]))
+        w = sticks_to_weights_matrix(np.array([0.5, 0.5]))
         np.testing.assert_allclose(w, [0.5, 0.25])
         assert 1.0 - w.sum() == pytest.approx(0.25)
 
     def test_degenerate_first_stick(self):
-        w = sticks_to_weights(np.array([1 - 1e-12, 0.5, 0.5]))
+        w = sticks_to_weights_matrix(np.array([1 - 1e-12, 0.5, 0.5]))
         assert w[0] == pytest.approx(1.0, abs=1e-11)
         assert np.all(w[1:] < 1e-11)
 
     def test_identity_sum(self, rng):
         v = rng.uniform(0.01, 0.99, size=50)
-        w = sticks_to_weights(v)
+        w = sticks_to_weights_matrix(v)
         assert w.sum() + np.prod(1 - v) == pytest.approx(1.0, abs=1e-14)
-
-    def test_inverse_example(self):
-        v = weights_to_sticks(np.array([0.5, 0.25]))
-        np.testing.assert_allclose(v, [0.5, 0.5])
-
-    def test_single_full_weight_boundary(self):
-        v = weights_to_sticks(np.array([1.0]))
-        assert v[0] == pytest.approx(1.0)
-
-    def test_degeneracy_error(self):
-        with pytest.raises(NumericalError):
-            weights_to_sticks(np.array([0.7, 0.3, 0.05]))
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.floats(min_value=0.01, max_value=0.5), min_size=1,
@@ -55,33 +57,22 @@ class TestWeightMaps:
         # recovery of stick j conditions on the remaining mass at j, so
         # the strategy keeps the remainder well above machine precision
         v = np.array(values)
-        back = weights_to_sticks(sticks_to_weights(v))
-        assert np.max(np.abs(back - v)) < 1e-12
-        # the (m, n) form used by the mixture layer maps every column alike
+        w = sticks_to_weights_matrix(v)
+        assert np.max(np.abs(sticks_from_weights(w) - v)) < 1e-12
+        # an (m, n) matrix maps every column alike, weights plus deficit
+        # summing to one in each
+        both = sticks_to_weights_matrix(np.column_stack([v, v[::-1]]))
         np.testing.assert_array_equal(
-            measure.sticks_to_weights_matrix(np.column_stack([v, v[::-1]])),
-            np.column_stack([sticks_to_weights(v),
-                             sticks_to_weights(v[::-1])]))
+            both, np.column_stack([w, sticks_to_weights_matrix(v[::-1])]))
+        np.testing.assert_allclose(both.sum(axis=0) + np.prod(1 - v), 1.0,
+                                   rtol=0.0, atol=1e-14)
 
     def test_round_trip_fifty_dp_sticks(self, rng):
         # a 50-deep truncation is the many-small-sticks regime
         for _ in range(25):
             v = np.clip(rng.beta(1.0, 8.0, size=50), 1e-6, 0.95)
-            back = weights_to_sticks(sticks_to_weights(v))
+            back = sticks_from_weights(sticks_to_weights_matrix(v))
             assert np.max(np.abs(back - v)) < 1e-12
-
-    def test_exhausted_remainder_raises(self, rng):
-        # fifty heavy sticks push the remainder below resolution
-        v = rng.uniform(0.5, 0.95, size=60)
-        w = sticks_to_weights(v)
-        with pytest.raises(NumericalError):
-            weights_to_sticks(w)
-
-    def test_domain_validation(self):
-        with pytest.raises(ValueError):
-            sticks_to_weights(np.array([0.5, 1.0]))
-        with pytest.raises(ValueError):
-            weights_to_sticks(np.array([-0.1, 0.5]))
 
 
 class TestStickConfig:
@@ -181,83 +172,69 @@ class TestStickConfig:
 
 class TestSampleMarginal:
     def test_deficit_below_tolerance(self, rng):
-        cfg = StickConfig.dp(1.0)
-        state = sample_marginal(cfg, lambda r, n: r.uniform(size=n), 1e-3, rng)
-        assert state.deficit(0) < 1e-3
+        v = sample_sticks(StickConfig.dp(1.0), 1e-3, rng, reps=50)
+        assert np.all(np.prod(1.0 - v, axis=0) < 1e-3)
 
     def test_expected_stick_count(self, rng):
         # stopping count: first passage of an Exp(theta) random walk over
-        # log(1/tol); Wald gives E[count] = theta log(1/tol) + 1
+        # log(1/tol); Wald gives E[count] = theta log(1/tol) + 1. Each
+        # column's own first passage, not the shared truncation, is the
+        # count.
         theta, tol = 1.0, 0.01
-        cfg = StickConfig.dp(theta)
         reps = 4000
-        counts = np.array([
-            sample_marginal(cfg, lambda r, n: r.uniform(size=n), tol, rng).m
-            for _ in range(reps)])
+        v = sample_sticks(StickConfig.dp(theta), tol, rng, reps)
+        passed = np.cumsum(np.log1p(-v), axis=0) < np.log(tol)
+        counts = passed.argmax(axis=0) + 1
         expected = theta * np.log(1.0 / tol) + 1.0
         se = counts.std(ddof=1) / np.sqrt(reps)
         assert abs(counts.mean() - expected) < 3 * se
 
     def test_first_weight_mean(self, rng):
         theta = 2.0
-        cfg = StickConfig.dp(theta)
         reps = 4000
-        w1 = np.array([
-            sample_marginal(cfg, lambda r, n: r.uniform(size=n), 1e-3, rng)
-            .weights(0)[0]
-            for _ in range(reps)])
+        v = sample_sticks(StickConfig.dp(theta), 1e-3, rng, reps)
+        w1 = sticks_to_weights_matrix(v)[0]
         se = w1.std(ddof=1) / np.sqrt(reps)
         assert abs(w1.mean() - 1.0 / (1.0 + theta)) < 3 * se
 
     def test_small_theta_single_atom(self, rng):
-        cfg = StickConfig.dp(0.05)
-        state = sample_marginal(cfg, lambda r, n: r.uniform(size=n), 1e-3, rng)
-        assert state.weights(0)[0] > 0.5  # typically close to 1
+        v = sample_sticks(StickConfig.dp(0.05), 1e-3, rng)
+        assert sticks_to_weights_matrix(v)[0, 0] > 0.5  # typically near 1
+
+
+def measure_of_set(sticks, inside):
+    """P(A) per column: the summed weights of the atoms inside A."""
+    return (sticks_to_weights_matrix(sticks) * inside).sum(axis=0)
 
 
 class TestEvolve:
-    def test_atoms_fixed_times_shift(self, rng):
-        cfg = StickConfig.dp(1.0)
-        state = sample_marginal(cfg, lambda r, n: r.uniform(size=n), 1e-4, rng)
-        out = evolve(state, cfg, 0.7, rng)
-        assert out.times[0] == pytest.approx(0.7)
-        np.testing.assert_array_equal(out.atoms, state.atoms)
-        assert out.m == state.m
-
     def test_large_dt_decorrelates(self, rng):
         cfg = StickConfig.dp(1.0)
-        before = []
-        after = []
-        for _ in range(2000):
-            state = sample_marginal(cfg, lambda r, n: r.uniform(size=n),
-                                    1e-3, rng)
-            out = evolve(state, cfg, 50.0, rng)
-            before.append(state.sticks[0, 0])
-            after.append(out.sticks[0, 0])
-        r = np.corrcoef(before, after)[0, 1]
-        assert abs(r) < 3.0 / np.sqrt(2000)
+        reps = 2000
+        before = sample_sticks(cfg, 1e-3, rng, reps)
+        after = move_sticks(before, cfg, 50.0, rng)
+        r = np.corrcoef(before[0], after[0])[0, 1]
+        assert abs(r) < 3.0 / np.sqrt(reps)
 
     def test_small_dt_total_variation_shrinks(self, rng):
         cfg = StickConfig.dp(1.0)
-        state = sample_marginal(cfg, lambda r, n: r.uniform(size=n), 1e-4, rng)
+        start = sample_sticks(cfg, 1e-4, rng)
+        w0 = sticks_to_weights_matrix(start)
         tv = []
         for dt in (1.0, 0.1, 0.01):
-            moved = evolve(state, cfg, dt, rng)
-            tv.append(0.5 * np.abs(moved.weights(0) - state.weights(0)).sum())
+            moved = move_sticks(start, cfg, dt, rng)
+            tv.append(0.5 * np.abs(sticks_to_weights_matrix(moved) - w0).sum())
         assert tv[0] > tv[2]
         assert tv[2] < 0.1
 
     def test_stationarity_of_moments(self, rng):
-        # after evolving, P_t(A) keeps the Dirichlet mean and variance
+        # after a move, P_t(A) keeps the Dirichlet mean and variance
         theta = 1.0
         cfg = StickConfig.dp(theta)
         reps = 3000
-        vals = np.empty(reps)
-        for i in range(reps):
-            state = sample_marginal(cfg, lambda r, n: r.uniform(size=n),
-                                    1e-4, rng)
-            state = evolve(state, cfg, 0.8, rng)
-            vals[i] = measure_eval(state, 0, lambda x: x < 0.5).value
+        sticks = sample_sticks(cfg, 1e-4, rng, reps)
+        atoms = rng.uniform(size=sticks.shape)
+        vals = measure_of_set(move_sticks(sticks, cfg, 0.8, rng), atoms < 0.5)
         se_mean = vals.std(ddof=1) / np.sqrt(reps)
         assert abs(vals.mean() - 0.5) < 3 * se_mean
         s2 = vals.var(ddof=1)
@@ -265,45 +242,29 @@ class TestEvolve:
         se_var = np.sqrt(max(m4 - s2 ** 2, 0) / reps)
         assert abs(s2 - 0.125) < 3 * se_var
 
-
     @pytest.mark.parametrize("cfg", [
         StickConfig.pitman_yor(1.0, 0.3),
         StickConfig.general_gem([(1.0, 1.0), (1.0, 2.0), (1.5, 2.5)]),
     ], ids=["pitman_yor", "gem_three_pairs"])
     def test_non_dp_keeps_each_beta_marginal(self, cfg, rng):
-        # stationary start: evolving must keep stick j Beta(a_j, b_j)
+        # stationary start: the move must keep stick j Beta(a_j, b_j)
         m, reps = 5, 2000
         a, b, _ = cfg.params(m)
-        moved = np.empty((reps, m))
-        for i in range(reps):
-            state = MeasureState(times=[0.0], sticks=rng.beta(a, b)[:, None],
-                                 atoms=np.zeros(m))
-            moved[i] = evolve(state, cfg, 0.4, rng).sticks[:, 0]
+        start = rng.beta(a[:, None], b[:, None], size=(m, reps))
+        moved = move_sticks(start, cfg, 0.4, rng)
         for j in range(m):
-            ks = stats.kstest(moved[:, j], stats.beta(a[j], b[j]).cdf)
+            ks = stats.kstest(moved[j], stats.beta(a[j], b[j]).cdf)
             assert ks.pvalue > 0.001, (j, ks)
-
-    def test_rejects_multi_time_state(self):
-        state = MeasureState(times=[0.0, 1.0], sticks=np.full((3, 2), 0.5),
-                             atoms=np.zeros(3))
-        with pytest.raises(ValueError, match="single-time"):
-            evolve(state, StickConfig.dp(1.0), 0.5, np.random.default_rng(0))
 
 
 class TestMeasureEval:
     def test_whole_space_and_empty(self, rng):
-        cfg = StickConfig.dp(1.0)
-        state = sample_marginal(cfg, lambda r, n: r.uniform(size=n), 1e-4, rng)
-        full = measure_eval(state, 0, lambda x: np.ones(len(x), dtype=bool))
-        assert full.value == pytest.approx(1.0 - full.deficit, abs=1e-12)
-        empty = measure_eval(state, 0, lambda x: np.zeros(len(x), dtype=bool))
-        assert empty.value == 0.0
-
-    def test_bad_predicate_shape(self, rng):
-        cfg = StickConfig.dp(1.0)
-        state = sample_marginal(cfg, lambda r, n: r.uniform(size=n), 1e-4, rng)
-        with pytest.raises(ValueError):
-            measure_eval(state, 0, lambda x: np.ones(1, dtype=bool))
+        v = sample_sticks(StickConfig.dp(1.0), 1e-4, rng, reps=20)
+        full = measure_of_set(v, np.ones(v.shape, dtype=bool))
+        np.testing.assert_allclose(full, 1.0 - np.prod(1.0 - v, axis=0),
+                                   rtol=0.0, atol=1e-12)
+        empty = measure_of_set(v, np.zeros(v.shape, dtype=bool))
+        np.testing.assert_array_equal(empty, 0.0)
 
 
 class TestTheoreticalAcf:
@@ -317,7 +278,7 @@ class TestTheoreticalAcf:
     def test_series_form_matches_closed_form(self):
         # two independent implementations of the same function
         theta, s = 1.0, 2.0
-        via_series = (1.0 + theta) * measure.expected_weight_overlap(theta, s)
+        via_series = (1.0 + theta) * expected_weight_overlap(theta, s)
         assert via_series == pytest.approx(theoretical_acf(theta, s),
                                            abs=1e-14)
 
@@ -331,16 +292,3 @@ class TestTheoreticalAcf:
             theoretical_acf(0.0, 1.0)
         with pytest.raises(ValueError):
             theoretical_acf(1.0, -0.5)
-
-
-class TestMeasureState:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            MeasureState(times=[0.0, 0.0], sticks=np.full((1, 2), 0.5),
-                         atoms=np.zeros(1))
-        with pytest.raises(ValueError):
-            MeasureState(times=[0.0], sticks=np.array([[1.0]]),
-                         atoms=np.zeros(1))
-        with pytest.raises(ValueError):
-            MeasureState(times=[0.0], sticks=np.full((2, 1), 0.5),
-                         atoms=np.zeros(3))

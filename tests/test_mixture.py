@@ -1,5 +1,7 @@
 """Gaussian mixture layer tests: kernel, density, mean functional, toy data."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,24 +9,25 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from diffmix import mixture
-from diffmix.measure import MeasureState, weights_to_sticks
-from diffmix.mixture import (CenteringMeasure, density_eval, gaussian_logpdf,
-                             mean_functional, renormalised_mixture,
-                             simulate_toy, toy_mean)
+from diffmix.measure import StickConfig, sample_sticks
+from diffmix.mixture import (CenteringMeasure, gaussian_logpdf,
+                             renormalised_mixture, simulate_toy, toy_mean)
 
 
+@lru_cache  # leggauss solves an n x n eigenproblem; reuse its nodes
 def unit_gauss_legendre(lo, hi, n):
     x, w = np.polynomial.legendre.leggauss(n)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
 
-def state_from_weights(weights, means, precisions):
-    """Single-time state carrying the requested (possibly deficient) weights."""
-    v = weights_to_sticks(np.asarray(weights, dtype=float))
-    v = np.clip(v, 1e-12, 1 - 1e-12)
-    atoms = np.column_stack([means, precisions])
-    return MeasureState(times=[0.0], sticks=v[:, None], atoms=atoms)
+def density(sticks, means, precisions, y):
+    """Renormalised mixture density at the points y, one row per time."""
+    means, precisions = np.asarray(means), np.asarray(precisions)
+    sticks = np.asarray(sticks, dtype=float).reshape(len(means), -1)
+    return renormalised_mixture(
+        sticks, kernel(np.asarray(y)[None, :], means[:, None],
+                       precisions[:, None]))
 
 
 @pytest.fixture
@@ -51,85 +54,92 @@ class TestKernel:
 
 class TestDensityEval:
     def test_single_dominant_atom(self):
-        state = state_from_weights([1 - 1e-10], [1.5], [2.0])
         grid = np.linspace(-2, 5, 20)
-        np.testing.assert_allclose(density_eval(state, 0, grid),
+        np.testing.assert_allclose(density([1 - 1e-10], [1.5], [2.0], grid)[0],
                                    kernel(grid, 1.5, 2.0), rtol=1e-8)
 
     def test_renormalized_integrates_to_one(self):
-        state = state_from_weights([0.4, 0.3, 0.2], [0.0, 1.0, -2.0],
-                                   [1.0, 4.0, 0.5])
+        # weights 0.4, 0.3, 0.2 with deficit 0.1
         grid, w = unit_gauss_legendre(-14.0, 12.0, 600)
-        total = w @ density_eval(state, 0, grid)
-        assert total == pytest.approx(1.0, abs=1e-6)
+        dens = density([0.4, 0.5, 2.0 / 3.0], [0.0, 1.0, -2.0],
+                       [1.0, 4.0, 0.5], grid)[0]
+        assert w @ dens == pytest.approx(1.0, abs=1e-6)
 
     def test_bimodal_with_separated_atoms(self):
-        state = state_from_weights([0.5, 0.5 - 1e-9], [-1.0, 1.0],
-                                   [100.0, 100.0])
+        # weights 0.5 and 0.5 - 1e-9
         grid = np.linspace(-2, 2, 401)
-        dens = density_eval(state, 0, grid)
+        dens = density([0.5, 1.0 - 2e-9], [-1.0, 1.0], [100.0, 100.0],
+                       grid)[0]
         modes = grid[np.r_[False, (dens[1:-1] > dens[:-2])
                            & (dens[1:-1] > dens[2:]), False]]
         assert len(modes) == 2
         np.testing.assert_allclose(modes, [-1.0, 1.0], atol=0.02)
 
 
+def mean_functional(sticks, means):
+    """First moment of the renormalised mixture at one time."""
+    return float(renormalised_mixture(np.asarray(sticks)[:, None],
+                                      np.asarray(means))[0])
+
+
 class TestMeanFunctional:
     def test_single_atom(self):
-        state = state_from_weights([1 - 1e-12], [3.25], [1.0])
-        assert mean_functional(state, 0) == pytest.approx(3.25, abs=1e-9)
+        assert mean_functional([1 - 1e-12], [3.25]) == pytest.approx(
+            3.25, abs=1e-9)
 
     def test_deficit_arithmetic(self):
-        state = state_from_weights([0.5, 0.25], [0.0, 4.0], [1.0, 1.0])
-        assert mean_functional(state, 0) == pytest.approx(4.0 / 3.0, abs=1e-9)
+        # weights 0.5 and 0.25 keep mass 0.75
+        assert mean_functional([0.5, 0.5], [0.0, 4.0]) == pytest.approx(
+            4.0 / 3.0, abs=1e-9)
 
     def test_agrees_with_quadrature(self):
-        state = state_from_weights([0.35, 0.3, 0.25], [0.5, -1.0, 2.0],
-                                   [2.0, 1.0, 5.0])
+        # weights 0.35, 0.3 and 0.25
+        sticks = [0.35, 0.3 / 0.65, 0.25 / 0.35]
+        means, precs = [0.5, -1.0, 2.0], [2.0, 1.0, 5.0]
         grid, w = unit_gauss_legendre(-12.0, 13.0, 800)
-        quad = w @ (grid * density_eval(state, 0, grid))
-        assert mean_functional(state, 0) == pytest.approx(quad, abs=1e-6)
+        quad = w @ (grid * density(sticks, means, precs, grid)[0])
+        assert mean_functional(sticks, means) == pytest.approx(quad, abs=1e-6)
 
 
 @st.composite
 def mixture_states(draw):
+    """(sticks, means, precisions): m components at n times."""
     m = draw(st.integers(1, 6))
     n = draw(st.integers(1, 4))
     sticks = draw(hnp.arrays(float, (m, n),
                              elements=st.floats(0.02, 0.98)))
     means = draw(hnp.arrays(float, m, elements=st.floats(-2.0, 2.0)))
     precs = draw(hnp.arrays(float, m, elements=st.floats(0.5, 4.0)))
-    return MeasureState(times=np.arange(n, dtype=float), sticks=sticks,
-                        atoms=np.column_stack([means, precs]))
+    return sticks, means, precs
 
 
 class TestRenormalisedMixture:
     @settings(max_examples=60, deadline=None)
     @given(mixture_states(), st.integers(0, 2 ** 32 - 1))
     def test_shapes_agree_with_per_time_density(self, state, seed):
-        means, precs = state.atoms[:, 0], state.atoms[:, 1]
+        sticks, means, precs = state
+        n_times = sticks.shape[1]
         # precisions >= 0.5 and |means| <= 2 keep all mass inside +-15
         grid, w = unit_gauss_legendre(-15.0, 15.0, 600)
-        surface = renormalised_mixture(
-            state.sticks,
-            kernel(grid[None, :], means[:, None], precs[:, None]))
-        for i in range(state.n_times):
+        surface = density(sticks, means, precs, grid)
+        for i in range(n_times):
             np.testing.assert_allclose(
-                surface[i], density_eval(state, i, grid), rtol=1e-12,
-                atol=1e-300)
+                surface[i], density(sticks[:, i], means, precs, grid)[0],
+                rtol=1e-12, atol=1e-300)
         np.testing.assert_allclose(surface @ w, 1.0, atol=1e-8)
         # per-observation form: each value at its own time
         rng = np.random.default_rng(seed)
-        tidx = rng.integers(0, state.n_times, size=12)
+        tidx = rng.integers(0, n_times, size=12)
         ys = rng.uniform(-3.0, 3.0, size=12)
         per_obs = renormalised_mixture(
-            state.sticks, kernel(ys[:, None], means[None, :], precs[None, :]),
+            sticks, kernel(ys[:, None], means[None, :], precs[None, :]),
             tidx)
-        expected = [density_eval(state, t, y) for t, y in zip(tidx, ys)]
+        expected = [density(sticks[:, t], means, precs, [y])[0, 0]
+                    for t, y in zip(tidx, ys)]
         np.testing.assert_allclose(per_obs, expected, rtol=1e-12)
         np.testing.assert_allclose(
-            renormalised_mixture(state.sticks, means),
-            [mean_functional(state, i) for i in range(state.n_times)],
+            renormalised_mixture(sticks, means),
+            [mean_functional(sticks[:, i], means) for i in range(n_times)],
             rtol=1e-12, atol=1e-15)
 
 
@@ -138,15 +148,14 @@ class TestPriorPredictive:
         # E over measure draws of the mixture density at a point equals
         # the normal-gamma predictive (a scaled Student t) at that point
         from scipy import stats as sps
-        from diffmix.measure import StickConfig, sample_marginal
         cm = CenteringMeasure()
-        cfg = StickConfig.dp(1.0)
         points = np.array([0.0, 4.0, 12.0])
         reps = 3000
-        vals = np.empty((reps, len(points)))
-        for i in range(reps):
-            state = sample_marginal(cfg, cm.sample, 1e-4, rng)
-            vals[i] = density_eval(state, 0, points)
+        sticks = sample_sticks(StickConfig.dp(1.0), 1e-4, rng, reps)
+        atoms = cm.sample(rng, sticks.size).reshape(*sticks.shape, 2)
+        vals = np.array([density(sticks[:, r], atoms[:, r, 0],
+                                 atoms[:, r, 1], points)[0]
+                         for r in range(reps)])
         df = 2.0 * cm.shape
         scale = np.sqrt(cm.rate * (cm.precision_scale + 1.0)
                         / (cm.shape * cm.precision_scale))

@@ -2,8 +2,8 @@
 
 sample_sticks draws many truncated replicates as one (M, reps) matrix
 and move_sticks moves such a matrix through the exact transition law.
-sample_marginal and evolve are their one-replicate cases, so their
-output for a given generator is pinned here by digest.
+The one-replicate stream (a marginal draw, atoms, then a move) is pinned
+here by digest.
 """
 
 import hashlib
@@ -13,8 +13,7 @@ import pytest
 from scipy import stats
 
 from diffmix import wf
-from diffmix.measure import (StickConfig, evolve, move_sticks,
-                             sample_marginal, sample_sticks)
+from diffmix.measure import StickConfig, move_sticks, sample_sticks
 
 CONFIGS = {
     "dp": StickConfig.dp(1.0),
@@ -50,9 +49,10 @@ def test_truncation_is_the_first_row_every_column_passes(name, seed):
     assert np.any(log_deficit[-2] >= np.log(tol))
 
 
-# (sticks and atoms, sticks after evolve by 0.3) of sample_marginal with
-# uniform atoms at trunc_tol 1e-4 from default_rng(seed); None where the
-# evolve costs a lineage table per stick and is left out
+# (stick count, digest of the sticks and atoms, digest of the sticks
+# after a move by 0.3): one replicate at trunc_tol 1e-4, then uniform
+# atoms, then the move, all from default_rng(seed); None where the move
+# costs a lineage table per stick and is left out
 PINNED = {
     ("dp", 0): (4, "d9366fb92463856e", "8e1213a2eb1f89af"),
     ("dp", 1): (9, "12a089d5876d2c7c", "cfbacabd02e0ab8a"),
@@ -75,11 +75,12 @@ def test_sample_marginal_and_evolve_streams_pinned(key):
     m, drawn, moved = PINNED[key]
     cfg = CONFIGS[name]
     rng = np.random.default_rng(seed)
-    state = sample_marginal(cfg, uniform_atoms, 1e-4, rng)
-    assert state.m == m
-    assert digest(state.sticks, state.atoms) == drawn
+    sticks = sample_sticks(cfg, 1e-4, rng)
+    atoms = uniform_atoms(rng, len(sticks))
+    assert sticks.shape == (m, 1)
+    assert digest(sticks, atoms) == drawn
     if moved is not None:
-        assert digest(evolve(state, cfg, 0.3, rng).sticks) == moved
+        assert digest(move_sticks(sticks, cfg, 0.3, rng)) == moved
 
 
 def test_move_sticks_keeps_each_pitman_yor_marginal():

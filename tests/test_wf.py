@@ -12,7 +12,8 @@ from scipy import stats
 from diffmix import wf
 from diffmix.errors import SeriesTruncationError
 from diffmix.wf import WFParams
-from oracles import lineage_table_loggamma, pair_mixture_density
+from oracles import (lineage_table_loggamma, pair_mixture_density,
+                     transition_mixture_component)
 
 
 def unit_gauss_legendre(n):
@@ -40,27 +41,6 @@ class TestParams:
         assert p.c == pytest.approx(2.0)
         # standard clock change is the identity
         assert p.standardised_time(0.7) == pytest.approx(0.7)
-
-
-class TestInvariantDensity:
-    def test_uniform_case(self):
-        assert wf.invariant_density(0.5, WFParams(1, 1, 1)) == pytest.approx(1.0)
-
-    def test_beta22(self):
-        assert wf.invariant_density(0.5, WFParams(2, 2, 1)) == pytest.approx(1.5)
-
-    def test_shape_maximised_at_zero_for_1_4(self):
-        p = WFParams(1, 4, 2)
-        grid = np.linspace(0.01, 0.99, 99)
-        dens = wf.invariant_density(grid, p)
-        assert np.argmax(dens) == 0
-        assert np.all(np.diff(dens) < 0)
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            wf.invariant_density(0.0, WFParams(1, 4, 2))
-        with pytest.raises(ValueError):
-            wf.invariant_density(1.2, WFParams(1, 4, 2))
 
 
 class TestSeriesWeights:
@@ -160,18 +140,18 @@ class TestLineageWeights:
 class TestMixtureComponent:
     def test_m0_is_invariant_density(self):
         p = WFParams(1, 4, 2)
-        val = wf.transition_mixture_component(0.37, 0, 0.8, p)
-        assert val == pytest.approx(wf.invariant_density(0.37, p), rel=1e-12)
+        val = transition_mixture_component(0.37, 0, 0.8, p)
+        assert val == pytest.approx(stats.beta(1, 4).pdf(0.37), rel=1e-12)
 
     def test_m1_v0_one_shifts_first_shape(self):
         p = WFParams(1, 4, 2)
-        val = wf.transition_mixture_component(0.3, 1, 1.0, p)
+        val = transition_mixture_component(0.3, 1, 1.0, p)
         assert val == pytest.approx(stats.beta(2, 4).pdf(0.3), rel=1e-12)
 
     def test_integrates_to_one(self):
         p = WFParams(1, 4, 2)
         x, w = unit_gauss_legendre(256)
-        dens = wf.transition_mixture_component(x, 3, 0.3, p)
+        dens = transition_mixture_component(x, 3, 0.3, p)
         assert w @ dens == pytest.approx(1.0, abs=1e-8)
 
 
@@ -221,7 +201,7 @@ class TestMixtureEvaluator:
         log_weights = np.full(m + 1, -np.inf)
         log_weights[m] = 0.0
         for v0 in (0.0, 0.3, 1.0):
-            dens = wf.transition_mixture_component(x, m, v0, p)
+            dens = transition_mixture_component(x, m, v0, p)
             ref = pair_mixture_density(log_weights, v0, x, p)
             np.testing.assert_allclose(dens, ref, rtol=1e-12, atol=0.0)
 
@@ -251,7 +231,7 @@ class TestTransitionDensity:
         p = WFParams(1, 4, 2)
         grid = np.linspace(0.02, 0.98, 25)
         dens = wf.transition_density(grid, 0.7, 60.0, p)
-        np.testing.assert_allclose(dens, wf.invariant_density(grid, p),
+        np.testing.assert_allclose(dens, stats.beta(p.a, p.b).pdf(grid),
                                    rtol=1e-7)
 
     def test_quadrature_normalisation(self):
@@ -404,6 +384,19 @@ class TestEulerBitIdentity:
         assert np.array_equal(times, np.arange(len(ref)) * step)
         if case == "clamped":
             assert np.any(ref == 1.0 - wf.EULER_CLAMP)
+
+    @pytest.mark.parametrize("block", [1, 7, 5000])
+    def test_path_blocks_match_reference_loop(self, monkeypatch, block):
+        # normals one at a time, in blocks of 7 that end on a partial
+        # block, and in one block for the whole path
+        monkeypatch.setattr(wf, "EULER_PATH_BLOCK", block)
+        for case in ("clamped", "no_noise"):
+            p, v0, span, step, noise = EULER_CASES[case]
+            ref = reference_euler(v0, span, step, p,
+                                  np.random.default_rng(5), 1, noise)[:, 0]
+            _, path = wf.euler_path(v0, span, step, p,
+                                    np.random.default_rng(5), noise=noise)
+            assert np.array_equal(path, ref)
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_endpoints_match_reference_loop(self, monkeypatch, rows):
