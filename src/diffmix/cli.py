@@ -314,6 +314,8 @@ def cmd_summarize(args) -> int:
             raise UsageError(f"--y-grid: cannot parse {args.y_grid!r}") from exc
         if count < 2 or not hi > lo:
             raise UsageError("--y-grid needs HI > LO and COUNT >= 2")
+        if not all(np.isfinite([lo, hi, hi - lo])):
+            raise UsageError("--y-grid needs finite LO, HI and HI - LO")
         grid = np.linspace(lo, hi, count)
     else:
         grid = _default_grid(draws, args.data, args.date_column)

@@ -866,10 +866,57 @@ class PosteriorDraws:
 
     @classmethod
     def load(cls, path) -> "PosteriorDraws":
+        """Read a draws archive; DataError unless every array is present,
+        the shapes agree and each draw's own components are valid."""
         meta, arrays = read_container(path, DRAWS_FORMAT, ARCHIVE_VERSION)
+        missing = [name for name in ("times", *_DRAW_ARRAYS)
+                   if name not in arrays]
+        if missing:
+            raise DataError(f"{path}: draws archive lacks "
+                            f"{', '.join(missing)}")
+        _check_draws(path, arrays)
         return cls(**{name: arrays[name] for name in ("times", *_DRAW_ARRAYS)},
                    config_json=meta.get("config", ""),
                    config_digest=meta.get("config_digest", ""))
+
+
+def _check_draws(path, arrays: dict[str, np.ndarray]) -> None:
+    """Raise DataError naming the draw and the array that breaks the draws
+    layout: d >= 1 draws, m in 1..M, sticks (d, M, times), atoms (d, M),
+    and within each draw's m sticks in (0, 1), finite atom means, positive
+    finite precisions, and theta and c finite and positive."""
+    m, sticks = arrays["m"], arrays["sticks"]
+    if m.ndim != 1 or len(m) < 1 or m.dtype.kind not in "iu":
+        raise DataError(f"{path}: m must hold one integer per draw, at "
+                        f"least one draw (found {m.dtype} shape {m.shape})")
+    d, width = len(m), sticks.shape[1] if sticks.ndim == 3 else -1
+    shapes = {"times": (arrays["times"].size,), "theta": (d,), "c": (d,),
+              "sticks": (d, width, arrays["times"].size),
+              "atom_mean": (d, width), "atom_prec": (d, width)}
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape or arrays[name].dtype.kind not in "iuf":
+            raise DataError(f"{path}: {name} has {arrays[name].dtype} shape "
+                            f"{arrays[name].shape}, expected real numbers of "
+                            f"shape {shape}")
+    own = np.arange(width) < m[:, None]
+    finite_positive = {name: np.isfinite(arrays[name]) & (arrays[name] > 0)
+                       for name in ("theta", "c", "atom_prec")}
+    checks = [
+        ("m", f"outside 1..{width}", (m < 1) | (m > width)),
+        ("theta", "not finite and positive", ~finite_positive["theta"]),
+        ("c", "not finite and positive", ~finite_positive["c"]),
+        ("sticks", "outside (0, 1) within its m",
+         own & ~np.all((sticks > 0) & (sticks < 1), axis=2)),
+        ("atom_mean", "not finite within its m",
+         own & ~np.isfinite(arrays["atom_mean"])),
+        ("atom_prec", "not finite and positive within its m",
+         own & ~finite_positive["atom_prec"]),
+    ]
+    for name, what, bad in checks:
+        if np.any(bad):
+            draw = int(np.flatnonzero(bad.reshape(d, -1).any(axis=1))[0])
+            raise DataError(f"{path}: draw {draw} (m = {m[draw]}): {name} "
+                            f"{what}")
 
 
 def _padded(snapshots: list[dict], n: int) -> dict[str, np.ndarray]:

@@ -59,25 +59,6 @@ class CenteringMeasure:
         out = log_norm + log_gamma
         return float(out) if out.ndim == 0 else out
 
-    def posterior(self, ys: np.ndarray) -> "CenteringMeasure":
-        """Conjugate update given observations assigned to one atom.
-
-        With no observations the prior is returned unchanged.
-        """
-        ys = np.atleast_1d(np.asarray(ys, dtype=float))
-        n = len(ys)
-        total = ys.sum()
-        total_sq = (ys ** 2).sum()
-        scale_n = self.precision_scale + n
-        mean_n = (self.precision_scale * self.mean0 + total) / scale_n
-        rate_n = self.rate + 0.5 * (
-            total_sq + self.precision_scale * self.mean0 ** 2
-            - scale_n * mean_n ** 2
-        )
-        return CenteringMeasure(mean0=mean_n, precision_scale=scale_n,
-                                shape=self.shape + 0.5 * n,
-                                rate=max(rate_n, np.finfo(float).tiny))
-
 
 def gaussian_logpdf(y, means, precisions):
     """log N(y | mean, 1 / precision), broadcasting over all arguments."""

@@ -62,6 +62,9 @@ EULER_PATH_BLOCK = 1 << 16
 
 _LINEAGE_TAIL = 1e-12
 _LINEAGE_ACCURACY = 1e-9
+# largest lineage-series term: e^700 needs more digits than the 320-digit
+# cap, and a float overflows past e^709
+_LINEAGE_TERM_MAX = math.exp(700.0)
 
 # largest M |d log x| and M |d log(1 - x)| across one block of nodes in
 # the Beta-Binomial mixture evaluator: a term then stays within e^300 of
@@ -218,98 +221,76 @@ def _draw_index(cum: np.ndarray, rng: np.random.Generator, size):
 # Exact lineage-count weights (death process started from infinity)
 # ---------------------------------------------------------------------------
 
-def _lineage_row_double(theta: float, ts: float, m: int):
-    """(q_m, max log magnitude) of the alternating series, double precision."""
-    total = 0.0
-    max_log = -np.inf
-    i0 = m
-    block = 128
-    base = gammaln(m + 1.0) + gammaln(theta + m)
+def _lineage_row(theta, ts, m: int, mp=None):
+    """(q_m, log of its largest term) of the alternating lineage series
+
+        q_m = sum_{i >= m} (-1)^(i-m) (theta + 2i - 1) Gamma(theta + m + i - 1)
+              / (m! (i - m)! Gamma(theta + m)) e^{-i (i + theta - 1) ts / 2}
+
+    (Griffiths 1980): term m from log-gammas, each later term from the one
+    before by their ratio, which falls with i, so the row ends at the first
+    falling term below the cutoff. Python floats (cutoff 1e-22), or mpmath
+    at its working precision (cutoff 10^(8 - dps)) when mp is `mpmath.mp`.
+    """
+    if mp is None:
+        exp, log, loggamma, cutoff = math.exp, math.log, math.lgamma, 1e-22
+    else:
+        theta, ts = mp.mpf(theta), mp.mpf(ts)
+        exp, log, loggamma = mp.exp, mp.log, mp.loggamma
+        cutoff = mp.mpf(10) ** (8 - mp.dps)
+    log_mag = (-m * (m + theta - 1) * ts / 2 + log(theta + 2 * m - 1)
+               + loggamma(theta + 2 * m - 1) - loggamma(m + 1)
+               - loggamma(theta + m))
+    # capped below float overflow but past _LINEAGE_TERM_MAX: the loop raises
+    mag = exp(min(log_mag, 701.0))
+    decay, step_decay = exp(-(2 * m + theta) * ts / 2), exp(-ts)
+    q_m, peak, sign, i = 0.0, 0.0, 1, m
     while True:
-        i = np.arange(i0, i0 + block, dtype=float)
-        log_mag = (-i * (i + theta - 1.0) * ts / 2.0
-                   + np.log(theta + 2.0 * i - 1.0)
-                   + gammaln(theta + m + i - 1.0) - gammaln(i - m + 1.0)
-                   - base)
-        sign = np.where(((i - m) % 2) == 0, 1.0, -1.0)
-        total += float(np.sum(sign * np.exp(log_mag)))
-        max_log = max(max_log, float(log_mag.max()))
-        decreasing = log_mag[-1] < log_mag[0]
-        if decreasing and log_mag[-1] < -50.0:
-            break
-        i0 += block
-        if i0 - m > 1 << 20:
+        q_m += mag if sign > 0 else -mag
+        if mag > peak:
+            if mag > _LINEAGE_TERM_MAX:
+                raise SeriesTruncationError(
+                    f"t too small for stable series evaluation at ts={ts}")
+            peak = mag
+        elif mag < cutoff:
+            # peak stays 0 only when a float first term underflows
+            return q_m, (log(peak) if peak else -math.inf)
+        mag *= (decay * (theta + 2 * i + 1) / (theta + 2 * i - 1)
+                * (theta + m + i - 1) / (i - m + 1))
+        decay *= step_decay
+        sign, i = -sign, i + 1
+        if i - m > 1 << 20:
             raise SeriesTruncationError(
                 f"lineage series for m={m} not converging at ts={ts}")
-    return total, max_log
 
 
-def _lineage_table(row, ts: float, cap: int):
-    """All q_m, m = 0, 1, ..., from the per-row evaluator row(m).
+def _lineage_table(theta: float, ts: float, cap: int, mp=None):
+    """(q_m for m = 0, 1, ... as floats, cancellation bound) from
+    _lineage_row in floats, or in mpmath when mp is `mpmath.mp`.
 
-    row returns q_m in its own number type (float or mpmath), or None to
-    abandon the table. Returns (weights as floats, total in the row's
-    number type); weights is None when the table was abandoned.
+    Each row adds 4 units of its precision (4e-16 in floats) times its
+    largest term to the bound. The table ends early once the bound passes
+    1e-8, else once the tail is below 1e-12 and q_m below 1e-13, or after
+    four rows below 1e-14 once the mass passes 1/2.
     """
-    weights = []
-    total = 0
-    m = 0
-    negligible = 0
-    while True:
-        q_m = row(m)
-        if q_m is None:
-            return None, total
+    unit = 4.0e-16 if mp is None else 4 * mp.eps
+    weights, total, err, negligible = [], 0.0, 0.0, 0
+    for m in range(cap + 1):
+        q_m, max_log = _lineage_row(theta, ts, m, mp)
         weights.append(float(q_m))
         total += q_m
+        err += unit * math.exp(max_log)
         negligible = negligible + 1 if abs(q_m) < 1e-14 else 0
         done = 1 - total < _LINEAGE_TAIL and abs(q_m) < 1e-13
-        if done or (negligible >= 4 and total > 0.5):
-            return np.array(weights), total
-        m += 1
-        if m > cap:
-            raise SeriesTruncationError(
-                f"lineage-count support exceeds cap {cap} at ts={ts}")
+        if err > 1e-8 or done or (negligible >= 4 and total > 0.5):
+            return np.array(weights), err
+    raise SeriesTruncationError(
+        f"lineage-count support exceeds cap {cap} at ts={ts}")
 
 
-def _lineage_table_mp(theta: float, ts: float, cap: int,
-                      dps: int) -> np.ndarray:
-    """Arbitrary-precision evaluation for small standardised times."""
-    import mpmath as mp
-
-    with mp.workdps(dps):
-        th = mp.mpf(theta)
-        tt = mp.mpf(ts)
-        cutoff = mp.mpf(10) ** (-(dps - 8))
-        step_decay = mp.exp(-tt)
-        terms_used = 0
-
-        def row(m):
-            nonlocal terms_used
-            # term i = m from log-gammas; each next term by the ratio
-            # e^{-(2i + theta) ts / 2} (theta + 2i + 1) / (theta + 2i - 1)
-            #   * (theta + m + i - 1) / (i - m + 1)
-            mag = mp.exp(-m * (m + th - 1) * tt / 2 + mp.log(th + 2 * m - 1)
-                         + mp.loggamma(th + 2 * m - 1)
-                         - mp.loggamma(m + 1) - mp.loggamma(th + m))
-            decay = mp.exp(-(2 * m + th) * tt / 2)
-            q_m = mp.mpf(0)
-            i = m
-            prev_mag = None
-            while True:
-                q_m += mag if ((i - m) % 2 == 0) else -mag
-                terms_used += 1
-                if terms_used > 400_000:
-                    raise SeriesTruncationError(
-                        f"t too small for series evaluation at ts={ts}")
-                if prev_mag is not None and mag < prev_mag and mag < cutoff:
-                    return q_m
-                prev_mag = mag
-                mag *= (decay * (th + 2 * i + 1) / (th + 2 * i - 1)
-                        * (th + m + i - 1) / (i - m + 1))
-                decay *= step_decay
-                i += 1
-
-        return _lineage_table(row, ts, cap)[0]
+def _lineage_resolved(weights, err, mass_tol: float) -> bool:
+    return (err <= _LINEAGE_ACCURACY and abs(weights.sum() - 1.0) <= mass_tol
+            and not np.any(weights < -1e-9))
 
 
 # one key per distinct (a + b, time) pair: a Pitman-Yor state moved by one
@@ -320,48 +301,32 @@ def _lineage_cumulative(theta: float, ts: float,
     """Cached cumulative lineage-count weights at standardised time ts.
 
     Resolves the distribution to tail mass 1e-12 and absolute weight
-    accuracy near 1e-9, escalating to arbitrary precision when double
-    arithmetic would lose the alternating series to cancellation.
+    accuracy near 1e-9 in floats, escalating to mpmath when the float
+    pass would lose the alternating series to cancellation.
     """
     if not ts > 0:
         raise ValueError("standardised time must be positive")
-    err = 0.0
+    weights, err = _lineage_table(theta, ts, cap)
+    if not _lineage_resolved(weights, err, 1e-8):
+        from mpmath import mp
 
-    def row_double(m):
-        # None once double arithmetic loses the series to cancellation
-        nonlocal err
-        q_m, max_log = _lineage_row_double(theta, ts, m)
-        err += 4.0e-16 * np.exp(min(max_log, 700.0))
-        return q_m if np.isfinite(q_m) and not err > 1e-8 else None
-
-    try:
-        weights, total = _lineage_table(row_double, ts, cap)
-    except (OverflowError, FloatingPointError):
-        weights, total = None, 0.0
-    if weights is not None and (err > _LINEAGE_ACCURACY
-                                or abs(total - 1.0) > 1e-8
-                                or np.any(weights < -1e-9)):
-        weights = None
-    if weights is None:
-        # probe the worst alternating-term magnitude to size the precision,
-        # then escalate until the mass diagnostic passes
-        # probe range tracks the lineage-count support, about 2/ts + slack
+        # digits for the largest term on rows across the support (about
+        # 2/ts plus slack), raised until the mass diagnostic passes
         mmax_probe = int(2.4 / ts) + 48
-        max_log = 0.0
-        for m in range(0, mmax_probe, max(1, mmax_probe // 40)):
-            max_log = max(max_log, _lineage_row_double(theta, ts, m)[1])
+        max_log = max(_lineage_row(theta, ts, m)[1] for m in
+                      range(0, mmax_probe, max(1, mmax_probe // 40)))
         dps = max(40, 25 + int(max_log / 2.302585))
         while True:
             if dps > 320:
                 raise SeriesTruncationError(
                     f"t too small for stable series evaluation at ts={ts}")
             try:
-                weights = _lineage_table_mp(theta, ts, cap, dps)
+                with mp.workdps(dps):
+                    weights, err = _lineage_table(theta, ts, cap, mp)
+                if _lineage_resolved(weights, err, 1e-9):
+                    break
             except SeriesTruncationError:
-                weights = None
-            if weights is not None and abs(weights.sum() - 1.0) < 1e-9 \
-                    and not np.any(weights < -1e-9):
-                break
+                pass
             dps = int(dps * 1.6)
     weights = np.clip(weights, 0.0, None)
     weights /= weights.sum()
@@ -383,8 +348,7 @@ def lineage_weights(t: float, p: WFParams,
         raise ValueError("tol must lie in (0, 1)")
     cum = _lineage_cumulative(p.a + p.b, p.standardised_time(t))
     upto = int(np.searchsorted(cum, 1.0 - tol)) + 1
-    out = np.diff(np.concatenate([[0.0], cum[:upto]]))
-    return out
+    return np.diff(cum[:upto], prepend=0.0)
 
 
 # ---------------------------------------------------------------------------

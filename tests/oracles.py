@@ -64,6 +64,27 @@ def transition_mixture_component(v1, m: int, v0: float, p):
     return wf._mixture_density(log_weights, v0, v1, p)
 
 
+def centering_posterior(cm: CenteringMeasure, ys) -> CenteringMeasure:
+    """Conjugate normal-gamma update of cm given observations assigned to
+    one atom; with no observations cm itself.
+
+    The per-atom reference for gibbs.update_locations, which makes the same
+    update for every atom at once.
+    """
+    ys = np.atleast_1d(np.asarray(ys, dtype=float))
+    n = len(ys)
+    total = ys.sum()
+    total_sq = (ys ** 2).sum()
+    scale_n = cm.precision_scale + n
+    mean_n = (cm.precision_scale * cm.mean0 + total) / scale_n
+    rate_n = cm.rate + 0.5 * (
+        total_sq + cm.precision_scale * cm.mean0 ** 2 - scale_n * mean_n ** 2
+    )
+    return CenteringMeasure(mean0=mean_n, precision_scale=scale_n,
+                            shape=cm.shape + 0.5 * n,
+                            rate=max(rate_n, np.finfo(float).tiny))
+
+
 def acf_series_constants(theta: float) -> tuple[float, float, float]:
     """Constants (c1, c2, rate) of the weight-overlap geometric series.
 
@@ -92,12 +113,13 @@ def expected_weight_overlap(theta: float, s):
     return float(out) if out.ndim == 0 else out
 
 
-def lineage_table_loggamma(theta, ts, dps, cap=wf.DEFAULT_SERIES_CAP):
+def lineage_table_loggamma(theta, ts, dps):
     """Lineage-count weights at dps digits, each alternating term from its
     own log-gammas.
 
-    The reference for wf._lineage_table_mp, which steps from term to term
-    by their ratio; both share wf._lineage_table's row loop and stop rule.
+    The reference for wf._lineage_row, which steps from term to term by
+    their ratio. A row stops at its first falling term below 10^(8 - dps);
+    the table stops by wf._lineage_table's rule.
     """
     import mpmath as mp
 
@@ -119,7 +141,16 @@ def lineage_table_loggamma(theta, ts, dps, cap=wf.DEFAULT_SERIES_CAP):
                 prev_mag = mag
                 i += 1
 
-        return wf._lineage_table(row, ts, cap)[0]
+        weights, total, negligible, m = [], 0, 0, 0
+        while True:
+            q_m = row(m)
+            weights.append(float(q_m))
+            total += q_m
+            negligible = negligible + 1 if abs(q_m) < 1e-14 else 0
+            if (1 - total < 1e-12 and abs(q_m) < 1e-13) \
+                    or (negligible >= 4 and total > 0.5):
+                return np.array(weights)
+            m += 1
 
 
 def stick_joint_tv(rng, replicates=300, sweeps=800, burn=100, grid_n=20,

@@ -2,6 +2,7 @@
 no public definition reached only from tests."""
 
 import ast
+import copy
 import re
 from pathlib import Path
 
@@ -41,27 +42,58 @@ def _identifiers(tree: ast.AST) -> set[str]:
             if isinstance(node, (ast.Name, ast.Attribute))}
 
 
+def _public(node: ast.AST) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+        and not node.name.startswith("_")
+
+
+def _public_definitions(path: Path, live: set[str]) -> dict[str, ast.AST]:
+    """The public functions and classes of one module and the public
+    methods of its public classes, keyed module.name or
+    module.Class.method. A class keeps its other members, and every
+    other statement's identifiers go into live."""
+    definitions = {}
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not _public(node):
+            live |= _identifiers(node)
+            continue
+        key = f"{path.stem}.{node.name}"
+        if isinstance(node, ast.ClassDef):
+            methods = [item for item in node.body if _public(item)]
+            definitions.update({f"{key}.{item.name}": item
+                                for item in methods})
+            node = copy.copy(node)
+            node.body = [item for item in node.body if item not in methods]
+        definitions[key] = node
+    return definitions
+
+
+def _readme_identifiers() -> set[str]:
+    """Names the README code blocks use: Python blocks as parsed code and
+    other blocks word by word, so a word in a `#` comment is no use."""
+    live = set()
+    for lang, block in re.findall(r"```(\w*)\n(.*?)```", README.read_text(
+            encoding="utf-8"), re.S):
+        live |= (_identifiers(ast.parse(block)) if lang == "python"
+                 else set(re.findall(r"\w+", re.sub(r"#.*", "", block))))
+    return live
+
+
 def test_no_public_name_is_reached_only_from_tests():
-    # a public module-level function or class of diffmix must be reached
-    # from package code, the benchmark harness or a README code block,
-    # directly or through other reached definitions
-    definitions, live = {}, set()
+    # a public module-level function or class of diffmix, or a public
+    # method of such a class, must be reached from package code, the
+    # benchmark harness or a README code block, directly or through other
+    # reached definitions
+    live = _readme_identifiers()
+    definitions = {}
     for path in sorted((ROOT / "src" / "diffmix").glob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_"):
-                definitions[f"{path.stem}.{node.name}"] = node
-            else:
-                live |= _identifiers(node)
+        definitions.update(_public_definitions(path, live))
     for path in sorted((ROOT / "perfbench").glob("*.py")):
         live |= _identifiers(ast.parse(path.read_text(encoding="utf-8")))
-    for block in re.findall(r"```.*?\n(.*?)```", README.read_text(
-            encoding="utf-8"), re.S):
-        live |= set(re.findall(r"\w+", block))
     dead = dict(definitions)
     grew = True
     while grew:
-        reached = [key for key in dead if key.split(".")[1] in live]
+        reached = [key for key in dead if key.split(".")[-1] in live]
         for key in reached:
             live |= _identifiers(dead.pop(key))
         grew = bool(reached)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diffmix import validate
-from diffmix.archive import write_container
+from diffmix.archive import read_container, write_container
 from diffmix.cli import main
 from diffmix.gibbs import PosteriorDraws
 
@@ -273,15 +273,43 @@ class TestSummarize:
                        "--out-prefix", str(tmp_path / "s"))
         assert code == 2
 
-    def test_bad_grid_exit_one(self, tmp_path):
+    @pytest.fixture
+    def draws(self, tmp_path):
         data = tmp_path / "toy.csv"
         run_cli("simulate", "--times", "4", "--seed", "2", "--out", str(data))
         draws = tmp_path / "draws.npz"
         run_cli("fit", str(data), "--out", str(draws), "--iters", "6",
                 "--burn-in", "2", "--seed", "3")
-        code = run_cli("summarize", str(draws), "--out-prefix",
-                       str(tmp_path / "s"), "--y-grid", "oops")
-        assert code == 1
+        return draws
+
+    def test_bad_grid_exit_one(self, draws, tmp_path, capsys):
+        for grid, message in [("oops", "expects LO:HI:COUNT"),
+                              ("-inf:inf:10", "finite"),
+                              ("-1e308:1e308:10", "finite")]:
+            code = run_cli("summarize", str(draws), "--out-prefix",
+                           str(tmp_path / "s"), f"--y-grid={grid}")
+            assert code == 1
+            assert message in capsys.readouterr().err
+        assert not (tmp_path / "s.density.csv").exists()
+
+    @pytest.mark.parametrize("name", ["atom_mean", "m"])
+    def test_malformed_draws_exit_two(self, draws, tmp_path, capsys, name):
+        # a NaN atom inside draw 1's own components, or draw 1's m past
+        # the padded width
+        meta, arrays = read_container(draws, "diffmix-draws", 1)
+        width = arrays["sticks"].shape[1]
+        if name == "m":
+            arrays["m"][1] = width + 1
+            message = f"draw 1 (m = {width + 1}): m outside 1..{width}"
+        else:
+            arrays["atom_mean"][1, 0] = np.nan
+            message = f"draw 1 (m = {arrays['m'][1]}): atom_mean not finite"
+        bad = tmp_path / "bad.npz"
+        write_container(bad, meta, arrays)
+        code = run_cli("summarize", str(bad), "--out-prefix",
+                       str(tmp_path / "s"))
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_default_grid_from_date_column_data(self, tmp_path):
         data = tmp_path / "dated.csv"

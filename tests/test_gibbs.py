@@ -2,6 +2,7 @@
 quadrature oracle, chain invariants, determinism, checkpointing."""
 
 import copy
+import re
 import tempfile
 import warnings
 import zipfile
@@ -31,7 +32,8 @@ from diffmix.gibbs import (GammaPrior, PosteriorDraws,
 from diffmix.measure import StickConfig, sticks_to_weights_matrix
 from diffmix.mixture import CenteringMeasure, gaussian_logpdf, simulate_toy
 
-from oracles import stick_joint_tv, transition_mixture_component
+from oracles import (centering_posterior, stick_joint_tv,
+                     transition_mixture_component)
 
 
 def dp_config(**kw):
@@ -279,7 +281,7 @@ class TestLocations:
         ys = np.array([1.0, 1.4, 0.7])
         cm = CenteringMeasure(mean0=0.0, precision_scale=1e-3, shape=10.0,
                               rate=1.0)
-        post = cm.posterior(ys)
+        post = centering_posterior(cm, ys)
         test_points = [(1.0, 9.0), (1.2, 11.0), (0.9, 8.0), (1.05, 10.5),
                        (1.3, 12.0)]
 
@@ -829,17 +831,20 @@ class TestSweepAndChain:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_archive_round_trip_exact(self, data):
-        # any draws, NaN padding beyond each draw's own m included, come
-        # back exactly and save to the same bytes again
+        # any valid draws, NaN padding beyond each draw's own m included,
+        # come back exactly and save to the same bytes again
         n_draws = data.draw(st.integers(1, 5))
         n_times = data.draw(st.integers(1, 4))
         ms = np.array(data.draw(st.lists(st.integers(1, 6), min_size=n_draws,
                                          max_size=n_draws)), dtype=np.int64)
         floats = st.floats(allow_nan=False, allow_infinity=False)
+        positive = st.floats(min_value=0.0, exclude_min=True,
+                             allow_infinity=False)
+        unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
 
-        def padded(*shape):
+        def padded(elements, *shape):
             out = data.draw(hnp.arrays(float, (n_draws, int(ms.max()), *shape),
-                                       elements=floats))
+                                       elements=elements))
             for i, mi in enumerate(ms):
                 out[i, mi:] = np.nan
             return out
@@ -847,9 +852,11 @@ class TestSweepAndChain:
         draws = PosteriorDraws(
             times=np.sort(data.draw(hnp.arrays(float, n_times,
                                                elements=floats))),
-            m=ms, theta=data.draw(hnp.arrays(float, n_draws, elements=floats)),
-            c=data.draw(hnp.arrays(float, n_draws, elements=floats)),
-            sticks=padded(n_times), atom_mean=padded(), atom_prec=padded(),
+            m=ms,
+            theta=data.draw(hnp.arrays(float, n_draws, elements=positive)),
+            c=data.draw(hnp.arrays(float, n_draws, elements=positive)),
+            sticks=padded(unit, n_times), atom_mean=padded(floats),
+            atom_prec=padded(positive),
             config_json=data.draw(st.text()),
             config_digest=data.draw(st.text()))
         with tempfile.TemporaryDirectory() as tmp:
@@ -938,6 +945,41 @@ class TestSweepAndChain:
         save_checkpoint(cp, init_chain(data, cfg, rng), rng, cfg, [])
         with pytest.raises(DataError, match="diffmix-draws"):
             PosteriorDraws.load(cp)
+
+    @pytest.mark.parametrize("case", ["missing", "no_draws", "short_sticks",
+                                      "theta", "stick", "padding"])
+    def test_malformed_draws_archive_refused(self, rng, tmp_path, case):
+        draws = run_chain(small_data(rng), dp_config(iters=4, burn_in=2))
+        arrays = {name: getattr(draws, name).copy() for name in (
+            "times", "m", "theta", "c", "sticks", "atom_mean", "atom_prec")}
+        message = {"missing": "lacks atom_prec",
+                   "no_draws": "at least one draw",
+                   "short_sticks": "sticks has float64 shape",
+                   "theta": f"draw 2 (m = {draws.m[2]}): theta not finite",
+                   "stick": f"draw 1 (m = {draws.m[1]}): sticks outside",
+                   "padding": None}[case]
+        if case == "missing":
+            del arrays["atom_prec"]
+        elif case == "no_draws":
+            arrays = {name: a if name == "times" else a[:0]
+                      for name, a in arrays.items()}
+        elif case == "short_sticks":
+            arrays["sticks"] = arrays["sticks"][:, :, 1:]
+        elif case == "theta":
+            arrays["theta"][2] = np.inf
+        elif case == "stick":
+            arrays["sticks"][1, draws.m[1] - 1, 0] = 1.0
+        else:
+            # beyond its own m a draw may hold anything
+            arrays["sticks"][0, draws.m[0]:] = -1.0
+        path = tmp_path / "draws.npz"
+        write_container(path, {"format": "diffmix-draws", "version": 1},
+                        arrays)
+        if message is None:
+            assert PosteriorDraws.load(path).n_draws == draws.n_draws
+        else:
+            with pytest.raises(DataError, match=re.escape(message)):
+                PosteriorDraws.load(path)
 
     def test_checkpoint_arguments_validated(self, rng, tmp_path):
         data = small_data(rng)

@@ -5,6 +5,7 @@ scipy Beta facts for the invariant law, Euler-Maruyama endpoints and the
 linear-drift conditional-mean identity for the transition law.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -127,14 +128,49 @@ class TestLineageWeights:
             assert slope == pytest.approx(
                 np.exp(-wf.mean_reversion_rate(p) * t), abs=1e-9)
 
-    @pytest.mark.parametrize("ts, dps", [(0.05, 40), (0.02, 56)])
+    @pytest.mark.parametrize("ts, dps", [(5.0, None), (1.0, None),
+                                         (0.2, None), (0.1, None),
+                                         (0.05, 40), (0.02, 56)])
     def test_ratio_rows_match_loggamma_rows(self, ts, dps):
-        # theta = 5 is (a, b) = (1, 4); dps is the precision
-        # _lineage_cumulative starts from at these times
-        table = wf._lineage_table_mp(5.0, ts, wf.DEFAULT_SERIES_CAP, dps)
-        ref = lineage_table_loggamma(5.0, ts, dps)
-        assert len(table) == len(ref)
-        np.testing.assert_allclose(table, ref, rtol=0.0, atol=1e-15)
+        # theta = 5 is (a, b) = (1, 4). dps None is the float pass, checked
+        # against a 60-digit reference; otherwise dps is the precision
+        # _lineage_cumulative starts from at this time
+        if dps is None:
+            table, err = wf._lineage_table(5.0, ts, wf.DEFAULT_SERIES_CAP)
+            assert err <= wf._LINEAGE_ACCURACY
+            ref = lineage_table_loggamma(5.0, ts, 60)
+            n = max(len(table), len(ref))
+            table, ref = (np.pad(x, (0, n - len(x))) for x in (table, ref))
+            np.testing.assert_allclose(table, ref, rtol=0.0, atol=1e-10)
+        else:
+            with mpmath.workdps(dps):
+                table, _ = wf._lineage_table(5.0, ts, wf.DEFAULT_SERIES_CAP,
+                                             mpmath.mp)
+            ref = lineage_table_loggamma(5.0, ts, dps)
+            assert len(table) == len(ref)
+            np.testing.assert_allclose(table, ref, rtol=0.0, atol=1e-15)
+
+    def test_float_pass_hands_over_below_ts_one_tenth(self, monkeypatch):
+        # the float cancellation bound at theta 5 passes 1e-9 between
+        # ts 0.1 and 0.09, so the 0.09 table is rebuilt at 40 digits
+        precisions = []
+        table = wf._lineage_table
+
+        def spy(theta, ts, cap, mp=None):
+            precisions.append(None if mp is None else mp.dps)
+            return table(theta, ts, cap, mp)
+
+        monkeypatch.setattr(wf, "_lineage_table", spy)
+        for ts, expected in [(0.1, [None]), (0.09, [None, 40])]:
+            precisions.clear()
+            wf._lineage_cumulative.__wrapped__(5.0, ts)
+            assert precisions == expected
+
+    def test_term_past_double_range_raises(self):
+        # the largest terms pass e^700 near ts 0.002: more digits than
+        # the 320-digit cap, where a float would overflow
+        with pytest.raises(SeriesTruncationError, match="stable"):
+            wf._lineage_cumulative.__wrapped__(5.0, 0.002)
 
 
 class TestMixtureComponent:
