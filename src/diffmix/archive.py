@@ -39,27 +39,28 @@ def _writestr(zf: zipfile.ZipFile, name: str, payload: bytes) -> None:
     zf.writestr(info, payload)
 
 
-def read_container(path, fmt: str,
-                   version: int) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read back a container written by write_container.
+def read_container(path, fmt: str, version: int,
+                   names) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read meta and the arrays in names from a write_container zip.
 
-    Raises DataError unless its meta names format fmt at this version.
+    Raises DataError unless its meta names format fmt at this version
+    and it holds every array in names, naming any that is missing.
     """
     try:
         with zipfile.ZipFile(path, "r") as zf:
-            names = zf.namelist()
-            if "meta.json" not in names:
+            members = zf.namelist()
+            if "meta.json" not in members:
                 raise DataError(f"{path}: not a diffmix archive (no meta.json)")
             meta = json.loads(zf.read("meta.json").decode())
             if (meta.get("format"), meta.get("version")) != (fmt, version):
                 raise DataError(f"{path}: not a {fmt} archive at version "
                                 f"{version} (found {meta.get('format')} "
                                 f"version {meta.get('version')}); rewrite it")
-            arrays = {}
-            for name in names:
-                if name.endswith(".npy"):
-                    buf = io.BytesIO(zf.read(name))
-                    arrays[name[:-4]] = np.load(buf, allow_pickle=False)
-            return meta, arrays
+            missing = [name for name in names if name + ".npy" not in members]
+            if missing:
+                raise DataError(f"{path}: {fmt} archive lacks "
+                                f"{', '.join(missing)}")
+            return meta, {name: np.load(io.BytesIO(zf.read(name + ".npy")),
+                                        allow_pickle=False) for name in names}
     except (OSError, zipfile.BadZipFile) as exc:
         raise DataError(f"cannot read archive {path}: {exc}") from exc

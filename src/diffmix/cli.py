@@ -122,7 +122,7 @@ def _build_parser() -> _Parser:
 
     val = sub.add_parser("validate", help="run the analytic-identity battery")
     val.add_argument("--quick", action="store_true",
-                     help="fast subset, under a minute")
+                     help="fast subset, a few seconds")
     val.add_argument("--checks", help="comma-separated subset of checks: "
                      + ", ".join(FULL_CHECKS))
     val.add_argument("--seed", type=int, default=0)

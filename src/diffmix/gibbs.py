@@ -246,9 +246,8 @@ def _prior_components(cfg: SamplerConfig, theta: float, c: float,
     jointly along the path: v(t_1) from its Beta marginal, then
     d ~ r_tau, k ~ Bin(d, v_prev), v_next ~ Beta(a + k, b + d - k).
     """
-    a, b, c_arr = (x[offset:] for x in
-                   cfg.stick.params(offset + count, theta, c))
-    runs = stick_runs(a, b, c_arr)
+    a, b = (x[offset:] for x in cfg.stick.params(offset + count, theta))
+    runs = stick_runs(a, b, c)
     n = len(taus) + 1
     sticks = np.empty((count, n))
     o = np.empty((count, n - 1))
@@ -299,8 +298,8 @@ def init_chain(data: TimeGridDataset, cfg: SamplerConfig,
                 f"initial truncation {m} exceeds cap {cfg.m_cap}; raise "
                 "--m-cap (m_cap) or --eta (slice_eta)")
 
-    a, b, c_arr = cfg.stick.params(m, theta, c)
-    runs = stick_runs(a, b, c_arr)
+    a, b = cfg.stick.params(m, theta)
+    runs = stick_runs(a, b, c)
     sticks = rng.beta(a[:, None], b[:, None], size=(m, n))
     sticks = np.clip(sticks, *OPEN_UNIT)
 
@@ -366,7 +365,7 @@ def update_transition_latents(state: ChainState, data: TimeGridDataset,
         return state
     eta2 = cfg.trans_slice_eta
     m = state.m
-    a, b, c = cfg.stick.params(m, state.theta, state.c)
+    a, b = cfg.stick.params(m, state.theta)
     v0 = state.sticks[:, :-1]
     v1 = state.sticks[:, 1:]
     d = state.trans_d
@@ -386,7 +385,7 @@ def update_transition_latents(state: ChainState, data: TimeGridDataset,
     l1mv0 = np.log1p(-v0).ravel()
     l1mv1 = np.log1p(-v1).ravel()
     d_flat = d.ravel()
-    tab = _offset_gammaln(a, b, stick_runs(a, b, c),
+    tab = _offset_gammaln(a, b, stick_runs(a, b, state.c),
                           size=int(max(d_flat.max(), d_hi.max())) + 1)
     base = np.repeat(tab.base, n - 1)
 
@@ -399,7 +398,7 @@ def update_transition_latents(state: ChainState, data: TimeGridDataset,
     state.trans_k = k_flat.reshape(d.shape)
 
     # d | k, o on {k..floor(g_inv(o))}
-    decay = l1mv1 + l1mv0 - (c[:, None] * data.gaps[None, :]).ravel() + eta2
+    decay = l1mv1 + l1mv0 - np.tile(state.c * data.gaps, m) + eta2
     d_new = _draw_rows(
         lambda rows, j: _d_log_mass(tab, base[rows, None], k_flat[rows, None],
                                     decay[rows, None], j),
@@ -510,7 +509,7 @@ def stick_conditional_shapes(state: ChainState, data: TimeGridDataset,
     check the algebra without touching the draw.
     """
     m, n = state.sticks.shape
-    a, b, _ = cfg.stick.params(m, state.theta, state.c)
+    a, b = cfg.stick.params(m, state.theta)
     eq, gt = membership_counts(state, data)
     k_in = np.zeros((m, n))
     k_out = np.zeros((m, n))
@@ -570,7 +569,7 @@ def update_locations(state: ChainState, data: TimeGridDataset,
 
 
 def _log_stick_likelihood(sticks, trans_k, trans_d, taus, a, b, c) -> float:
-    """Log density of sticks and (k, d) latents given (a, b, c) arrays.
+    """Log density of sticks and (k, d) latents given (a, b) arrays, rate c.
 
     Collects every factor that depends on the stick hyperparameters: the
     Beta marginal at the first time, the Negative-Binomial series weights
@@ -588,7 +587,7 @@ def _log_stick_likelihood(sticks, trans_k, trans_d, taus, a, b, c) -> float:
     r = (a + b)[:, None]
     A = a[:, None]
     B = b[:, None]
-    ct = c[:, None] * taus[None, :]
+    ct = c * taus
     d = trans_d
     k = trans_k
     v1 = sticks[:, 1:]
@@ -601,10 +600,9 @@ def _log_stick_likelihood(sticks, trans_k, trans_d, taus, a, b, c) -> float:
 
 def _hyper_log_target(state: ChainState, data: TimeGridDataset,
                       cfg: SamplerConfig, theta: float, c: float) -> float:
-    a, b, c_arr = cfg.stick.params(state.m, theta, c)
-    lik = _log_stick_likelihood(state.sticks, state.trans_k, state.trans_d,
-                                data.gaps, a, b, c_arr)
-    return lik
+    a, b = cfg.stick.params(state.m, theta)
+    return _log_stick_likelihood(state.sticks, state.trans_k, state.trans_d,
+                                 data.gaps, a, b, c)
 
 
 def update_hyperparams(state: ChainState, data: TimeGridDataset,
@@ -730,7 +728,7 @@ def update_label_swaps(state: ChainState, data: TimeGridDataset,
     and j + 1, with memberships relabelled, is a standard accelerator.
     The acceptance ratio collects the membership-mass change of affected
     observations, the slice indicators u_i < psi(new label), and, only
-    when positions j and j + 1 carry different (a, b, c), the change of
+    when positions j and j + 1 carry different (a, b), the change of
     path prior of both sticks across the two positions.
     """
     m = state.m
@@ -738,8 +736,8 @@ def update_label_swaps(state: ChainState, data: TimeGridDataset,
         return state
     _, tidx = data.flat
     eta = cfg.slice_eta
-    a, b, c = cfg.stick.params(m, state.theta, state.c)
-    law_changes = {lo for lo, _, _ in stick_runs(a, b, c)[1:]}
+    a, b = cfg.stick.params(m, state.theta)
+    law_changes = {lo for lo, _, _ in stick_runs(a, b, state.c)[1:]}
     taus = data.gaps
     unif = rng.uniform(size=m - 1)
     for j in range(m - 1):
@@ -764,10 +762,10 @@ def update_label_swaps(state: ChainState, data: TimeGridDataset,
                 pos, other = slice(lo, lo + 1), slice(hi, hi + 1)
                 log_ratio += _log_stick_likelihood(
                     state.sticks[other], state.trans_k[other],
-                    state.trans_d[other], taus, a[pos], b[pos], c[pos])
+                    state.trans_d[other], taus, a[pos], b[pos], state.c)
                 log_ratio -= _log_stick_likelihood(
                     state.sticks[pos], state.trans_k[pos],
-                    state.trans_d[pos], taus, a[pos], b[pos], c[pos])
+                    state.trans_d[pos], taus, a[pos], b[pos], state.c)
         if np.log(max(unif[j], 1e-300)) < log_ratio:
             for name in _COMPONENTS:
                 arr = getattr(state, name)
@@ -850,13 +848,12 @@ class PosteriorDraws:
         return len(self.m)
 
     @classmethod
-    def from_snapshots(cls, times, snapshots, cfg: SamplerConfig | None = None):
+    def from_snapshots(cls, times, snapshots, cfg: SamplerConfig):
         if not snapshots:
             raise ValueError("no snapshots collected")
         times = np.asarray(times, dtype=float)
         return cls(times=times, **_padded(snapshots, len(times)),
-                   config_json=cfg.to_json() if cfg else "",
-                   config_digest=cfg.digest() if cfg else "")
+                   config_json=cfg.to_json(), config_digest=cfg.digest())
 
     def save(self, path) -> None:
         meta = {"format": DRAWS_FORMAT, "version": ARCHIVE_VERSION,
@@ -868,15 +865,10 @@ class PosteriorDraws:
     def load(cls, path) -> "PosteriorDraws":
         """Read a draws archive; DataError unless every array is present,
         the shapes agree and each draw's own components are valid."""
-        meta, arrays = read_container(path, DRAWS_FORMAT, ARCHIVE_VERSION)
-        missing = [name for name in ("times", *_DRAW_ARRAYS)
-                   if name not in arrays]
-        if missing:
-            raise DataError(f"{path}: draws archive lacks "
-                            f"{', '.join(missing)}")
+        meta, arrays = read_container(path, DRAWS_FORMAT, ARCHIVE_VERSION,
+                                      ("times", *_DRAW_ARRAYS))
         _check_draws(path, arrays)
-        return cls(**{name: arrays[name] for name in ("times", *_DRAW_ARRAYS)},
-                   config_json=meta.get("config", ""),
+        return cls(**arrays, config_json=meta.get("config", ""),
                    config_digest=meta.get("config_digest", ""))
 
 
@@ -957,7 +949,14 @@ def save_checkpoint(path, state: ChainState, rng: np.random.Generator,
 
 def load_checkpoint(path, cfg: SamplerConfig):
     """Restore (state, rng, snapshots); the config digest must match."""
-    meta, arrays = read_container(path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION)
+    meta, arrays = read_container(
+        path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
+        (*_STATE_ARRAYS, *("draws_" + name for name in _DRAW_ARRAYS)))
+    missing = [key for key in ("config_digest", "sweep", "m", "theta", "c",
+                               "mh", "data_digest", "rng_state")
+               if key not in meta]
+    if missing:
+        raise DataError(f"{path}: checkpoint meta lacks {', '.join(missing)}")
     if meta["config_digest"] != cfg.digest():
         raise DataError(
             f"{path}: checkpoint was written under a different configuration"

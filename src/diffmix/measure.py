@@ -101,16 +101,14 @@ class StickConfig:
             )
         return cls(kind="gem", pairs=pairs, c=_check_rate(c))
 
-    def params(self, m: int, theta: float | None = None,
-               c: float | None = None):
-        """(a, b, c) arrays for the first m sticks.
+    def params(self, m: int, theta: float | None = None):
+        """(a, b) arrays for the first m sticks; every stick moves at rate c.
 
-        theta and c default to the configured values; the sampler passes
-        its current chain state instead. Explicit-pair sticks ignore
-        theta, and their last pair repeats beyond the list.
+        theta defaults to the configured value; the sampler passes its
+        current chain state instead. Explicit-pair sticks ignore theta,
+        and their last pair repeats beyond the list.
         """
         theta = self.theta if theta is None else theta
-        c = self.c if c is None else c
         if self.kind == "gem":
             idx = np.minimum(np.arange(m), len(self.pairs) - 1)
             a = np.array([self.pairs[i][0] for i in idx])
@@ -120,7 +118,7 @@ class StickConfig:
             sigma = self.sigma or 0.0
             a = np.full(m, 1.0 - sigma)
             b = theta + sigma * np.arange(1, m + 1)
-        return a, b, np.full(m, c)
+        return a, b
 
 
 def _check_rate(c) -> float:
@@ -129,17 +127,18 @@ def _check_rate(c) -> float:
     return float(c)
 
 
-def stick_runs(a, b, c) -> list[tuple[int, int, WFParams]]:
-    """(lo, hi, params) for each maximal run of sticks sharing (a, b, c).
+def stick_runs(a, b, c: float) -> list[tuple[int, int, WFParams]]:
+    """(lo, hi, params) for each maximal run of sticks sharing (a, b), all
+    at rate c.
 
     Draws go one run at a time: a Dirichlet process is one run, and
     Pitman-Yor with sigma > 0 one run per stick.
     """
-    triples = list(zip(a.tolist(), b.tolist(), c.tolist()))
-    starts = [j for j in range(len(triples))
-              if j == 0 or triples[j] != triples[j - 1]]
-    return [(lo, hi, WFParams(*triples[lo]))
-            for lo, hi in zip(starts, starts[1:] + [len(triples)])]
+    pairs = list(zip(a.tolist(), b.tolist()))
+    starts = [j for j in range(len(pairs))
+              if j == 0 or pairs[j] != pairs[j - 1]]
+    return [(lo, hi, WFParams(*pairs[lo], c))
+            for lo, hi in zip(starts, starts[1:] + [len(pairs)])]
 
 
 def sticks_to_weights_matrix(v: np.ndarray) -> np.ndarray:
@@ -176,7 +175,7 @@ def sample_sticks(config: StickConfig, trunc_tol: float,
                 f"deficit did not reach {trunc_tol} within {MAX_STICKS} sticks"
             )
         hi = min(lo + block, MAX_STICKS)
-        a, b, _ = config.params(hi)
+        a, b = config.params(hi)
         draws = rng.beta(a[lo:hi, None], b[lo:hi, None], size=(hi - lo, reps))
         draws = np.clip(draws, *OPEN_UNIT)
         blocks.append(draws)
@@ -194,12 +193,12 @@ def move_sticks(sticks: np.ndarray, config: StickConfig, dt: float,
     """Move an (m, ...) array of sticks by dt through the exact transition.
 
     Row j holds stick j; each stick moves independently given its
-    current value, one vectorised draw per run of rows sharing (a, b, c).
+    current value, one vectorised draw per run of rows sharing (a, b).
     """
     if not dt > 0:
         raise ValueError("dt must be positive")
     new = np.empty_like(sticks)
-    for lo, hi, params in stick_runs(*config.params(len(sticks))):
+    for lo, hi, params in stick_runs(*config.params(len(sticks)), config.c):
         new[lo:hi] = wf.sample_transition(sticks[lo:hi], dt, params, rng)
     return np.clip(new, *OPEN_UNIT)
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .data import TimeGridDataset
 from .measure import sticks_to_weights_matrix
@@ -47,26 +46,16 @@ class CenteringMeasure:
                           1.0 / np.sqrt(self.precision_scale * prec))
         return np.column_stack([mean, prec])
 
-    def logpdf(self, mean, precision):
-        """Joint log density at (mean, precision)."""
-        mean = np.asarray(mean, dtype=float)
-        prec = np.asarray(precision, dtype=float)
-        lam = self.precision_scale * prec
-        log_norm = 0.5 * (np.log(lam) - LOG_2PI) \
-            - 0.5 * lam * (mean - self.mean0) ** 2
-        log_gamma = self.shape * np.log(self.rate) - gammaln(self.shape) \
-            + (self.shape - 1.0) * np.log(prec) - self.rate * prec
-        out = log_norm + log_gamma
-        return float(out) if out.ndim == 0 else out
-
 
 def gaussian_logpdf(y, means, precisions):
     """log N(y | mean, 1 / precision), broadcasting over all arguments."""
     y = np.asarray(y, dtype=float)
     means = np.asarray(means, dtype=float)
     precisions = np.asarray(precisions, dtype=float)
-    return 0.5 * (np.log(precisions) - LOG_2PI) \
-        - 0.5 * precisions * (y - means) ** 2
+    # a squared distance past double range gives the exact -inf
+    with np.errstate(over="ignore"):
+        return 0.5 * (np.log(precisions) - LOG_2PI) \
+            - 0.5 * precisions * (y - means) ** 2
 
 
 def renormalised_mixture(sticks: np.ndarray, values: np.ndarray,

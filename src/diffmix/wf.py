@@ -177,26 +177,26 @@ def _nb_cumulative(r: float, ct: float, cap: int) -> np.ndarray:
     return cum
 
 
-def nb_truncation_index(t: float, p: WFParams, tol: float,
-                        cap: int = DEFAULT_SERIES_CAP) -> int:
+def nb_truncation_index(t: float, p: WFParams, tol: float) -> int:
     """Smallest M with tail mass sum_{m > M} r_t(m) < tol.
 
-    Raises SeriesTruncationError when M would exceed cap, which signals
-    that t is too small for series evaluation at the requested tolerance.
+    Raises SeriesTruncationError when M would exceed DEFAULT_SERIES_CAP,
+    which signals that t is too small for series evaluation at the
+    requested tolerance.
     """
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must lie in (0, 1)")
-    cum = _nb_cumulative(p.a + p.b, p.c * t, cap)
+    cum = _nb_cumulative(p.a + p.b, p.c * t, DEFAULT_SERIES_CAP)
     idx = int(np.searchsorted(cum, 1.0 - tol))
     if idx >= len(cum):
         raise SeriesTruncationError(
-            f"series truncation index exceeds cap {cap} for t={t}, tol={tol}"
-        )
+            f"series truncation index exceeds cap {DEFAULT_SERIES_CAP} for "
+            f"t={t}, tol={tol}")
     return idx
 
 
-def sample_nb(t: float, p: WFParams, rng: np.random.Generator, size=None):
-    """Inverse-CDF draw(s) of the Negative-Binomial series index m ~ r_t.
+def sample_nb(t: float, p: WFParams, rng: np.random.Generator, size):
+    """Inverse-CDF draws of the Negative-Binomial series index m ~ r_t.
 
     Inverse-CDF on the cumulative weights keeps draws exact and
     deterministic under a seeded generator.
@@ -210,11 +210,10 @@ def sample_nb(t: float, p: WFParams, rng: np.random.Generator, size=None):
 
 
 def _draw_index(cum: np.ndarray, rng: np.random.Generator, size):
-    """Inverse-CDF draw(s) of a series index from cumulative weights."""
+    """Inverse-CDF draws of a series index from cumulative weights."""
     u = rng.uniform(size=size)
     # u beyond the resolved tail (< 1e-15 mass): clamp to the last index
-    out = np.minimum(np.searchsorted(cum, u), len(cum) - 1)
-    return int(out) if size is None else out.astype(np.int64)
+    return np.minimum(np.searchsorted(cum, u), len(cum) - 1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +263,7 @@ def _lineage_row(theta, ts, m: int, mp=None):
                 f"lineage series for m={m} not converging at ts={ts}")
 
 
-def _lineage_table(theta: float, ts: float, cap: int, mp=None):
+def _lineage_table(theta: float, ts: float, mp=None):
     """(q_m for m = 0, 1, ... as floats, cancellation bound) from
     _lineage_row in floats, or in mpmath when mp is `mpmath.mp`.
 
@@ -275,7 +274,7 @@ def _lineage_table(theta: float, ts: float, cap: int, mp=None):
     """
     unit = 4.0e-16 if mp is None else 4 * mp.eps
     weights, total, err, negligible = [], 0.0, 0.0, 0
-    for m in range(cap + 1):
+    for m in range(DEFAULT_SERIES_CAP + 1):
         q_m, max_log = _lineage_row(theta, ts, m, mp)
         weights.append(float(q_m))
         total += q_m
@@ -285,7 +284,7 @@ def _lineage_table(theta: float, ts: float, cap: int, mp=None):
         if err > 1e-8 or done or (negligible >= 4 and total > 0.5):
             return np.array(weights), err
     raise SeriesTruncationError(
-        f"lineage-count support exceeds cap {cap} at ts={ts}")
+        f"lineage-count support exceeds cap {DEFAULT_SERIES_CAP} at ts={ts}")
 
 
 def _lineage_resolved(weights, err, mass_tol: float) -> bool:
@@ -296,8 +295,7 @@ def _lineage_resolved(weights, err, mass_tol: float) -> bool:
 # one key per distinct (a + b, time) pair: a Pitman-Yor state moved by one
 # dt needs one table per stick, so the bound sits well above the stick count
 @lru_cache(maxsize=1024)
-def _lineage_cumulative(theta: float, ts: float,
-                        cap: int = DEFAULT_SERIES_CAP) -> np.ndarray:
+def _lineage_cumulative(theta: float, ts: float) -> np.ndarray:
     """Cached cumulative lineage-count weights at standardised time ts.
 
     Resolves the distribution to tail mass 1e-12 and absolute weight
@@ -306,7 +304,7 @@ def _lineage_cumulative(theta: float, ts: float,
     """
     if not ts > 0:
         raise ValueError("standardised time must be positive")
-    weights, err = _lineage_table(theta, ts, cap)
+    weights, err = _lineage_table(theta, ts)
     if not _lineage_resolved(weights, err, 1e-8):
         from mpmath import mp
 
@@ -322,7 +320,7 @@ def _lineage_cumulative(theta: float, ts: float,
                     f"t too small for stable series evaluation at ts={ts}")
             try:
                 with mp.workdps(dps):
-                    weights, err = _lineage_table(theta, ts, cap, mp)
+                    weights, err = _lineage_table(theta, ts, mp)
                 if _lineage_resolved(weights, err, 1e-9):
                     break
             except SeriesTruncationError:
@@ -459,33 +457,23 @@ def series_transition_density(v1, v0: float, t: float, p: WFParams,
     return _mixture_density(log_weights, v0, v1, p)
 
 
-def sample_transition(v0, t: float, p: WFParams, rng: np.random.Generator,
-                      size=None):
-    """Exact draw(s) from the diffusion transition law after time t.
+def sample_transition(v0: np.ndarray, t: float, p: WFParams,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Exact draws from the diffusion transition law after time t, one
+    per entry of the array of starts v0.
 
     Composition sampling: m from the lineage-count law (inverse CDF),
-    k ~ Bin(m, v0), v1 ~ Beta(a + k, b + m - k). v0 may be an array, in
-    which case one draw is produced per entry and size must be None.
+    k ~ Bin(m, v0), v1 ~ Beta(a + k, b + m - k).
     """
     if not t > 0:
         raise ValueError("t must be positive")
-    v0_arr = np.asarray(v0, dtype=float)
-    if np.any(v0_arr < 0.0) or np.any(v0_arr > 1.0):
+    v0 = np.asarray(v0, dtype=float)
+    if np.any(v0 < 0.0) or np.any(v0 > 1.0):
         raise ValueError("v0 must lie in [0, 1]")
-    if v0_arr.ndim == 0:
-        n = size
-    else:
-        if size is not None:
-            raise ValueError("size must be None when v0 is an array")
-        n = v0_arr.shape
     m = _draw_index(_lineage_cumulative(p.a + p.b, p.standardised_time(t)),
-                    rng, n)
-    m_arr = np.asarray(m)
-    k = rng.binomial(m_arr, v0_arr)
-    v1 = rng.beta(p.a + k, p.b + m_arr - k)
-    if v0_arr.ndim == 0 and size is None:
-        return float(v1)
-    return v1
+                    rng, v0.shape)
+    k = rng.binomial(m, v0)
+    return rng.beta(p.a + k, p.b + m - k)
 
 
 # ---------------------------------------------------------------------------

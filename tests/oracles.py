@@ -10,7 +10,7 @@ from diffmix.estimation import effective_sample_size
 from diffmix.gibbs import (GammaPrior, SamplerConfig, gibbs_sweep, init_chain,
                            update_stick_values, update_transition_latents)
 from diffmix.measure import StickConfig
-from diffmix.mixture import CenteringMeasure
+from diffmix.mixture import LOG_2PI, CenteringMeasure
 
 
 def pair_mixture_density(log_weights, v0, v1, p):
@@ -83,6 +83,23 @@ def centering_posterior(cm: CenteringMeasure, ys) -> CenteringMeasure:
     return CenteringMeasure(mean0=mean_n, precision_scale=scale_n,
                             shape=cm.shape + 0.5 * n,
                             rate=max(rate_n, np.finfo(float).tiny))
+
+
+def centering_logpdf(cm: CenteringMeasure, mean, precision):
+    """Joint log density of the normal-gamma law cm at (mean, precision).
+
+    The per-atom reference of the atom full-conditional checks, which
+    compare the normalised prior-times-kernel product against it.
+    """
+    mean = np.asarray(mean, dtype=float)
+    prec = np.asarray(precision, dtype=float)
+    lam = cm.precision_scale * prec
+    log_norm = 0.5 * (np.log(lam) - LOG_2PI) \
+        - 0.5 * lam * (mean - cm.mean0) ** 2
+    log_gamma = cm.shape * np.log(cm.rate) - gammaln(cm.shape) \
+        + (cm.shape - 1.0) * np.log(prec) - cm.rate * prec
+    out = log_norm + log_gamma
+    return float(out) if out.ndim == 0 else out
 
 
 def acf_series_constants(theta: float) -> tuple[float, float, float]:

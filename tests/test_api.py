@@ -98,3 +98,78 @@ def test_no_public_name_is_reached_only_from_tests():
             live |= _identifiers(dead.pop(key))
         grew = bool(reached)
     assert not dead, f"reached only from tests: {sorted(dead)}"
+
+
+# defaulted parameters that only tests pass, each kept as a test hook
+TEST_HOOKS = {
+    "euler_path.noise": "zero-noise path checks the drift alone",
+    "histogram_mode.bins": "the brute-force oracle sets the bin count",
+    "histogram_mode.mass": "the brute-force oracle sets the window mass",
+}
+
+
+def _defaulted(node: ast.FunctionDef, method: bool) -> dict[str, object]:
+    """Parameter name -> position (None if keyword-only) for each
+    parameter with a default; a method's first parameter is bound."""
+    args = node.args
+    positional = args.posonlyargs + args.args
+    static = any(getattr(d, "id", None) == "staticmethod"
+                 for d in node.decorator_list)
+    bound = int(method and not static)
+    out = {arg.arg: i - bound for i, arg in enumerate(positional)
+           if i >= len(positional) - len(args.defaults)}
+    out.update({arg.arg: None for arg, default in
+                zip(args.kwonlyargs, args.kw_defaults) if default is not None})
+    return out
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # a parameter with a default must be passed, by position or keyword,
+    # by some call in package code, the benchmark harness or a README
+    # Python block; calls match on the callee's bare name, *args or
+    # **kwargs pass everything, and a function named anywhere but as a
+    # callee may be called through that name with any arguments
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in (
+        *sorted((ROOT / "src" / "diffmix").glob("*.py")),
+        *sorted((ROOT / "perfbench").glob("*.py")))]
+    trees += [ast.parse(block) for block in re.findall(
+        r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)]
+    calls, callees, named = {}, set(), set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callees.add(id(node.func))
+                name = getattr(node.func, "id", getattr(node.func, "attr",
+                                                        None))
+                calls.setdefault(name, []).append(node)
+        named |= {node.id if isinstance(node, ast.Name) else node.attr
+                  for node in ast.walk(tree) if id(node) not in callees
+                  and isinstance(node, (ast.Name, ast.Attribute))}
+
+    def passed(name: str, param: str, position) -> bool:
+        if name in named:
+            return True
+        for call in calls.get(name, []):
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg in (None, param) for k in call.keywords):
+                return True
+            if position is not None and len(call.args) > position:
+                return True
+        return False
+
+    unused = set()
+    for path in sorted((ROOT / "src" / "diffmix").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef):
+                functions = [(node, False)]
+            elif isinstance(node, ast.ClassDef):
+                functions = [(item, True) for item in node.body
+                             if isinstance(item, ast.FunctionDef)]
+            else:
+                continue
+            for fn, method in functions:
+                unused |= {f"{fn.name}.{param}" for param, position in
+                           _defaulted(fn, method).items()
+                           if not passed(fn.name, param, position)}
+    assert unused == set(TEST_HOOKS), \
+        f"defaulted parameters no caller passes: {sorted(unused)}"

@@ -1,5 +1,8 @@
 """Command-line interface tests: commands, exit codes, determinism."""
 
+import json
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -240,6 +243,27 @@ class TestFit:
                                       "--resume", str(cp))) == 2
         assert "version" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("drop", ["trans_o", "draws_sticks", "mh"])
+    def test_malformed_checkpoint_exit_two(self, dataset, tmp_path, capsys,
+                                           drop):
+        # re-zipped without one array, or with one meta key removed
+        cp, bad = tmp_path / "cp.npz", tmp_path / "bad.npz"
+        run_cli(*self.fit_args(dataset, tmp_path / "a.npz", "--checkpoint",
+                               str(cp), "--checkpoint-every", "23"))
+        with zipfile.ZipFile(cp) as src, zipfile.ZipFile(bad, "w") as dst:
+            for name in src.namelist():
+                payload = src.read(name)
+                if name == "meta.json":
+                    meta = json.loads(payload)
+                    meta.pop(drop, None)
+                    payload = json.dumps(meta).encode()
+                if name != drop + ".npy":
+                    dst.writestr(name, payload)
+        capsys.readouterr()
+        assert run_cli(*self.fit_args(dataset, tmp_path / "b.npz",
+                                      "--resume", str(bad))) == 2
+        assert f"lacks {drop}" in capsys.readouterr().err
+
     def test_worker_processes_match_serial(self, dataset, tmp_path):
         # the process-pool path writes the same archives as the serial one
         serial, pooled = tmp_path / "serial.npz", tmp_path / "pooled.npz"
@@ -292,11 +316,23 @@ class TestSummarize:
             assert message in capsys.readouterr().err
         assert not (tmp_path / "s.density.csv").exists()
 
+    def test_far_grid_gives_zero_density(self, draws, tmp_path):
+        # squared distances past double range: log density -inf, no
+        # overflow warning
+        prefix = tmp_path / "far"
+        assert run_cli("summarize", str(draws), "--out-prefix", str(prefix),
+                       "--y-grid=-1e300:1e300:5") == 0
+        rows = (tmp_path / "far.density.csv").read_text().splitlines()[1:]
+        for row in rows:
+            _, y, *dens = map(float, row.split(","))
+            assert (max(dens) == 0.0) == (y != 0.0)
+
     @pytest.mark.parametrize("name", ["atom_mean", "m"])
     def test_malformed_draws_exit_two(self, draws, tmp_path, capsys, name):
         # a NaN atom inside draw 1's own components, or draw 1's m past
         # the padded width
-        meta, arrays = read_container(draws, "diffmix-draws", 1)
+        meta, arrays = read_container(draws, "diffmix-draws", 1, (
+            "times", "m", "theta", "c", "sticks", "atom_mean", "atom_prec"))
         width = arrays["sticks"].shape[1]
         if name == "m":
             arrays["m"][1] = width + 1

@@ -32,7 +32,7 @@ from diffmix.gibbs import (GammaPrior, PosteriorDraws,
 from diffmix.measure import StickConfig, sticks_to_weights_matrix
 from diffmix.mixture import CenteringMeasure, gaussian_logpdf, simulate_toy
 
-from oracles import (centering_posterior, stick_joint_tv,
+from oracles import (centering_logpdf, centering_posterior, stick_joint_tv,
                      transition_mixture_component)
 
 
@@ -286,7 +286,7 @@ class TestLocations:
                        (1.3, 12.0)]
 
         def unnorm_log(mean, prec):
-            return cm.logpdf(mean, prec) + float(
+            return centering_logpdf(cm, mean, prec) + float(
                 gaussian_logpdf(ys, mean, prec).sum())
 
         mg, mw = np.polynomial.legendre.leggauss(240)
@@ -298,7 +298,7 @@ class TestLocations:
         vals = np.exp([[unnorm_log(m_, p_) for p_ in pgrid] for m_ in mgrid])
         norm = mwt @ vals @ pwt
         for mean, prec in test_points:
-            exact = np.exp(post.logpdf(mean, prec))
+            exact = np.exp(centering_logpdf(post, mean, prec))
             quad = np.exp(unnorm_log(mean, prec)) / norm
             assert exact == pytest.approx(quad, abs=1e-6 * max(1.0, exact),
                                           rel=1e-5)
@@ -444,13 +444,13 @@ def _ref_d_mass(k, A, B, decay):
 def _ref_update_transition_latents(state, data, cfg, rng):
     """The (o, k, d) scan with global padding and closed-form masses."""
     eta2 = cfg.trans_slice_eta
-    a, b, c = cfg.stick.params(state.m, state.theta, state.c)
+    a, b = cfg.stick.params(state.m, state.theta)
     v0, v1 = state.sticks[:, :-1], state.sticks[:, 1:]
     d = state.trans_d
     shape = d.shape
     state.trans_o = gibbs._sample_slice(d, eta2, rng)
-    A, B, C, T = (np.broadcast_to(x, shape).ravel() for x in
-                  (a[:, None], b[:, None], c[:, None], data.gaps[None, :]))
+    A, B, T = (np.broadcast_to(x, shape).ravel() for x in
+               (a[:, None], b[:, None], data.gaps[None, :]))
     lv0, lv1 = np.log(v0).ravel(), np.log(v1).ravel()
     l1mv0, l1mv1 = np.log1p(-v0).ravel(), np.log1p(-v1).ravel()
     d_flat = d.ravel()
@@ -458,7 +458,7 @@ def _ref_update_transition_latents(state, data, cfg, rng):
                        d_flat, np.zeros_like(d_flat), rng)
     state.trans_k = k.reshape(shape)
     d_hi = np.floor(-np.log(state.trans_o.ravel()) / eta2).astype(np.int64)
-    decay = l1mv1 + l1mv0 - C * T + eta2
+    decay = l1mv1 + l1mv0 - state.c * T + eta2
     state.trans_d = _ref_draw_rows(_ref_d_mass(k, A, B, decay), d_hi, k,
                                    rng).reshape(shape)
 
@@ -490,12 +490,13 @@ class TestTransitionDrawReference:
         d_hi = d + gen.integers(0, 1501 - d)
         # theta 1.7 keeps the Dirichlet b = theta off the integers
         theta = 1.0 if law == "gem_three_pairs" else 1.7
-        a, b, c = LAWS[law]["stick"].params(m, theta, 0.8)
+        a, b = LAWS[law]["stick"].params(m, theta)
+        c = 0.8
         A, B = np.repeat(a, gaps), np.repeat(b, gaps)
         v = gen.uniform(0.01, 0.99, size=(2, cells))
         ratio = np.log(v[1]) + np.log(v[0]) - np.log1p(-v[1]) - np.log1p(-v[0])
         decay = (np.log1p(-v[1]) + np.log1p(-v[0])
-                 - np.repeat(c, gaps) * gen.uniform(0.01, 1.0, size=cells)
+                 - c * gen.uniform(0.01, 1.0, size=cells)
                  + 0.5)
         tab = gibbs._offset_gammaln(a, b, measure.stick_runs(a, b, c),
                                     size=int(max(d.max(), d_hi.max())) + 1)

@@ -79,8 +79,8 @@ class TestStickConfig:
     def test_dp_defaults_to_standard_rate(self):
         cfg = StickConfig.dp(3.0)
         assert cfg.c == pytest.approx(1.5)
-        a, b, c = cfg.params(5)
-        assert (a[4], b[4], c[4]) == (1.0, 3.0, 1.5)
+        a, b = cfg.params(5)
+        assert (a[4], b[4], cfg.c) == (1.0, 3.0, 1.5)
 
     def test_dp_invalid(self):
         with pytest.raises(ValueError):
@@ -88,10 +88,10 @@ class TestStickConfig:
 
     def test_pitman_yor_params(self):
         cfg = StickConfig.pitman_yor(1.0, 0.25, c=2.0)
-        a, b, c = cfg.params(3)
+        a, b = cfg.params(3)
         assert a[2] == pytest.approx(0.75)
         assert b[2] == pytest.approx(1.75)
-        assert c[2] == 2.0
+        assert cfg.c == 2.0
 
     def test_pitman_yor_validation(self):
         with pytest.raises(ValueError):
@@ -102,7 +102,7 @@ class TestStickConfig:
 
     def test_gem_validation_and_tail_repeat(self):
         cfg = StickConfig.general_gem([(1.0, 2.0), (1.5, 1.0)], c=1.0)
-        a, _, _ = cfg.params(10)
+        a, _ = cfg.params(10)
         assert a[9] == pytest.approx(1.5)
         with pytest.raises(ValueError):
             StickConfig.general_gem([(0.5, 0.4)])
@@ -124,26 +124,25 @@ class TestStickConfig:
                           min_size=1, max_size=5))
     def test_params_match_closed_forms(self, m, theta, sigma, c, pairs):
         j = np.arange(1, m + 1)
-        a, b, cc = StickConfig.dp(1.0).params(m, theta, c)
+        a, b = StickConfig.dp(1.0).params(m, theta)
         np.testing.assert_array_equal(a, np.ones(m))
         np.testing.assert_array_equal(b, np.full(m, theta))
-        np.testing.assert_array_equal(cc, np.full(m, c))
         # configured values and sampler overrides give the same law
         for cfg, over in ((StickConfig.pitman_yor(theta, sigma, c=c), {}),
-                          (StickConfig.pitman_yor(1.0, sigma),
-                           dict(theta=theta, c=c))):
-            a, b, cc = cfg.params(m, **over)
+                          (StickConfig.pitman_yor(1.0, sigma, c=c),
+                           dict(theta=theta))):
+            a, b = cfg.params(m, **over)
             np.testing.assert_allclose(a, np.full(m, 1.0 - sigma))
             np.testing.assert_allclose(b, theta + j * sigma)
-            np.testing.assert_array_equal(cc, np.full(m, c))
+            assert cfg.c == c
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             gem = StickConfig.general_gem(pairs, c=c)
-        a, b, cc = gem.params(m, theta=123.0)
+        a, b = gem.params(m, theta=123.0)
         expected = [pairs[min(i, len(pairs)) - 1] for i in j]
         np.testing.assert_array_equal(a, [p[0] for p in expected])
         np.testing.assert_array_equal(b, [p[1] for p in expected])
-        np.testing.assert_array_equal(cc, np.full(m, c))
+        assert gem.c == c
 
     @settings(max_examples=100, deadline=None)
     @given(m=st.integers(0, 40), kind=st.sampled_from(["dp", "py", "gem"]),
@@ -158,16 +157,17 @@ class TestStickConfig:
             cfg = {"dp": StickConfig.dp(theta),
                    "py": StickConfig.pitman_yor(theta, sigma),
                    "gem": StickConfig.general_gem(pairs)}[kind]
-        a, b, c = cfg.params(m)
-        runs = measure.stick_runs(a, b, c)
-        triples = list(zip(a, b, c))
+        a, b = cfg.params(m)
+        runs = measure.stick_runs(a, b, cfg.c)
+        laws = list(zip(a, b))
         covered = [j for lo, hi, _ in runs for j in range(lo, hi)]
         assert covered == list(range(m))
         for lo, hi, p in runs:
             assert hi > lo
-            assert all(t == (p.a, p.b, p.c) for t in triples[lo:hi])
+            assert p.c == cfg.c
+            assert all(t == (p.a, p.b) for t in laws[lo:hi])
         for (_, hi, _), (lo, _, _) in zip(runs, runs[1:]):
-            assert triples[hi - 1] != triples[lo]
+            assert laws[hi - 1] != laws[lo]
 
 
 class TestSampleMarginal:
@@ -249,7 +249,7 @@ class TestEvolve:
     def test_non_dp_keeps_each_beta_marginal(self, cfg, rng):
         # stationary start: the move must keep stick j Beta(a_j, b_j)
         m, reps = 5, 2000
-        a, b, _ = cfg.params(m)
+        a, b = cfg.params(m)
         start = rng.beta(a[:, None], b[:, None], size=(m, reps))
         moved = move_sticks(start, cfg, 0.4, rng)
         for j in range(m):

@@ -12,7 +12,7 @@ from diffmix import mixture
 from diffmix.measure import StickConfig, sample_sticks
 from diffmix.mixture import (CenteringMeasure, gaussian_logpdf,
                              renormalised_mixture, simulate_toy, toy_mean)
-from oracles import centering_posterior
+from oracles import centering_logpdf, centering_posterior
 
 
 @lru_cache  # leggauss solves an n x n eigenproblem; reuse its nodes
@@ -51,6 +51,10 @@ class TestKernel:
     def test_integrates_to_one(self):
         grid, w = unit_gauss_legendre(-9.0, 7.0, 400)
         assert w @ kernel(grid, -1.0, 4.0) == pytest.approx(1.0, abs=1e-8)
+
+    def test_distance_past_double_range_is_minus_inf(self):
+        # the squared distance overflows; the log density is exactly -inf
+        assert gaussian_logpdf(1e300, 0.0, 1.0) == -np.inf
 
 
 class TestDensityEval:
@@ -198,7 +202,8 @@ class TestCenteringMeasure:
         for mean, prec in [(0.0, 1.0), (2.5, 0.2), (-1.0, 7.0)]:
             expected = (stats.norm.logpdf(mean, 0.5, 1.0 / np.sqrt(0.5 * prec))
                         + stats.gamma.logpdf(prec, 3.0, scale=1.0 / 1.5))
-            assert cm.logpdf(mean, prec) == pytest.approx(expected, rel=1e-12)
+            assert centering_logpdf(cm, mean, prec) == pytest.approx(
+                expected, rel=1e-12)
 
 
 class TestSimulateToy:

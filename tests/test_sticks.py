@@ -87,7 +87,7 @@ def test_move_sticks_keeps_each_pitman_yor_marginal():
     cfg = StickConfig.pitman_yor(1.0, 0.3)
     m, reps = 5, 2000
     rng = np.random.default_rng(17)
-    a, b, _ = cfg.params(m)
+    a, b = cfg.params(m)
     start = rng.beta(a[:, None], b[:, None], size=(m, reps))
     moved = move_sticks(start, cfg, 0.4, rng)
     assert moved.shape == (m, reps)
@@ -105,7 +105,7 @@ def test_second_move_of_a_wide_pitman_yor_state_reuses_every_table():
     cfg = StickConfig.pitman_yor(1.0, 0.25)
     m = 140
     rng = np.random.default_rng(3)
-    a, b, _ = cfg.params(m)
+    a, b = cfg.params(m)
     sticks = rng.beta(a[:, None], b[:, None], size=(m, 1))
     move_sticks(sticks, cfg, 3.0, rng)
     misses = wf._lineage_cumulative.cache_info().misses

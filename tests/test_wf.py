@@ -70,9 +70,10 @@ class TestSeriesWeights:
         assert tail_prev >= 1e-8
 
     def test_truncation_cap_error(self):
+        # at t = 1e-7 the series needs far more than DEFAULT_SERIES_CAP terms
         p = WFParams(1, 4, 2)
-        with pytest.raises(SeriesTruncationError):
-            wf.nb_truncation_index(1e-7, p, 1e-10, cap=1000)
+        with pytest.raises(SeriesTruncationError, match="exceeds cap"):
+            wf.nb_truncation_index(1e-7, p, 1e-10)
 
     @pytest.mark.parametrize("r, ct", [(5.2, 0.41), (3.0, 0.1)])
     def test_cumulative_stops_at_resolved_tail(self, r, ct):
@@ -136,7 +137,7 @@ class TestLineageWeights:
         # against a 60-digit reference; otherwise dps is the precision
         # _lineage_cumulative starts from at this time
         if dps is None:
-            table, err = wf._lineage_table(5.0, ts, wf.DEFAULT_SERIES_CAP)
+            table, err = wf._lineage_table(5.0, ts)
             assert err <= wf._LINEAGE_ACCURACY
             ref = lineage_table_loggamma(5.0, ts, 60)
             n = max(len(table), len(ref))
@@ -144,8 +145,7 @@ class TestLineageWeights:
             np.testing.assert_allclose(table, ref, rtol=0.0, atol=1e-10)
         else:
             with mpmath.workdps(dps):
-                table, _ = wf._lineage_table(5.0, ts, wf.DEFAULT_SERIES_CAP,
-                                             mpmath.mp)
+                table, _ = wf._lineage_table(5.0, ts, mpmath.mp)
             ref = lineage_table_loggamma(5.0, ts, dps)
             assert len(table) == len(ref)
             np.testing.assert_allclose(table, ref, rtol=0.0, atol=1e-15)
@@ -156,9 +156,9 @@ class TestLineageWeights:
         precisions = []
         table = wf._lineage_table
 
-        def spy(theta, ts, cap, mp=None):
+        def spy(theta, ts, mp=None):
             precisions.append(None if mp is None else mp.dps)
-            return table(theta, ts, cap, mp)
+            return table(theta, ts, mp)
 
         monkeypatch.setattr(wf, "_lineage_table", spy)
         for ts, expected in [(0.1, [None]), (0.09, [None, 40])]:
