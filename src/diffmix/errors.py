@@ -18,10 +18,10 @@ class NumericalError(DiffmixError):
 
 
 class SeriesTruncationError(NumericalError):
-    """The transition series needs more terms than the configured cap.
+    """The transition series needs more terms than wf.DEFAULT_SERIES_CAP.
 
-    Raised when the elapsed time is too small for the requested tail
-    tolerance; callers should increase the cap or the tolerance.
+    Raised when the elapsed time is too small for the tail tolerance;
+    the cap is fixed: loosen the tolerance or merge near-duplicate times.
     """
 
 

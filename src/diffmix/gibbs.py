@@ -132,11 +132,12 @@ class SamplerConfig:
             raise ValueError("fix_theta must be positive")
         if self.fix_c is not None and not self.fix_c > 0:
             raise ValueError("fix_c must be positive")
-        if self.stick.kind == "gem" and self.fix_theta is None:
+        if self.stick.kind == "gem" and (self.fix_theta is None
+                                         or self.tie_c_to_theta):
             raise ValueError(
-                "explicit-pair sticks carry no theta; set fix_theta as a "
-                "placeholder (its value is ignored)"
-            )
+                "explicit-pair sticks carry no theta to sample or tie c to; "
+                "set fix_theta as a placeholder (its value is ignored) and "
+                "leave tie_c_to_theta off")
 
     def digest(self) -> str:
         """Stable hash of the configuration, stored in archives."""
@@ -205,7 +206,6 @@ def _categorical_rows(log_mass: np.ndarray, valid: np.ndarray,
     mx = masked.max(axis=1)
     safe = np.where(np.isfinite(mx), mx, 0.0)
     p = np.exp(masked - safe[:, None])
-    p[~valid] = 0.0
     csum = np.cumsum(p, axis=1)
     total = csum[:, -1]
     # target in (0, total]: strictly positive so zero-mass prefixes are skipped
@@ -320,7 +320,7 @@ def init_chain(data: TimeGridDataset, cfg: SamplerConfig,
 
 def update_slice_and_truncation(state: ChainState, data: TimeGridDataset,
                                 cfg: SamplerConfig,
-                                rng: np.random.Generator) -> ChainState:
+                                rng: np.random.Generator) -> None:
     """Resample u | s, recompute m, and grow or shrink the component set.
 
     New components are drawn from their joint augmented prior; dropped
@@ -330,13 +330,12 @@ def update_slice_and_truncation(state: ChainState, data: TimeGridDataset,
     eta = cfg.slice_eta
     state.u = _sample_u(state.s, eta, rng)
     if cfg.fixed_truncation is not None:
-        return state
+        return
     m_new = int(state.slice_bounds(eta).max())
     if m_new > cfg.m_cap:
         raise TruncationCapError(
             f"truncation level {m_new} exceeds cap {cfg.m_cap} at sweep "
-            f"{state.sweep}; increase m_cap or slice_eta"
-        )
+            f"{state.sweep}; raise --m-cap (m_cap) or --eta (slice_eta)")
     if m_new > state.m:
         fresh = _prior_components(cfg, state.theta, state.c,
                                   m_new - state.m, state.m, data.gaps, rng)
@@ -346,12 +345,11 @@ def update_slice_and_truncation(state: ChainState, data: TimeGridDataset,
         for name in _COMPONENTS:
             setattr(state, name, getattr(state, name)[:m_new])
     state.m = m_new
-    return state
 
 
 def update_transition_latents(state: ChainState, data: TimeGridDataset,
                               cfg: SamplerConfig,
-                              rng: np.random.Generator) -> ChainState:
+                              rng: np.random.Generator) -> None:
     """Gibbs scan over the (o, k, d) triples, all cells at once.
 
     Given the stick values the triples are conditionally independent
@@ -362,7 +360,7 @@ def update_transition_latents(state: ChainState, data: TimeGridDataset,
     """
     n = state.sticks.shape[1]
     if n < 2 or state.m == 0:
-        return state
+        return
     eta2 = cfg.trans_slice_eta
     m = state.m
     a, b = cfg.stick.params(m, state.theta)
@@ -406,7 +404,6 @@ def update_transition_latents(state: ChainState, data: TimeGridDataset,
     if np.any(d_new < 0):
         raise NumericalError("transition-index conditional underflowed")
     state.trans_d = d_new.reshape(d.shape)
-    return state
 
 
 class _OffsetGammaln(NamedTuple):
@@ -486,18 +483,6 @@ def _draw_rows(log_mass_fn, lower: np.ndarray, upper: np.ndarray,
     return out
 
 
-def membership_counts(state: ChainState, data: TimeGridDataset):
-    """(equal, greater) per (stick, time): how many observations at that
-    time sit exactly at / strictly above each stick label."""
-    _, tidx = data.flat
-    m, n = state.sticks.shape
-    eq = np.zeros((m, n))
-    np.add.at(eq, (state.s, tidx), 1.0)
-    totals = eq.sum(axis=0, keepdims=True)
-    gt = totals - np.cumsum(eq, axis=0)
-    return eq, gt
-
-
 def stick_conditional_shapes(state: ChainState, data: TimeGridDataset,
                              cfg: SamplerConfig):
     """Beta shapes of every stick-value full conditional, shape (m, n).
@@ -510,16 +495,18 @@ def stick_conditional_shapes(state: ChainState, data: TimeGridDataset,
     """
     m, n = state.sticks.shape
     a, b = cfg.stick.params(m, state.theta)
-    eq, gt = membership_counts(state, data)
+    # observations at each time sitting exactly at / strictly above label j
+    eq = np.zeros((m, n))
+    np.add.at(eq, (state.s, data.flat[1]), 1.0)
+    gt = eq.sum(axis=0, keepdims=True) - np.cumsum(eq, axis=0)
     k_in = np.zeros((m, n))
     k_out = np.zeros((m, n))
     dk_in = np.zeros((m, n))
     dk_out = np.zeros((m, n))
-    if n > 1:
-        k_in[:, 1:] = state.trans_k
-        k_out[:, :-1] = state.trans_k
-        dk_in[:, 1:] = state.trans_d - state.trans_k
-        dk_out[:, :-1] = state.trans_d - state.trans_k
+    k_in[:, 1:] = state.trans_k
+    k_out[:, :-1] = state.trans_k
+    dk_in[:, 1:] = state.trans_d - state.trans_k
+    dk_out[:, :-1] = state.trans_d - state.trans_k
     shape1 = a[:, None] + k_in + k_out + eq
     shape2 = b[:, None] + dk_in + dk_out + gt
     return shape1, shape2
@@ -527,24 +514,21 @@ def stick_conditional_shapes(state: ChainState, data: TimeGridDataset,
 
 def update_stick_values(state: ChainState, data: TimeGridDataset,
                         cfg: SamplerConfig,
-                        rng: np.random.Generator) -> ChainState:
+                        rng: np.random.Generator) -> None:
     """Conjugate Beta redraw of every stick value.
 
     Conditionally on the transition triples and memberships, all (j, i)
     entries are independent, so the whole (m, n) matrix refreshes in one
     vectorised draw.
     """
-    if state.m == 0:
-        return state
     shape1, shape2 = stick_conditional_shapes(state, data, cfg)
     v = rng.beta(shape1, shape2)
     state.sticks = np.clip(v, *OPEN_UNIT)
-    return state
 
 
 def update_locations(state: ChainState, data: TimeGridDataset,
                      cfg: SamplerConfig,
-                     rng: np.random.Generator) -> ChainState:
+                     rng: np.random.Generator) -> None:
     """Normal-gamma conjugate redraw of every atom.
 
     Clusters without members fall back to a fresh prior draw, which the
@@ -565,10 +549,9 @@ def update_locations(state: ChainState, data: TimeGridDataset,
     prec = rng.gamma(shape_n, 1.0 / rate_n)
     mean = rng.normal(mean_n, 1.0 / np.sqrt(scale_n * prec))
     state.atoms = np.column_stack([mean, prec])
-    return state
 
 
-def _log_stick_likelihood(sticks, trans_k, trans_d, taus, a, b, c) -> float:
+def _log_stick_likelihood(sticks, k, d, taus, a, b, c) -> float:
     """Log density of sticks and (k, d) latents given (a, b) arrays, rate c.
 
     Collects every factor that depends on the stick hyperparameters: the
@@ -576,22 +559,15 @@ def _log_stick_likelihood(sticks, trans_k, trans_d, taus, a, b, c) -> float:
     and the Beta transition components. Binomial factors and the o slices
     carry no hyperparameter dependence and are omitted.
     """
-    if sticks.size == 0:
-        return 0.0
     v_first = sticks[:, 0]
     total = float(np.sum(
         (a - 1.0) * np.log(v_first) + (b - 1.0) * np.log1p(-v_first)
         - betaln(a, b)))
-    if sticks.shape[1] < 2:
-        return total
     r = (a + b)[:, None]
     A = a[:, None]
     B = b[:, None]
-    ct = c * taus
-    d = trans_d
-    k = trans_k
     v1 = sticks[:, 1:]
-    series = wf.log_nb_weight(d, r, ct)
+    series = wf.log_nb_weight(d, r, c * taus)
     comp = (gammaln(r + d) - gammaln(A + k) - gammaln(B + d - k)
             + (A + k - 1.0) * np.log(v1)
             + (B + d - k - 1.0) * np.log1p(-v1))
@@ -607,7 +583,7 @@ def _hyper_log_target(state: ChainState, data: TimeGridDataset,
 
 def update_hyperparams(state: ChainState, data: TimeGridDataset,
                        cfg: SamplerConfig,
-                       rng: np.random.Generator) -> ChainState:
+                       rng: np.random.Generator) -> None:
     """Adaptive log-scale random-walk Metropolis on theta and c.
 
     Step sizes chase an acceptance rate near 0.44 with diminishing
@@ -671,12 +647,11 @@ def update_hyperparams(state: ChainState, data: TimeGridDataset,
             gain = mh.proposals_c ** -0.6
             mh.log_step_c += gain * (int(accepted) - MH_TARGET_ACCEPT)
         state.c = new_c
-    return state
 
 
 def update_membership(state: ChainState, data: TimeGridDataset,
                       cfg: SamplerConfig,
-                      rng: np.random.Generator) -> ChainState:
+                      rng: np.random.Generator) -> None:
     """Finite discrete redraw of every observation's membership.
 
     Candidates for observation i are the labels with psi(label) > u_i
@@ -713,12 +688,11 @@ def update_membership(state: ChainState, data: TimeGridDataset,
                 f"m={m}); the kernel cannot reach this observation"
             )
     state.s = s_new.astype(np.int64)
-    return state
 
 
 def update_label_swaps(state: ChainState, data: TimeGridDataset,
                        cfg: SamplerConfig,
-                       rng: np.random.Generator) -> ChainState:
+                       rng: np.random.Generator) -> None:
     """Metropolis swaps of adjacent component labels.
 
     Label birth at high indices is geometrically penalised by both the
@@ -733,7 +707,7 @@ def update_label_swaps(state: ChainState, data: TimeGridDataset,
     """
     m = state.m
     if m < 2:
-        return state
+        return
     _, tidx = data.flat
     eta = cfg.slice_eta
     a, b = cfg.stick.params(m, state.theta)
@@ -744,18 +718,13 @@ def update_label_swaps(state: ChainState, data: TimeGridDataset,
         at_j = state.s == j
         at_j1 = state.s == j + 1
         # observations moving up must still satisfy their slice bound
-        if np.any(at_j):
-            if np.any(state.u[at_j] >= np.exp(-eta * (j + 2.0))):
-                continue
-        log_ratio = 0.0
-        if np.any(at_j):
-            t_up = tidx[at_j]
-            log_ratio += float(np.sum(np.log1p(-state.sticks[j + 1, t_up]))) \
-                + eta * int(at_j.sum())
-        if np.any(at_j1):
-            t_down = tidx[at_j1]
-            log_ratio += -float(np.sum(np.log1p(-state.sticks[j, t_down]))) \
-                - eta * int(at_j1.sum())
+        if np.any(state.u[at_j] >= np.exp(-eta * (j + 2.0))):
+            continue
+        # an empty side sums to exactly 0.0
+        log_ratio = float(np.sum(np.log1p(
+            -state.sticks[j + 1, tidx[at_j]]))) + eta * int(at_j.sum())
+        log_ratio += -float(np.sum(np.log1p(
+            -state.sticks[j, tidx[at_j1]]))) - eta * int(at_j1.sum())
         if j + 1 in law_changes:
             # each stick's path prior at the other's position, less its own
             for lo, hi in ((j, j + 1), (j + 1, j)):
@@ -772,11 +741,10 @@ def update_label_swaps(state: ChainState, data: TimeGridDataset,
                 arr[[j, j + 1]] = arr[[j + 1, j]]
             state.s[at_j] = j + 1
             state.s[at_j1] = j
-    return state
 
 
 def gibbs_sweep(state: ChainState, data: TimeGridDataset, cfg: SamplerConfig,
-                rng: np.random.Generator) -> ChainState:
+                rng: np.random.Generator) -> None:
     """One full scan in fixed order: slices and truncation, transition
     latents, stick values, atoms, hyperparameters, memberships, and
     (unless disabled) label-swap moves."""
@@ -789,7 +757,6 @@ def gibbs_sweep(state: ChainState, data: TimeGridDataset, cfg: SamplerConfig,
     if cfg.label_swap_moves:
         update_label_swaps(state, data, cfg, rng)
     state.sweep += 1
-    return state
 
 
 def data_log_likelihood(state: ChainState, data: TimeGridDataset) -> float:
@@ -947,27 +914,53 @@ def save_checkpoint(path, state: ChainState, rng: np.random.Generator,
     write_container(path, meta, arrays)
 
 
+def _number(x, low: float, kinds: tuple = (int, float)):
+    """x if a finite number of a type in kinds above low, else ValueError."""
+    if not (type(x) in kinds and math.isfinite(x) and x > low):
+        raise ValueError(f"not a finite {kinds[0].__name__} above {low}")
+    return x
+
+
+def _generator(bit_state) -> np.random.Generator:
+    rng = np.random.default_rng()
+    rng.bit_generator.state = bit_state
+    return rng
+
+
+# the parser of each checkpoint meta value besides format and version
+_CHECKPOINT_META = {
+    "config_digest": str, "data_digest": str, "rng_state": _generator,
+    "sweep": lambda x: _number(x, -1, (int,)),
+    "m": lambda x: _number(x, 0, (int,)),
+    "theta": lambda x: float(_number(x, 0)),
+    "c": lambda x: float(_number(x, 0)),
+    "mh": lambda x: MHAdaptation(**{key: _number(v, -math.inf)
+                                    for key, v in dict(x).items()})}
+
+
 def load_checkpoint(path, cfg: SamplerConfig):
-    """Restore (state, rng, snapshots); the config digest must match."""
+    """Restore (state, rng, snapshots); DataError names a bad meta key."""
     meta, arrays = read_container(
         path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
         (*_STATE_ARRAYS, *("draws_" + name for name in _DRAW_ARRAYS)))
-    missing = [key for key in ("config_digest", "sweep", "m", "theta", "c",
-                               "mh", "data_digest", "rng_state")
-               if key not in meta]
-    if missing:
-        raise DataError(f"{path}: checkpoint meta lacks {', '.join(missing)}")
-    if meta["config_digest"] != cfg.digest():
+    values = {}
+    for key, parse in _CHECKPOINT_META.items():
+        if key not in meta:
+            raise DataError(f"{path}: checkpoint meta lacks {key}")
+        try:
+            values[key] = parse(meta[key])
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"{path}: checkpoint meta {key} = "
+                            f"{meta[key]!r} is malformed ({exc})") from exc
+    if values.pop("config_digest") != cfg.digest():
         raise DataError(
             f"{path}: checkpoint was written under a different configuration"
         )
-    state = ChainState(
-        m=int(meta["m"]), **{name: arrays[name] for name in _STATE_ARRAYS},
-        theta=float(meta["theta"]), c=float(meta["c"]),
-        mh=MHAdaptation(**meta["mh"]), sweep=int(meta["sweep"]),
-        data_digest=meta["data_digest"])
-    rng = np.random.default_rng()
-    rng.bit_generator.state = meta["rng_state"]
+    if any(arrays[name].shape[:1] != (values["m"],) for name in _COMPONENTS):
+        raise DataError(f"{path}: meta m = {values['m']} is not the row count")
+    rng = values.pop("rng_state")
+    state = ChainState(**{name: arrays[name] for name in _STATE_ARRAYS},
+                       **values)
     d = {name: arrays["draws_" + name] for name in _DRAW_ARRAYS}
     atoms = np.stack([d["atom_mean"], d["atom_prec"]], axis=-1)
     snapshots = [{"sticks": d["sticks"][i, :mi], "atoms": atoms[i, :mi],

@@ -64,8 +64,6 @@ class StickConfig:
         """Pitman-Yor sticks, Beta(1 - sigma, theta + j sigma) marginals."""
         if not (0.0 <= sigma < 1.0):
             raise ValueError("sigma must lie in [0, 1)")
-        if not theta > -sigma:
-            raise ValueError("theta must exceed -sigma")
         # stick 1 needs a_1 + b_1 = 1 + theta > 1; later sticks only grow
         if not theta > 0:
             raise ValueError(

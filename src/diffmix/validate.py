@@ -270,11 +270,10 @@ QUICK_CHECKS = ("series_normalization", "transition_normalization",
                 "dp_moments", "deficit", "mean_reversion")
 
 
-def run_validation(names=None, quick: bool = False,
-                   seed: int = 0) -> list[CheckResult]:
+def run_validation(names=None, seed: int = 0) -> list[CheckResult]:
     """Run the battery (or a named subset) and return all results."""
     if names is None:
-        names = QUICK_CHECKS if quick else tuple(FULL_CHECKS)
+        names = tuple(FULL_CHECKS)
     unknown = [n for n in names if n not in FULL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}; "

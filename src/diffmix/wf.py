@@ -151,7 +151,7 @@ def nb_weight(m, t: float, p: WFParams):
 
 
 @lru_cache(maxsize=256)
-def _nb_cumulative(r: float, ct: float, cap: int) -> np.ndarray:
+def _nb_cumulative(r: float, ct: float) -> np.ndarray:
     """Cumulative Negative-Binomial weights up to machine-resolution tail.
 
     Summation stops at the end of a block once the terms are past the
@@ -163,8 +163,9 @@ def _nb_cumulative(r: float, ct: float, cap: int) -> np.ndarray:
     block = 64
     parts = []
     start = 0
-    while start <= cap:
-        m = np.arange(start, min(start + block, cap + 1), dtype=float)
+    while start <= DEFAULT_SERIES_CAP:
+        m = np.arange(start, min(start + block, DEFAULT_SERIES_CAP + 1),
+                      dtype=float)
         w = np.exp(log_nb_weight(m, r, ct))
         parts.append(w)
         rho = (r + m[-1]) / (m[-1] + 1.0) * np.exp(-ct)
@@ -186,7 +187,7 @@ def nb_truncation_index(t: float, p: WFParams, tol: float) -> int:
     """
     if not (0.0 < tol < 1.0):
         raise ValueError("tol must lie in (0, 1)")
-    cum = _nb_cumulative(p.a + p.b, p.c * t, DEFAULT_SERIES_CAP)
+    cum = _nb_cumulative(p.a + p.b, p.c * t)
     idx = int(np.searchsorted(cum, 1.0 - tol))
     if idx >= len(cum):
         raise SeriesTruncationError(
@@ -201,7 +202,7 @@ def sample_nb(t: float, p: WFParams, rng: np.random.Generator, size):
     Inverse-CDF on the cumulative weights keeps draws exact and
     deterministic under a seeded generator.
     """
-    cum = _nb_cumulative(p.a + p.b, p.c * t, DEFAULT_SERIES_CAP)
+    cum = _nb_cumulative(p.a + p.b, p.c * t)
     if 1.0 - cum[-1] > 1e-12:
         raise SeriesTruncationError(
             f"series index distribution not resolved within cap for t={t}"

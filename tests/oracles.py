@@ -4,12 +4,12 @@ import numpy as np
 from scipy import stats
 from scipy.special import betaln, gammaln
 
-from diffmix import wf
+from diffmix import gibbs, wf
 from diffmix.data import TimeGridDataset
 from diffmix.estimation import effective_sample_size
 from diffmix.gibbs import (GammaPrior, SamplerConfig, gibbs_sweep, init_chain,
                            update_stick_values, update_transition_latents)
-from diffmix.measure import StickConfig
+from diffmix.measure import StickConfig, stick_runs
 from diffmix.mixture import LOG_2PI, CenteringMeasure
 
 
@@ -211,6 +211,54 @@ def stick_joint_tv(rng, replicates=300, sweeps=800, burn=100, grid_n=20,
         / grid_n ** 2
     cell /= cell.sum()
     return float(0.5 * np.abs(emp - cell).sum())
+
+
+def guarded_label_swaps(state, data, cfg, rng):
+    """One pass of adjacent label swaps with every emptiness guard.
+
+    The bitwise reference for gibbs.update_label_swaps, which drops the
+    guards because an empty selection fails np.any and sums to exactly
+    0.0. Mutates state the same way.
+    """
+    m = state.m
+    if m < 2:
+        return
+    _, tidx = data.flat
+    eta = cfg.slice_eta
+    a, b = cfg.stick.params(m, state.theta)
+    law_changes = {lo for lo, _, _ in stick_runs(a, b, state.c)[1:]}
+    taus = data.gaps
+    unif = rng.uniform(size=m - 1)
+    for j in range(m - 1):
+        at_j = state.s == j
+        at_j1 = state.s == j + 1
+        if np.any(at_j):
+            if np.any(state.u[at_j] >= np.exp(-eta * (j + 2.0))):
+                continue
+        log_ratio = 0.0
+        if np.any(at_j):
+            t_up = tidx[at_j]
+            log_ratio += float(np.sum(np.log1p(-state.sticks[j + 1, t_up]))) \
+                + eta * int(at_j.sum())
+        if np.any(at_j1):
+            t_down = tidx[at_j1]
+            log_ratio += -float(np.sum(np.log1p(-state.sticks[j, t_down]))) \
+                - eta * int(at_j1.sum())
+        if j + 1 in law_changes:
+            for lo, hi in ((j, j + 1), (j + 1, j)):
+                pos, other = slice(lo, lo + 1), slice(hi, hi + 1)
+                log_ratio += gibbs._log_stick_likelihood(
+                    state.sticks[other], state.trans_k[other],
+                    state.trans_d[other], taus, a[pos], b[pos], state.c)
+                log_ratio -= gibbs._log_stick_likelihood(
+                    state.sticks[pos], state.trans_k[pos],
+                    state.trans_d[pos], taus, a[pos], b[pos], state.c)
+        if np.log(max(unif[j], 1e-300)) < log_ratio:
+            for name in gibbs._COMPONENTS:
+                arr = getattr(state, name)
+                arr[[j, j + 1]] = arr[[j + 1, j]]
+            state.s[at_j] = j + 1
+            state.s[at_j1] = j
 
 
 def _redraw_observations(state, times, rng):

@@ -243,10 +243,16 @@ class TestFit:
                                       "--resume", str(cp))) == 2
         assert "version" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("drop", ["trans_o", "draws_sticks", "mh"])
+    @pytest.mark.parametrize("key, value", [
+        ("trans_o", None), ("draws_sticks", None), ("mh", None),
+        ("mh", {"bogus": 1}), ("rng_state", {"x": 1}), ("sweep", "abc"),
+        ("m", 3.7), ("theta", -1.0),
+    ], ids=["trans_o", "draws_sticks", "mh", "mh_fields", "rng_state",
+            "sweep", "m", "theta"])
     def test_malformed_checkpoint_exit_two(self, dataset, tmp_path, capsys,
-                                           drop):
-        # re-zipped without one array, or with one meta key removed
+                                           key, value):
+        # re-zipped without one array or meta key (value None), or with
+        # one meta value rewritten
         cp, bad = tmp_path / "cp.npz", tmp_path / "bad.npz"
         run_cli(*self.fit_args(dataset, tmp_path / "a.npz", "--checkpoint",
                                str(cp), "--checkpoint-every", "23"))
@@ -255,14 +261,18 @@ class TestFit:
                 payload = src.read(name)
                 if name == "meta.json":
                     meta = json.loads(payload)
-                    meta.pop(drop, None)
+                    if value is None:
+                        meta.pop(key, None)
+                    else:
+                        meta[key] = value
                     payload = json.dumps(meta).encode()
-                if name != drop + ".npy":
+                if name != key + ".npy":
                     dst.writestr(name, payload)
         capsys.readouterr()
         assert run_cli(*self.fit_args(dataset, tmp_path / "b.npz",
                                       "--resume", str(bad))) == 2
-        assert f"lacks {drop}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert (f"lacks {key}" if value is None else f"meta {key} = ") in err
 
     def test_worker_processes_match_serial(self, dataset, tmp_path):
         # the process-pool path writes the same archives as the serial one

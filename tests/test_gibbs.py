@@ -32,7 +32,8 @@ from diffmix.gibbs import (GammaPrior, PosteriorDraws,
 from diffmix.measure import StickConfig, sticks_to_weights_matrix
 from diffmix.mixture import CenteringMeasure, gaussian_logpdf, simulate_toy
 
-from oracles import (centering_logpdf, centering_posterior, stick_joint_tv,
+from oracles import (centering_logpdf, centering_posterior,
+                     guarded_label_swaps, stick_joint_tv,
                      transition_mixture_component)
 
 
@@ -78,6 +79,13 @@ class TestConfigValidation:
         stick = StickConfig.general_gem([(1.0, 2.0)], c=1.0)
         with pytest.raises(ValueError):
             dp_config(stick=stick)
+
+    def test_gem_refuses_tie_c_to_theta(self):
+        # the placeholder theta is ignored, so it must not set c either
+        stick = StickConfig.general_gem([(1.0, 2.0)], c=1.0)
+        with pytest.raises(ValueError, match="no theta to sample or tie c"):
+            dp_config(stick=stick, fix_theta=8.0, tie_c_to_theta=True)
+        dp_config(stick=stick, fix_theta=8.0)
         dp_config(stick=stick, fix_theta=1.0)
 
     def test_digest_stable(self):
@@ -166,7 +174,7 @@ class TestSliceAndTruncation:
         cfg = dp_config(m_cap=12)
         state = init_chain(data, cfg, rng)
         state.s = np.full_like(state.s, 11)
-        with pytest.raises(TruncationCapError):
+        with pytest.raises(TruncationCapError, match="--m-cap"):
             for _ in range(200):
                 update_slice_and_truncation(state, data, cfg, rng)
                 state.u *= 1e-3  # push the bounds upward
@@ -753,6 +761,32 @@ class TestLabelSwaps:
             == expected
 
 
+    @pytest.mark.parametrize("stick", [
+        StickConfig.dp(1.0), StickConfig.pitman_yor(1.0, 0.3),
+        StickConfig.general_gem([(1.0, 1.0), (1.0, 2.0), (1.5, 2.5)]),
+    ], ids=["dp", "py", "gem_three_pairs"])
+    @pytest.mark.parametrize("labels", [(1, 3), (0, 2)],
+                             ids=["empty_below_occupied",
+                                  "occupied_below_empty"])
+    def test_matches_guarded_reference(self, stick, labels):
+        # one pass without the emptiness guards equals one pass with them
+        # bit for bit: sticks, latents, atoms, memberships, generator
+        data = simulate_toy(6, 3, 2.0, np.random.default_rng(1))
+        cfg = dp_config(stick=stick, fixed_truncation=6, fix_theta=1.0)
+        rng = np.random.default_rng(5)
+        state = init_chain(data, cfg, rng)
+        state.s = np.resize(np.array(labels, dtype=np.int64), data.n_obs)
+        state.u = gibbs._sample_u(state.s, cfg.slice_eta, rng)
+        ref, ref_rng = copy.deepcopy(state), copy.deepcopy(rng)
+        update_label_swaps(state, data, cfg, rng)
+        guarded_label_swaps(ref, data, cfg, ref_rng)
+        assert np.any(state.s != np.resize(labels, data.n_obs))  # a swap ran
+        for name in ("s", *gibbs._COMPONENTS):
+            np.testing.assert_array_equal(getattr(state, name),
+                                          getattr(ref, name), err_msg=name)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
 class TestSweepAndChain:
     @pytest.mark.parametrize("swaps", [True, False])
     def test_sweep_calls_updates_in_documented_order(self, rng, monkeypatch,
@@ -766,8 +800,7 @@ class TestSweepAndChain:
         for name in order:
             monkeypatch.setattr(
                 gibbs, name,
-                lambda state, data, cfg, rng, name=name:
-                    calls.append(name) or state)
+                lambda state, data, cfg, rng, name=name: calls.append(name))
         data = small_data(rng)
         cfg = dp_config(label_swap_moves=swaps)
         state = init_chain(data, cfg, rng)

@@ -1,10 +1,10 @@
 """Validation-battery record tests."""
 
-from diffmix.validate import run_validation
+from diffmix.validate import QUICK_CHECKS, run_validation
 
 
 def test_pass_is_the_strict_comparison():
-    results = run_validation(quick=True)
+    results = run_validation(names=QUICK_CHECKS)
     assert results
     for res in results:
         assert res.comparison in ("<", ">")

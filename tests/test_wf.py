@@ -80,7 +80,7 @@ class TestSeriesWeights:
         # for these keys rounding holds 1 - partial sum near 2e-15, so a
         # stop on it would sum all cap + 1 terms
         cap = wf.DEFAULT_SERIES_CAP
-        cum = wf._nb_cumulative(r, ct, cap)
+        cum = wf._nb_cumulative(r, ct)
         assert len(cum) < 1000
         full = np.cumsum(np.exp(wf.log_nb_weight(np.arange(cap + 1.0), r, ct)))
         np.testing.assert_array_equal(cum, full[:len(cum)])
