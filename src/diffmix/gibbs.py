@@ -220,20 +220,29 @@ def _sample_u(s, eta, rng) -> np.ndarray:
     return np.maximum(rng.uniform(0.0, np.exp(-eta * (s + 1.0))), 1e-300)
 
 
+def _gap_error(tau: float, exc: SeriesTruncationError):
+    return SeriesTruncationError(
+        f"gap {tau:g} between consecutive observation times is too "
+        f"small ({exc}); merge near-duplicate times")
+
+
 def _sample_prior_index(runs, tau, rng) -> np.ndarray:
     """Series index d ~ r_tau per stick, one draw per run of stick_runs."""
     try:
         return np.concatenate([wf.sample_nb(tau, params, rng, size=hi - lo)
                                for lo, hi, params in runs])
     except SeriesTruncationError as exc:
-        raise SeriesTruncationError(
-            f"gap {tau:g} between consecutive observation times is too "
-            f"small ({exc}); merge near-duplicate times") from exc
+        raise _gap_error(tau, exc) from exc
+
+
+def _slice_at(d, eta2, u) -> np.ndarray:
+    """o = g(d) max(u, 1e-17) for uniforms u: strictly inside (0, g(d))."""
+    return np.exp(-eta2 * d) * np.maximum(u, 1e-17)
 
 
 def _sample_slice(d, eta2, rng) -> np.ndarray:
     """o | d ~ U(0, g(d)), kept strictly inside the interval."""
-    return np.exp(-eta2 * d) * np.maximum(rng.uniform(size=np.shape(d)), 1e-17)
+    return _slice_at(d, eta2, rng.uniform(size=np.shape(d)))
 
 
 def _prior_components(cfg: SamplerConfig, theta: float, c: float,
@@ -243,23 +252,49 @@ def _prior_components(cfg: SamplerConfig, theta: float, c: float,
 
     offset is the number of components already present, so stick labels
     start at offset + 1. Sticks and their transition latents are drawn
-    jointly along the path: v(t_1) from its Beta marginal, then
-    d ~ r_tau, k ~ Bin(d, v_prev), v_next ~ Beta(a + k, b + d - k).
+    jointly along the path: v(t_1) from its Beta marginal, then at each
+    gap d ~ r_tau for every stick (one run of stick_runs at a time),
+    k ~ Bin(d, v_prev) for every stick, v_next ~ Beta(a + k, b + d - k)
+    for every stick, and the uniforms of the slices o | d.
+
+    Growth adds a few sticks at a time, so k and v are scalar generator
+    calls, one stick at a time: on a handful of entries an array call
+    spends ten times as long checking its arguments, and it loops over
+    the same sampler, so the stream is the one array calls would give.
+    Each run's series table is resolved once per distinct gap.
     """
     a, b = (x[offset:] for x in cfg.stick.params(offset + count, theta))
     runs = stick_runs(a, b, c)
-    n = len(taus) + 1
-    sticks = np.empty((count, n))
-    o = np.empty((count, n - 1))
-    kk = np.empty((count, n - 1), dtype=np.int64)
-    dd = np.empty((count, n - 1), dtype=np.int64)
-    # v stays contiguous: binomial draws on a strided column take twice as long
-    sticks[:, 0] = v = np.clip(rng.beta(a, b), *OPEN_UNIT)
-    for w, tau in enumerate(taus):
-        dd[:, w] = d = _sample_prior_index(runs, float(tau), rng)
-        kk[:, w] = k = rng.binomial(d, v)
-        sticks[:, w + 1] = v = np.clip(rng.beta(a + k, b + d - k), *OPEN_UNIT)
-        o[:, w] = _sample_slice(d, cfg.trans_slice_eta, rng)
+    a_s, b_s = a.tolist(), b.tolist()
+    lo, hi = OPEN_UNIT
+    v = np.clip(rng.beta(a, b), lo, hi).tolist()
+    # one list per time (sticks) or gap (the rest), transposed at the end
+    vs, ks, ds, us = [v], [], [], []
+    tables = {}  # gap -> (run size, cumulative series weights) per run
+    for tau in taus.tolist():
+        if tau not in tables:
+            try:
+                tables[tau] = [(end - start, wf._nb_table(tau, params))
+                               for start, end, params in runs]
+            except SeriesTruncationError as exc:
+                raise _gap_error(tau, exc) from exc
+        d = []
+        for size, cum in tables[tau]:
+            d += wf._draw_index(cum, rng, size).tolist()
+        k = [rng.binomial(dj, vj) for dj, vj in zip(d, v)]
+        v = [min(max(rng.beta(aj + kj, bj + dj - kj), lo), hi)
+             for aj, bj, dj, kj in zip(a_s, b_s, d, k)]
+        vs.append(v)
+        ks.append(k)
+        ds.append(d)
+        us.append(rng.random(count))  # uniform(size=count), bit for bit
+
+    def by_stick(rows, dtype):
+        return np.array(rows, dtype=dtype).reshape(-1, count).T.copy()
+
+    dd = by_stick(ds, np.int64)
+    o = _slice_at(dd, cfg.trans_slice_eta, by_stick(us, float))
+    sticks, kk = by_stick(vs, float), by_stick(ks, np.int64)
     atoms = cfg.centering.sample(rng, count)
     return sticks, o, kk, dd, atoms
 
@@ -551,6 +586,46 @@ def update_locations(state: ChainState, data: TimeGridDataset,
     state.atoms = np.column_stack([mean, prec])
 
 
+class _StickTerms:
+    """_log_stick_likelihood in stages, for evaluation at many (a, b, c).
+
+    The constructor computes what depends on neither theta nor c: the
+    logs of the stick values and log d!. at(a, b) adds the terms of one
+    set of stick parameters (the Beta marginal at the first time, the
+    Beta transition components and the c-free part of the series
+    weights) and returns the log likelihood as a function of c alone,
+    which evaluates no log-gamma. Each stage keeps the operation order
+    of the likelihood written as one expression (tests/oracles.py), so
+    the value is the same to the bit however the stages are reused.
+    """
+
+    def __init__(self, sticks, k, d, taus):
+        v_first, v1 = sticks[:, 0], sticks[:, 1:]
+        self.log_first = np.log(v_first), np.log1p(-v_first)
+        self.log_later = np.log(v1), np.log1p(-v1)
+        self.k, self.d, self.taus = k, d, taus
+        self.log_fact = gammaln(d + 1.0)
+
+    def at(self, a, b):
+        """log likelihood as a function of c at stick parameters (a, b)."""
+        lv, l1mv = self.log_first
+        total = float(np.sum((a - 1.0) * lv + (b - 1.0) * l1mv
+                             - betaln(a, b)))
+        r, A, B = (a + b)[:, None], a[:, None], b[:, None]
+        k, d, taus = self.k, self.d, self.taus
+        lv1, l1mv1 = self.log_later
+        g = gammaln(r + d)
+        ak, bdk = A + k, B + d - k
+        comp = (g - gammaln(ak) - gammaln(bdk) + (ak - 1.0) * lv1
+                + (bdk - 1.0) * l1mv1).sum()
+        coef = g - gammaln(r) - self.log_fact
+
+        def log_lik(c: float) -> float:
+            series = wf._log_nb_from_coef(coef, d, r, c * taus)
+            return total + float(series.sum() + comp)
+        return log_lik
+
+
 def _log_stick_likelihood(sticks, k, d, taus, a, b, c) -> float:
     """Log density of sticks and (k, d) latents given (a, b) arrays, rate c.
 
@@ -559,19 +634,7 @@ def _log_stick_likelihood(sticks, k, d, taus, a, b, c) -> float:
     and the Beta transition components. Binomial factors and the o slices
     carry no hyperparameter dependence and are omitted.
     """
-    v_first = sticks[:, 0]
-    total = float(np.sum(
-        (a - 1.0) * np.log(v_first) + (b - 1.0) * np.log1p(-v_first)
-        - betaln(a, b)))
-    r = (a + b)[:, None]
-    A = a[:, None]
-    B = b[:, None]
-    v1 = sticks[:, 1:]
-    series = wf.log_nb_weight(d, r, c * taus)
-    comp = (gammaln(r + d) - gammaln(A + k) - gammaln(B + d - k)
-            + (A + k - 1.0) * np.log(v1)
-            + (B + d - k - 1.0) * np.log1p(-v1))
-    return total + float(series.sum() + comp.sum())
+    return _StickTerms(sticks, k, d, taus).at(a, b)(c)
 
 
 def _hyper_log_target(state: ChainState, data: TimeGridDataset,
@@ -589,12 +652,25 @@ def update_hyperparams(state: ChainState, data: TimeGridDataset,
     Step sizes chase an acceptance rate near 0.44 with diminishing
     adaptation, frozen once the sweep count passes the burn-in. Fixed
     hyperparameters are left untouched; with tie_c_to_theta the single
-    theta move carries c = theta / 2 along. When both move, the c move
-    reuses the stick likelihood at the theta move's kept value, so the
-    sweep evaluates it three times rather than four.
+    theta move carries c = theta / 2 along.
+
+    The target is the stick likelihood of _log_stick_likelihood, staged
+    through _StickTerms: the theta- and c-free terms once per call, the
+    theta terms once for the current theta and once for the proposal,
+    and nothing with a log-gamma for a c proposal. The c move starts
+    from the likelihood the theta move kept, so the call evaluates the
+    target three times when both move.
     """
     mh = state.mh
     adapt = state.sweep < cfg.burn_in
+    terms = _StickTerms(state.sticks, state.trans_k, state.trans_d,
+                        data.gaps)
+    at_theta = {}  # theta -> the target as a function of c
+
+    def target(theta, c):
+        if theta not in at_theta:
+            at_theta[theta] = terms.at(*cfg.stick.params(state.m, theta))
+        return at_theta[theta](c)
 
     def step(value, log_step, log_prior, log_lik, lik):
         """One move; lik is the log likelihood at value, or None to
@@ -622,8 +698,7 @@ def update_hyperparams(state: ChainState, data: TimeGridDataset,
     lik = None
     if cfg.fix_theta is None:
         def lik_theta(th):
-            c = th / 2.0 if cfg.tie_c_to_theta else state.c
-            return _hyper_log_target(state, data, cfg, th, c)
+            return target(th, th / 2.0 if cfg.tie_c_to_theta else state.c)
         new_theta, accepted, lik = step(state.theta, mh.log_step_theta,
                                         cfg.theta_prior.logpdf, lik_theta,
                                         None)
@@ -639,8 +714,7 @@ def update_hyperparams(state: ChainState, data: TimeGridDataset,
     if cfg.fix_c is None and not cfg.tie_c_to_theta:
         new_c, accepted, _ = step(
             state.c, mh.log_step_c, cfg.c_prior.logpdf,
-            lambda cv: _hyper_log_target(state, data, cfg, state.theta, cv),
-            lik)
+            lambda cv: target(state.theta, cv), lik)
         mh.proposals_c += 1
         mh.accepts_c += int(accepted)
         if adapt:
@@ -938,8 +1012,37 @@ _CHECKPOINT_META = {
                                     for key, v in dict(x).items()})}
 
 
-def load_checkpoint(path, cfg: SamplerConfig):
-    """Restore (state, rng, snapshots); DataError names a bad meta key."""
+def _check_state_arrays(path, arrays: dict[str, np.ndarray], m: int,
+                        data: TimeGridDataset, eta: float) -> None:
+    """Raise DataError naming the first state array of a checkpoint that
+    does not fit m components on data: one integer label s in 0..m - 1
+    and one real slice u in (0, psi(s + 1)) per observation, and, per
+    component, data.n_times sticks, data.n_times - 1 transition triples
+    (integer k and d) and two atom parameters."""
+    n = data.n_times
+    ints, reals = ("iu", "integers"), ("f", "reals")
+    layout = {"s": ((data.n_obs,), ints), "u": ((data.n_obs,), reals),
+              "sticks": ((m, n), reals), "trans_o": ((m, n - 1), reals),
+              "trans_k": ((m, n - 1), ints), "trans_d": ((m, n - 1), ints),
+              "atoms": ((m, 2), reals)}
+    for name, (shape, (kinds, what)) in layout.items():
+        arr = arrays[name]
+        if arr.shape != shape or arr.dtype.kind not in kinds:
+            raise DataError(f"{path}: checkpoint {name} has {arr.dtype} "
+                            f"shape {arr.shape}, expected {what} of shape "
+                            f"{shape} for m = {m} on this dataset")
+    s, u = arrays["s"], arrays["u"]
+    if np.any((s < 0) | (s >= m)):
+        raise DataError(f"{path}: checkpoint s holds labels outside "
+                        f"0..{m - 1}")
+    if not np.all((u > 0.0) & (u < np.exp(-eta * (s + 1.0)))):
+        raise DataError(f"{path}: checkpoint u is not inside "
+                        "(0, psi(s + 1)) for every observation")
+
+
+def load_checkpoint(path, cfg: SamplerConfig, data: TimeGridDataset):
+    """Restore (state, rng, snapshots) to resume on data; DataError names
+    a bad meta key or state array."""
     meta, arrays = read_container(
         path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
         (*_STATE_ARRAYS, *("draws_" + name for name in _DRAW_ARRAYS)))
@@ -956,8 +1059,10 @@ def load_checkpoint(path, cfg: SamplerConfig):
         raise DataError(
             f"{path}: checkpoint was written under a different configuration"
         )
-    if any(arrays[name].shape[:1] != (values["m"],) for name in _COMPONENTS):
-        raise DataError(f"{path}: meta m = {values['m']} is not the row count")
+    if values["data_digest"] != data.digest():
+        raise DataError(f"{path}: written for another dataset; resume on "
+                        "that dataset")
+    _check_state_arrays(path, arrays, values["m"], data, cfg.slice_eta)
     rng = values.pop("rng_state")
     state = ChainState(**{name: arrays[name] for name in _STATE_ARRAYS},
                        **values)
@@ -987,10 +1092,7 @@ def run_chain(data: TimeGridDataset, cfg: SamplerConfig,
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError("checkpoint_every must be at least 1")
     if resume_from is not None:
-        state, rng, snapshots = load_checkpoint(resume_from, cfg)
-        if state.data_digest != data.digest():
-            raise DataError(f"{resume_from}: written for another dataset; "
-                            "resume on that dataset")
+        state, rng, snapshots = load_checkpoint(resume_from, cfg, data)
     else:
         if rng is None:
             rng = np.random.default_rng(cfg.seed)

@@ -131,8 +131,18 @@ def log_nb_weight(m, r, ct):
     Broadcasts over all arguments; 1 - e^{-ct} goes through expm1 so
     small ct keeps its precision.
     """
-    return gammaln(r + m) - gammaln(r) - gammaln(m + 1.0) - m * ct \
-        + r * np.log(-np.expm1(-ct))
+    return _log_nb_from_coef(gammaln(r + m) - gammaln(r) - gammaln(m + 1.0),
+                             m, r, ct)
+
+
+def _log_nb_from_coef(log_coef, m, r, ct):
+    """log r_t(m) from its c-free part log_coef = log Gamma(r + m) -
+    log Gamma(r) - log m!, in log_nb_weight's operation order.
+
+    A caller that varies only ct caches log_coef and evaluates no
+    log-gamma.
+    """
+    return log_coef - m * ct + r * np.log(-np.expm1(-ct))
 
 
 def nb_weight(m, t: float, p: WFParams):
@@ -202,17 +212,27 @@ def sample_nb(t: float, p: WFParams, rng: np.random.Generator, size):
     Inverse-CDF on the cumulative weights keeps draws exact and
     deterministic under a seeded generator.
     """
+    return _draw_index(_nb_table(t, p), rng, size)
+
+
+def _nb_table(t: float, p: WFParams) -> np.ndarray:
+    """Cached cumulative weights of r_t; SeriesTruncationError unless they
+    resolve within DEFAULT_SERIES_CAP."""
     cum = _nb_cumulative(p.a + p.b, p.c * t)
     if 1.0 - cum[-1] > 1e-12:
         raise SeriesTruncationError(
             f"series index distribution not resolved within cap for t={t}"
         )
-    return _draw_index(cum, rng, size)
+    return cum
 
 
 def _draw_index(cum: np.ndarray, rng: np.random.Generator, size):
-    """Inverse-CDF draws of a series index from cumulative weights."""
-    u = rng.uniform(size=size)
+    """Inverse-CDF draws of a series index from cumulative weights.
+
+    rng.random(size) is rng.uniform(size=size) to the bit (uniform
+    returns 0 + 1 x of the same double) with fewer argument checks.
+    """
+    u = rng.random(size)
     # u beyond the resolved tail (< 1e-15 mass): clamp to the last index
     return np.minimum(np.searchsorted(cum, u), len(cum) - 1).astype(np.int64)
 

@@ -9,7 +9,7 @@ from diffmix.data import TimeGridDataset
 from diffmix.estimation import effective_sample_size
 from diffmix.gibbs import (GammaPrior, SamplerConfig, gibbs_sweep, init_chain,
                            update_stick_values, update_transition_latents)
-from diffmix.measure import StickConfig, stick_runs
+from diffmix.measure import OPEN_UNIT, StickConfig, stick_runs
 from diffmix.mixture import LOG_2PI, CenteringMeasure
 
 
@@ -247,10 +247,10 @@ def guarded_label_swaps(state, data, cfg, rng):
         if j + 1 in law_changes:
             for lo, hi in ((j, j + 1), (j + 1, j)):
                 pos, other = slice(lo, lo + 1), slice(hi, hi + 1)
-                log_ratio += gibbs._log_stick_likelihood(
+                log_ratio += reference_stick_likelihood(
                     state.sticks[other], state.trans_k[other],
                     state.trans_d[other], taus, a[pos], b[pos], state.c)
-                log_ratio -= gibbs._log_stick_likelihood(
+                log_ratio -= reference_stick_likelihood(
                     state.sticks[pos], state.trans_k[pos],
                     state.trans_d[pos], taus, a[pos], b[pos], state.c)
         if np.log(max(unif[j], 1e-300)) < log_ratio:
@@ -259,6 +259,52 @@ def guarded_label_swaps(state, data, cfg, rng):
                 arr[[j, j + 1]] = arr[[j + 1, j]]
             state.s[at_j] = j + 1
             state.s[at_j1] = j
+
+
+def reference_stick_likelihood(sticks, k, d, taus, a, b, c) -> float:
+    """gibbs._log_stick_likelihood in one expression per factor.
+
+    The bitwise reference for the staged terms of gibbs._StickTerms:
+    Beta marginal at the first time, Negative-Binomial series weights
+    and Beta transition components, every log-gamma evaluated afresh.
+    """
+    v_first = sticks[:, 0]
+    total = float(np.sum(
+        (a - 1.0) * np.log(v_first) + (b - 1.0) * np.log1p(-v_first)
+        - betaln(a, b)))
+    r = (a + b)[:, None]
+    A = a[:, None]
+    B = b[:, None]
+    v1 = sticks[:, 1:]
+    series = wf.log_nb_weight(d, r, c * taus)
+    comp = (gammaln(r + d) - gammaln(A + k) - gammaln(B + d - k)
+            + (A + k - 1.0) * np.log(v1)
+            + (B + d - k - 1.0) * np.log1p(-v1))
+    return total + float(series.sum() + comp.sum())
+
+
+def per_gap_prior_components(cfg, theta, c, count, offset, taus, rng):
+    """gibbs._prior_components with one array generator call per gap.
+
+    The bitwise reference for the scalar per-stick draws: the same
+    stream, in the same order (d per run, then k, v_next and the slice
+    uniforms for every stick), and the same five arrays.
+    """
+    a, b = (x[offset:] for x in cfg.stick.params(offset + count, theta))
+    runs = stick_runs(a, b, c)
+    n = len(taus) + 1
+    sticks = np.empty((count, n))
+    o = np.empty((count, n - 1))
+    kk = np.empty((count, n - 1), dtype=np.int64)
+    dd = np.empty((count, n - 1), dtype=np.int64)
+    sticks[:, 0] = v = np.clip(rng.beta(a, b), *OPEN_UNIT)
+    for w, tau in enumerate(taus):
+        dd[:, w] = d = gibbs._sample_prior_index(runs, float(tau), rng)
+        kk[:, w] = k = rng.binomial(d, v)
+        sticks[:, w + 1] = v = np.clip(rng.beta(a + k, b + d - k), *OPEN_UNIT)
+        o[:, w] = gibbs._sample_slice(d, cfg.trans_slice_eta, rng)
+    atoms = cfg.centering.sample(rng, count)
+    return sticks, o, kk, dd, atoms
 
 
 def _redraw_observations(state, times, rng):

@@ -274,6 +274,33 @@ class TestFit:
         err = capsys.readouterr().err
         assert (f"lacks {key}" if value is None else f"meta {key} = ") in err
 
+    @pytest.mark.parametrize("member, edit", [
+        ("s", lambda arrays, m: arrays["s"][:3]),
+        ("s", lambda arrays, m: np.full_like(arrays["s"], m)),
+        ("u", lambda arrays, m: arrays["u"][:3]),
+        ("u", lambda arrays, m: np.full_like(arrays["u"], 0.9)),
+        ("sticks", lambda arrays, m: arrays["sticks"][:, :-1]),
+        ("trans_d", lambda arrays, m: arrays["trans_d"][:, :-1]),
+        ("trans_d", lambda arrays, m: arrays["trans_d"] + 0.5),
+    ], ids=["s_length", "s_label_above_m", "u_length", "u_above_psi",
+            "sticks_columns", "trans_d_columns", "trans_d_reals"])
+    def test_checkpoint_state_arrays_checked_exit_two(self, dataset, tmp_path,
+                                                      capsys, member, edit):
+        # 16 observations; one state array rewritten to fit neither the
+        # dataset nor the stored m, and u = 0.9 lies above every psi
+        cp, bad = tmp_path / "cp.npz", tmp_path / "bad.npz"
+        run_cli(*self.fit_args(dataset, tmp_path / "a.npz", "--checkpoint",
+                               str(cp), "--checkpoint-every", "23"))
+        with zipfile.ZipFile(cp) as zf:
+            names = [n[:-4] for n in zf.namelist() if n.endswith(".npy")]
+        meta, arrays = read_container(cp, "diffmix-checkpoint", 3, names)
+        arrays[member] = edit(arrays, meta["m"])
+        write_container(bad, meta, arrays)
+        capsys.readouterr()
+        assert run_cli(*self.fit_args(dataset, tmp_path / "b.npz",
+                                      "--resume", str(bad))) == 2
+        assert f"checkpoint {member} " in capsys.readouterr().err
+
     def test_worker_processes_match_serial(self, dataset, tmp_path):
         # the process-pool path writes the same archives as the serial one
         serial, pooled = tmp_path / "serial.npz", tmp_path / "pooled.npz"

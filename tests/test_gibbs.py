@@ -20,7 +20,8 @@ from scipy.special import gammaln, logsumexp
 from diffmix import gibbs, measure, mixture, wf
 from diffmix.archive import write_container
 from diffmix.data import TimeGridDataset
-from diffmix.errors import DataError, NumericalError, TruncationCapError
+from diffmix.errors import (DataError, NumericalError, SeriesTruncationError,
+                            TruncationCapError)
 from diffmix.gibbs import (GammaPrior, PosteriorDraws,
                            SamplerConfig, check_invariants, gibbs_sweep,
                            init_chain, load_checkpoint, run_chain,
@@ -33,7 +34,8 @@ from diffmix.measure import StickConfig, sticks_to_weights_matrix
 from diffmix.mixture import CenteringMeasure, gaussian_logpdf, simulate_toy
 
 from oracles import (centering_logpdf, centering_posterior,
-                     guarded_label_swaps, stick_joint_tv,
+                     guarded_label_swaps, per_gap_prior_components,
+                     reference_stick_likelihood, stick_joint_tv,
                      transition_mixture_component)
 
 
@@ -178,6 +180,41 @@ class TestSliceAndTruncation:
             for _ in range(200):
                 update_slice_and_truncation(state, data, cfg, rng)
                 state.u *= 1e-3  # push the bounds upward
+
+    @pytest.mark.parametrize("times", [[0.0, 0.3, 0.6, 1.7, 2.0, 2.3, 2.6],
+                                       [0.0]], ids=["gaps", "one_time"])
+    @pytest.mark.parametrize("count", [1, 2, 7, 20])
+    @pytest.mark.parametrize("stick", [
+        StickConfig.dp(1.0), StickConfig.pitman_yor(1.0, 0.25),
+        StickConfig.general_gem([(1.0, 1.0), (1.0, 2.0), (1.5, 2.5)]),
+    ], ids=["dp", "py", "gem_three_pairs"])
+    def test_growth_matches_per_gap_reference(self, stick, count, times):
+        # scalar per-stick draws give the arrays and generator state of
+        # one array call per gap, bit for bit; from offset 1 the three
+        # pairs make a one-stick run and a run holding the rest
+        data = TimeGridDataset(times=times,
+                               values=tuple(np.array([0.0]) for _ in times))
+        cfg = dp_config(stick=stick, **({"fix_theta": 1.0}
+                                        if stick.kind == "gem" else {}))
+        outs, states = [], []
+        for draw in (gibbs._prior_components, per_gap_prior_components):
+            gen = np.random.default_rng(17)
+            outs.append(draw(cfg, 1.3, 0.7, count, 1, data.gaps, gen))
+            states.append(gen.bit_generator.state)
+        for new, ref in zip(*outs):
+            assert new.dtype == ref.dtype
+            np.testing.assert_array_equal(new, ref)
+        assert states[0] == states[1]
+
+    def test_growth_over_near_duplicate_times_names_the_gap(self, rng):
+        values = tuple(np.array([0.1 * i]) for i in range(3))
+        cfg = dp_config()
+        state = init_chain(TimeGridDataset([0.0, 0.5, 1.0], values), cfg, rng)
+        state.s[:] = state.m + 2  # every bound lands above m: growth
+        near = TimeGridDataset([0.0, 1e-9, 1.0], values)
+        with pytest.raises(SeriesTruncationError,
+                           match=r"gap 1e-09 .*merge near-duplicate times"):
+            update_slice_and_truncation(state, near, cfg, rng)
 
 
 class TestMembership:
@@ -693,22 +730,114 @@ class TestHyperparams:
         ({"tie_c_to_theta": True}, 2)])
     def test_stick_likelihood_evaluations(self, rng, monkeypatch, fixed,
                                           calls):
-        # the c move starts from the likelihood the theta move kept
+        # one call evaluates the target `calls` times (the c move starts
+        # from the likelihood the theta move kept) and builds the theta
+        # terms once per theta it visits; an evaluation at a given c, and
+        # so a c proposal, calls no log-gamma
         data = small_data(rng)
         cfg = dp_config(**fixed)
         state = init_chain(data, cfg, rng)
-        count = [0]
-        target = gibbs._hyper_log_target
+        count = dict.fromkeys(["gammaln", "staged", "terms", "builds",
+                               "evaluations", "evaluated_gammaln"], 0)
+        real_gammaln = gibbs.gammaln
+        real_init, real_at = gibbs._StickTerms.__init__, gibbs._StickTerms.at
 
-        def counted(*args):
-            count[0] += 1
-            return target(*args)
+        def counted_gammaln(x):
+            count["gammaln"] += 1
+            return real_gammaln(x)
 
-        monkeypatch.setattr(gibbs, "_hyper_log_target", counted)
+        def staged(name, fn):
+            def wrapper(*args):
+                before = count["gammaln"]
+                count[name] += 1
+                out = fn(*args)
+                count["staged"] += count["gammaln"] - before
+                return out
+            return wrapper
+
+        def at(self, a, b):
+            log_lik = staged("builds", real_at)(self, a, b)
+
+            def evaluated(c):
+                before = count["gammaln"]
+                count["evaluations"] += 1
+                value = log_lik(c)
+                count["evaluated_gammaln"] += count["gammaln"] - before
+                return value
+            return evaluated
+
+        monkeypatch.setattr(gibbs, "gammaln", counted_gammaln)
+        monkeypatch.setattr(wf, "gammaln", counted_gammaln)
+        monkeypatch.setattr(gibbs._StickTerms, "__init__",
+                            staged("terms", real_init))
+        monkeypatch.setattr(gibbs._StickTerms, "at", at)
         for _ in range(5):
-            count[0] = 0
+            count.update(dict.fromkeys(count, 0))
             update_hyperparams(state, data, cfg, rng)
-            assert count[0] == calls
+            assert count["evaluations"] == calls
+            assert count["terms"] == 1
+            assert count["builds"] == (1 if "fix_theta" in fixed else 2)
+            assert count["staged"] > 0
+            assert count["evaluated_gammaln"] == 0
+
+    @pytest.mark.parametrize("stick", [
+        StickConfig.dp(1.0), StickConfig.pitman_yor(1.0, 0.25)],
+        ids=["dp", "py"])
+    def test_staged_target_equals_one_expression(self, rng, stick):
+        # every (theta, c) of a grid, from one set of cached terms, equals
+        # the fresh one-expression value to the bit; m = 0 too
+        data = small_data(rng, n_times=8)
+        state = init_chain(data, dp_config(stick=stick), rng)
+        for _ in range(3):
+            gibbs_sweep(state, data, dp_config(stick=stick), rng)
+        for m in (state.m, 0):
+            arrays = (state.sticks[:m], state.trans_k[:m],
+                      state.trans_d[:m], data.gaps)
+            terms = gibbs._StickTerms(*arrays)
+            for theta in (0.05, 0.7, 1.0, 3.3, 40.0):
+                a, b = stick.params(m, theta)
+                log_lik = terms.at(a, b)
+                for c in (1e-3, 0.2, 0.5, 1.7, 25.0):
+                    expected = reference_stick_likelihood(*arrays, a, b, c)
+                    assert log_lik(c) == expected
+                    assert gibbs._log_stick_likelihood(*arrays, a, b, c) \
+                        == expected
+
+    @pytest.mark.parametrize("stick, fixed", [
+        (StickConfig.dp(1.0), {}), (StickConfig.dp(1.0), {"fix_theta": 2.0}),
+        (StickConfig.dp(1.0), {"tie_c_to_theta": True}),
+        (StickConfig.pitman_yor(1.0, 0.25), {})],
+        ids=["dp", "fix_theta", "tie", "py"])
+    def test_moves_evaluate_the_exact_target(self, rng, monkeypatch, stick,
+                                             fixed):
+        # every stick likelihood a sweep evaluates, for the theta and c
+        # moves and for label swaps, equals the one-expression value
+        data = small_data(rng)
+        cfg = dp_config(stick=stick, **fixed)
+        state = init_chain(data, cfg, rng)
+        real_init, real_at = gibbs._StickTerms.__init__, gibbs._StickTerms.at
+        seen = [0]
+
+        def init(self, *arrays):
+            real_init(self, *arrays)
+            self.arrays = arrays
+
+        def at(self, a, b):
+            log_lik = real_at(self, a, b)
+
+            def checked(c):
+                seen[0] += 1
+                value = log_lik(c)
+                assert value == reference_stick_likelihood(*self.arrays,
+                                                           a, b, c)
+                return value
+            return checked
+
+        monkeypatch.setattr(gibbs._StickTerms, "__init__", init)
+        monkeypatch.setattr(gibbs._StickTerms, "at", at)
+        for _ in range(10):
+            gibbs_sweep(state, data, cfg, rng)
+        assert seen[0] >= 20
 
     def test_tie_keeps_c_locked(self, rng):
         data = small_data(rng)
@@ -921,7 +1050,7 @@ class TestSweepAndChain:
         state = init_chain(data, cfg, rng)
         save_checkpoint(cp, state, rng, cfg, [])
         with pytest.raises(DataError, match="different configuration"):
-            load_checkpoint(cp, dp_config(iters=10, burn_in=2, seed=99))
+            load_checkpoint(cp, dp_config(iters=10, burn_in=2, seed=99), data)
 
     def test_checkpoint_members_fixed(self, rng, tmp_path):
         # the state arrays and the padded draws, however many draws
@@ -937,7 +1066,7 @@ class TestSweepAndChain:
             cp = tmp_path / f"cp{count}.npz"
             save_checkpoint(cp, state, rng, cfg, [snap] * count)
             assert set(zipfile.ZipFile(cp).namelist()) == expected
-            assert len(load_checkpoint(cp, cfg)[2]) == count
+            assert len(load_checkpoint(cp, cfg, data)[2]) == count
 
     def test_resume_from_burn_in_checkpoint(self, rng, tmp_path):
         # the only checkpoint falls in burn-in and holds no draws
@@ -945,7 +1074,7 @@ class TestSweepAndChain:
         cfg = dp_config(iters=6, burn_in=10, thin=2, seed=8)
         cp = tmp_path / "cp.npz"
         full = run_chain(data, cfg, checkpoint_path=cp, checkpoint_every=8)
-        state, _, snapshots = load_checkpoint(cp, cfg)
+        state, _, snapshots = load_checkpoint(cp, cfg, data)
         assert state.sweep == 8 and snapshots == []
         resumed = run_chain(data, cfg, resume_from=cp)
         p1, p2 = tmp_path / "a.npz", tmp_path / "b.npz"
@@ -963,7 +1092,7 @@ class TestSweepAndChain:
                                  "config_digest": cfg.digest(),
                                  "n_snapshots": 0}, {})
             with pytest.raises(DataError, match="version 3"):
-                load_checkpoint(cp, cfg)
+                load_checkpoint(cp, cfg, small_data(rng))
 
     def test_draws_archive_format_and_version_checked(self, rng, tmp_path):
         data = small_data(rng)
