@@ -26,7 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import IO, NamedTuple
 
 import numpy as np
@@ -149,7 +149,8 @@ class SamplerConfig:
 
 @dataclass
 class MHAdaptation:
-    """Adaptive random-walk state for the two hyperparameter moves."""
+    """Adaptive random-walk state for the two hyperparameter moves; each
+    move, named "theta" or "c", owns the fields ending in its name."""
 
     log_step_theta: float = math.log(0.5)
     log_step_c: float = math.log(0.5)
@@ -157,6 +158,17 @@ class MHAdaptation:
     accepts_theta: int = 0
     proposals_c: int = 0
     accepts_c: int = 0
+
+    def record(self, move: str, accepted: bool, adapt: bool) -> None:
+        """Count one proposal of move and, while adapt holds, step its log
+        step size toward MH_TARGET_ACCEPT with diminishing gain n^-0.6."""
+        n = getattr(self, "proposals_" + move) + 1
+        setattr(self, "proposals_" + move, n)
+        setattr(self, "accepts_" + move,
+                getattr(self, "accepts_" + move) + int(accepted))
+        if adapt:
+            setattr(self, "log_step_" + move, getattr(self, "log_step_" + move)
+                    + n ** -0.6 * (int(accepted) - MH_TARGET_ACCEPT))
 
     def rate_theta(self) -> float:
         return self.accepts_theta / max(1, self.proposals_theta)
@@ -587,16 +599,21 @@ def update_locations(state: ChainState, data: TimeGridDataset,
 
 
 class _StickTerms:
-    """_log_stick_likelihood in stages, for evaluation at many (a, b, c).
+    """Log density of sticks and (k, d) latents given stick parameters
+    (a, b) and rate c, in stages for evaluation at many (a, b, c).
+
+    Collects every factor that depends on the stick hyperparameters: the
+    Beta marginal at the first time, the Negative-Binomial series weights
+    and the Beta transition components. Binomial factors and the o slices
+    carry no hyperparameter dependence and are omitted.
 
     The constructor computes what depends on neither theta nor c: the
     logs of the stick values and log d!. at(a, b) adds the terms of one
-    set of stick parameters (the Beta marginal at the first time, the
-    Beta transition components and the c-free part of the series
-    weights) and returns the log likelihood as a function of c alone,
-    which evaluates no log-gamma. Each stage keeps the operation order
-    of the likelihood written as one expression (tests/oracles.py), so
-    the value is the same to the bit however the stages are reused.
+    set of stick parameters and returns the log likelihood as a function
+    of c alone, which evaluates no log-gamma. Each stage keeps the
+    operation order of the likelihood written as one expression
+    (tests/oracles.py), so the value is the same to the bit however the
+    stages are reused.
     """
 
     def __init__(self, sticks, k, d, taus):
@@ -626,43 +643,31 @@ class _StickTerms:
         return log_lik
 
 
-def _log_stick_likelihood(sticks, k, d, taus, a, b, c) -> float:
-    """Log density of sticks and (k, d) latents given (a, b) arrays, rate c.
-
-    Collects every factor that depends on the stick hyperparameters: the
-    Beta marginal at the first time, the Negative-Binomial series weights
-    and the Beta transition components. Binomial factors and the o slices
-    carry no hyperparameter dependence and are omitted.
-    """
-    return _StickTerms(sticks, k, d, taus).at(a, b)(c)
-
-
-def _hyper_log_target(state: ChainState, data: TimeGridDataset,
-                      cfg: SamplerConfig, theta: float, c: float) -> float:
-    a, b = cfg.stick.params(state.m, theta)
-    return _log_stick_likelihood(state.sticks, state.trans_k, state.trans_d,
-                                 data.gaps, a, b, c)
-
-
 def update_hyperparams(state: ChainState, data: TimeGridDataset,
                        cfg: SamplerConfig,
                        rng: np.random.Generator) -> None:
     """Adaptive log-scale random-walk Metropolis on theta and c.
 
-    Step sizes chase an acceptance rate near 0.44 with diminishing
-    adaptation, frozen once the sweep count passes the burn-in. Fixed
-    hyperparameters are left untouched; with tie_c_to_theta the single
-    theta move carries c = theta / 2 along.
+    One Metropolis step runs each move in turn: theta unless fixed
+    (carrying c = theta / 2 along under tie_c_to_theta), then c unless
+    fixed or tied. Step sizes chase an acceptance rate near 0.44 with
+    diminishing adaptation (MHAdaptation.record), frozen once the sweep
+    count passes the burn-in.
 
-    The target is the stick likelihood of _log_stick_likelihood, staged
-    through _StickTerms: the theta- and c-free terms once per call, the
-    theta terms once for the current theta and once for the proposal,
-    and nothing with a log-gamma for a c proposal. The c move starts
-    from the likelihood the theta move kept, so the call evaluates the
-    target three times when both move.
+    The target is the stick likelihood of _StickTerms, built only when a
+    move runs: the theta- and c-free terms once per call and the theta
+    terms once per theta visited. The c move evaluates its current value
+    from the terms of the kept theta, and no c evaluation calls a
+    log-gamma.
     """
-    mh = state.mh
-    adapt = state.sweep < cfg.burn_in
+    moves = []  # (name, log prior, value -> the (theta, c) it proposes)
+    if cfg.fix_theta is None:
+        moves.append(("theta", cfg.theta_prior.logpdf, lambda th: (
+            th, th / 2.0 if cfg.tie_c_to_theta else state.c)))
+    if cfg.fix_c is None and not cfg.tie_c_to_theta:
+        moves.append(("c", cfg.c_prior.logpdf, lambda cv: (state.theta, cv)))
+    if not moves:
+        return
     terms = _StickTerms(state.sticks, state.trans_k, state.trans_d,
                         data.gaps)
     at_theta = {}  # theta -> the target as a function of c
@@ -672,13 +677,9 @@ def update_hyperparams(state: ChainState, data: TimeGridDataset,
             at_theta[theta] = terms.at(*cfg.stick.params(state.m, theta))
         return at_theta[theta](c)
 
-    def step(value, log_step, log_prior, log_lik, lik):
-        """One move; lik is the log likelihood at value, or None to
-        evaluate it. Returns the kept value, whether the proposal was
-        accepted and the log likelihood at the kept value."""
-        if lik is None:
-            lik = log_lik(value)
-        cur = log_prior(value) + lik
+    for name, log_prior, point in moves:
+        value = getattr(state, name)
+        cur = log_prior(value) + target(*point(value))
         if not np.isfinite(cur):
             raise NumericalError(
                 "non-finite hyperparameter log posterior at current state: "
@@ -687,40 +688,16 @@ def update_hyperparams(state: ChainState, data: TimeGridDataset,
                 f"d_max={int(state.trans_d.max()) if state.trans_d.size else 0}"
             )
         x = math.log(value)
-        x_new = x + math.exp(log_step) * rng.standard_normal()
+        x_new = x + math.exp(getattr(state.mh, "log_step_" + name)) \
+            * rng.standard_normal()
         new = math.exp(x_new)
-        lik_new = log_lik(new)
-        log_acc = log_prior(new) + lik_new - cur + (x_new - x)
-        accept = math.log(max(rng.uniform(), 1e-300)) < log_acc
-        return (new, True, lik_new) if accept else (value, False, lik)
-
-    # the stick log likelihood the theta move kept; the c move starts there
-    lik = None
-    if cfg.fix_theta is None:
-        def lik_theta(th):
-            return target(th, th / 2.0 if cfg.tie_c_to_theta else state.c)
-        new_theta, accepted, lik = step(state.theta, mh.log_step_theta,
-                                        cfg.theta_prior.logpdf, lik_theta,
-                                        None)
-        mh.proposals_theta += 1
-        mh.accepts_theta += int(accepted)
-        if adapt:
-            gain = mh.proposals_theta ** -0.6
-            mh.log_step_theta += gain * (int(accepted) - MH_TARGET_ACCEPT)
-        state.theta = new_theta
-        if cfg.tie_c_to_theta:
-            state.c = new_theta / 2.0
-
-    if cfg.fix_c is None and not cfg.tie_c_to_theta:
-        new_c, accepted, _ = step(
-            state.c, mh.log_step_c, cfg.c_prior.logpdf,
-            lambda cv: target(state.theta, cv), lik)
-        mh.proposals_c += 1
-        mh.accepts_c += int(accepted)
-        if adapt:
-            gain = mh.proposals_c ** -0.6
-            mh.log_step_c += gain * (int(accepted) - MH_TARGET_ACCEPT)
-        state.c = new_c
+        log_acc = log_prior(new) + target(*point(new)) - cur + (x_new - x)
+        accepted = math.log(max(rng.uniform(), 1e-300)) < log_acc
+        if accepted:
+            setattr(state, name, new)
+            if cfg.tie_c_to_theta:
+                state.c = new / 2.0
+        state.mh.record(name, accepted, state.sweep < cfg.burn_in)
 
 
 def update_membership(state: ChainState, data: TimeGridDataset,
@@ -801,14 +778,13 @@ def update_label_swaps(state: ChainState, data: TimeGridDataset,
             -state.sticks[j, tidx[at_j1]]))) - eta * int(at_j1.sum())
         if j + 1 in law_changes:
             # each stick's path prior at the other's position, less its own
-            for lo, hi in ((j, j + 1), (j + 1, j)):
-                pos, other = slice(lo, lo + 1), slice(hi, hi + 1)
-                log_ratio += _log_stick_likelihood(
-                    state.sticks[other], state.trans_k[other],
-                    state.trans_d[other], taus, a[pos], b[pos], state.c)
-                log_ratio -= _log_stick_likelihood(
-                    state.sticks[pos], state.trans_k[pos],
-                    state.trans_d[pos], taus, a[pos], b[pos], state.c)
+            rows = [_StickTerms(state.sticks[i:i + 1], state.trans_k[i:i + 1],
+                                state.trans_d[i:i + 1], taus)
+                    for i in (j, j + 1)]
+            for own, other in ((0, 1), (1, 0)):
+                params = a[j + own:j + own + 1], b[j + own:j + own + 1]
+                log_ratio += rows[other].at(*params)(state.c)
+                log_ratio -= rows[own].at(*params)(state.c)
         if np.log(max(unif[j], 1e-300)) < log_ratio:
             for name in _COMPONENTS:
                 arr = getattr(state, name)
@@ -909,26 +885,30 @@ class PosteriorDraws:
         meta, arrays = read_container(path, DRAWS_FORMAT, ARCHIVE_VERSION,
                                       ("times", *_DRAW_ARRAYS))
         _check_draws(path, arrays)
+        if len(arrays["m"]) < 1:
+            raise DataError(f"{path}: holds no draw; an archive needs at "
+                            "least one draw")
         return cls(**arrays, config_json=meta.get("config", ""),
                    config_digest=meta.get("config_digest", ""))
 
 
-def _check_draws(path, arrays: dict[str, np.ndarray]) -> None:
-    """Raise DataError naming the draw and the array that breaks the draws
-    layout: d >= 1 draws, m in 1..M, sticks (d, M, times), atoms (d, M),
-    and within each draw's m sticks in (0, 1), finite atom means, positive
-    finite precisions, and theta and c finite and positive."""
+def _check_draws(where, arrays: dict[str, np.ndarray]) -> None:
+    """Raise DataError, its message led by where, naming the draw and the
+    array that breaks the draws layout: d >= 0 draws, m in 1..M, sticks
+    (d, M, times), atoms (d, M), and within each draw's m sticks in
+    (0, 1), finite atom means, positive finite precisions, and theta and
+    c finite and positive."""
     m, sticks = arrays["m"], arrays["sticks"]
-    if m.ndim != 1 or len(m) < 1 or m.dtype.kind not in "iu":
-        raise DataError(f"{path}: m must hold one integer per draw, at "
-                        f"least one draw (found {m.dtype} shape {m.shape})")
+    if m.ndim != 1 or m.dtype.kind not in "iu":
+        raise DataError(f"{where}: m must hold one integer per draw "
+                        f"(found {m.dtype} shape {m.shape})")
     d, width = len(m), sticks.shape[1] if sticks.ndim == 3 else -1
     shapes = {"times": (arrays["times"].size,), "theta": (d,), "c": (d,),
               "sticks": (d, width, arrays["times"].size),
               "atom_mean": (d, width), "atom_prec": (d, width)}
     for name, shape in shapes.items():
         if arrays[name].shape != shape or arrays[name].dtype.kind not in "iuf":
-            raise DataError(f"{path}: {name} has {arrays[name].dtype} shape "
+            raise DataError(f"{where}: {name} has {arrays[name].dtype} shape "
                             f"{arrays[name].shape}, expected real numbers of "
                             f"shape {shape}")
     own = np.arange(width) < m[:, None]
@@ -948,7 +928,7 @@ def _check_draws(path, arrays: dict[str, np.ndarray]) -> None:
     for name, what, bad in checks:
         if np.any(bad):
             draw = int(np.flatnonzero(bad.reshape(d, -1).any(axis=1))[0])
-            raise DataError(f"{path}: draw {draw} (m = {m[draw]}): {name} "
+            raise DataError(f"{where}: draw {draw} (m = {m[draw]}): {name} "
                             f"{what}")
 
 
@@ -1001,6 +981,20 @@ def _generator(bit_state) -> np.random.Generator:
     return rng
 
 
+def _adaptation(x) -> MHAdaptation:
+    """MHAdaptation from exactly its six fields: finite log steps and
+    non-negative integer counters with accepts at most proposals."""
+    names = [f.name for f in fields(MHAdaptation)]
+    if not isinstance(x, dict) or set(x) != set(names):
+        raise ValueError(f"needs exactly the fields {', '.join(names)}")
+    mh = MHAdaptation(**{
+        name: _number(x[name], -math.inf) if name.startswith("log_step_")
+        else _number(x[name], -1, (int,)) for name in names})
+    if mh.accepts_theta > mh.proposals_theta or mh.accepts_c > mh.proposals_c:
+        raise ValueError("more accepts than proposals")
+    return mh
+
+
 # the parser of each checkpoint meta value besides format and version
 _CHECKPOINT_META = {
     "config_digest": str, "data_digest": str, "rng_state": _generator,
@@ -1008,8 +1002,7 @@ _CHECKPOINT_META = {
     "m": lambda x: _number(x, 0, (int,)),
     "theta": lambda x: float(_number(x, 0)),
     "c": lambda x: float(_number(x, 0)),
-    "mh": lambda x: MHAdaptation(**{key: _number(v, -math.inf)
-                                    for key, v in dict(x).items()})}
+    "mh": _adaptation}
 
 
 def _check_state_arrays(path, arrays: dict[str, np.ndarray], m: int,
@@ -1042,7 +1035,7 @@ def _check_state_arrays(path, arrays: dict[str, np.ndarray], m: int,
 
 def load_checkpoint(path, cfg: SamplerConfig, data: TimeGridDataset):
     """Restore (state, rng, snapshots) to resume on data; DataError names
-    a bad meta key or state array."""
+    a bad meta key, state array or draws array."""
     meta, arrays = read_container(
         path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
         (*_STATE_ARRAYS, *("draws_" + name for name in _DRAW_ARRAYS)))
@@ -1063,10 +1056,11 @@ def load_checkpoint(path, cfg: SamplerConfig, data: TimeGridDataset):
         raise DataError(f"{path}: written for another dataset; resume on "
                         "that dataset")
     _check_state_arrays(path, arrays, values["m"], data, cfg.slice_eta)
+    d = {name: arrays["draws_" + name] for name in _DRAW_ARRAYS}
+    _check_draws(f"{path}: checkpoint draws", {"times": data.times, **d})
     rng = values.pop("rng_state")
     state = ChainState(**{name: arrays[name] for name in _STATE_ARRAYS},
                        **values)
-    d = {name: arrays["draws_" + name] for name in _DRAW_ARRAYS}
     atoms = np.stack([d["atom_mean"], d["atom_prec"]], axis=-1)
     snapshots = [{"sticks": d["sticks"][i, :mi], "atoms": atoms[i, :mi],
                   "theta": float(d["theta"][i]), "c": float(d["c"][i])}

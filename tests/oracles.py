@@ -1,5 +1,7 @@
 """Shared simulation oracles used by the unit and acceptance suites."""
 
+import math
+
 import numpy as np
 from scipy import stats
 from scipy.special import betaln, gammaln
@@ -7,8 +9,10 @@ from scipy.special import betaln, gammaln
 from diffmix import gibbs, wf
 from diffmix.data import TimeGridDataset
 from diffmix.estimation import effective_sample_size
-from diffmix.gibbs import (GammaPrior, SamplerConfig, gibbs_sweep, init_chain,
-                           update_stick_values, update_transition_latents)
+from diffmix.errors import NumericalError
+from diffmix.gibbs import (MH_TARGET_ACCEPT, GammaPrior, SamplerConfig,
+                           gibbs_sweep, init_chain, update_stick_values,
+                           update_transition_latents)
 from diffmix.measure import OPEN_UNIT, StickConfig, stick_runs
 from diffmix.mixture import LOG_2PI, CenteringMeasure
 
@@ -262,7 +266,8 @@ def guarded_label_swaps(state, data, cfg, rng):
 
 
 def reference_stick_likelihood(sticks, k, d, taus, a, b, c) -> float:
-    """gibbs._log_stick_likelihood in one expression per factor.
+    """The stick likelihood of gibbs._StickTerms in one expression per
+    factor.
 
     The bitwise reference for the staged terms of gibbs._StickTerms:
     Beta marginal at the first time, Negative-Binomial series weights
@@ -281,6 +286,68 @@ def reference_stick_likelihood(sticks, k, d, taus, a, b, c) -> float:
             + (A + k - 1.0) * np.log(v1)
             + (B + d - k - 1.0) * np.log1p(-v1))
     return total + float(series.sum() + comp.sum())
+
+
+def two_block_hyperparams(state, data, cfg, rng):
+    """gibbs.update_hyperparams as two blocks, one per move, each with
+    its own bookkeeping, the c move starting from the likelihood the
+    theta move kept.
+
+    The bitwise reference for the one Metropolis step over a move list:
+    the same draws, the same values and the same MHAdaptation fields.
+    Mutates state the same way.
+    """
+    mh = state.mh
+    adapt = state.sweep < cfg.burn_in
+    terms = gibbs._StickTerms(state.sticks, state.trans_k, state.trans_d,
+                              data.gaps)
+    at_theta = {}
+
+    def target(theta, c):
+        if theta not in at_theta:
+            at_theta[theta] = terms.at(*cfg.stick.params(state.m, theta))
+        return at_theta[theta](c)
+
+    def step(value, log_step, log_prior, log_lik, lik):
+        if lik is None:
+            lik = log_lik(value)
+        cur = log_prior(value) + lik
+        if not np.isfinite(cur):
+            raise NumericalError("non-finite hyperparameter log posterior")
+        x = math.log(value)
+        x_new = x + math.exp(log_step) * rng.standard_normal()
+        new = math.exp(x_new)
+        lik_new = log_lik(new)
+        log_acc = log_prior(new) + lik_new - cur + (x_new - x)
+        accept = math.log(max(rng.uniform(), 1e-300)) < log_acc
+        return (new, True, lik_new) if accept else (value, False, lik)
+
+    lik = None
+    if cfg.fix_theta is None:
+        def lik_theta(th):
+            return target(th, th / 2.0 if cfg.tie_c_to_theta else state.c)
+        new_theta, accepted, lik = step(state.theta, mh.log_step_theta,
+                                        cfg.theta_prior.logpdf, lik_theta,
+                                        None)
+        mh.proposals_theta += 1
+        mh.accepts_theta += int(accepted)
+        if adapt:
+            gain = mh.proposals_theta ** -0.6
+            mh.log_step_theta += gain * (int(accepted) - MH_TARGET_ACCEPT)
+        state.theta = new_theta
+        if cfg.tie_c_to_theta:
+            state.c = new_theta / 2.0
+
+    if cfg.fix_c is None and not cfg.tie_c_to_theta:
+        new_c, accepted, _ = step(
+            state.c, mh.log_step_c, cfg.c_prior.logpdf,
+            lambda cv: target(state.theta, cv), lik)
+        mh.proposals_c += 1
+        mh.accepts_c += int(accepted)
+        if adapt:
+            gain = mh.proposals_c ** -0.6
+            mh.log_step_c += gain * (int(accepted) - MH_TARGET_ACCEPT)
+        state.c = new_c
 
 
 def per_gap_prior_components(cfg, theta, c, count, offset, taus, rng):

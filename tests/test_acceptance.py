@@ -20,8 +20,9 @@ from diffmix.gibbs import (GammaPrior, SamplerConfig, init_chain, run_chain,
 from diffmix.measure import StickConfig, sticks_to_weights_matrix
 from diffmix.mixture import CenteringMeasure, gaussian_logpdf
 
-from oracles import (centering_logpdf, centering_posterior, run_geweke,
-                     stick_joint_tv, transition_mixture_component)
+from oracles import (centering_logpdf, centering_posterior,
+                     reference_stick_likelihood, run_geweke, stick_joint_tv,
+                     transition_mixture_component)
 
 
 def report(criterion: str, passed: bool, detail: str, seconds: float,
@@ -240,11 +241,11 @@ class TestCriterion6FullConditionals:
             update_hyperparams(state5, data5, cfg5, rng)
             th_draws[i] = state5.theta
         th_draws = th_draws[2000::4]
-        from diffmix.gibbs import _hyper_log_target
         grid = np.linspace(1e-3, 25.0, 3000)
         logpost = np.array([
-            cfg5.theta_prior.logpdf(t) + _hyper_log_target(
-                state5, data5, cfg5, t, state5.c) for t in grid])
+            cfg5.theta_prior.logpdf(t) + reference_stick_likelihood(
+                state5.sticks, state5.trans_k, state5.trans_d, data5.gaps,
+                *cfg5.stick.params(state5.m, t), state5.c) for t in grid])
         dens = np.exp(logpost - logpost.max())
         dens /= np.trapezoid(dens, grid)
         cdf = np.concatenate([[0.0], np.cumsum(

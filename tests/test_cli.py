@@ -274,6 +274,23 @@ class TestFit:
         err = capsys.readouterr().err
         assert (f"lacks {key}" if value is None else f"meta {key} = ") in err
 
+    def resume_edited(self, dataset, tmp_path, edit, every, *flags):
+        # fit with a checkpoint every `every` sweeps, rewrite the checkpoint
+        # through edit(meta, arrays) and resume from it; the exit code, and
+        # whether the resumed draws equal the straight run's
+        cp = tmp_path / "cp.npz"
+        straight, resumed = tmp_path / "a.npz", tmp_path / "b.npz"
+        run_cli(*self.fit_args(dataset, straight, "--checkpoint", str(cp),
+                               "--checkpoint-every", every, *flags))
+        with zipfile.ZipFile(cp) as zf:
+            names = [n[:-4] for n in zf.namelist() if n.endswith(".npy")]
+        meta, arrays = read_container(cp, "diffmix-checkpoint", 3, names)
+        edit(meta, arrays)
+        write_container(cp, meta, arrays)
+        code = run_cli(*self.fit_args(dataset, resumed, "--resume", str(cp),
+                                      *flags))
+        return code, code == 0 and straight.read_bytes() == resumed.read_bytes()
+
     @pytest.mark.parametrize("member, edit", [
         ("s", lambda arrays, m: arrays["s"][:3]),
         ("s", lambda arrays, m: np.full_like(arrays["s"], m)),
@@ -288,18 +305,54 @@ class TestFit:
                                                       capsys, member, edit):
         # 16 observations; one state array rewritten to fit neither the
         # dataset nor the stored m, and u = 0.9 lies above every psi
-        cp, bad = tmp_path / "cp.npz", tmp_path / "bad.npz"
-        run_cli(*self.fit_args(dataset, tmp_path / "a.npz", "--checkpoint",
-                               str(cp), "--checkpoint-every", "23"))
-        with zipfile.ZipFile(cp) as zf:
-            names = [n[:-4] for n in zf.namelist() if n.endswith(".npy")]
-        meta, arrays = read_container(cp, "diffmix-checkpoint", 3, names)
-        arrays[member] = edit(arrays, meta["m"])
-        write_container(bad, meta, arrays)
+        def rewrite(meta, arrays):
+            arrays[member] = edit(arrays, meta["m"])
         capsys.readouterr()
-        assert run_cli(*self.fit_args(dataset, tmp_path / "b.npz",
-                                      "--resume", str(bad))) == 2
+        assert self.resume_edited(dataset, tmp_path, rewrite, "23")[0] == 2
         assert f"checkpoint {member} " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("member, edit, named", [
+        ("theta", lambda x: x[:3], "theta has float64 shape (3,)"),
+        ("m", lambda x: x + 100, "m outside"),
+        ("sticks", lambda x: np.full_like(x, np.nan), "sticks outside"),
+        ("theta", lambda x: -x, "theta not finite and positive"),
+    ], ids=["theta_length", "m_above_width", "sticks_nan", "theta_negative"])
+    def test_checkpoint_draws_checked_exit_two(self, dataset, tmp_path,
+                                               capsys, member, edit, named):
+        # the checkpoint at sweep 23 holds 4 draws; one draws array
+        # rewritten to break the draws layout
+        def rewrite(meta, arrays):
+            arrays["draws_" + member] = edit(arrays["draws_" + member])
+        capsys.readouterr()
+        assert self.resume_edited(dataset, tmp_path, rewrite, "23")[0] == 2
+        err = capsys.readouterr().err
+        assert "checkpoint draws: " in err and named in err
+
+    @pytest.mark.parametrize("edit", [
+        None,
+        lambda mh: mh.update(proposals_theta=-1),
+        lambda mh: mh.clear(),
+        lambda mh: mh.update(proposals_c=float(mh["proposals_c"])),
+        lambda mh: mh.update(accepts_theta=mh["proposals_theta"] + 1),
+        lambda mh: mh.update(log_step_c=float("inf")),
+    ], ids=["unchanged", "negative_count", "empty", "float_count",
+            "accepts_above_proposals", "infinite_log_step"])
+    def test_checkpoint_mh_checked_exit_two(self, dataset, tmp_path, capsys,
+                                            edit):
+        # a burn-in checkpoint (sweep 39 of 40, no draws) resumes to the
+        # straight run's draws unless its adaptation state is rewritten
+        def rewrite(meta, arrays):
+            assert arrays["draws_m"].size == 0
+            if edit is not None:
+                edit(meta["mh"])
+        capsys.readouterr()
+        code, same = self.resume_edited(dataset, tmp_path, rewrite, "39",
+                                        "--burn-in", "40")
+        if edit is None:
+            assert code == 0 and same
+        else:
+            assert code == 2
+            assert "checkpoint meta mh = " in capsys.readouterr().err
 
     def test_worker_processes_match_serial(self, dataset, tmp_path):
         # the process-pool path writes the same archives as the serial one

@@ -36,7 +36,7 @@ from diffmix.mixture import CenteringMeasure, gaussian_logpdf, simulate_toy
 from oracles import (centering_logpdf, centering_posterior,
                      guarded_label_swaps, per_gap_prior_components,
                      reference_stick_likelihood, stick_joint_tv,
-                     transition_mixture_component)
+                     transition_mixture_component, two_block_hyperparams)
 
 
 def dp_config(**kw):
@@ -657,11 +657,13 @@ class TestStickValues:
 
 
 class TestHyperparams:
-    def test_fixed_values_unchanged(self, rng):
+    def test_fixed_values_unchanged(self, rng, monkeypatch):
+        # with no move to run the update builds no stick terms
         data = small_data(rng)
         cfg = dp_config(fix_theta=1.5, fix_c=0.5)
         state = init_chain(data, cfg, rng)
         theta0, c0 = state.theta, state.c
+        monkeypatch.setattr(gibbs, "_StickTerms", None)
         for _ in range(50):
             update_hyperparams(state, data, cfg, rng)
         assert state.theta == theta0
@@ -706,11 +708,11 @@ class TestHyperparams:
             draws[i] = state.theta
         draws = draws[2000::6]
 
-        from diffmix.gibbs import _hyper_log_target
         grid = np.linspace(1e-3, 25.0, 3000)
         logpost = np.array([
-            cfg.theta_prior.logpdf(t) + _hyper_log_target(state, data, cfg,
-                                                          t, state.c)
+            cfg.theta_prior.logpdf(t) + reference_stick_likelihood(
+                state.sticks, state.trans_k, state.trans_d, data.gaps,
+                *cfg.stick.params(state.m, t), state.c)
             for t in grid])
         dens = np.exp(logpost - logpost.max())
         dens /= np.trapezoid(dens, grid)
@@ -726,14 +728,14 @@ class TestHyperparams:
         assert tv < 0.03
 
     @pytest.mark.parametrize("fixed, calls", [
-        ({}, 3), ({"fix_theta": 2.0}, 2), ({"fix_c": 1.0}, 2),
+        ({}, 4), ({"fix_theta": 2.0}, 2), ({"fix_c": 1.0}, 2),
         ({"tie_c_to_theta": True}, 2)])
     def test_stick_likelihood_evaluations(self, rng, monkeypatch, fixed,
                                           calls):
-        # one call evaluates the target `calls` times (the c move starts
-        # from the likelihood the theta move kept) and builds the theta
-        # terms once per theta it visits; an evaluation at a given c, and
-        # so a c proposal, calls no log-gamma
+        # one call evaluates the target `calls` times (current value and
+        # proposal of each move) and builds the theta terms once per
+        # theta it visits; an evaluation at a given c, and so the c
+        # move's current value and proposal, calls no log-gamma
         data = small_data(rng)
         cfg = dp_config(**fixed)
         state = init_chain(data, cfg, rng)
@@ -800,8 +802,6 @@ class TestHyperparams:
                 for c in (1e-3, 0.2, 0.5, 1.7, 25.0):
                     expected = reference_stick_likelihood(*arrays, a, b, c)
                     assert log_lik(c) == expected
-                    assert gibbs._log_stick_likelihood(*arrays, a, b, c) \
-                        == expected
 
     @pytest.mark.parametrize("stick, fixed", [
         (StickConfig.dp(1.0), {}), (StickConfig.dp(1.0), {"fix_theta": 2.0}),
@@ -839,6 +839,31 @@ class TestHyperparams:
             gibbs_sweep(state, data, cfg, rng)
         assert seen[0] >= 20
 
+    @pytest.mark.parametrize("stick, fixed", [
+        (StickConfig.dp(1.0), {}), (StickConfig.dp(1.0), {"fix_theta": 2.0}),
+        (StickConfig.dp(1.0), {"fix_c": 1.0}),
+        (StickConfig.dp(1.0), {"tie_c_to_theta": True}),
+        (StickConfig.pitman_yor(1.0, 0.25), {})],
+        ids=["dp", "fix_theta", "fix_c", "tie", "py"])
+    def test_matches_two_block_reference(self, rng, stick, fixed):
+        # 200 calls, the first 100 in burn-in: theta, c, every adaptation
+        # field and the generator equal the two-block update's bit for bit
+        data = small_data(rng)
+        cfg = dp_config(stick=stick, burn_in=100, **fixed)
+        state = init_chain(data, cfg, rng)
+        for _ in range(3):
+            gibbs_sweep(state, data, cfg, rng)
+        state.sweep = 0
+        ref, ref_rng = copy.deepcopy(state), copy.deepcopy(rng)
+        for _ in range(200):
+            update_hyperparams(state, data, cfg, rng)
+            two_block_hyperparams(ref, data, cfg, ref_rng)
+            state.sweep += 1
+            ref.sweep += 1
+            assert (state.theta, state.c) == (ref.theta, ref.c)
+            assert state.mh == ref.mh
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
     def test_tie_keeps_c_locked(self, rng):
         data = small_data(rng)
         cfg = dp_config(tie_c_to_theta=True)
@@ -851,22 +876,30 @@ class TestHyperparams:
 class TestLabelSwaps:
     @staticmethod
     def _count_path_prior_calls(stick, monkeypatch, u_fn):
+        # path-prior terms evaluated; every pair that evaluates any builds
+        # the terms of its two sticks once each
         data = simulate_toy(6, 3, 2.0, np.random.default_rng(1))
         cfg = dp_config(stick=stick, fixed_truncation=6, fix_theta=1.0)
         rng = np.random.default_rng(3)
         state = init_chain(data, cfg, rng)
         state.s[:] = 0
         state.u = u_fn(cfg.slice_eta, data.n_obs)
-        calls = [0]
-        original = gibbs._log_stick_likelihood
+        count = {"builds": 0, "at": 0}
+        real_init, real_at = gibbs._StickTerms.__init__, gibbs._StickTerms.at
 
-        def counted(*args):
-            calls[0] += 1
-            return original(*args)
+        def init(self, *arrays):
+            count["builds"] += 1
+            real_init(self, *arrays)
 
-        monkeypatch.setattr(gibbs, "_log_stick_likelihood", counted)
+        def at(self, a, b):
+            count["at"] += 1
+            return real_at(self, a, b)
+
+        monkeypatch.setattr(gibbs._StickTerms, "__init__", init)
+        monkeypatch.setattr(gibbs._StickTerms, "at", at)
         update_label_swaps(state, data, cfg, rng)
-        return calls[0]
+        assert 2 * count["builds"] == count["at"]
+        return count["at"]
 
     @pytest.mark.parametrize("stick, pairs_differing", [
         (StickConfig.dp(1.0), 0),
@@ -878,7 +911,8 @@ class TestLabelSwaps:
     def test_path_prior_only_for_differing_neighbours(
             self, stick, pairs_differing, monkeypatch):
         # with u tiny every pair of the m = 6 labels passes the slice
-        # check; each pair with different (a, b, c) costs four terms
+        # check; each pair with different (a, b, c) costs four terms from
+        # two builds
         tiny = lambda eta, n: np.full(n, 1e-300)
         assert self._count_path_prior_calls(stick, monkeypatch, tiny) \
             == 4 * pairs_differing
