@@ -7,10 +7,10 @@ numbers (potential scale reduction factor, effective sample size).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -19,6 +19,12 @@ from .mixture import gaussian_logpdf, renormalised_mixture
 
 MODE_BINS = 512
 MODE_MASS = 0.10
+QUANTILES = (0.025, 0.5, 0.975)
+# float64 entries in one (draws x times x grid) block of the density
+# surface. A block spans at least two times: numpy evaluates a one-time
+# block's mixture by its matrix-vector path, which can differ from the
+# matrix product in the last bit.
+_BLOCK_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -43,50 +49,73 @@ class DensitySurface:
     mean_hi: np.ndarray
 
     def to_density_csv(self, path) -> None:
-        """Long-format rows t, y, q025, q50, q975, mean."""
-        n, g = self.dens_mean.shape
+        """Long-format rows t, y, q025, q50, q975, mean, written one time
+        at a time."""
+        y = [repr(v) for v in self.y_grid.tolist()]
+        dens = (self.dens_q025, self.dens_q50, self.dens_q975, self.dens_mean)
         _write_columns(path, ["t", "y", "q025", "q50", "q975", "mean"],
-                       [np.repeat(self.times, g), np.tile(self.y_grid, n),
-                        self.dens_q025, self.dens_q50, self.dens_q975,
-                        self.dens_mean])
+                       ([repeat(repr(t), len(y)), y,
+                         *(map(repr, a[i].tolist()) for a in dens)]
+                        for i, t in enumerate(self.times.tolist())))
 
     def to_mean_csv(self, path) -> None:
         """Mean-functional rows t, mode, mean, lo, hi."""
         _write_columns(path, ["t", "mode", "mean", "lo", "hi"],
-                       [self.times, self.mean_mode, self.mean_mean,
-                        self.mean_lo, self.mean_hi])
+                       [[map(repr, a.tolist()) for a in
+                         (self.times, self.mean_mode, self.mean_mean,
+                          self.mean_lo, self.mean_hi)]])
 
     def to_json(self, path) -> None:
+        """The bytes of json.dumps on the nested lists, with each density
+        array written one time row at a time."""
         payload = {
-            "times": self.times.tolist(),
-            "y_grid": self.y_grid.tolist(),
+            "times": self.times,
+            "y_grid": self.y_grid,
             "density": {
-                "q025": self.dens_q025.tolist(),
-                "q50": self.dens_q50.tolist(),
-                "q975": self.dens_q975.tolist(),
-                "mean": self.dens_mean.tolist(),
+                "q025": self.dens_q025,
+                "q50": self.dens_q50,
+                "q975": self.dens_q975,
+                "mean": self.dens_mean,
             },
             "mean_functional": {
-                "mode": self.mean_mode.tolist(),
-                "mean": self.mean_mean.tolist(),
-                "median": self.mean_median.tolist(),
-                "lo": self.mean_lo.tolist(),
-                "hi": self.mean_hi.tolist(),
+                "mode": self.mean_mode,
+                "mean": self.mean_mean,
+                "median": self.mean_median,
+                "lo": self.mean_lo,
+                "hi": self.mean_hi,
             },
         }
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload))
+            _dump_json(fh, payload)
 
 
-def _write_columns(path, header: list[str], columns) -> None:
-    """CSV with one row per entry of the (flattened) columns, each value
-    written as repr(float) so it reads back exactly."""
-    cols = [map(repr, np.asarray(c, dtype=float).ravel().tolist())
-            for c in columns]
+def _write_columns(path, header: list[str], chunks) -> None:
+    """CSV of the header and then, chunk by chunk, one row per entry of
+    each chunk's equally long columns of repr(float) strings, so values
+    read back exactly. These are csv.writer's bytes: no float repr needs
+    quoting, and lines end in \\r\\n."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*cols))
+        fh.write(",".join(header) + "\r\n")
+        for columns in chunks:
+            fh.writelines(row + "\r\n" for row in map(",".join, zip(*columns)))
+
+
+def _dump_json(fh, obj) -> None:
+    """Write json.dumps(obj) for a dict of dicts and float arrays, each
+    2-d array one row at a time."""
+    if isinstance(obj, dict):
+        fh.write("{")
+        for k, (key, value) in enumerate(obj.items()):
+            fh.write(f"{', ' if k else ''}{json.dumps(key)}: ")
+            _dump_json(fh, value)
+        fh.write("}")
+    elif obj.ndim == 2:
+        fh.write("[")
+        for k, row in enumerate(obj):
+            fh.write(f"{', ' if k else ''}{json.dumps(row.tolist())}")
+        fh.write("]")
+    else:
+        fh.write(json.dumps(obj.tolist()))
 
 
 def histogram_mode(samples: np.ndarray, bins: int = MODE_BINS,
@@ -119,11 +148,24 @@ def histogram_mode(samples: np.ndarray, bins: int = MODE_BINS,
     return float(0.5 * (edges[start[best]] + edges[end[best]]))
 
 
+def _time_blocks(n_times: int, per_time: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive blocks of times holding at most
+    _BLOCK_ENTRIES entries at per_time entries a time, but never fewer
+    than two times: a one-time tail joins the block before it."""
+    width = max(2, _BLOCK_ENTRIES // per_time)
+    starts = list(range(0, n_times, width))
+    if n_times - starts[-1] == 1 and len(starts) > 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n_times]))
+
+
 def summarize(draws: PosteriorDraws, y_grid) -> DensitySurface:
     """Evaluate every draw on the grid and reduce to pointwise summaries.
 
     Densities are renormalised by the retained weight mass of each draw
-    so each curve integrates to one.
+    so each curve integrates to one. The (draws x times x grid) surface
+    is built and reduced one block of times at a time, so memory does
+    not grow with the number of times.
     """
     if draws.n_draws == 0:
         raise ValueError("empty draws")
@@ -131,24 +173,36 @@ def summarize(draws: PosteriorDraws, y_grid) -> DensitySurface:
     n = len(draws.times)
     grid_n = len(y_grid)
     d = draws.n_draws
-    dens = np.empty((d, n, grid_n))
+    kernels = []
     mean_fn = np.empty((d, n))
     for i in range(d):
         mi = int(draws.m[i])
         sticks = draws.sticks[i, :mi, :]
         means = draws.atom_mean[i, :mi]
         precs = draws.atom_prec[i, :mi]
-        kernel = np.exp(gaussian_logpdf(y_grid[None, :], means[:, None],
-                                        precs[:, None]))
-        dens[i] = renormalised_mixture(sticks, kernel)
+        kernels.append(np.exp(gaussian_logpdf(y_grid[None, :], means[:, None],
+                                              precs[:, None])))
         mean_fn[i] = renormalised_mixture(sticks, means)
-    q = np.quantile(dens, [0.025, 0.5, 0.975], axis=0)
-    lo, med, hi = np.quantile(mean_fn, [0.025, 0.5, 0.975], axis=0)
+    q = np.empty((3, n, grid_n))
+    dens_mean = np.empty((n, grid_n))
+    blocks = _time_blocks(n, d * grid_n)
+    # one buffer for every block, each viewed as a contiguous prefix
+    buffer = np.empty(d * max(t1 - t0 for t0, t1 in blocks) * grid_n)
+    for t0, t1 in blocks:
+        dens = buffer[:d * (t1 - t0) * grid_n].reshape(d, t1 - t0, grid_n)
+        for i, kernel in enumerate(kernels):
+            dens[i] = renormalised_mixture(
+                draws.sticks[i, :len(kernel), t0:t1], kernel)
+        dens_mean[t0:t1] = dens.mean(axis=0)
+        # with the mean taken, np.quantile may reorder the block in place:
+        # an entry's order statistics do not depend on the order left
+        q[:, t0:t1] = np.quantile(dens, QUANTILES, axis=0,
+                                  overwrite_input=True)
+    lo, med, hi = np.quantile(mean_fn, QUANTILES, axis=0)
     mode = np.array([histogram_mode(mean_fn[:, i]) for i in range(n)])
     return DensitySurface(
         times=np.asarray(draws.times, dtype=float), y_grid=y_grid,
-        dens_q025=q[0], dens_q50=q[1], dens_q975=q[2],
-        dens_mean=dens.mean(axis=0),
+        dens_q025=q[0], dens_q50=q[1], dens_q975=q[2], dens_mean=dens_mean,
         mean_mode=mode, mean_mean=mean_fn.mean(axis=0), mean_median=med,
         mean_lo=lo, mean_hi=hi)
 

@@ -1058,6 +1058,10 @@ def load_checkpoint(path, cfg: SamplerConfig, data: TimeGridDataset):
     _check_state_arrays(path, arrays, values["m"], data, cfg.slice_eta)
     d = {name: arrays["draws_" + name] for name in _DRAW_ARRAYS}
     _check_draws(f"{path}: checkpoint draws", {"times": data.times, **d})
+    collected = max(0, values["sweep"] - cfg.burn_in) // cfg.thin
+    if len(d["m"]) != collected:
+        raise DataError(f"{path}: checkpoint holds {len(d['m'])} draws; "
+                        f"sweep {values['sweep']} has collected {collected}")
     rng = values.pop("rng_state")
     state = ChainState(**{name: arrays[name] for name in _STATE_ARRAYS},
                        **values)

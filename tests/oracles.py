@@ -1,5 +1,7 @@
 """Shared simulation oracles used by the unit and acceptance suites."""
 
+import csv
+import json
 import math
 
 import numpy as np
@@ -8,13 +10,15 @@ from scipy.special import betaln, gammaln
 
 from diffmix import gibbs, wf
 from diffmix.data import TimeGridDataset
-from diffmix.estimation import effective_sample_size
+from diffmix.estimation import (DensitySurface, effective_sample_size,
+                                histogram_mode)
 from diffmix.errors import NumericalError
 from diffmix.gibbs import (MH_TARGET_ACCEPT, GammaPrior, SamplerConfig,
                            gibbs_sweep, init_chain, update_stick_values,
                            update_transition_latents)
 from diffmix.measure import OPEN_UNIT, StickConfig, stick_runs
-from diffmix.mixture import LOG_2PI, CenteringMeasure
+from diffmix.mixture import (LOG_2PI, CenteringMeasure, gaussian_logpdf,
+                             renormalised_mixture)
 
 
 def pair_mixture_density(log_weights, v0, v1, p):
@@ -461,3 +465,70 @@ def run_geweke(rng, sweeps=100_000, burn=5_000, marginal_reps=400_000,
                      "se": float(np.sqrt(se1 ** 2 + se2 ** 2)),
                      "z": float(z)})
     return rows
+
+
+def one_shot_summarize(draws, y_grid) -> DensitySurface:
+    """estimation.summarize from one (draws x times x grid) density array
+    reduced over its draws axis: the bitwise reference of the block-wise
+    surface."""
+    y_grid = np.asarray(y_grid, dtype=float)
+    n = len(draws.times)
+    d = draws.n_draws
+    dens = np.empty((d, n, len(y_grid)))
+    mean_fn = np.empty((d, n))
+    for i in range(d):
+        mi = int(draws.m[i])
+        sticks = draws.sticks[i, :mi, :]
+        means = draws.atom_mean[i, :mi]
+        precs = draws.atom_prec[i, :mi]
+        kernel = np.exp(gaussian_logpdf(y_grid[None, :], means[:, None],
+                                        precs[:, None]))
+        dens[i] = renormalised_mixture(sticks, kernel)
+        mean_fn[i] = renormalised_mixture(sticks, means)
+    q = np.quantile(dens, [0.025, 0.5, 0.975], axis=0)
+    lo, med, hi = np.quantile(mean_fn, [0.025, 0.5, 0.975], axis=0)
+    mode = np.array([histogram_mode(mean_fn[:, i]) for i in range(n)])
+    return DensitySurface(
+        times=np.asarray(draws.times, dtype=float), y_grid=y_grid,
+        dens_q025=q[0], dens_q50=q[1], dens_q975=q[2],
+        dens_mean=dens.mean(axis=0),
+        mean_mode=mode, mean_mean=mean_fn.mean(axis=0), mean_median=med,
+        mean_lo=lo, mean_hi=hi)
+
+
+def _one_shot_columns(path, header, columns):
+    cols = [map(repr, np.asarray(c, dtype=float).ravel().tolist())
+            for c in columns]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*cols))
+
+
+def one_shot_exports(surface: DensitySurface, prefix) -> list[str]:
+    """The density CSV, mean CSV and JSON of a surface, each written from
+    whole columns by csv.writer and json.dumps: the byte reference of
+    the streaming writers. Returns the three paths."""
+    s = surface
+    n, g = s.dens_mean.shape
+    paths = [f"{prefix}.density.csv", f"{prefix}.mean.csv", f"{prefix}.json"]
+    _one_shot_columns(paths[0], ["t", "y", "q025", "q50", "q975", "mean"],
+                      [np.repeat(s.times, g), np.tile(s.y_grid, n),
+                       s.dens_q025, s.dens_q50, s.dens_q975, s.dens_mean])
+    _one_shot_columns(paths[1], ["t", "mode", "mean", "lo", "hi"],
+                      [s.times, s.mean_mode, s.mean_mean, s.mean_lo,
+                       s.mean_hi])
+    payload = {
+        "times": s.times.tolist(),
+        "y_grid": s.y_grid.tolist(),
+        "density": {"q025": s.dens_q025.tolist(), "q50": s.dens_q50.tolist(),
+                    "q975": s.dens_q975.tolist(),
+                    "mean": s.dens_mean.tolist()},
+        "mean_functional": {"mode": s.mean_mode.tolist(),
+                            "mean": s.mean_mean.tolist(),
+                            "median": s.mean_median.tolist(),
+                            "lo": s.mean_lo.tolist(), "hi": s.mean_hi.tolist()},
+    }
+    with open(paths[2], "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(payload))
+    return paths

@@ -1,6 +1,7 @@
 """Command-line interface tests: commands, exit codes, determinism."""
 
 import json
+import time
 import zipfile
 
 import numpy as np
@@ -10,6 +11,11 @@ from diffmix import validate
 from diffmix.archive import read_container, write_container
 from diffmix.cli import main
 from diffmix.gibbs import PosteriorDraws
+
+
+# wall-time bound of the 2,000-time simulate, fit and summarize; they
+# take about 5 s on a 2-core host
+LONG_GRID_SECONDS = 30.0
 
 
 def run_cli(*argv):
@@ -328,6 +334,29 @@ class TestFit:
         err = capsys.readouterr().err
         assert "checkpoint draws: " in err and named in err
 
+    @pytest.mark.parametrize("keep", [None, slice(0, 3), slice(0, 0),
+                                      np.r_[0:4, 0:4]],
+                             ids=["unchanged", "fewer", "none", "doubled"])
+    def test_checkpoint_draw_count_checked_exit_two(self, dataset, tmp_path,
+                                                    capsys, keep):
+        # the checkpoint at sweep 23 of 10 burn-in + 30 sweeps thinned by
+        # 3 has collected (23 - 10) // 3 = 4 draws; its draws arrays cut
+        # or doubled along the draws axis hold another count
+        def rewrite(meta, arrays):
+            assert meta["sweep"] == 23 and arrays["draws_m"].size == 4
+            if keep is not None:
+                for name in [n for n in arrays if n.startswith("draws_")]:
+                    arrays[name] = arrays[name][keep]
+        capsys.readouterr()
+        code, same = self.resume_edited(dataset, tmp_path, rewrite, "23")
+        if keep is None:
+            assert code == 0 and same
+        else:
+            assert code == 2
+            held = len(np.arange(4)[keep])
+            assert (f"checkpoint holds {held} draws; sweep 23 has "
+                    "collected 4") in capsys.readouterr().err
+
     @pytest.mark.parametrize("edit", [
         None,
         lambda mh: mh.update(proposals_theta=-1),
@@ -381,6 +410,25 @@ class TestSummarize:
         assert (tmp_path / "surface.density.csv").exists()
         assert (tmp_path / "surface.mean.csv").exists()
         assert (tmp_path / "surface.json").exists()
+
+    def test_long_grid_within_time_bound(self, tmp_path):
+        # 2,000 times at spacing 0.02: a few sweeps, then a surface of
+        # 128 grid points whose densities span more than one block
+        data, draws = tmp_path / "long.csv", tmp_path / "draws.npz"
+        prefix = tmp_path / "surface"
+        start = time.perf_counter()
+        assert run_cli("simulate", "--times", "2000", "--t-max", "39.98",
+                       "--seed", "4", "--out", str(data)) == 0
+        assert run_cli("fit", str(data), "--out", str(draws), "--iters", "4",
+                       "--burn-in", "2", "--seed", "1", "--quiet") == 0
+        assert run_cli("summarize", str(draws), "--out-prefix", str(prefix),
+                       "--data", str(data)) == 0
+        elapsed = time.perf_counter() - start
+        assert elapsed < LONG_GRID_SECONDS, elapsed
+        with open(f"{prefix}.density.csv", "rb") as fh:
+            assert sum(1 for _ in fh) == 1 + 2000 * 128
+        assert json.loads((tmp_path / "surface.json").read_text())["times"] \
+            == PosteriorDraws.load(draws).times.tolist()
 
     def test_missing_draws_exit_two(self, tmp_path):
         code = run_cli("summarize", str(tmp_path / "absent.npz"),

@@ -1,6 +1,7 @@
 """Posterior-summary and diagnostics tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from diffmix import estimation
 from diffmix.estimation import (coverage_report, effective_sample_size,
                                 gelman_rubin, histogram_mode, summarize)
 from diffmix.gibbs import PosteriorDraws
+from oracles import one_shot_exports, one_shot_summarize
 
 
 def toy_draws(rng, n_draws=40, m=3, n_times=4):
@@ -25,6 +27,28 @@ def toy_draws(rng, n_draws=40, m=3, n_times=4):
         times=np.linspace(0, 1, n_times), m=np.full(n_draws, m),
         theta=rng.gamma(2, 1, size=n_draws), c=rng.gamma(2, 1, size=n_draws),
         sticks=sticks, atom_mean=mean, atom_prec=prec)
+
+
+def ragged_draws(rng, n_draws, n_times, m_max=6):
+    """Draws whose truncation m varies from 1 to m_max, NaN-padded."""
+    m = rng.integers(1, m_max + 1, size=n_draws)
+    m[0] = m_max
+    sticks = np.full((n_draws, m_max, n_times), np.nan)
+    mean = np.full((n_draws, m_max), np.nan)
+    prec = np.full((n_draws, m_max), np.nan)
+    for i, mi in enumerate(m):
+        sticks[i, :mi] = rng.uniform(0.05, 0.95, size=(mi, n_times))
+        mean[i, :mi] = rng.normal(0, 1, size=mi)
+        prec[i, :mi] = rng.gamma(10, 0.1, size=mi) + 1.0
+    return PosteriorDraws(
+        times=np.linspace(0, 1, n_times), m=m,
+        theta=rng.gamma(2, 1, size=n_draws), c=rng.gamma(2, 1, size=n_draws),
+        sticks=sticks, atom_mean=mean, atom_prec=prec)
+
+
+SURFACE_ARRAYS = ("times", "y_grid", "dens_q025", "dens_q50", "dens_q975",
+                  "dens_mean", "mean_mode", "mean_mean", "mean_median",
+                  "mean_lo", "mean_hi")
 
 
 @pytest.fixture
@@ -92,6 +116,64 @@ class TestSummarize:
             atom_mean=draws.atom_mean[:0], atom_prec=draws.atom_prec[:0])
         with pytest.raises(ValueError):
             summarize(empty, np.linspace(-1, 1, 5))
+
+
+class TestBlocks:
+    """The block-wise surface against the one-shot (draws x times x grid)
+    reference, bit for bit, and its exports byte for byte."""
+
+    @pytest.mark.parametrize("n_draws, n_times, grid_n, width", [
+        (30, 8, 11, 2), (30, 7, 11, 3), (30, 9, 11, 4), (30, 9, 11, 1),
+        (30, 1, 11, 2), (1, 5, 2, 2), (1, 1, 2, 2), (25, 50, 41, None),
+    ], ids=["even", "tail_of_1", "tail_of_1_wider", "width_floor",
+            "one_time", "one_draw_two_points", "one_of_each", "one_block"])
+    def test_matches_one_shot(self, rng, monkeypatch, tmp_path, n_draws,
+                              n_times, grid_n, width):
+        # width: times per block from the entry budget (None keeps it)
+        draws = ragged_draws(rng, n_draws, n_times)
+        grid = np.linspace(-3, 3, grid_n)
+        if width is not None:
+            monkeypatch.setattr(estimation, "_BLOCK_ENTRIES",
+                                width * n_draws * grid_n)
+        surf = summarize(draws, grid)
+        ref = one_shot_summarize(draws, grid)
+        for name in SURFACE_ARRAYS:
+            assert np.array_equal(getattr(surf, name), getattr(ref, name)), \
+                name
+        paths = [tmp_path / f"s.{end}" for end in
+                 ("density.csv", "mean.csv", "json")]
+        surf.to_density_csv(paths[0])
+        surf.to_mean_csv(paths[1])
+        surf.to_json(paths[2])
+        for path, ref_path in zip(paths, one_shot_exports(ref,
+                                                          tmp_path / "ref")):
+            assert path.read_bytes() == open(ref_path, "rb").read(), path
+
+    @pytest.mark.parametrize("n_times", [1, 2, 3, 7, 8, 9, 10, 41])
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_time_blocks_cover_in_order(self, monkeypatch, n_times, width):
+        monkeypatch.setattr(estimation, "_BLOCK_ENTRIES", width * 10)
+        blocks = estimation._time_blocks(n_times, 10)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n_times
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        sizes = [t1 - t0 for t0, t1 in blocks]
+        assert min(sizes) >= min(2, n_times)
+        assert max(sizes) <= max(2, width) + 1
+
+    def test_traced_peak_below_tenth_of_one_shot(self, rng):
+        # 50 draws x 1,600 times x 161 points: the one-shot reference
+        # holds 103 MB of densities and np.quantile copies them
+        draws = toy_draws(rng, n_draws=50, n_times=1600)
+        grid = np.linspace(-4, 8, 161)
+        peaks = []
+        for fn in (summarize, one_shot_summarize):
+            tracemalloc.start()
+            try:
+                fn(draws, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.1 * peaks[1], peaks
 
 
 class TestHistogramMode:

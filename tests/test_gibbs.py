@@ -1087,7 +1087,8 @@ class TestSweepAndChain:
             load_checkpoint(cp, dp_config(iters=10, burn_in=2, seed=99), data)
 
     def test_checkpoint_members_fixed(self, rng, tmp_path):
-        # the state arrays and the padded draws, however many draws
+        # the state arrays and the padded draws, however many draws; the
+        # sweep is set to one that has collected them
         data = small_data(rng)
         cfg = dp_config()
         state = init_chain(data, cfg, rng)
@@ -1097,6 +1098,7 @@ class TestSweepAndChain:
             *(f"draws_{a}" for a in ("m", "theta", "c", "sticks",
                                      "atom_mean", "atom_prec")))}
         for count in (0, 1, 4):
+            state.sweep = cfg.burn_in + count * cfg.thin
             cp = tmp_path / f"cp{count}.npz"
             save_checkpoint(cp, state, rng, cfg, [snap] * count)
             assert set(zipfile.ZipFile(cp).namelist()) == expected
