@@ -12,6 +12,7 @@ from __future__ import annotations
 import io
 import json
 import zipfile
+import zlib
 
 import numpy as np
 
@@ -44,7 +45,8 @@ def read_container(path, fmt: str, version: int,
     """Read meta and the arrays in names from a write_container zip.
 
     Raises DataError unless its meta names format fmt at this version
-    and it holds every array in names, naming any that is missing.
+    and it holds every array in names, naming any that is missing, or
+    when a member fails its CRC or decompression.
     """
     try:
         with zipfile.ZipFile(path, "r") as zf:
@@ -60,7 +62,10 @@ def read_container(path, fmt: str, version: int,
             if missing:
                 raise DataError(f"{path}: {fmt} archive lacks "
                                 f"{', '.join(missing)}")
-            return meta, {name: np.load(io.BytesIO(zf.read(name + ".npy")),
-                                        allow_pickle=False) for name in names}
-    except (OSError, zipfile.BadZipFile) as exc:
+            arrays = {}
+            for name in names:  # streamed: no copy of a member's bytes
+                with zf.open(name + ".npy") as member:
+                    arrays[name] = np.load(member, allow_pickle=False)
+            return meta, arrays
+    except (OSError, zipfile.BadZipFile, zlib.error) as exc:
         raise DataError(f"cannot read archive {path}: {exc}") from exc

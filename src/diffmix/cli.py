@@ -36,6 +36,8 @@ CONFIG_KEYS = {
     "centering_shape": float, "centering_rate": float,
     "chains": int,
 }
+_BOOL_WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+               **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 # settings with no dataclass field to default from; the sampler
 # configuration takes the defaults of SamplerConfig and its parts
@@ -166,13 +168,12 @@ def _load_config_file(path) -> dict:
     for key, value in raw.items():
         if key not in CONFIG_KEYS:
             raise UsageError(f"{path}: unknown config key {key!r}")
-        caster = CONFIG_KEYS[key]
+        # both file forms parse the value's text, as the flags do
+        text, caster = str(value), CONFIG_KEYS[key]
         try:
-            if caster is bool and isinstance(value, str):
-                out[key] = value.lower() in ("1", "true", "yes", "on")
-            else:
-                out[key] = caster(value)
-        except (TypeError, ValueError) as exc:
+            out[key] = _BOOL_WORDS[text.lower()] if caster is bool \
+                else caster(text)
+        except (KeyError, ValueError) as exc:
             raise UsageError(f"{path}: bad value for {key}: {value!r}") from exc
     return out
 

@@ -232,19 +232,19 @@ def _sample_u(s, eta, rng) -> np.ndarray:
     return np.maximum(rng.uniform(0.0, np.exp(-eta * (s + 1.0))), 1e-300)
 
 
-def _gap_error(tau: float, exc: SeriesTruncationError):
-    return SeriesTruncationError(
-        f"gap {tau:g} between consecutive observation times is too "
-        f"small ({exc}); merge near-duplicate times")
-
-
-def _sample_prior_index(runs, tau, rng) -> np.ndarray:
-    """Series index d ~ r_tau per stick, one draw per run of stick_runs."""
-    try:
-        return np.concatenate([wf.sample_nb(tau, params, rng, size=hi - lo)
-                               for lo, hi, params in runs])
-    except SeriesTruncationError as exc:
-        raise _gap_error(tau, exc) from exc
+def _prior_index(runs, tau: float, tables: dict, rng) -> list[int]:
+    """Series index d ~ r_tau per stick, one draw per run of stick_runs;
+    tables keeps each run's (size, series table) per distinct gap."""
+    if tau not in tables:
+        try:
+            tables[tau] = [(hi - lo, wf._nb_table(tau, params))
+                           for lo, hi, params in runs]
+        except SeriesTruncationError as exc:
+            raise SeriesTruncationError(
+                f"gap {tau:g} between consecutive observation times is too "
+                f"small ({exc}); merge near-duplicate times") from exc
+    return [d for size, cum in tables[tau]
+            for d in wf._draw_index(cum, rng, size).tolist()]
 
 
 def _slice_at(d, eta2, u) -> np.ndarray:
@@ -273,7 +273,6 @@ def _prior_components(cfg: SamplerConfig, theta: float, c: float,
     calls, one stick at a time: on a handful of entries an array call
     spends ten times as long checking its arguments, and it loops over
     the same sampler, so the stream is the one array calls would give.
-    Each run's series table is resolved once per distinct gap.
     """
     a, b = (x[offset:] for x in cfg.stick.params(offset + count, theta))
     runs = stick_runs(a, b, c)
@@ -282,17 +281,9 @@ def _prior_components(cfg: SamplerConfig, theta: float, c: float,
     v = np.clip(rng.beta(a, b), lo, hi).tolist()
     # one list per time (sticks) or gap (the rest), transposed at the end
     vs, ks, ds, us = [v], [], [], []
-    tables = {}  # gap -> (run size, cumulative series weights) per run
+    tables = {}
     for tau in taus.tolist():
-        if tau not in tables:
-            try:
-                tables[tau] = [(end - start, wf._nb_table(tau, params))
-                               for start, end, params in runs]
-            except SeriesTruncationError as exc:
-                raise _gap_error(tau, exc) from exc
-        d = []
-        for size, cum in tables[tau]:
-            d += wf._draw_index(cum, rng, size).tolist()
+        d = _prior_index(runs, tau, tables, rng)
         k = [rng.binomial(dj, vj) for dj, vj in zip(d, v)]
         v = [min(max(rng.beta(aj + kj, bj + dj - kj), lo), hi)
              for aj, bj, dj, kj in zip(a_s, b_s, d, k)]
@@ -353,8 +344,9 @@ def init_chain(data: TimeGridDataset, cfg: SamplerConfig,
     o = np.empty((m, n - 1))
     kk = np.empty((m, n - 1), dtype=np.int64)
     dd = np.empty((m, n - 1), dtype=np.int64)
-    for w, tau in enumerate(data.gaps):
-        dd[:, w] = _sample_prior_index(runs, float(tau), rng)
+    tables = {}
+    for w, tau in enumerate(data.gaps.tolist()):
+        dd[:, w] = _prior_index(runs, tau, tables, rng)
         kk[:, w] = rng.binomial(dd[:, w], sticks[:, w])
         o[:, w] = _sample_slice(dd[:, w], cfg.trans_slice_eta, rng)
 
@@ -819,27 +811,40 @@ def data_log_likelihood(state: ChainState, data: TimeGridDataset) -> float:
     return float(np.sum(np.log(np.maximum(dens, 1e-300))))
 
 
+def _broken_invariant(arrays, m: int, cfg: SamplerConfig):
+    """(name, rule) of the first state array breaking a value invariant
+    of a chain with m components, or None; each rule runs only once those
+    before it hold, so psi and g never see an s or d out of range."""
+    s, u, v, o, k, d, atoms = (arrays[name] for name in _STATE_ARRAYS)
+    rules = (
+        ("s", f"outside 0..{m - 1}", lambda: (s >= 0) & (s < m)),
+        ("u", "outside (0, psi(s + 1))",
+         lambda: (u > 0.0) & (u < np.exp(-cfg.slice_eta * (s + 1.0)))),
+        ("sticks", "outside (0, 1)", lambda: (v > 0.0) & (v < 1.0)),
+        ("trans_d", "negative", lambda: d >= 0),
+        ("trans_k", "outside 0..d", lambda: (k >= 0) & (k <= d)),
+        ("trans_o", "outside (0, g(d))",
+         lambda: (o > 0.0) & (o < np.exp(-cfg.trans_slice_eta * d))),
+        ("atoms", "not finite with positive precisions",
+         lambda: np.isfinite(atoms) & (atoms[:, 1:] > 0.0)),
+    )
+    return next(((name, rule) for name, rule, holds in rules
+                 if not np.all(holds())), None)
+
+
 def check_invariants(state: ChainState, data: TimeGridDataset,
                      cfg: SamplerConfig) -> None:
     """Raise AssertionError unless every chain invariant holds."""
-    eta = cfg.slice_eta
-    psi = np.exp(-eta * (state.s + 1.0))
-    assert np.all(state.u < psi), "slice variable not below psi(s)"
-    bounds = state.slice_bounds(eta)
-    assert np.all(state.s + 1 <= bounds), "membership above its slice bound"
-    if cfg.fixed_truncation is None:
-        assert state.m == int(bounds.max()), "truncation out of sync"
-    else:
-        assert state.m == cfg.fixed_truncation
-    assert np.all((state.sticks > 0.0) & (state.sticks < 1.0))
-    assert np.all(state.trans_k >= 0) and np.all(state.trans_k <= state.trans_d)
-    g = np.exp(-cfg.trans_slice_eta * state.trans_d)
-    assert np.all((state.trans_o > 0.0) & (state.trans_o < g)), \
-        "transition slice outside (0, g(d))"
-    assert state.theta > 0 and state.c > 0
-    assert np.all(state.atoms[:, 1] > 0)
     assert all(getattr(state, name).shape[0] == state.m
                for name in _COMPONENTS), "component arrays out of sync with m"
+    broken = _broken_invariant(vars(state), state.m, cfg)
+    assert broken is None, "{} {}".format(*broken)
+    if cfg.fixed_truncation is None:
+        assert state.m == int(state.slice_bounds(cfg.slice_eta).max()), \
+            "truncation out of sync"
+    else:
+        assert state.m == cfg.fixed_truncation
+    assert state.theta > 0 and state.c > 0
 
 
 @dataclass(frozen=True)
@@ -1006,12 +1011,12 @@ _CHECKPOINT_META = {
 
 
 def _check_state_arrays(path, arrays: dict[str, np.ndarray], m: int,
-                        data: TimeGridDataset, eta: float) -> None:
-    """Raise DataError naming the first state array of a checkpoint that
-    does not fit m components on data: one integer label s in 0..m - 1
-    and one real slice u in (0, psi(s + 1)) per observation, and, per
-    component, data.n_times sticks, data.n_times - 1 transition triples
-    (integer k and d) and two atom parameters."""
+                        data: TimeGridDataset) -> None:
+    """Raise DataError naming the first state array of a checkpoint whose
+    shape or dtype does not fit m components on data: one integer label
+    s and one real slice u per observation, and, per component,
+    data.n_times sticks, data.n_times - 1 transition triples (integer k
+    and d) and two atom parameters."""
     n = data.n_times
     ints, reals = ("iu", "integers"), ("f", "reals")
     layout = {"s": ((data.n_obs,), ints), "u": ((data.n_obs,), reals),
@@ -1024,13 +1029,6 @@ def _check_state_arrays(path, arrays: dict[str, np.ndarray], m: int,
             raise DataError(f"{path}: checkpoint {name} has {arr.dtype} "
                             f"shape {arr.shape}, expected {what} of shape "
                             f"{shape} for m = {m} on this dataset")
-    s, u = arrays["s"], arrays["u"]
-    if np.any((s < 0) | (s >= m)):
-        raise DataError(f"{path}: checkpoint s holds labels outside "
-                        f"0..{m - 1}")
-    if not np.all((u > 0.0) & (u < np.exp(-eta * (s + 1.0)))):
-        raise DataError(f"{path}: checkpoint u is not inside "
-                        "(0, psi(s + 1)) for every observation")
 
 
 def load_checkpoint(path, cfg: SamplerConfig, data: TimeGridDataset):
@@ -1055,7 +1053,10 @@ def load_checkpoint(path, cfg: SamplerConfig, data: TimeGridDataset):
     if values["data_digest"] != data.digest():
         raise DataError(f"{path}: written for another dataset; resume on "
                         "that dataset")
-    _check_state_arrays(path, arrays, values["m"], data, cfg.slice_eta)
+    _check_state_arrays(path, arrays, values["m"], data)
+    broken = _broken_invariant(arrays, values["m"], cfg)
+    if broken is not None:
+        raise DataError("{}: checkpoint {} {}".format(path, *broken))
     d = {name: arrays["draws_" + name] for name in _DRAW_ARRAYS}
     _check_draws(f"{path}: checkpoint draws", {"times": data.times, **d})
     collected = max(0, values["sweep"] - cfg.burn_in) // cfg.thin
@@ -1072,8 +1073,7 @@ def load_checkpoint(path, cfg: SamplerConfig, data: TimeGridDataset):
     return state, rng, snapshots
 
 
-def run_chain(data: TimeGridDataset, cfg: SamplerConfig,
-              rng: np.random.Generator | None = None, *,
+def run_chain(data: TimeGridDataset, cfg: SamplerConfig, *,
               telemetry: IO[str] | None = None,
               checkpoint_path=None, checkpoint_every: int | None = None,
               resume_from=None) -> PosteriorDraws:
@@ -1092,8 +1092,7 @@ def run_chain(data: TimeGridDataset, cfg: SamplerConfig,
     if resume_from is not None:
         state, rng, snapshots = load_checkpoint(resume_from, cfg, data)
     else:
-        if rng is None:
-            rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(cfg.seed)
         state = init_chain(data, cfg, rng)
         snapshots = []
     total = cfg.burn_in + cfg.iters

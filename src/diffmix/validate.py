@@ -70,15 +70,14 @@ def check_series_normalization(rng) -> list[CheckResult]:
     return out
 
 
-def check_transition_normalization(rng,
-                                   tol: float = 1e-9) -> list[CheckResult]:
+def check_transition_normalization(rng) -> list[CheckResult]:
     """Quadrature of the transition densities over (0, 1) equals one.
 
     Runs both the exact density and the series kernel the sampler
-    augments; each is a Beta mixture, so Gauss-Legendre with enough nodes
-    integrates it essentially exactly.
+    augments, each truncated at tail mass 1e-9; each is a Beta mixture,
+    so Gauss-Legendre with enough nodes integrates it essentially exactly.
     """
-    p = WFParams(1.0, 4.0, 2.0)
+    p, tol = WFParams(1.0, 4.0, 2.0), 1e-9
     out = []
     for t in (0.05, 0.5, 5.0):
         support = max(len(wf.lineage_weights(t, p, tol=tol)),

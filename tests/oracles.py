@@ -370,7 +370,9 @@ def per_gap_prior_components(cfg, theta, c, count, offset, taus, rng):
     dd = np.empty((count, n - 1), dtype=np.int64)
     sticks[:, 0] = v = np.clip(rng.beta(a, b), *OPEN_UNIT)
     for w, tau in enumerate(taus):
-        dd[:, w] = d = gibbs._sample_prior_index(runs, float(tau), rng)
+        dd[:, w] = d = np.concatenate([
+            wf.sample_nb(float(tau), params, rng, size=hi - lo)
+            for lo, hi, params in runs])
         kk[:, w] = k = rng.binomial(d, v)
         sticks[:, w + 1] = v = np.clip(rng.beta(a + k, b + d - k), *OPEN_UNIT)
         o[:, w] = gibbs._sample_slice(d, cfg.trans_slice_eta, rng)

@@ -9,7 +9,7 @@ import pytest
 
 from diffmix import validate
 from diffmix.archive import read_container, write_container
-from diffmix.cli import main
+from diffmix.cli import _load_config_file, main
 from diffmix.gibbs import PosteriorDraws
 
 
@@ -20,6 +20,13 @@ LONG_GRID_SECONDS = 30.0
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def with_nan(x):
+    """A copy of x with its first entry NaN."""
+    x = x.copy()
+    x.flat[0] = np.nan
+    return x
 
 
 class TestSimulate:
@@ -196,6 +203,39 @@ class TestFit:
                        str(tmp_path / "d.npz"), "--config", str(cfg))
         assert code == 1
 
+    @pytest.mark.parametrize("text, named", [
+        ('{"burn_in": 2.7}', "burn_in: 2.7"), ('{"iters": true}', "iters: True"),
+        ('{"tie_c_to_theta": 5}', "tie_c_to_theta: 5"),
+        ("tie_c_to_theta=maybe", "tie_c_to_theta: 'maybe'"),
+        ("seed=1.0", "seed: '1.0'"),
+    ], ids=["json_float_int", "json_bool_int", "json_int_bool",
+            "line_word_bool", "line_float_int"])
+    def test_config_value_the_flag_refuses_exit_one(self, dataset, tmp_path,
+                                                    capsys, text, named):
+        # a config file value parses as the same text on its flag would
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text + "\n")
+        out = tmp_path / "d.npz"
+        capsys.readouterr()
+        assert run_cli("fit", str(dataset), "--out", str(out),
+                       "--config", str(cfg)) == 1
+        assert f"bad value for {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("word, flag", [
+        ("1", True), ("true", True), ("Yes", True), ("ON", True),
+        ("0", False), ("false", False), ("no", False), ("Off", False),
+    ])
+    def test_config_bool_words(self, tmp_path, word, flag):
+        lines, js = tmp_path / "run.cfg", tmp_path / "run.json"
+        lines.write_text(f"tie_c_to_theta={word}\nburn_in=3\n")
+        js.write_text(json.dumps({"tie_c_to_theta": word, "burn_in": 3}))
+        for path in (lines, js):
+            assert _load_config_file(path) == {"tie_c_to_theta": flag,
+                                               "burn_in": 3}
+        js.write_text(json.dumps({"tie_c_to_theta": flag}))
+        assert _load_config_file(js) == {"tie_c_to_theta": flag}
+
     def test_resume_matches_straight_run(self, dataset, tmp_path):
         out1 = tmp_path / "a.npz"
         cp = tmp_path / "cp.npz"
@@ -305,12 +345,22 @@ class TestFit:
         ("sticks", lambda arrays, m: arrays["sticks"][:, :-1]),
         ("trans_d", lambda arrays, m: arrays["trans_d"][:, :-1]),
         ("trans_d", lambda arrays, m: arrays["trans_d"] + 0.5),
+        ("sticks", lambda arrays, m: np.full_like(arrays["sticks"], 1.5)),
+        ("sticks", lambda arrays, m: with_nan(arrays["sticks"])),
+        ("trans_d", lambda arrays, m: arrays["trans_d"] - 10**6),
+        ("trans_k", lambda arrays, m: arrays["trans_k"] + 5),
+        ("atoms", lambda arrays, m: -arrays["atoms"]),
+        ("trans_o", lambda arrays, m: np.full_like(arrays["trans_o"], 5.0)),
     ], ids=["s_length", "s_label_above_m", "u_length", "u_above_psi",
-            "sticks_columns", "trans_d_columns", "trans_d_reals"])
+            "sticks_columns", "trans_d_columns", "trans_d_reals",
+            "sticks_above_one", "sticks_one_nan", "trans_d_negative",
+            "trans_k_above_d", "atoms_negated", "trans_o_above_g"])
     def test_checkpoint_state_arrays_checked_exit_two(self, dataset, tmp_path,
                                                       capsys, member, edit):
         # 16 observations; one state array rewritten to fit neither the
-        # dataset nor the stored m, and u = 0.9 lies above every psi
+        # dataset nor the stored m, or to break a value invariant of the
+        # chain (u = 0.9 lies above every psi, o = 5 above every g(d)),
+        # is named; RuntimeWarnings are errors here, so none is raised
         def rewrite(meta, arrays):
             arrays[member] = edit(arrays, meta["m"])
         capsys.readouterr()
@@ -484,6 +534,24 @@ class TestSummarize:
                        str(tmp_path / "s"))
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("at", [0.0, 0.25, 0.5, 0.75])
+    def test_corrupted_member_exit_two(self, draws, tmp_path, capsys, at):
+        # one byte of the sticks member's compressed data flipped (its CRC
+        # fails) or, at its start, set to 0b111, which opens a deflate
+        # block of the reserved type 3 (its decompression fails)
+        raw = bytearray(draws.read_bytes())
+        with zipfile.ZipFile(draws) as zf:
+            info = zf.getinfo("sticks.npy")
+        pos = info.header_offset + 30 + len(info.filename) \
+            + int(at * info.compress_size)
+        raw[pos] = 0b111 if at == 0.0 else raw[pos] ^ 0xFF
+        bad = tmp_path / "bad.npz"
+        bad.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert run_cli("summarize", str(bad), "--out-prefix",
+                       str(tmp_path / "s")) == 2
+        assert f"cannot read archive {bad}" in capsys.readouterr().err
 
     def test_default_grid_from_date_column_data(self, tmp_path):
         data = tmp_path / "dated.csv"

@@ -4,6 +4,7 @@ quadrature oracle, chain invariants, determinism, checkpointing."""
 import copy
 import re
 import tempfile
+import tracemalloc
 import warnings
 import zipfile
 from dataclasses import fields
@@ -1025,6 +1026,30 @@ class TestSweepAndChain:
             back.sticks[~np.isnan(back.sticks)],
             draws.sticks[~np.isnan(draws.sticks)])
 
+    def test_archive_load_streams_members(self, tmp_path):
+        # each member decompresses straight into its array, so a load
+        # peaks near the arrays it returns (8 MB of sticks here), not at
+        # them plus their decompressed bytes
+        rng = np.random.default_rng(0)
+        n_draws, width, n_times = 100, 20, 500
+        draws = PosteriorDraws(
+            times=np.arange(n_times, dtype=float), m=np.full(n_draws, width),
+            theta=rng.uniform(1, 2, n_draws), c=rng.uniform(1, 2, n_draws),
+            sticks=rng.uniform(0.1, 0.9, (n_draws, width, n_times)),
+            atom_mean=rng.normal(size=(n_draws, width)),
+            atom_prec=rng.uniform(1, 2, (n_draws, width)))
+        path = tmp_path / "draws.npz"
+        draws.save(path)
+        tracemalloc.start()
+        try:
+            back = PosteriorDraws.load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(getattr(back, f.name).nbytes for f in fields(back)
+                   if isinstance(getattr(back, f.name), np.ndarray))
+        assert peak < 1.5 * size
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_archive_round_trip_exact(self, data):
@@ -1210,18 +1235,18 @@ class TestSweepAndChain:
 
     def test_pitman_yor_sigma_zero_matches_dp(self, rng, monkeypatch):
         # Pitman-Yor with sigma = 0 is the DP law: same draws, same
-        # number of series-index calls
+        # number of series-index draw calls
         data = small_data(rng, n_times=8)
-        original = wf.sample_nb
+        original = wf._draw_index
         draws, calls = [], []
         for stick in (StickConfig.dp(1.0), StickConfig.pitman_yor(1.0, 0.0)):
             count = [0]
 
-            def counted(t, p, gen, size=None, count=count):
+            def counted(cum, gen, size, count=count):
                 count[0] += 1
-                return original(t, p, gen, size=size)
+                return original(cum, gen, size)
 
-            monkeypatch.setattr(wf, "sample_nb", counted)
+            monkeypatch.setattr(wf, "_draw_index", counted)
             draws.append(run_chain(data, dp_config(stick=stick, seed=4)))
             calls.append(count[0])
         assert calls[0] == calls[1] > 0
