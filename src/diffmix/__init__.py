@@ -5,6 +5,7 @@ measure whose sticks diffuse as one-dimensional Wright-Fisher processes,
 mixed through a Gaussian kernel. The package provides the diffusion
 engine (`wf`), the random-measure layer (`measure`), the renormalised
 mixture density (`mixture`), a slice-augmented Gibbs sampler (`gibbs`),
+its chain state with the draws archive and checkpoints (`store`),
 posterior summaries and diagnostics (`estimation`), an analytic
 self-validation battery (`validate`) and a command-line front end
 (`cli`). The top level exports what a fit needs; everything else is
@@ -15,9 +16,10 @@ from .data import TimeGridDataset
 from .errors import (DataError, DiffmixError, NumericalError,
                      SeriesTruncationError, TruncationCapError, UsageError)
 from .estimation import summarize
-from .gibbs import GammaPrior, PosteriorDraws, SamplerConfig, run_chain
+from .gibbs import GammaPrior, SamplerConfig, run_chain
 from .measure import StickConfig
 from .mixture import CenteringMeasure, simulate_toy
+from .store import PosteriorDraws
 
 __version__ = "0.1.0"
 

@@ -20,9 +20,10 @@ import numpy as np
 from .data import TimeGridDataset
 from .errors import DataError, NumericalError, UsageError
 from .estimation import gelman_rubin, summarize
-from .gibbs import PosteriorDraws, SamplerConfig, run_chain
+from .gibbs import SamplerConfig, run_chain
 from .measure import StickConfig
 from .mixture import CenteringMeasure, simulate_toy
+from .store import PosteriorDraws
 from .validate import FULL_CHECKS, QUICK_CHECKS, run_validation
 
 CONFIG_KEYS = {

@@ -14,8 +14,8 @@ from itertools import repeat
 
 import numpy as np
 
-from .gibbs import PosteriorDraws
 from .mixture import gaussian_logpdf, renormalised_mixture
+from .store import PosteriorDraws
 
 MODE_BINS = 512
 MODE_MASS = 0.10

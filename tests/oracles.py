@@ -8,17 +8,17 @@ import numpy as np
 from scipy import stats
 from scipy.special import betaln, gammaln
 
-from diffmix import gibbs, wf
+from diffmix import gibbs, store, wf
 from diffmix.data import TimeGridDataset
 from diffmix.estimation import (DensitySurface, effective_sample_size,
                                 histogram_mode)
 from diffmix.errors import NumericalError
-from diffmix.gibbs import (MH_TARGET_ACCEPT, GammaPrior, SamplerConfig,
-                           gibbs_sweep, init_chain, update_stick_values,
-                           update_transition_latents)
+from diffmix.gibbs import (GammaPrior, SamplerConfig, gibbs_sweep, init_chain,
+                           update_stick_values, update_transition_latents)
 from diffmix.measure import OPEN_UNIT, StickConfig, stick_runs
 from diffmix.mixture import (LOG_2PI, CenteringMeasure, gaussian_logpdf,
                              renormalised_mixture)
+from diffmix.store import MH_TARGET_ACCEPT
 
 
 def pair_mixture_density(log_weights, v0, v1, p):
@@ -262,7 +262,7 @@ def guarded_label_swaps(state, data, cfg, rng):
                     state.sticks[pos], state.trans_k[pos],
                     state.trans_d[pos], taus, a[pos], b[pos], state.c)
         if np.log(max(unif[j], 1e-300)) < log_ratio:
-            for name in gibbs._COMPONENTS:
+            for name in store._COMPONENTS:
                 arr = getattr(state, name)
                 arr[[j, j + 1]] = arr[[j + 1, j]]
             state.s[at_j] = j + 1

@@ -100,6 +100,26 @@ def test_no_public_name_is_reached_only_from_tests():
     assert not dead, f"reached only from tests: {sorted(dead)}"
 
 
+def test_store_never_imports_the_sampler():
+    # store reads the sampler configuration by attribute and names gibbs
+    # only for type checking, so gibbs can import store with no cycle
+    tree = ast.parse((ROOT / "src" / "diffmix" / "store.py").read_text(
+        encoding="utf-8"))
+    checking = {id(node) for stmt in tree.body if isinstance(stmt, ast.If)
+                and ast.unparse(stmt.test) == "TYPE_CHECKING"
+                for node in ast.walk(stmt)}
+    modules = set()
+    for node in ast.walk(tree):
+        if id(node) in checking:
+            continue
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            modules |= {node.module or ""} | {
+                f"{node.module or ''}.{alias.name}" for alias in node.names}
+    assert modules and not any("gibbs" in name.split(".") for name in modules)
+
+
 # defaulted parameters that only tests pass, each kept as a test hook
 TEST_HOOKS = {
     "euler_path.noise": "zero-noise path checks the drift alone",

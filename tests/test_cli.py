@@ -10,7 +10,7 @@ import pytest
 from diffmix import validate
 from diffmix.archive import read_container, write_container
 from diffmix.cli import _load_config_file, main
-from diffmix.gibbs import PosteriorDraws
+from diffmix.store import PosteriorDraws
 
 
 # wall-time bound of the 2,000-time simulate, fit and summarize; they

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from diffmix import estimation
 from diffmix.estimation import (coverage_report, effective_sample_size,
                                 gelman_rubin, histogram_mode, summarize)
-from diffmix.gibbs import PosteriorDraws
+from diffmix.store import PosteriorDraws
 from oracles import one_shot_exports, one_shot_summarize
 
 

@@ -18,21 +18,20 @@ from hypothesis.extra import numpy as hnp
 from scipy import stats
 from scipy.special import gammaln, logsumexp
 
-from diffmix import gibbs, measure, mixture, wf
+from diffmix import gibbs, measure, mixture, store, wf
 from diffmix.archive import write_container
 from diffmix.data import TimeGridDataset
 from diffmix.errors import (DataError, NumericalError, SeriesTruncationError,
                             TruncationCapError)
-from diffmix.gibbs import (GammaPrior, PosteriorDraws,
-                           SamplerConfig, check_invariants, gibbs_sweep,
-                           init_chain, load_checkpoint, run_chain,
-                           save_checkpoint, stick_conditional_shapes,
-                           update_hyperparams, update_label_swaps,
-                           update_locations, update_membership,
-                           update_slice_and_truncation,
+from diffmix.gibbs import (GammaPrior, SamplerConfig, check_invariants,
+                           gibbs_sweep, init_chain, run_chain,
+                           stick_conditional_shapes, update_hyperparams,
+                           update_label_swaps, update_locations,
+                           update_membership, update_slice_and_truncation,
                            update_stick_values, update_transition_latents)
 from diffmix.measure import StickConfig, sticks_to_weights_matrix
 from diffmix.mixture import CenteringMeasure, gaussian_logpdf, simulate_toy
+from diffmix.store import PosteriorDraws, load_checkpoint, save_checkpoint
 
 from oracles import (centering_logpdf, centering_posterior,
                      guarded_label_swaps, per_gap_prior_components,
@@ -288,6 +287,30 @@ class TestMembership:
         state.u = np.array([np.exp(-cfg.slice_eta * 2.5)])
         update_membership(state, data, cfg, rng)
         assert state.s[0] == 0
+
+    def test_row_without_mass_raises(self, rng, monkeypatch):
+        # label 1 always has a finite weight, so a row without mass has
+        # every candidate kernel underflowed and a fresh u cannot mend it:
+        # the update names the observation and leaves u and s as they were
+        data = small_data(rng)
+        cfg = dp_config()
+        state = init_chain(data, cfg, rng)
+        real, calls = gibbs._categorical_rows, []
+
+        def first_row_two_lost(log_mass, valid, u):
+            idx = real(log_mass, valid, u)
+            if not calls:
+                idx[2] = -1
+            calls.append(len(idx))
+            return idx
+
+        monkeypatch.setattr(gibbs, "_categorical_rows", first_row_two_lost)
+        u, s = state.u.copy(), state.s.copy()
+        with pytest.raises(NumericalError, match="for observation 2 "):
+            update_membership(state, data, cfg, rng)
+        assert calls == [data.n_obs]
+        np.testing.assert_array_equal(state.u, u)
+        np.testing.assert_array_equal(state.s, s)
 
 
 class TestLocations:
@@ -945,7 +968,7 @@ class TestLabelSwaps:
         update_label_swaps(state, data, cfg, rng)
         guarded_label_swaps(ref, data, cfg, ref_rng)
         assert np.any(state.s != np.resize(labels, data.n_obs))  # a swap ran
-        for name in ("s", *gibbs._COMPONENTS):
+        for name in ("s", *store._COMPONENTS):
             np.testing.assert_array_equal(getattr(state, name),
                                           getattr(ref, name), err_msg=name)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -988,6 +1011,22 @@ class TestSweepAndChain:
             gibbs_sweep(state, data, cfg, rng)
         for _ in range(50):
             update_label_swaps(state, data, cfg, rng)
+            check_invariants(state, data, cfg)
+
+    @pytest.mark.parametrize("name, edit", [
+        ("u", lambda a: a[:-1]),
+        ("s", lambda a: a.astype(float)),
+        ("trans_k", lambda a: a[:-1]),
+        ("atoms", lambda a: a[:, :1]),
+    ], ids=["u_one_short", "s_reals", "trans_k_row_short", "atoms_column"])
+    def test_invariants_name_an_array_off_the_layout(self, rng, name, edit):
+        # the layout rule runs before any value rule, so an array of the
+        # wrong shape or dtype is named rather than broadcast
+        data = small_data(rng)
+        cfg = dp_config()
+        state = init_chain(data, cfg, rng)
+        setattr(state, name, edit(getattr(state, name)))
+        with pytest.raises(AssertionError, match=f"^{name} has "):
             check_invariants(state, data, cfg)
 
     def test_seeded_trajectories_identical(self, rng):
@@ -1049,6 +1088,33 @@ class TestSweepAndChain:
         size = sum(getattr(back, f.name).nbytes for f in fields(back)
                    if isinstance(getattr(back, f.name), np.ndarray))
         assert peak < 1.5 * size
+
+    def test_archive_save_streams_members(self, tmp_path):
+        # each array goes to the compressor in 1 MB slices of its own
+        # buffer, so a save of 8 MB of draws peaks below half of them, not
+        # at a serialised copy of each array plus its compressed bytes;
+        # the sticks span several slices and still read back exactly
+        rng = np.random.default_rng(0)
+        n_draws, width, n_times = 100, 20, 500
+        m = rng.integers(width // 2, width + 1, n_draws)
+        sticks = rng.uniform(0.1, 0.9, (n_draws, width, n_times))
+        sticks[np.arange(width) >= m[:, None]] = np.nan
+        draws = PosteriorDraws(
+            times=np.arange(n_times, dtype=float), m=m,
+            theta=rng.uniform(1, 2, n_draws), c=rng.uniform(1, 2, n_draws),
+            sticks=sticks, atom_mean=rng.normal(size=(n_draws, width)),
+            atom_prec=rng.uniform(1, 2, (n_draws, width)))
+        tracemalloc.start()
+        try:
+            draws.save(tmp_path / "draws.npz")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = sum(getattr(draws, f.name).nbytes for f in fields(draws)
+                   if isinstance(getattr(draws, f.name), np.ndarray))
+        assert peak < 0.5 * size
+        back = PosteriorDraws.load(tmp_path / "draws.npz")
+        np.testing.assert_array_equal(back.sticks, sticks)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -1117,7 +1183,7 @@ class TestSweepAndChain:
         data = small_data(rng)
         cfg = dp_config()
         state = init_chain(data, cfg, rng)
-        snap = gibbs._snapshot(state)
+        snap = store._snapshot(state)
         expected = {"meta.json"} | {f"{name}.npy" for name in (
             "s", "u", "sticks", "trans_o", "trans_k", "trans_d", "atoms",
             *(f"draws_{a}" for a in ("m", "theta", "c", "sticks",
