@@ -243,9 +243,10 @@ def _fit_one(payload):
 
 def cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
-    if args.times < 1 or args.per_time < 1 or args.t_max <= 0:
-        raise UsageError("--times, --per-time must be >= 1 and --t-max > 0")
-    dataset = simulate_toy(args.times, args.per_time, args.t_max, rng)
+    try:
+        dataset = simulate_toy(args.times, args.per_time, args.t_max, rng)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     dataset.to_csv(args.out)
     print(f"wrote {dataset.n_obs} observations at {dataset.n_times} times "
           f"to {args.out}")
@@ -332,7 +333,7 @@ def cmd_summarize(args) -> int:
 
 def cmd_validate(args) -> int:
     names = QUICK_CHECKS if args.quick else None
-    if args.checks:
+    if args.checks is not None:
         names = tuple(s.strip() for s in args.checks.split(",") if s.strip())
     try:
         results = run_validation(names=names, seed=args.seed)

@@ -35,12 +35,12 @@ from scipy.special import betaln, gammaln
 from . import wf
 from .data import TimeGridDataset
 from .errors import NumericalError, SeriesTruncationError, TruncationCapError
-from .measure import (OPEN_UNIT, StickConfig, stick_runs,
+from .measure import (OPEN_UNIT, StickConfig, _positive, stick_runs,
                       sticks_to_weights_matrix)
 from .mixture import CenteringMeasure, gaussian_logpdf, renormalised_mixture
 from .store import (_COMPONENTS, ChainState, PosteriorDraws,
                     _broken_invariant, _snapshot, load_checkpoint,
-                    save_checkpoint)
+                    save_checkpoint, slice_bounds)
 
 DEFAULT_M_CAP = 512
 
@@ -53,8 +53,8 @@ class GammaPrior:
     rate: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.rate > 0):
-            raise ValueError("shape and rate must be positive")
+        _positive("shape", self.shape)
+        _positive("rate", self.rate)
 
     def logpdf(self, x: float) -> float:
         if x <= 0:
@@ -119,10 +119,9 @@ class SamplerConfig:
             raise ValueError("fixed_truncation must be positive")
         if self.tie_c_to_theta and self.fix_c is not None:
             raise ValueError("fix_c conflicts with tie_c_to_theta")
-        if self.fix_theta is not None and not self.fix_theta > 0:
-            raise ValueError("fix_theta must be positive")
-        if self.fix_c is not None and not self.fix_c > 0:
-            raise ValueError("fix_c must be positive")
+        for name in ("fix_theta", "fix_c"):
+            if getattr(self, name) is not None:
+                _positive(name, getattr(self, name))
         if self.stick.kind == "gem" and (self.fix_theta is None
                                          or self.tie_c_to_theta):
             raise ValueError(
@@ -167,13 +166,17 @@ def _prior_index(runs, tau: float, tables: dict, rng) -> list[int]:
     """Series index d ~ r_tau per stick, one draw per run of stick_runs;
     tables keeps each run's (size, series table) per distinct gap."""
     if tau not in tables:
-        try:
-            tables[tau] = [(hi - lo, wf._nb_table(tau, params))
-                           for lo, hi, params in runs]
-        except SeriesTruncationError as exc:
-            raise SeriesTruncationError(
-                f"gap {tau:g} between consecutive observation times is too "
-                f"small ({exc}); merge near-duplicate times") from exc
+        tables[tau] = []
+        for lo, hi, p in runs:
+            try:
+                tables[tau].append((hi - lo, wf._nb_table(tau, p)))
+            except SeriesTruncationError as exc:
+                raise SeriesTruncationError(
+                    f"gap {tau:g} between consecutive observation times "
+                    f"gives c tau = {p.c * tau:g} at a + b = {p.a + p.b:g}, "
+                    "too small to resolve the series index within its cap; "
+                    "merge near-duplicate times, or raise c (--fix-c, "
+                    "--c-prior)") from exc
     return [d for size, cum in tables[tau]
             for d in wf._draw_index(cum, rng, size).tolist()]
 
@@ -245,7 +248,6 @@ def init_chain(data: TimeGridDataset, cfg: SamplerConfig,
     """
     n = data.n_times
     n_obs = data.n_obs
-    eta = cfg.slice_eta
 
     theta = cfg.fix_theta if cfg.fix_theta is not None \
         else cfg.theta_prior.sample(rng)
@@ -256,16 +258,10 @@ def init_chain(data: TimeGridDataset, cfg: SamplerConfig,
     else:
         c = cfg.c_prior.sample(rng)
 
-    fixed = cfg.fixed_truncation
-    m = fixed if fixed is not None else max(10, math.ceil(math.log(n_obs)))
+    m = cfg.fixed_truncation or max(10, math.ceil(math.log(n_obs)))
     s = rng.integers(0, m, size=n_obs)
-    u = _sample_u(s, eta, rng)
-    if fixed is None:
-        m = int(max(m, np.floor(-np.log(u) / eta).max()))
-        if m > cfg.m_cap:
-            raise TruncationCapError(
-                f"initial truncation {m} exceeds cap {cfg.m_cap}; raise "
-                "--m-cap (m_cap) or --eta (slice_eta)")
+    u = _sample_u(s, cfg.slice_eta, rng)
+    m = _truncation(u, cfg, sweep=0, floor=m)
 
     a, b = cfg.stick.params(m, theta)
     runs = stick_runs(a, b, c)
@@ -288,6 +284,19 @@ def init_chain(data: TimeGridDataset, cfg: SamplerConfig,
                       data_digest=data.digest())
 
 
+def _truncation(u, cfg: SamplerConfig, sweep: int, floor: int = 0) -> int:
+    """fixed_truncation when pinned, else the largest slice bound of u and
+    at least floor; TruncationCapError naming the sweep past m_cap."""
+    if cfg.fixed_truncation is not None:
+        return cfg.fixed_truncation
+    m = int(max(floor, slice_bounds(u, cfg.slice_eta).max()))
+    if m > cfg.m_cap:
+        raise TruncationCapError(
+            f"truncation level {m} exceeds cap {cfg.m_cap} at sweep {sweep}; "
+            "raise --m-cap (m_cap) or --eta (slice_eta)")
+    return m
+
+
 def update_slice_and_truncation(state: ChainState, data: TimeGridDataset,
                                 cfg: SamplerConfig,
                                 rng: np.random.Generator) -> None:
@@ -297,15 +306,8 @@ def update_slice_and_truncation(state: ChainState, data: TimeGridDataset,
     components need no bookkeeping because their conditional equals the
     prior. With fixed_truncation the level is pinned instead.
     """
-    eta = cfg.slice_eta
-    state.u = _sample_u(state.s, eta, rng)
-    if cfg.fixed_truncation is not None:
-        return
-    m_new = int(state.slice_bounds(eta).max())
-    if m_new > cfg.m_cap:
-        raise TruncationCapError(
-            f"truncation level {m_new} exceeds cap {cfg.m_cap} at sweep "
-            f"{state.sweep}; raise --m-cap (m_cap) or --eta (slice_eta)")
+    state.u = _sample_u(state.s, cfg.slice_eta, rng)
+    m_new = _truncation(state.u, cfg, state.sweep)
     if m_new > state.m:
         fresh = _prior_components(cfg, state.theta, state.c,
                                   m_new - state.m, state.m, data.gaps, rng)
@@ -332,8 +334,7 @@ def update_transition_latents(state: ChainState, data: TimeGridDataset,
     if n < 2 or state.m == 0:
         return
     eta2 = cfg.trans_slice_eta
-    m = state.m
-    a, b = cfg.stick.params(m, state.theta)
+    a, b = cfg.stick.params(state.m, state.theta)
     v0 = state.sticks[:, :-1]
     v1 = state.sticks[:, 1:]
     d = state.trans_d
@@ -346,34 +347,29 @@ def update_transition_latents(state: ChainState, data: TimeGridDataset,
             f"latent index d={d[j, w]} (stick {j}, gap {w}) in sweep "
             f"{state.sweep}; lower --trans-eta (trans_slice_eta)")
     state.trans_o = o
-    d_hi = np.floor(-np.log(o) / eta2).astype(np.int64).ravel()
+    d_hi = slice_bounds(o, eta2).astype(np.int64)
 
-    lv0 = np.log(v0).ravel()
-    lv1 = np.log(v1).ravel()
-    l1mv0 = np.log1p(-v0).ravel()
-    l1mv1 = np.log1p(-v1).ravel()
-    d_flat = d.ravel()
+    lv0, lv1 = np.log(v0), np.log(v1)
+    l1mv0, l1mv1 = np.log1p(-v0), np.log1p(-v1)
     tab = _offset_gammaln(a, b, stick_runs(a, b, state.c),
-                          size=int(max(d_flat.max(), d_hi.max())) + 1)
+                          size=int(max(d.max(), d_hi.max())) + 1)
     base = np.repeat(tab.base, n - 1)
+    d_flat = d.ravel()
 
     # k | d, v on {0..d}
-    ratio = lv1 + lv0 - l1mv1 - l1mv0
-    k_flat = _draw_rows(
+    ratio = (lv1 + lv0 - l1mv1 - l1mv0).ravel()
+    state.trans_k = _draw_rows(
         lambda rows, j: _k_log_mass(tab, base[rows, None], d_flat[rows, None],
                                     ratio[rows, None], j),
-        lower=np.zeros_like(d_flat), upper=d_flat, rng=rng)
-    state.trans_k = k_flat.reshape(d.shape)
+        np.zeros_like(d), d, rng, "k", state.sweep)
+    k_flat = state.trans_k.ravel()
 
     # d | k, o on {k..floor(g_inv(o))}
-    decay = l1mv1 + l1mv0 - np.tile(state.c * data.gaps, m) + eta2
-    d_new = _draw_rows(
+    decay = (l1mv1 + l1mv0 - state.c * data.gaps + eta2).ravel()
+    state.trans_d = _draw_rows(
         lambda rows, j: _d_log_mass(tab, base[rows, None], k_flat[rows, None],
                                     decay[rows, None], j),
-        lower=k_flat, upper=d_hi, rng=rng)
-    if np.any(d_new < 0):
-        raise NumericalError("transition-index conditional underflowed")
-    state.trans_d = d_new.reshape(d.shape)
+        state.trans_k, d_hi, rng, "d", state.sweep)
 
 
 class _OffsetGammaln(NamedTuple):
@@ -424,17 +420,19 @@ def _d_log_mass(tab: _OffsetGammaln, base, k, decay, j) -> np.ndarray:
 
 
 def _draw_rows(log_mass_fn, lower: np.ndarray, upper: np.ndarray,
-               rng: np.random.Generator) -> np.ndarray:
-    """Draw one value per row from {lower..upper} with masses from a callback.
+               rng: np.random.Generator, latent: str, sweep: int) -> np.ndarray:
+    """Draw one value per (stick, gap) cell from {lower..upper}.
 
     log_mass_fn(rows, j) returns unnormalised log masses at offsets j
-    (a row vector) from each requested row's lower bound. Rows go in
-    power-of-two classes of their width upper - lower + 1, each padded
-    to its own widest row and cut into blocks of at most 4M entries, so
-    the evaluated points stay within twice the summed widths. The
-    uniforms are drawn once, in row order. Rows without mass (or with an
-    empty support) come back as -1.
+    (a row vector) from the lower bounds of rows, cells in row-major
+    order. Rows go in power-of-two classes of their width upper - lower
+    + 1, each padded to its own widest row and cut into blocks of at most
+    4M entries, so the evaluated points stay within twice the summed
+    widths. The uniforms are drawn once, in row order. A row without
+    mass or support raises NumericalError naming latent, cell and sweep.
     """
+    shape = upper.shape
+    lower, upper = lower.ravel(), upper.ravel()
     u = rng.uniform(size=len(upper))
     out = np.empty(len(upper), dtype=np.int64)
     width = upper - lower + 1
@@ -449,8 +447,13 @@ def _draw_rows(log_mass_fn, lower: np.ndarray, upper: np.ndarray,
             rows = members[lo:lo + chunk]
             idx = _categorical_rows(log_mass_fn(rows, j),
                                     j < width[rows, None], u[rows])
-            out[rows] = np.where(idx < 0, -1, lower[rows] + idx)
-    return out
+            if np.any(idx < 0):
+                stick, gap = np.unravel_index(rows[np.argmax(idx < 0)], shape)
+                raise NumericalError(
+                    f"{latent} conditional has no mass at stick {stick}, gap "
+                    f"{gap} in sweep {sweep}: every mass underflowed")
+            out[rows] = lower[rows] + idx
+    return out.reshape(shape)
 
 
 def stick_conditional_shapes(state: ChainState, data: TimeGridDataset,
@@ -643,7 +646,7 @@ def update_membership(state: ChainState, data: TimeGridDataset,
                                  state.atoms[None, :, 1])
     labels = np.arange(1, m + 1, dtype=float)
     log_mass = log_w[:, tidx].T + eta * labels[None, :] + log_kernel
-    bounds = np.minimum(state.slice_bounds(eta), m)
+    bounds = np.minimum(slice_bounds(state.u, eta), m)
     s_new = _categorical_rows(log_mass, labels[None, :] <= bounds[:, None],
                               rng.uniform(size=len(bounds)))
     if np.any(s_new < 0):
@@ -738,11 +741,8 @@ def check_invariants(state: ChainState, data: TimeGridDataset,
     """Raise AssertionError unless every chain invariant holds."""
     broken = _broken_invariant(vars(state), state.m, cfg, data)
     assert broken is None, "{} {}".format(*broken)
-    if cfg.fixed_truncation is None:
-        assert state.m == int(state.slice_bounds(cfg.slice_eta).max()), \
-            "truncation out of sync"
-    else:
-        assert state.m == cfg.fixed_truncation
+    assert state.m == _truncation(state.u, cfg, state.sweep), \
+        "truncation out of sync"
     assert state.theta > 0 and state.c > 0
 
 

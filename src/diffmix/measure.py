@@ -52,11 +52,10 @@ class StickConfig:
         c defaults to theta / 2, the standard parametrisation in which
         each stick decorrelates at rate (1 + theta) / 2.
         """
-        if not theta > 0:
-            raise ValueError("theta must be positive")
+        theta = _positive("theta", theta)
         if c is None:
             c = theta / 2.0
-        return cls(kind="dp", theta=float(theta), c=_check_rate(c))
+        return cls(kind="dp", theta=theta, c=_positive("c", c))
 
     @classmethod
     def pitman_yor(cls, theta: float, sigma: float,
@@ -65,12 +64,8 @@ class StickConfig:
         if not (0.0 <= sigma < 1.0):
             raise ValueError("sigma must lie in [0, 1)")
         # stick 1 needs a_1 + b_1 = 1 + theta > 1; later sticks only grow
-        if not theta > 0:
-            raise ValueError(
-                "theta must be positive so every stick has a_j + b_j > 1"
-            )
-        return cls(kind="pitman_yor", theta=float(theta),
-                   sigma=float(sigma), c=_check_rate(c))
+        return cls(kind="pitman_yor", theta=_positive("theta", theta),
+                   sigma=float(sigma), c=_positive("c", c))
 
     @classmethod
     def general_gem(cls, pairs: Sequence[tuple[float, float]],
@@ -97,7 +92,7 @@ class StickConfig:
                 "not sum to one",
                 stacklevel=2,
             )
-        return cls(kind="gem", pairs=pairs, c=_check_rate(c))
+        return cls(kind="gem", pairs=pairs, c=_positive("c", c))
 
     def params(self, m: int, theta: float | None = None):
         """(a, b) arrays for the first m sticks; every stick moves at rate c.
@@ -119,10 +114,11 @@ class StickConfig:
         return a, b
 
 
-def _check_rate(c) -> float:
-    if not c > 0:
-        raise ValueError("c must be positive")
-    return float(c)
+def _positive(name: str, x) -> float:
+    """float(x) if x is positive and finite, else ValueError naming it."""
+    if not 0 < x < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x}")
+    return float(x)
 
 
 def stick_runs(a, b, c: float) -> list[tuple[int, int, WFParams]]:

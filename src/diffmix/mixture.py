@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TimeGridDataset
-from .measure import sticks_to_weights_matrix
+from .measure import _positive, sticks_to_weights_matrix
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -36,8 +36,10 @@ class CenteringMeasure:
     rate: float = 1.0
 
     def __post_init__(self):
-        if not (self.precision_scale > 0 and self.shape > 0 and self.rate > 0):
-            raise ValueError("precision_scale, shape and rate must be positive")
+        if not math.isfinite(self.mean0):
+            raise ValueError(f"mean0 must be finite, got {self.mean0}")
+        for name in ("precision_scale", "shape", "rate"):
+            _positive(name, getattr(self, name))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw atoms as a (size, 2) array of (mean, precision) rows."""
@@ -98,8 +100,7 @@ def simulate_toy(n_times: int, per_time: int, t_max: float,
     at n_times equally spaced times on [0, t_max]."""
     if n_times < 1 or per_time < 1:
         raise ValueError("n_times and per_time must be at least 1")
-    if not t_max > 0:
-        raise ValueError("t_max must be positive")
+    _positive("t_max", t_max)
     times = np.linspace(0.0, t_max, n_times)
     sd = math.sqrt(TOY_VARIANCE)
     values = tuple(rng.normal(toy_mean(t), sd, size=per_time) for t in times)

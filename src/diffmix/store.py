@@ -88,9 +88,11 @@ class ChainState:
     sweep: int = 0
     data_digest: str = ""
 
-    def slice_bounds(self, eta: float) -> np.ndarray:
-        """floor(psi_inv(u)) per observation: the 1-based candidate count."""
-        return np.floor(-np.log(self.u) / eta).astype(np.int64)
+
+def slice_bounds(y: np.ndarray, eta: float) -> np.ndarray:
+    """floor(-log(y) / eta): floor(psi_inv(u)) at slice_eta, floor(g_inv(o))
+    at trans_slice_eta. Floats, so a bound past int64 still meets the cap."""
+    return np.floor(-np.log(y) / eta)
 
 
 def _broken_invariant(arrays, m: int, cfg: SamplerConfig,

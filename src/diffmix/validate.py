@@ -273,6 +273,9 @@ def run_validation(names=None, seed: int = 0) -> list[CheckResult]:
     """Run the battery (or a named subset) and return all results."""
     if names is None:
         names = tuple(FULL_CHECKS)
+    if not names:
+        raise ValueError("no check named; available: "
+                         + ", ".join(FULL_CHECKS))
     unknown = [n for n in names if n not in FULL_CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}; "

@@ -52,9 +52,14 @@ class TestSimulate:
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_args_usage_error(self, tmp_path, capsys):
-        code = run_cli("simulate", "--times", "0", "--out",
-                       str(tmp_path / "x.csv"))
-        assert code == 1
+        for flag, value, named in (("--times", "0", "n_times"),
+                                   ("--t-max", "nan", "t_max"),
+                                   ("--t-max", "inf", "t_max")):
+            code = run_cli("simulate", flag, value, "--out",
+                           str(tmp_path / "x.csv"))
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ") and named in err
 
 
 class TestFit:
@@ -99,6 +104,20 @@ class TestFit:
         err = capsys.readouterr().err
         assert "gap 1e-09 between consecutive observation times" in err
         assert "merge near-duplicate times" in err
+
+    def test_small_c_tau_names_c(self, tmp_path, capsys):
+        # the gaps are ordinary; the series index needs c tau larger
+        data = tmp_path / "toy.csv"
+        run_cli("simulate", "--times", "8", "--per-time", "2", "--t-max",
+                "2", "--seed", "1", "--out", str(data))
+        code = run_cli("fit", str(data), "--out", str(tmp_path / "d.npz"),
+                       "--iters", "5", "--burn-in", "1", "--fix-c", "0.001")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "gap 0.285714 between consecutive observation times gives " \
+            "c tau = 0.000285714 at a + b = " in err
+        assert "merge near-duplicate times, or raise c (--fix-c, " \
+            "--c-prior)" in err
 
     def test_missing_file_exit_two(self, tmp_path):
         code = run_cli("fit", str(tmp_path / "absent.csv"), "--out",
@@ -161,13 +180,22 @@ class TestFit:
         err = capsys.readouterr().err
         assert flag in err and message in err
 
-    @pytest.mark.parametrize("flags", [
-        ("--stick", "pitman-yor", "--sigma", "1.5"),
-        ("--centering", "0,-1,10,1"),
-    ])
-    def test_invalid_law_values_exit_one(self, dataset, tmp_path, flags):
+    @pytest.mark.parametrize("flags, named", [
+        (("--stick", "pitman-yor", "--sigma", "1.5"), "sigma"),
+        (("--centering", "0,-1,10,1"), "precision_scale"),
+        (("--centering", "0,inf,10,1"), "precision_scale"),
+        (("--centering", "inf,0.001,10,1"), "mean0"),
+        (("--fix-theta", "inf"), "fix_theta"),
+        (("--fix-c", "inf"), "fix_c"),
+        (("--theta-prior", "1,inf"), "rate"),
+        (("--c-prior", "inf,1"), "shape"),
+    ], ids=[f"flags{i}" for i in range(8)])
+    def test_invalid_law_values_exit_one(self, dataset, tmp_path, capsys,
+                                         flags, named):
         assert run_cli("fit", str(dataset), "--out", str(tmp_path / "d.npz"),
                        *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and named in err
 
     def test_telemetry_written(self, dataset, tmp_path):
         out = tmp_path / "draws.npz"
@@ -579,7 +607,8 @@ class TestValidate:
         assert "failures=0" in text
 
     def test_unknown_check_exit_one(self):
-        assert run_cli("validate", "--checks", "bogus") == 1
+        for checks in ("bogus", ",", ""):
+            assert run_cli("validate", "--checks", checks) == 1, checks
 
     def test_corrupted_flag_exit_one(self):
         assert run_cli("validate", "--seed", "not-an-int") == 1

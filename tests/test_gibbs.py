@@ -31,7 +31,8 @@ from diffmix.gibbs import (GammaPrior, SamplerConfig, check_invariants,
                            update_stick_values, update_transition_latents)
 from diffmix.measure import StickConfig, sticks_to_weights_matrix
 from diffmix.mixture import CenteringMeasure, gaussian_logpdf, simulate_toy
-from diffmix.store import PosteriorDraws, load_checkpoint, save_checkpoint
+from diffmix.store import (PosteriorDraws, load_checkpoint, save_checkpoint,
+                           slice_bounds)
 
 from oracles import (centering_logpdf, centering_posterior,
                      guarded_label_swaps, per_gap_prior_components,
@@ -104,7 +105,7 @@ class TestInit:
         # first slice update, so check the component pieces here
         eta = cfg.slice_eta
         assert np.all(state.u < np.exp(-eta * (state.s + 1.0)))
-        assert np.all(state.s + 1 <= state.slice_bounds(eta))
+        assert np.all(state.s + 1 <= slice_bounds(state.u, eta))
         assert np.all(state.trans_k <= state.trans_d)
         assert np.all(state.trans_o < np.exp(-cfg.trans_slice_eta
                                              * state.trans_d))
@@ -143,8 +144,8 @@ class TestSliceAndTruncation:
         state = init_chain(data, cfg, rng)
         for _ in range(20):
             update_slice_and_truncation(state, data, cfg, rng)
-            assert np.all(state.s + 1 <= state.slice_bounds(cfg.slice_eta))
-            assert state.m == state.slice_bounds(cfg.slice_eta).max()
+            assert np.all(state.s + 1 <= slice_bounds(state.u, cfg.slice_eta))
+            assert state.m == slice_bounds(state.u, cfg.slice_eta).max()
 
     def test_bound_increases_with_label(self, rng):
         # E[floor(psi_inv(u)) | s] = s + E[floor-ish of Exp(1)/eta]
@@ -165,10 +166,10 @@ class TestSliceAndTruncation:
         psi = np.exp(-cfg.slice_eta * (state.s + 1.0))
         state.u = psi * 1e-4  # forces large bounds
         m_before = state.m
-        bounds = state.slice_bounds(cfg.slice_eta)
+        bounds = slice_bounds(state.u, cfg.slice_eta)
         assert bounds.max() > m_before
         update_slice_and_truncation(state, data, cfg, rng)
-        assert state.m == state.slice_bounds(cfg.slice_eta).max()
+        assert state.m == slice_bounds(state.u, cfg.slice_eta).max()
         assert state.sticks.shape[0] == state.m
 
     def test_cap_error(self, rng):
@@ -180,6 +181,22 @@ class TestSliceAndTruncation:
             for _ in range(200):
                 update_slice_and_truncation(state, data, cfg, rng)
                 state.u *= 1e-3  # push the bounds upward
+
+    def test_cap_message_same_at_init_and_later_sweep(self, rng):
+        data = small_data(rng)
+        with pytest.raises(TruncationCapError) as at_init:
+            init_chain(data, dp_config(m_cap=9), rng)  # init floors m at 10
+        state = init_chain(data, dp_config(), rng)
+        cfg = dp_config(m_cap=state.m)
+        state.s[:] = state.m  # label m + 1: every slice bound passes the cap
+        state.sweep = 7
+        with pytest.raises(TruncationCapError) as later:
+            update_slice_and_truncation(state, data, cfg, rng)
+        for err, cap, sweep in ((at_init, 9, 0), (later, cfg.m_cap, 7)):
+            assert re.fullmatch(
+                rf"truncation level \d+ exceeds cap {cap} at sweep {sweep}; "
+                r"raise --m-cap \(m_cap\) or --eta \(slice_eta\)",
+                str(err.value))
 
     @pytest.mark.parametrize("times", [[0.0, 0.3, 0.6, 1.7, 2.0, 2.3, 2.6],
                                        [0.0]], ids=["gaps", "one_time"])
@@ -374,6 +391,29 @@ class TestLocations:
 
 
 class TestTransitionLatents:
+    def test_k_row_without_mass_raises(self, rng, monkeypatch):
+        # the scan stops at the cell whose k masses all underflow, before
+        # its k could bound a d draw, and leaves a valid state
+        data = small_data(rng, n_times=4)
+        cfg = dp_config(fix_theta=1.0, fix_c=1.0)
+        state = init_chain(data, cfg, rng)
+        update_slice_and_truncation(state, data, cfg, rng)
+        assert state.m >= 3
+        state.trans_d[:] = 1
+        state.trans_k[:] = 0
+        state.trans_d[2, 1] = 5
+        state.sweep = 4
+        real = gibbs._k_log_mass
+
+        def lost(tab, base, d, ratio, j):
+            return np.where(d == 5, -np.inf, real(tab, base, d, ratio, j))
+
+        monkeypatch.setattr(gibbs, "_k_log_mass", lost)
+        with pytest.raises(NumericalError, match=r"^k conditional has no "
+                           r"mass at stick 2, gap 1 in sweep 4: "):
+            update_transition_latents(state, data, cfg, rng)
+        check_invariants(state, data, cfg)
+
     def test_d_zero_forces_k_zero_and_uniform_slice(self, rng):
         data = small_data(rng, n_times=2)
         cfg = dp_config(fix_theta=1.0, fix_c=8.0)
@@ -591,8 +631,9 @@ class TestTransitionDrawReference:
             want = want - want.max(axis=1, keepdims=True)
             np.testing.assert_allclose(got[valid], want[valid], rtol=0,
                                        atol=1e-10)
-            draws = gibbs._draw_rows(fresh, lower=lower, upper=upper,
-                                     rng=np.random.default_rng(seed))
+            draws = gibbs._draw_rows(
+                fresh, lower.reshape(m, gaps), upper.reshape(m, gaps),
+                np.random.default_rng(seed), "k", 0).ravel()
             expect = _ref_draw_rows(ref, upper, lower,
                                     np.random.default_rng(seed))
             np.testing.assert_array_equal(draws, expect)
