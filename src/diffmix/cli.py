@@ -242,6 +242,8 @@ def _fit_one(payload):
 
 
 def cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     try:
         dataset = simulate_toy(args.times, args.per_time, args.t_max, rng)

@@ -35,7 +35,7 @@ from scipy.special import betaln, gammaln
 from . import wf
 from .data import TimeGridDataset
 from .errors import NumericalError, SeriesTruncationError, TruncationCapError
-from .measure import (OPEN_UNIT, StickConfig, _positive, stick_runs,
+from .measure import (OPEN_UNIT, StickConfig, stick_runs,
                       sticks_to_weights_matrix)
 from .mixture import CenteringMeasure, gaussian_logpdf, renormalised_mixture
 from .store import (_COMPONENTS, ChainState, PosteriorDraws,
@@ -53,8 +53,8 @@ class GammaPrior:
     rate: float
 
     def __post_init__(self):
-        _positive("shape", self.shape)
-        _positive("rate", self.rate)
+        wf._positive("shape", self.shape)
+        wf._positive("rate", self.rate)
 
     def logpdf(self, x: float) -> float:
         if x <= 0:
@@ -115,13 +115,15 @@ class SamplerConfig:
                              "no draw; raise iters or lower thin")
         if self.m_cap < 1:
             raise ValueError("m_cap must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.fixed_truncation is not None and self.fixed_truncation < 1:
             raise ValueError("fixed_truncation must be positive")
         if self.tie_c_to_theta and self.fix_c is not None:
             raise ValueError("fix_c conflicts with tie_c_to_theta")
         for name in ("fix_theta", "fix_c"):
             if getattr(self, name) is not None:
-                _positive(name, getattr(self, name))
+                wf._positive(name, getattr(self, name))
         if self.stick.kind == "gem" and (self.fix_theta is None
                                          or self.tie_c_to_theta):
             raise ValueError(
@@ -174,9 +176,11 @@ def _prior_index(runs, tau: float, tables: dict, rng) -> list[int]:
                 raise SeriesTruncationError(
                     f"gap {tau:g} between consecutive observation times "
                     f"gives c tau = {p.c * tau:g} at a + b = {p.a + p.b:g}, "
-                    "too small to resolve the series index within its cap; "
-                    "merge near-duplicate times, or raise c (--fix-c, "
-                    "--c-prior)") from exc
+                    + ("too small to resolve the series index within its "
+                       "cap; merge near-duplicate times, or raise c (--fix-c, "
+                       "--c-prior)" if wf._nb_size_in_range(p.a + p.b) else
+                       "at which log Gamma(a + b) leaves double range; lower "
+                       "theta (--fix-theta, --theta-prior)")) from exc
     return [d for size, cum in tables[tau]
             for d in wf._draw_index(cum, rng, size).tolist()]
 
@@ -193,7 +197,7 @@ def _sample_slice(d, eta2, rng) -> np.ndarray:
 
 def _prior_components(cfg: SamplerConfig, theta: float, c: float,
                       count: int, offset: int, taus: np.ndarray,
-                      rng: np.random.Generator):
+                      rng: np.random.Generator, sticks=None):
     """Draw `count` fresh components (sticks, latents, atoms) from the prior.
 
     offset is the number of components already present, so stick labels
@@ -201,26 +205,34 @@ def _prior_components(cfg: SamplerConfig, theta: float, c: float,
     jointly along the path: v(t_1) from its Beta marginal, then at each
     gap d ~ r_tau for every stick (one run of stick_runs at a time),
     k ~ Bin(d, v_prev) for every stick, v_next ~ Beta(a + k, b + d - k)
-    for every stick, and the uniforms of the slices o | d.
+    for every stick, and the uniforms of the slices o | d. Given sticks
+    of shape (count, times), the stick values are taken from them in
+    place of both Beta draws, and everything else is drawn as above.
 
-    Growth adds a few sticks at a time, so k and v are scalar generator
-    calls, one stick at a time: on a handful of entries an array call
-    spends ten times as long checking its arguments, and it loops over
-    the same sampler, so the stream is the one array calls would give.
+    Growth adds a few sticks at a time and init_chain some tens, so k
+    and v are scalar generator calls, one stick at a time: on a handful
+    of entries an array call spends ten times as long checking its
+    arguments, and it loops over the same sampler, so the stream is the
+    one array calls would give.
     """
     a, b = (x[offset:] for x in cfg.stick.params(offset + count, theta))
     runs = stick_runs(a, b, c)
     a_s, b_s = a.tolist(), b.tolist()
     lo, hi = OPEN_UNIT
-    v = np.clip(rng.beta(a, b), lo, hi).tolist()
+    given = None if sticks is None else sticks.T.tolist()  # one per time
+    v = np.clip(rng.beta(a, b), lo, hi).tolist() if given is None \
+        else given[0]
     # one list per time (sticks) or gap (the rest), transposed at the end
     vs, ks, ds, us = [v], [], [], []
     tables = {}
-    for tau in taus.tolist():
+    for w, tau in enumerate(taus.tolist()):
         d = _prior_index(runs, tau, tables, rng)
         k = [rng.binomial(dj, vj) for dj, vj in zip(d, v)]
-        v = [min(max(rng.beta(aj + kj, bj + dj - kj), lo), hi)
-             for aj, bj, dj, kj in zip(a_s, b_s, d, k)]
+        if given is None:
+            v = [min(max(rng.beta(aj + kj, bj + dj - kj), lo), hi)
+                 for aj, bj, dj, kj in zip(a_s, b_s, d, k)]
+        else:
+            v = given[w + 1]
         vs.append(v)
         ks.append(k)
         ds.append(d)
@@ -242,13 +254,10 @@ def init_chain(data: TimeGridDataset, cfg: SamplerConfig,
 
     The initial truncation is max(10, ceil(log(number of observations)));
     memberships are uniform over it, sticks start from their Beta
-    marginals independently at each time, transition latents from the
-    prior decomposition given those sticks, atoms from the centering
-    measure, and theta / c from their priors unless fixed.
+    marginals independently at each time, transition latents and atoms
+    come from _prior_components given those sticks, and theta / c from
+    their priors unless fixed.
     """
-    n = data.n_times
-    n_obs = data.n_obs
-
     theta = cfg.fix_theta if cfg.fix_theta is not None \
         else cfg.theta_prior.sample(rng)
     if cfg.tie_c_to_theta:
@@ -258,28 +267,17 @@ def init_chain(data: TimeGridDataset, cfg: SamplerConfig,
     else:
         c = cfg.c_prior.sample(rng)
 
-    m = cfg.fixed_truncation or max(10, math.ceil(math.log(n_obs)))
-    s = rng.integers(0, m, size=n_obs)
+    m = cfg.fixed_truncation or max(10, math.ceil(math.log(data.n_obs)))
+    s = rng.integers(0, m, size=data.n_obs)
     u = _sample_u(s, cfg.slice_eta, rng)
     m = _truncation(u, cfg, sweep=0, floor=m)
 
     a, b = cfg.stick.params(m, theta)
-    runs = stick_runs(a, b, c)
-    sticks = rng.beta(a[:, None], b[:, None], size=(m, n))
+    sticks = rng.beta(a[:, None], b[:, None], size=(m, data.n_times))
     sticks = np.clip(sticks, *OPEN_UNIT)
-
-    o = np.empty((m, n - 1))
-    kk = np.empty((m, n - 1), dtype=np.int64)
-    dd = np.empty((m, n - 1), dtype=np.int64)
-    tables = {}
-    for w, tau in enumerate(data.gaps.tolist()):
-        dd[:, w] = _prior_index(runs, tau, tables, rng)
-        kk[:, w] = rng.binomial(dd[:, w], sticks[:, w])
-        o[:, w] = _sample_slice(dd[:, w], cfg.trans_slice_eta, rng)
-
-    atoms = cfg.centering.sample(rng, m)
-    return ChainState(m=m, s=s.astype(np.int64), u=u, sticks=sticks,
-                      atoms=atoms, trans_o=o, trans_k=kk, trans_d=dd,
+    fresh = _prior_components(cfg, theta, c, m, 0, data.gaps, rng, sticks)
+    return ChainState(m=m, s=s.astype(np.int64), u=u,
+                      **dict(zip(_COMPONENTS, fresh)),
                       theta=float(theta), c=float(c),
                       data_digest=data.digest())
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import wf
 from .errors import NumericalError
-from .wf import WFParams
+from .wf import WFParams, _positive
 
 MAX_STICKS = 100_000
 # clamp for stick draws, which must stay strictly inside (0, 1)
@@ -79,11 +79,12 @@ class StickConfig:
         pairs = tuple((float(a), float(b)) for a, b in pairs)
         if not pairs:
             raise ValueError("pairs must be nonempty")
+        c = _positive("c", c)
         for j, (a, b) in enumerate(pairs, start=1):
-            if not (a > 0 and b > 0 and a + b > 1):
-                raise ValueError(
-                    f"stick {j}: need a > 0, b > 0 and a + b > 1, got {(a, b)}"
-                )
+            try:
+                WFParams(a, b, c)
+            except ValueError as exc:
+                raise ValueError(f"stick {j}: {exc}") from exc
         terms = [np.log1p(a / b) for a, b in pairs]
         if len(terms) > 1 and all(t2 < t1 for t1, t2 in zip(terms, terms[1:])):
             warnings.warn(
@@ -92,7 +93,7 @@ class StickConfig:
                 "not sum to one",
                 stacklevel=2,
             )
-        return cls(kind="gem", pairs=pairs, c=_positive("c", c))
+        return cls(kind="gem", pairs=pairs, c=c)
 
     def params(self, m: int, theta: float | None = None):
         """(a, b) arrays for the first m sticks; every stick moves at rate c.
@@ -112,13 +113,6 @@ class StickConfig:
             a = np.full(m, 1.0 - sigma)
             b = theta + sigma * np.arange(1, m + 1)
         return a, b
-
-
-def _positive(name: str, x) -> float:
-    """float(x) if x is positive and finite, else ValueError naming it."""
-    if not 0 < x < np.inf:
-        raise ValueError(f"{name} must be positive and finite, got {x}")
-    return float(x)
 
 
 def stick_runs(a, b, c: float) -> list[tuple[int, int, WFParams]]:

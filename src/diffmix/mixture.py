@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TimeGridDataset
-from .measure import _positive, sticks_to_weights_matrix
+from .measure import sticks_to_weights_matrix
+from .wf import _positive
 
 LOG_2PI = math.log(2.0 * math.pi)
 

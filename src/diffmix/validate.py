@@ -280,6 +280,8 @@ def run_validation(names=None, seed: int = 0) -> list[CheckResult]:
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}; "
                          f"available: {', '.join(FULL_CHECKS)}")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     results = []
     for name in names:

@@ -73,13 +73,20 @@ _LINEAGE_TERM_MAX = math.exp(700.0)
 _BLOCK_LOG_SPAN = 300.0
 
 
+def _positive(name: str, x) -> float:
+    """float(x) if x is positive and finite, else ValueError naming it."""
+    if not 0 < x < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x}")
+    return float(x)
+
+
 @dataclass(frozen=True)
 class WFParams:
     """Parameters (a, b, c) of one Wright-Fisher stick.
 
-    a, b: Beta(a, b) invariant-law parameters, both positive.
-    c: time-scale rate per unit time. c = (a + b - 1) / 2 recovers the
-       standard parametrisation.
+    a, b: Beta(a, b) invariant-law parameters, both positive and finite.
+    c: time-scale rate per unit time, positive and finite. c = (a + b - 1)
+       / 2 recovers the standard parametrisation.
 
     Requires a + b > 1 so that the boundaries are entrance boundaries and
     the mixture representations of the transition density are valid.
@@ -90,8 +97,8 @@ class WFParams:
     c: float
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0 and self.c > 0):
-            raise ValueError(f"a, b, c must be positive, got {self}")
+        for name in ("a", "b", "c"):
+            _positive(name, getattr(self, name))
         if not self.a + self.b > 1:
             raise ValueError(f"a + b must exceed 1, got a + b = {self.a + self.b}")
 
@@ -169,7 +176,12 @@ def _nb_cumulative(r: float, ct: float) -> np.ndarray:
     series w_m rho / (1 - rho) with rho = (r + m) / (m + 1) e^{-ct} (the
     term ratio, which only falls beyond m), is below 1e-16. A test on
     1 - partial sum cannot serve: rounding can hold it above 1e-15.
+    SeriesTruncationError when log Gamma(r + m) leaves double range.
     """
+    if not _nb_size_in_range(r):
+        raise SeriesTruncationError(
+            f"a + b = {r:g} leaves double range: log Gamma(a + b) overflows "
+            "in the series weights")
     block = 64
     parts = []
     start = 0
@@ -186,6 +198,12 @@ def _nb_cumulative(r: float, ct: float) -> np.ndarray:
     cum = np.cumsum(np.concatenate(parts))
     cum.flags.writeable = False  # shared through the cache
     return cum
+
+
+def _nb_size_in_range(r: float) -> bool:
+    """Whether log Gamma(r + m) is finite at every index m up to the cap,
+    so the series weights subtract no inf from inf."""
+    return bool(np.isfinite(gammaln(r + DEFAULT_SERIES_CAP)))
 
 
 def nb_truncation_index(t: float, p: WFParams, tol: float) -> int:

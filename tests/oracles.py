@@ -380,6 +380,51 @@ def per_gap_prior_components(cfg, theta, c, count, offset, taus, rng):
     return sticks, o, kk, dd, atoms
 
 
+def per_gap_init_chain(data, cfg, rng):
+    """gibbs.init_chain with its own per-gap loop: one array generator
+    call for k and one _sample_slice per gap.
+
+    The bitwise reference for init's draws through _prior_components:
+    the same stream (theta, c, memberships, slices, marginal sticks, then
+    d, k and the slice uniforms gap by gap, then the atoms) and the same
+    state.
+    """
+    n = data.n_times
+    theta = cfg.fix_theta if cfg.fix_theta is not None \
+        else cfg.theta_prior.sample(rng)
+    if cfg.tie_c_to_theta:
+        c = theta / 2.0
+    elif cfg.fix_c is not None:
+        c = cfg.fix_c
+    else:
+        c = cfg.c_prior.sample(rng)
+
+    m = cfg.fixed_truncation or max(10, math.ceil(math.log(data.n_obs)))
+    s = rng.integers(0, m, size=data.n_obs)
+    u = gibbs._sample_u(s, cfg.slice_eta, rng)
+    m = gibbs._truncation(u, cfg, sweep=0, floor=m)
+
+    a, b = cfg.stick.params(m, theta)
+    runs = stick_runs(a, b, c)
+    sticks = rng.beta(a[:, None], b[:, None], size=(m, n))
+    sticks = np.clip(sticks, *OPEN_UNIT)
+
+    o = np.empty((m, n - 1))
+    kk = np.empty((m, n - 1), dtype=np.int64)
+    dd = np.empty((m, n - 1), dtype=np.int64)
+    tables = {}
+    for w, tau in enumerate(data.gaps.tolist()):
+        dd[:, w] = gibbs._prior_index(runs, tau, tables, rng)
+        kk[:, w] = rng.binomial(dd[:, w], sticks[:, w])
+        o[:, w] = gibbs._sample_slice(dd[:, w], cfg.trans_slice_eta, rng)
+
+    atoms = cfg.centering.sample(rng, m)
+    return store.ChainState(m=m, s=s.astype(np.int64), u=u, sticks=sticks,
+                            atoms=atoms, trans_o=o, trans_k=kk, trans_d=dd,
+                            theta=float(theta), c=float(c),
+                            data_digest=data.digest())
+
+
 def _redraw_observations(state, times, rng):
     means = state.atoms[state.s, 0]
     sds = 1.0 / np.sqrt(state.atoms[state.s, 1])

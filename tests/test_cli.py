@@ -2,6 +2,7 @@
 
 import json
 import time
+import warnings
 import zipfile
 
 import numpy as np
@@ -54,7 +55,8 @@ class TestSimulate:
     def test_bad_args_usage_error(self, tmp_path, capsys):
         for flag, value, named in (("--times", "0", "n_times"),
                                    ("--t-max", "nan", "t_max"),
-                                   ("--t-max", "inf", "t_max")):
+                                   ("--t-max", "inf", "t_max"),
+                                   ("--seed", "-1", "seed")):
             code = run_cli("simulate", flag, value, "--out",
                            str(tmp_path / "x.csv"))
             assert code == 1
@@ -118,6 +120,31 @@ class TestFit:
             "c tau = 0.000285714 at a + b = " in err
         assert "merge near-duplicate times, or raise c (--fix-c, " \
             "--c-prior)" in err
+
+    def test_huge_theta_names_a_plus_b(self, tmp_path, capsys):
+        # log Gamma(a + b) overflows: refused before any inf - inf
+        data = tmp_path / "toy.csv"
+        run_cli("simulate", "--times", "8", "--per-time", "2", "--t-max",
+                "2", "--seed", "1", "--out", str(data))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli("fit", str(data), "--out", str(tmp_path / "d.npz"),
+                           "--burn-in", "2", "--iters", "3",
+                           "--fix-theta", "1e308")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "at a + b = 1e+308, at which log Gamma(a + b) leaves double " \
+            "range; lower theta" in err
+
+    def test_negative_seed_usage_error(self, dataset, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("seed=-1\n")
+        for extra in (("--seed", "-1"), ("--config", str(config))):
+            code = run_cli("fit", str(dataset), "--out",
+                           str(tmp_path / "d.npz"), *extra)
+            assert code == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ") and "seed" in err
 
     def test_missing_file_exit_two(self, tmp_path):
         code = run_cli("fit", str(tmp_path / "absent.csv"), "--out",
@@ -612,6 +639,11 @@ class TestValidate:
 
     def test_corrupted_flag_exit_one(self):
         assert run_cli("validate", "--seed", "not-an-int") == 1
+
+    def test_negative_seed_names_seed(self, capsys):
+        assert run_cli("validate", "--checks", "deficit", "--seed", "-1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "seed" in err
 
     def test_failing_check_exit_three(self, monkeypatch, capsys, tmp_path):
         failing = lambda rng: [validate._result("deficit_forced", 1.0, 0.5,

@@ -35,9 +35,10 @@ from diffmix.store import (PosteriorDraws, load_checkpoint, save_checkpoint,
                            slice_bounds)
 
 from oracles import (centering_logpdf, centering_posterior,
-                     guarded_label_swaps, per_gap_prior_components,
-                     reference_stick_likelihood, stick_joint_tv,
-                     transition_mixture_component, two_block_hyperparams)
+                     guarded_label_swaps, per_gap_init_chain,
+                     per_gap_prior_components, reference_stick_likelihood,
+                     stick_joint_tv, transition_mixture_component,
+                     two_block_hyperparams)
 
 
 def dp_config(**kw):
@@ -222,6 +223,50 @@ class TestSliceAndTruncation:
             assert new.dtype == ref.dtype
             np.testing.assert_array_equal(new, ref)
         assert states[0] == states[1]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("times, kw", [
+        (np.linspace(0.0, 3.0, 12), {}),
+        (np.linspace(0.0, 3.0, 12), {"fixed_truncation": 6, "stick":
+                                     StickConfig.pitman_yor(1.0, 0.3)}),
+        ([0.0], {"fix_theta": 1.0, "stick": StickConfig.general_gem(
+            [(1.0, 1.0), (1.0, 2.0), (1.5, 2.5)])}),
+        ([0.0, 0.5, 1.0, 1.5, 2.5, 3.0, 3.5], {"tie_c_to_theta": True}),
+        (np.linspace(0.0, 3.0, 12), {"fixed_truncation": 1}),
+    ], ids=["dp", "py_fixed_6", "gem_one_time", "tied_repeated_gaps",
+            "fixed_1"])
+    def test_init_matches_per_gap_reference(self, times, kw, seed):
+        # init through _prior_components gives the state and generator
+        # state of its own per-gap loop with array calls, bit for bit
+        gen = np.random.default_rng(seed + 50)
+        values = tuple(gen.normal(size=3) for _ in times)
+        data = TimeGridDataset(times=times, values=values)
+        cfg = dp_config(**kw)
+        states, gens = [], []
+        for init in (init_chain, per_gap_init_chain):
+            gen = np.random.default_rng(seed)
+            states.append(init(data, cfg, gen))
+            gens.append(gen.bit_generator.state)
+        for f in fields(states[0]):
+            new, ref = (getattr(st, f.name) for st in states)
+            if isinstance(ref, np.ndarray):
+                assert new.dtype == ref.dtype, f.name
+                np.testing.assert_array_equal(new, ref, err_msg=f.name)
+            else:
+                assert new == ref, f.name
+        assert gens[0] == gens[1]
+
+    def test_init_over_near_duplicate_times_same_message(self):
+        near = TimeGridDataset([0.0, 1e-9, 1.0],
+                               tuple(np.array([0.1 * i]) for i in range(3)))
+        messages = []
+        for init in (init_chain, per_gap_init_chain):
+            with pytest.raises(SeriesTruncationError) as err:
+                init(near, dp_config(), np.random.default_rng(3))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert re.search(r"gap 1e-09 .*merge near-duplicate times",
+                         messages[0])
 
     def test_growth_over_near_duplicate_times_names_the_gap(self, rng):
         values = tuple(np.array([0.1 * i]) for i in range(3))

@@ -107,6 +107,11 @@ class TestStickConfig:
         with pytest.raises(ValueError):
             StickConfig.general_gem([(0.5, 0.4)])
 
+    def test_gem_refuses_non_finite_pair(self):
+        with pytest.raises(ValueError, match="^stick 2: b must be positive "
+                                             "and finite, got inf"):
+            StickConfig.general_gem([(1.0, 2.0), (1.0, float("inf"))])
+
     def test_gem_convergence_warning(self):
         with pytest.warns(UserWarning):
             StickConfig.general_gem([(1.0, 1.0), (1.0, 10.0), (1.0, 100.0)])

@@ -5,6 +5,8 @@ scipy Beta facts for the invariant law, Euler-Maruyama endpoints and the
 linear-drift conditional-mean identity for the transition law.
 """
 
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -32,6 +34,14 @@ class TestParams:
         for bad in [(0, 1, 1), (1, 0, 1), (1, 1, 0), (-1, 2, 1)]:
             with pytest.raises(ValueError):
                 WFParams(*bad)
+
+    def test_rejects_non_finite_naming_the_parameter(self):
+        inf = float("inf")
+        for args, named in (((1, inf, 1), "b"), ((1, 2, inf), "c"),
+                            ((np.nan, 2, 1), "a")):
+            with pytest.raises(ValueError,
+                               match=f"^{named} must be positive and finite"):
+                WFParams(*args)
 
     def test_rejects_entrance_violation(self):
         with pytest.raises(ValueError):
@@ -93,6 +103,15 @@ class TestSeriesWeights:
         for tol in (1e-8, 1e-9, 1e-10, 1e-11, 1e-12):
             assert wf.nb_truncation_index(1.0, p, tol) == \
                 int(np.searchsorted(full, 1.0 - tol))
+
+    def test_huge_size_refused_not_nan(self, rng):
+        # log Gamma(a + b) is inf: the weights would be inf - inf = NaN
+        p = WFParams(1.0, 1e308, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(SeriesTruncationError,
+                               match=r"a \+ b = 1e\+308 leaves double range"):
+                wf.sample_nb(0.5, p, rng, size=3)
 
     def test_sample_nb_matches_pmf(self, rng):
         p = WFParams(1.5, 2.5, 1.0)
