@@ -26,23 +26,20 @@ from .mixture import CenteringMeasure, simulate_toy
 from .store import PosteriorDraws
 from .validate import FULL_CHECKS, QUICK_CHECKS, run_validation
 
-CONFIG_KEYS = {
-    "burn_in": int, "iters": int, "thin": int, "seed": int,
-    "slice_eta": float, "trans_slice_eta": float,
-    "theta_prior_shape": float, "theta_prior_rate": float,
-    "c_prior_shape": float, "c_prior_rate": float,
-    "fix_theta": float, "fix_c": float, "tie_c_to_theta": bool,
-    "m_cap": int, "stick_kind": str, "sigma": float,
-    "centering_mean0": float, "centering_precision_scale": float,
-    "centering_shape": float, "centering_rate": float,
-    "chains": int,
-}
 _BOOL_WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
                **dict.fromkeys(("0", "false", "no", "off"), False)}
+_STICK_WORDS = {word: word for word in ("dp", "pitman-yor", "pitman_yor")}
 
-# settings with no dataclass field to default from; the sampler
-# configuration takes the defaults of SamplerConfig and its parts
-_CLI_DEFAULTS = {"chains": 1, "stick_kind": "dp", "sigma": 0.0}
+
+def _switch(text: str) -> bool:
+    return _BOOL_WORDS[text.lower()]
+
+
+def _count(text: str) -> int:
+    if (n := int(text)) < 1:
+        raise ValueError(text)
+    return n
+
 
 # comma-separated float flags: dest -> (metavar, the settings they fill)
 _FLOAT_LISTS = {
@@ -52,6 +49,37 @@ _FLOAT_LISTS = {
                   ("centering_mean0", "centering_precision_scale",
                    "centering_shape", "centering_rate")),
 }
+
+# every fit setting: config key -> (its own flag, or None for the keys
+# the _FLOAT_LISTS flags fill; the one parser of its text; flag help)
+SETTINGS = {
+    "burn_in": ("--burn-in", int, None),
+    "iters": ("--iters", int, None),
+    "thin": ("--thin", int, None),
+    "seed": ("--seed", int, None),
+    "chains": ("--chains", _count, "independent chains, at least 1"),
+    "slice_eta": ("--eta", float, "membership slice decay rate in (0,1)"),
+    "trans_slice_eta": ("--trans-eta", float,
+                        "transition slice decay rate in (0,1)"),
+    "fix_theta": ("--fix-theta", float, None),
+    "fix_c": ("--fix-c", float, None),
+    "tie_c_to_theta": ("--tie-c", _switch,
+                       "enforce c = theta / 2 instead of sampling c"),
+    "m_cap": ("--m-cap", int, None),
+    "stick_kind": ("--stick", _STICK_WORDS.__getitem__,
+                   "stick law: " + ", ".join(_STICK_WORDS)),
+    "sigma": ("--sigma", float, "Pitman-Yor discount in [0,1)"),
+    **{key: (None, float, None)
+       for _, keys in _FLOAT_LISTS.values() for key in keys},
+}
+
+
+def _parse(source, key: str, value, parse):
+    """value's text read by parse, or a UsageError naming the value."""
+    try:
+        return parse(str(value))
+    except (KeyError, ValueError) as exc:
+        raise UsageError(f"{source}: bad value for {key}: {value!r}") from exc
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,29 +108,15 @@ def _build_parser() -> _Parser:
     fit.add_argument("data", help="input CSV with columns time,value")
     fit.add_argument("--out", required=True, help="draws archive path")
     fit.add_argument("--config", help="JSON or key=value config file")
-    fit.add_argument("--burn-in", type=int, dest="burn_in")
-    fit.add_argument("--iters", type=int)
-    fit.add_argument("--thin", type=int)
-    fit.add_argument("--seed", type=int)
-    fit.add_argument("--chains", type=int)
-    fit.add_argument("--workers", type=int, default=1,
-                     help="process workers for multi-chain runs")
-    fit.add_argument("--eta", type=float, dest="slice_eta",
-                     help="membership slice decay rate in (0,1)")
-    fit.add_argument("--trans-eta", type=float, dest="trans_slice_eta",
-                     help="transition slice decay rate in (0,1)")
+    for key, (flag, parse, help_) in SETTINGS.items():
+        if flag is not None:  # a switch stands for the text "on"
+            switch = {"action": "store_const", "const": "on"} \
+                if parse is _switch else {}
+            fit.add_argument(flag, dest=key, help=help_, **switch)
+    fit.add_argument("--workers", default=1,
+                     help="process workers for multi-chain runs, at least 1")
     fit.add_argument("--theta-prior", metavar=_FLOAT_LISTS["theta_prior"][0])
     fit.add_argument("--c-prior", metavar=_FLOAT_LISTS["c_prior"][0])
-    fit.add_argument("--fix-theta", type=float, dest="fix_theta")
-    fit.add_argument("--fix-c", type=float, dest="fix_c")
-    fit.add_argument("--tie-c", action="store_true", default=None,
-                     dest="tie_c_to_theta",
-                     help="enforce c = theta / 2 instead of sampling c")
-    fit.add_argument("--m-cap", type=int, dest="m_cap")
-    fit.add_argument("--stick", choices=("dp", "pitman-yor"),
-                     dest="stick_kind")
-    fit.add_argument("--sigma", type=float,
-                     help="Pitman-Yor discount in [0,1)")
     fit.add_argument("--centering", metavar=_FLOAT_LISTS["centering"][0],
                      help="normal-gamma atom prior parameters")
     fit.add_argument("--date-column",
@@ -133,17 +147,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_floats(text: str, flag: str, metavar: str) -> list[float]:
-    """The comma-separated numbers of a flag, as many as metavar names."""
-    parts = text.split(",")
-    if len(parts) != metavar.count(",") + 1:
-        raise UsageError(f"{flag} expects {metavar}")
-    try:
-        return [float(x) for x in parts]
-    except ValueError as exc:
-        raise UsageError(f"{flag}: cannot parse {text!r}") from exc
-
-
 def _load_config_file(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -165,33 +168,29 @@ def _load_config_file(path) -> dict:
                 raise UsageError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
             raw[key.strip()] = value.strip()
-    out = {}
-    for key, value in raw.items():
-        if key not in CONFIG_KEYS:
-            raise UsageError(f"{path}: unknown config key {key!r}")
-        # both file forms parse the value's text, as the flags do
-        text, caster = str(value), CONFIG_KEYS[key]
-        try:
-            out[key] = _BOOL_WORDS[text.lower()] if caster is bool \
-                else caster(text)
-        except (KeyError, ValueError) as exc:
-            raise UsageError(f"{path}: bad value for {key}: {value!r}") from exc
-    return out
+    if unknown := raw.keys() - SETTINGS.keys():
+        raise UsageError(f"{path}: unknown config key {min(unknown)!r}")
+    return {key: _parse(path, key, value, SETTINGS[key][1])
+            for key, value in raw.items()}
 
 
 def _resolve_settings(args) -> dict:
-    settings = dict(_CLI_DEFAULTS)
-    if args.config:
-        settings.update(_load_config_file(args.config))
-    for key in CONFIG_KEYS:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            settings[key] = flag_val
-    for dest, (metavar, keys) in _FLOAT_LISTS.items():
-        text = getattr(args, dest)
+    settings = _load_config_file(args.config) if args.config else {}
+    for key, (flag, parse, _) in SETTINGS.items():
+        text = getattr(args, key, None)
         if text is not None:
-            flag = "--" + dest.replace("_", "-")
-            settings.update(zip(keys, _parse_floats(text, flag, metavar)))
+            settings[key] = _parse(flag, key, text, parse)
+    for dest, (metavar, keys) in _FLOAT_LISTS.items():
+        flag, text = "--" + dest.replace("_", "-"), getattr(args, dest)
+        if text is None:
+            continue
+        if len(parts := text.split(",")) != len(keys):
+            raise UsageError(f"{flag} expects {metavar}")
+        try:
+            settings.update((key, SETTINGS[key][1](part))
+                            for key, part in zip(keys, parts))
+        except ValueError as exc:
+            raise UsageError(f"{flag}: cannot parse {text!r}") from exc
     return settings
 
 
@@ -203,12 +202,13 @@ def _with_settings(obj, settings: dict, prefix: str = ""):
 
 def _sampler_config(settings: dict) -> SamplerConfig:
     # the chain samples or fixes theta and c; the stick law gives its kind
-    kind = settings["stick_kind"].replace("-", "_")
-    if kind not in ("dp", "pitman_yor"):
-        raise UsageError(f"unsupported stick kind {settings['stick_kind']!r}")
+    dp = settings.get("stick_kind", "dp") == "dp"
+    sigma = settings.get("sigma", 0.0)
+    if dp and sigma != 0:
+        raise UsageError(f"sigma {sigma:g} needs --stick pitman-yor")
     try:
-        stick = StickConfig.dp(1.0, c=1.0) if kind == "dp" else \
-            StickConfig.pitman_yor(1.0, settings["sigma"], c=1.0)
+        stick = StickConfig.dp(1.0, c=1.0) if dp else \
+            StickConfig.pitman_yor(1.0, sigma, c=1.0)
         cfg = _with_settings(
             SamplerConfig(stick=stick, centering=CenteringMeasure()), settings)
         return replace(cfg, **{part: _with_settings(getattr(cfg, part),
@@ -264,9 +264,8 @@ def cmd_fit(args) -> int:
     settings = _resolve_settings(args)
     cfg = _sampler_config(settings)
     data = TimeGridDataset.from_csv(args.data, date_column=args.date_column)
-    chains = settings["chains"]
-    if chains < 1:
-        raise UsageError("chains must be >= 1")
+    chains = settings.get("chains", 1)
+    workers = _parse("--workers", "workers", args.workers, _count)
     if args.resume and chains != 1:
         raise UsageError("--resume supports a single chain")
     jobs = []
@@ -277,8 +276,8 @@ def cmd_fit(args) -> int:
         checkpoint = _chain_path(args.checkpoint, chain, chains)
         jobs.append((data, chain_cfg, out_path, telemetry, checkpoint,
                      args.checkpoint_every, args.resume))
-    if args.workers > 1 and chains > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    if workers > 1 and chains > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_fit_one, jobs))
     else:
         results = [_fit_one(job) for job in jobs]

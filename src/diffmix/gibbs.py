@@ -176,13 +176,26 @@ def _prior_index(runs, tau: float, tables: dict, rng) -> list[int]:
                 raise SeriesTruncationError(
                     f"gap {tau:g} between consecutive observation times "
                     f"gives c tau = {p.c * tau:g} at a + b = {p.a + p.b:g}, "
-                    + ("too small to resolve the series index within its "
-                       "cap; merge near-duplicate times, or raise c (--fix-c, "
-                       "--c-prior)" if wf._nb_size_in_range(p.a + p.b) else
-                       "at which log Gamma(a + b) leaves double range; lower "
-                       "theta (--fix-theta, --theta-prior)")) from exc
+                    + _unresolved_cause(p.a + p.b, p.c * tau)) from exc
     return [d for size, cum in tables[tau]
             for d in wf._draw_index(cum, rng, size).tolist()]
+
+
+def _unresolved_cause(r: float, ct: float) -> str:
+    """Why the series index at a + b = r and c tau = ct is unresolved, and
+    what to change. Its mean is (a + b) / (e^{c tau} - 1): the larger
+    factor is named. a + b exceeds 1, so when the series resolves at
+    a + b = 1 a lower theta resolves it too."""
+    lower_theta = "lower theta (--fix-theta, --theta-prior)"
+    raise_c = "raise c (--fix-c, --c-prior)"
+    if not wf._nb_size_in_range(r):
+        return f"at which log Gamma(a + b) leaves double range; {lower_theta}"
+    if r * np.expm1(ct) > 1.0:
+        return ("an a + b too large to resolve the series index within its "
+                f"cap; {lower_theta}, or {raise_c}")
+    return ("too small to resolve the series index within its cap; merge "
+            f"near-duplicate times, or {raise_c}"
+            + (f", or {lower_theta}" if wf._nb_resolves(1.0, ct) else ""))
 
 
 def _slice_at(d, eta2, u) -> np.ndarray:
@@ -411,10 +424,11 @@ def _k_log_mass(tab: _OffsetGammaln, base, d, ratio, j) -> np.ndarray:
 def _d_log_mass(tab: _OffsetGammaln, base, k, decay, j) -> np.ndarray:
     """log P(d = k + j | k, o, v) up to a row constant, for j inside the
     slice: 2 log Gamma(a + b + k + j) - log Gamma(b + j) - log j!
-    + j decay."""
-    return (2.0 * np.take(tab.ab, base + k + j, mode="clip")
-            - np.take(tab.b, base + j) - tab.fact[j]
-            + j * decay)
+    + j decay. A j decay past double range is -inf, its exact value."""
+    with np.errstate(over="ignore"):
+        return (2.0 * np.take(tab.ab, base + k + j, mode="clip")
+                - np.take(tab.b, base + j) - tab.fact[j]
+                + j * decay)
 
 
 def _draw_rows(log_mass_fn, lower: np.ndarray, upper: np.ndarray,

@@ -147,9 +147,11 @@ def _log_nb_from_coef(log_coef, m, r, ct):
     log Gamma(r) - log m!, in log_nb_weight's operation order.
 
     A caller that varies only ct caches log_coef and evaluates no
-    log-gamma.
+    log-gamma. A product m ct past double range is -inf in the weight,
+    its exact value: e^{-ct} = 0 puts all mass on m = 0.
     """
-    return log_coef - m * ct + r * np.log(-np.expm1(-ct))
+    with np.errstate(over="ignore"):
+        return log_coef - m * ct + r * np.log(-np.expm1(-ct))
 
 
 def nb_weight(m, t: float, p: WFParams):
@@ -236,12 +238,17 @@ def sample_nb(t: float, p: WFParams, rng: np.random.Generator, size):
 def _nb_table(t: float, p: WFParams) -> np.ndarray:
     """Cached cumulative weights of r_t; SeriesTruncationError unless they
     resolve within DEFAULT_SERIES_CAP."""
-    cum = _nb_cumulative(p.a + p.b, p.c * t)
-    if 1.0 - cum[-1] > 1e-12:
+    if not _nb_resolves(p.a + p.b, p.c * t):
         raise SeriesTruncationError(
             f"series index distribution not resolved within cap for t={t}"
         )
-    return cum
+    return _nb_cumulative(p.a + p.b, p.c * t)
+
+
+def _nb_resolves(r: float, ct: float) -> bool:
+    """Whether the series weights at size r and ct sum to within 1e-12
+    of one inside DEFAULT_SERIES_CAP terms; a NaN sum is not refused."""
+    return not 1.0 - _nb_cumulative(r, ct)[-1] > 1e-12
 
 
 def _draw_index(cum: np.ndarray, rng: np.random.Generator, size):

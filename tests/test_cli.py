@@ -1,22 +1,38 @@
 """Command-line interface tests: commands, exit codes, determinism."""
 
 import json
+import re
 import time
 import warnings
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from diffmix import validate
 from diffmix.archive import read_container, write_container
-from diffmix.cli import _load_config_file, main
+from diffmix.cli import (SETTINGS, _build_parser, _load_config_file,
+                         _resolve_settings, main)
 from diffmix.store import PosteriorDraws
 
 
 # wall-time bound of the 2,000-time simulate, fit and summarize; they
 # take about 5 s on a 2-core host
 LONG_GRID_SECONDS = 30.0
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# each setting with its own flag: a text its parser takes and one it
+# refuses; --tie-c is a switch and takes no text
+FLAG_TEXTS = [
+    ("burn_in", "3", "2.5"), ("iters", "7", "2.5"), ("thin", "2", "two"),
+    ("seed", "4", "1.0"), ("chains", "2", "0"), ("slice_eta", "0.4", "x"),
+    ("trans_slice_eta", "0.3", "x"), ("fix_theta", "1.5", "1,5"),
+    ("fix_c", "0.5", "x"), ("tie_c_to_theta", "on", "maybe"),
+    ("m_cap", "99", "2.5"), ("stick_kind", "pitman_yor", "gem"),
+    ("sigma", "0.25", "x"),
+]
 
 
 def run_cli(*argv):
@@ -136,6 +152,30 @@ class TestFit:
         assert "at a + b = 1e+308, at which log Gamma(a + b) leaves double " \
             "range; lower theta" in err
 
+    def test_large_theta_names_theta(self, tmp_path, capsys):
+        # an ordinary gap: the series mean is large because a + b is
+        data = tmp_path / "toy.csv"
+        run_cli("simulate", "--times", "8", "--per-time", "2", "--t-max",
+                "2", "--seed", "1", "--out", str(data))
+        code = run_cli("fit", str(data), "--out", str(tmp_path / "d.npz"),
+                       "--burn-in", "2", "--iters", "3", "--fix-theta", "1e6")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "at a + b = 1e+06, an a + b too large to resolve" in err
+        assert "lower theta (--fix-theta, --theta-prior)" in err
+        assert "too small" not in err and "near-duplicate" not in err
+
+    def test_huge_c_tau_fits_without_warnings(self, tmp_path):
+        # e^{-c tau} = 0 puts all mass on d = 0; the suite turns a
+        # RuntimeWarning into an error
+        data = tmp_path / "toy.csv"
+        run_cli("simulate", "--times", "8", "--per-time", "2", "--t-max",
+                "2", "--seed", "1", "--out", str(data))
+        out = tmp_path / "d.npz"
+        assert run_cli("fit", str(data), "--out", str(out), "--burn-in", "2",
+                       "--iters", "3", "--fix-c", "1e308") == 0
+        assert np.all(PosteriorDraws.load(out).c == 1e308)
+
     def test_negative_seed_usage_error(self, dataset, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("seed=-1\n")
@@ -224,6 +264,28 @@ class TestFit:
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and named in err
 
+    def test_sigma_needs_pitman_yor(self, dataset, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("sigma=0.3\n")
+        for extra in (("--stick", "dp", "--sigma", "5"), ("--sigma", "0.3"),
+                      ("--config", str(config))):
+            out = tmp_path / "d.npz"
+            assert run_cli("fit", str(dataset), "--out", str(out),
+                           *extra) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: sigma ")
+            assert "--stick pitman-yor" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["-3", "0", "1.5"])
+    def test_workers_below_one_exit_one(self, dataset, tmp_path, capsys,
+                                        workers):
+        assert run_cli(*self.fit_args(dataset, tmp_path / "d.npz",
+                                      "--workers", workers,
+                                      "--chains", "2")) == 1
+        assert f"bad value for workers: '{workers}'" in \
+            capsys.readouterr().err
+
     def test_telemetry_written(self, dataset, tmp_path):
         out = tmp_path / "draws.npz"
         tele = tmp_path / "telemetry.log"
@@ -290,6 +352,47 @@ class TestFit:
                                                "burn_in": 3}
         js.write_text(json.dumps({"tie_c_to_theta": flag}))
         assert _load_config_file(js) == {"tie_c_to_theta": flag}
+
+    def test_flag_texts_cover_every_flag(self):
+        assert [key for key, _, _ in FLAG_TEXTS] == \
+            [key for key, (flag, _, _) in SETTINGS.items() if flag]
+
+    @pytest.mark.parametrize("key, good, bad", FLAG_TEXTS,
+                             ids=[key for key, _, _ in FLAG_TEXTS])
+    def test_flag_and_file_parse_alike(self, tmp_path, capsys, key, good,
+                                       bad):
+        flag = SETTINGS[key][0]
+        switch = key == "tie_c_to_theta"
+        lines, js = tmp_path / "run.cfg", tmp_path / "run.json"
+
+        def settings(*extra):
+            return _resolve_settings(_build_parser().parse_args(
+                ["fit", "data.csv", "--out", "d.npz", *extra]))
+
+        lines.write_text(f"{key}={good}\n")
+        js.write_text(json.dumps({key: good}))
+        from_flag = settings(*((flag,) if switch else (flag, good)))
+        assert key in from_flag
+        assert settings("--config", str(lines)) == from_flag
+        assert settings("--config", str(js)) == from_flag
+
+        lines.write_text(f"{key}={bad}\n")
+        js.write_text(json.dumps({key: bad}))
+        forms = [("--config", str(lines)), ("--config", str(js))]
+        for extra in forms + ([] if switch else [(flag, bad)]):
+            # refused before the absent data file is read
+            assert run_cli("fit", str(tmp_path / "absent.csv"), "--out",
+                           str(tmp_path / "d.npz"), *extra) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ")
+            assert f"bad value for {key}: '{bad}'" in err
+
+    def test_readme_lists_every_config_key(self):
+        section = README.read_text(encoding="utf-8").split(
+            "### Configuration files")[1]
+        listed = re.search(r"keys:\s*`([^`]*)`", section).group(1)
+        assert sorted(key.strip() for key in listed.split(",")) == \
+            sorted(SETTINGS)
 
     def test_resume_matches_straight_run(self, dataset, tmp_path):
         out1 = tmp_path / "a.npz"
