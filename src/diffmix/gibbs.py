@@ -44,6 +44,18 @@ from .store import (_COMPONENTS, ChainState, PosteriorDraws,
 
 DEFAULT_M_CAP = 512
 
+# _draw_rows merges adjacent width groups while the padded points a merge
+# adds stay below this count. Over 12 README-data chain states on a 2-core
+# x86 host the latent draws took 25 ms in all at 1,024 and at 4,096, 26-34
+# ms at 16,384, 56-64 ms at 65,536 and 28-38 ms without merging.
+_MERGE_PADDING = 4096
+
+# _categorical sums a draw's masses by one add per support row when it has
+# at least this many columns, else by np.cumsum along the support: on the
+# same host a row add costs about 1 us of call overhead and the cumsum
+# along axis 0 about 3 ns an entry.
+_ROW_ADD_COLUMNS = 320
+
 
 @dataclass(frozen=True)
 class GammaPrior:
@@ -139,22 +151,33 @@ class SamplerConfig:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _categorical_rows(log_mass: np.ndarray, valid: np.ndarray,
-                      u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw per row from masked unnormalised log masses, one
-    uniform u per row.
+def _categorical(log_mass: np.ndarray, width: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw per column of unnormalised log masses (support x
+    columns), one uniform u per column; overwrites log_mass.
 
-    Rows whose valid entries all underflow to zero mass come back as -1.
+    A column's first width entries are its support and the rest padding.
+    Each column is summed in support order, by np.cumsum or by one add
+    per support row, the same additions either way. Padding adds exact
+    zeros after the column's last mass, so the cumulative sums, their
+    total and the first index past the target do not depend on how far a
+    column is padded. Columns whose support entries all underflow to zero
+    mass come back as -1.
     """
-    masked = np.where(valid, log_mass, -np.inf)
-    mx = masked.max(axis=1)
-    safe = np.where(np.isfinite(mx), mx, 0.0)
-    p = np.exp(masked - safe[:, None])
-    csum = np.cumsum(p, axis=1)
-    total = csum[:, -1]
+    n, cols = log_mass.shape
+    log_mass[np.arange(n)[:, None] >= width] = -np.inf
+    mx = log_mass.max(axis=0)
+    log_mass -= np.where(np.isfinite(mx), mx, 0.0)
+    csum = np.exp(log_mass, out=log_mass)
+    if cols >= _ROW_ADD_COLUMNS:
+        for i in range(1, n):
+            np.add(csum[i - 1], csum[i], out=csum[i])
+    else:
+        np.cumsum(csum, axis=0, out=csum)
+    total = csum[-1]
     # target in (0, total]: strictly positive so zero-mass prefixes are skipped
     target = total * (1.0 - u)
-    idx = np.argmax(csum >= target[:, None], axis=1)
+    idx = np.argmax(csum >= target, axis=0)
     idx[total <= 0.0] = -1
     return idx
 
@@ -370,16 +393,17 @@ def update_transition_latents(state: ChainState, data: TimeGridDataset,
     # k | d, v on {0..d}
     ratio = (lv1 + lv0 - l1mv1 - l1mv0).ravel()
     state.trans_k = _draw_rows(
-        lambda rows, j: _k_log_mass(tab, base[rows, None], d_flat[rows, None],
-                                    ratio[rows, None], j),
+        lambda rows, j: _k_log_mass(tab, base[rows], d_flat[rows],
+                                    ratio[rows], j),
         np.zeros_like(d), d, rng, "k", state.sweep)
     k_flat = state.trans_k.ravel()
 
-    # d | k, o on {k..floor(g_inv(o))}
-    decay = (l1mv1 + l1mv0 - state.c * data.gaps + eta2).ravel()
+    # d | k, o on {k..floor(g_inv(o))}; a c tau past double range is inf
+    with np.errstate(over="ignore"):
+        decay = (l1mv1 + l1mv0 - state.c * data.gaps + eta2).ravel()
     state.trans_d = _draw_rows(
-        lambda rows, j: _d_log_mass(tab, base[rows, None], k_flat[rows, None],
-                                    decay[rows, None], j),
+        lambda rows, j: _d_log_mass(tab, base[rows], k_flat[rows],
+                                    decay[rows], j),
         state.trans_k, d_hi, rng, "d", state.sweep)
 
 
@@ -410,7 +434,8 @@ def _offset_gammaln(a, b, runs, size: int) -> _OffsetGammaln:
 
 
 def _k_log_mass(tab: _OffsetGammaln, base, d, ratio, j) -> np.ndarray:
-    """log P(k = j | d, v) up to a row constant; column arguments per row.
+    """log P(k = j | d, v) up to a row constant, one column per row for
+    row arguments of shape (rows,) and the support column j = 0..w - 1.
 
     -log j! - log (d - j)! - log Gamma(a + j) - log Gamma(b + d - j)
     + j ratio; entries past a row's d are padding.
@@ -422,50 +447,77 @@ def _k_log_mass(tab: _OffsetGammaln, base, d, ratio, j) -> np.ndarray:
 
 
 def _d_log_mass(tab: _OffsetGammaln, base, k, decay, j) -> np.ndarray:
-    """log P(d = k + j | k, o, v) up to a row constant, for j inside the
-    slice: 2 log Gamma(a + b + k + j) - log Gamma(b + j) - log j!
-    + j decay. A j decay past double range is -inf, its exact value."""
+    """log P(d = k + j | k, o, v) up to a row constant, one column per row
+    for row arguments of shape (rows,) and the support column j = 0..w - 1,
+    j inside the slice: 2 log Gamma(a + b + k + j) - log Gamma(b + j)
+    - log j! + j decay. A j decay past double range is -inf, its exact
+    value; the j = 0 term is 0, its limit also at decay = -inf (c tau past
+    double range), which leaves all mass at d = k."""
+    out = (2.0 * np.take(tab.ab, base + k + j, mode="clip")
+           - np.take(tab.b, base + j) - tab.fact[j])
     with np.errstate(over="ignore"):
-        return (2.0 * np.take(tab.ab, base + k + j, mode="clip")
-                - np.take(tab.b, base + j) - tab.fact[j]
-                + j * decay)
+        out[1:] += j[1:] * decay
+    return out
 
 
 def _draw_rows(log_mass_fn, lower: np.ndarray, upper: np.ndarray,
                rng: np.random.Generator, latent: str, sweep: int) -> np.ndarray:
     """Draw one value per (stick, gap) cell from {lower..upper}.
 
-    log_mass_fn(rows, j) returns unnormalised log masses at offsets j
-    (a row vector) from the lower bounds of rows, cells in row-major
-    order. Rows go in power-of-two classes of their width upper - lower
-    + 1, each padded to its own widest row and cut into blocks of at most
-    4M entries, so the evaluated points stay within twice the summed
-    widths. The uniforms are drawn once, in row order. A row without
-    mass or support raises NumericalError naming latent, cell and sweep.
+    log_mass_fn(rows, j) returns unnormalised log masses at offsets j (the
+    column 0..w - 1) from the lower bounds of rows, one column per row,
+    cells in row-major order. One stable argsort orders the rows by their
+    width upper - lower + 1; the sorted rows are cut at the power-of-two
+    class edges, and a group joins the next while the padded points the
+    join adds stay below _MERGE_PADDING. Each group is padded to its
+    widest row and cut into blocks of at most 4M entries. Padding cannot
+    change a pick (_categorical), so the grouping is a cost choice. The
+    uniforms are drawn once, in row order. Rows without mass or support
+    raise NumericalError naming latent, sweep and the first such cell in
+    row-major order; nothing is drawn into the state before that check.
     """
     shape = upper.shape
     lower, upper = lower.ravel(), upper.ravel()
     u = rng.uniform(size=len(upper))
     out = np.empty(len(upper), dtype=np.int64)
     width = upper - lower + 1
-    # class e holds widths in (2^(e - 1), 2^e]; empty supports join e = 0
-    cls = np.frexp(np.maximum(width - 1, 0))[1]
-    for e in np.unique(cls):
-        members = np.flatnonzero(cls == e)
-        w = max(1, int(width[members].max()))
-        j = np.arange(w)[None, :]
+    # a stable radix sort when the widths fit 16 bits (widths are >= 0)
+    order = np.argsort(width.astype(np.int16) if width.max() < 2 ** 15
+                       else width, kind="stable")
+    width = width[order]
+    for lo, hi in _width_groups(width):
+        w = max(1, int(width[hi - 1]))
+        j = np.arange(w)[:, None]
         chunk = max(1, 4_000_000 // w)
-        for lo in range(0, len(members), chunk):
-            rows = members[lo:lo + chunk]
-            idx = _categorical_rows(log_mass_fn(rows, j),
-                                    j < width[rows, None], u[rows])
-            if np.any(idx < 0):
-                stick, gap = np.unravel_index(rows[np.argmax(idx < 0)], shape)
-                raise NumericalError(
-                    f"{latent} conditional has no mass at stick {stick}, gap "
-                    f"{gap} in sweep {sweep}: every mass underflowed")
-            out[rows] = lower[rows] + idx
+        for start in range(lo, hi, chunk):
+            stop = min(start + chunk, hi)
+            rows = order[start:stop]
+            out[rows] = lower[rows] + _categorical(
+                log_mass_fn(rows, j), width[start:stop], u[rows])
+    lost = np.flatnonzero(out < lower)
+    if len(lost):
+        stick, gap = np.unravel_index(lost[0], shape)
+        raise NumericalError(
+            f"{latent} conditional has no mass at stick {stick}, gap {gap} "
+            f"in sweep {sweep}: every mass underflowed")
     return out.reshape(shape)
+
+
+def _width_groups(width: np.ndarray) -> list[tuple[int, int]]:
+    """[lo, hi) groups of nondecreasing widths: cut where the power-of-two
+    class (2^(e - 1), 2^e] changes, empty supports with e = 0, and a group
+    merged into the next while that pads fewer than _MERGE_PADDING points."""
+    cls = np.frexp(np.maximum(width - 1, 0))[1]
+    ends = [*(np.flatnonzero(cls[1:] != cls[:-1]) + 1).tolist(), len(width)]
+    groups, lo, hi = [], 0, ends[0]
+    for nxt in ends[1:]:
+        if (hi - lo) * int(width[nxt - 1] - width[hi - 1]) < _MERGE_PADDING:
+            hi = nxt
+        else:
+            groups.append((lo, hi))
+            lo, hi = hi, nxt
+    groups.append((lo, hi))
+    return groups
 
 
 def stick_conditional_shapes(state: ChainState, data: TimeGridDataset,
@@ -576,7 +628,9 @@ class _StickTerms:
         coef = g - gammaln(r) - self.log_fact
 
         def log_lik(c: float) -> float:
-            series = wf._log_nb_from_coef(coef, d, r, c * taus)
+            with np.errstate(over="ignore"):  # c tau = inf is exact
+                ct = c * taus
+            series = wf._log_nb_from_coef(coef, d, r, ct)
             return total + float(series.sum() + comp)
         return log_lik
 
@@ -654,13 +708,13 @@ def update_membership(state: ChainState, data: TimeGridDataset,
     eta = cfg.slice_eta
     m = state.m
     log_w = np.log(sticks_to_weights_matrix(state.sticks))
-    log_kernel = gaussian_logpdf(y[:, None], state.atoms[None, :, 0],
-                                 state.atoms[None, :, 1])
+    log_kernel = gaussian_logpdf(y, state.atoms[:, 0, None],
+                                 state.atoms[:, 1, None])
     labels = np.arange(1, m + 1, dtype=float)
-    log_mass = log_w[:, tidx].T + eta * labels[None, :] + log_kernel
+    # (labels x observations); the candidates 1..bound are each column's prefix
+    log_mass = log_w[:, tidx] + eta * labels[:, None] + log_kernel
     bounds = np.minimum(slice_bounds(state.u, eta), m)
-    s_new = _categorical_rows(log_mass, labels[None, :] <= bounds[:, None],
-                              rng.uniform(size=len(bounds)))
+    s_new = _categorical(log_mass, bounds, rng.uniform(size=len(bounds)))
     if np.any(s_new < 0):
         worst = int(np.flatnonzero(s_new < 0)[0])
         raise NumericalError(
@@ -684,6 +738,11 @@ def update_label_swaps(state: ChainState, data: TimeGridDataset,
     observations, the slice indicators u_i < psi(new label), and, only
     when positions j and j + 1 carry different (a, b), the change of
     path prior of both sticks across the two positions.
+
+    One stable argsort of s lists each label's observations as one block
+    in index order, the order the boolean masks s == j gave; an accepted
+    swap exchanges the two blocks, so each pair's sums run over the same
+    entries in the same order as a fresh mask would.
     """
     m = state.m
     if m < 2:
@@ -694,17 +753,23 @@ def update_label_swaps(state: ChainState, data: TimeGridDataset,
     law_changes = {lo for lo, _, _ in stick_runs(a, b, state.c)[1:]}
     taus = data.gaps
     unif = rng.uniform(size=m - 1)
+    by_label = np.argsort(state.s, kind="stable")
+    ends = np.cumsum(np.bincount(state.s, minlength=m)).tolist()
+
+    def log_rest(row, obs) -> float:
+        """sum of log(1 - v) at stick row over obs; for none the 0.0 that
+        np.sum of no entries gives"""
+        return float(np.sum(np.log1p(-state.sticks[row, tidx[obs]]))) \
+            if len(obs) else 0.0
+
     for j in range(m - 1):
-        at_j = state.s == j
-        at_j1 = state.s == j + 1
+        lo, mid, hi = ends[j - 1] if j else 0, ends[j], ends[j + 1]
+        at_j, at_j1 = by_label[lo:mid], by_label[mid:hi]
         # observations moving up must still satisfy their slice bound
-        if np.any(state.u[at_j] >= np.exp(-eta * (j + 2.0))):
+        if mid > lo and state.u[at_j].max() >= np.exp(-eta * (j + 2.0)):
             continue
-        # an empty side sums to exactly 0.0
-        log_ratio = float(np.sum(np.log1p(
-            -state.sticks[j + 1, tidx[at_j]]))) + eta * int(at_j.sum())
-        log_ratio += -float(np.sum(np.log1p(
-            -state.sticks[j, tidx[at_j1]]))) - eta * int(at_j1.sum())
+        log_ratio = log_rest(j + 1, at_j) + eta * (mid - lo)
+        log_ratio += -log_rest(j, at_j1) - eta * (hi - mid)
         if j + 1 in law_changes:
             # each stick's path prior at the other's position, less its own
             rows = [_StickTerms(state.sticks[i:i + 1], state.trans_k[i:i + 1],
@@ -717,9 +782,11 @@ def update_label_swaps(state: ChainState, data: TimeGridDataset,
         if np.log(max(unif[j], 1e-300)) < log_ratio:
             for name in _COMPONENTS:
                 arr = getattr(state, name)
-                arr[[j, j + 1]] = arr[[j + 1, j]]
+                arr[j:j + 2] = arr[j:j + 2][::-1]
             state.s[at_j] = j + 1
             state.s[at_j1] = j
+            by_label[lo:hi] = np.concatenate([at_j1, at_j])
+            ends[j] = lo + hi - mid
 
 
 def gibbs_sweep(state: ChainState, data: TimeGridDataset, cfg: SamplerConfig,

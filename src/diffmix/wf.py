@@ -148,10 +148,12 @@ def _log_nb_from_coef(log_coef, m, r, ct):
 
     A caller that varies only ct caches log_coef and evaluates no
     log-gamma. A product m ct past double range is -inf in the weight,
-    its exact value: e^{-ct} = 0 puts all mass on m = 0.
+    its exact value: e^{-ct} = 0 puts all mass on m = 0. At ct = inf the
+    m = 0 product is 0, its limit, where 0 * inf would be NaN.
     """
-    with np.errstate(over="ignore"):
-        return log_coef - m * ct + r * np.log(-np.expm1(-ct))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (log_coef - np.where(m == 0, 0.0, m * ct)
+                + r * np.log(-np.expm1(-ct)))
 
 
 def nb_weight(m, t: float, p: WFParams):

@@ -15,7 +15,8 @@ from diffmix.estimation import (DensitySurface, effective_sample_size,
 from diffmix.errors import NumericalError
 from diffmix.gibbs import (GammaPrior, SamplerConfig, gibbs_sweep, init_chain,
                            update_stick_values, update_transition_latents)
-from diffmix.measure import OPEN_UNIT, StickConfig, stick_runs
+from diffmix.measure import (OPEN_UNIT, StickConfig, stick_runs,
+                             sticks_to_weights_matrix)
 from diffmix.mixture import (LOG_2PI, CenteringMeasure, gaussian_logpdf,
                              renormalised_mixture)
 from diffmix.store import MH_TARGET_ACCEPT
@@ -221,12 +222,50 @@ def stick_joint_tv(rng, replicates=300, sweeps=800, burn=100, grid_n=20,
     return float(0.5 * np.abs(emp - cell).sum())
 
 
+def reference_categorical_rows(log_mass, valid, u):
+    """Inverse-CDF draw per row from masked unnormalised log masses, one
+    uniform u per row; rows whose valid entries all underflow to zero mass
+    come back as -1.
+
+    The bitwise reference for gibbs._categorical, which takes the
+    transposed (support x rows) layout with each row's valid entries a
+    prefix of its column, and adds the same values in the same order.
+    """
+    masked = np.where(valid, log_mass, -np.inf)
+    mx = masked.max(axis=1)
+    safe = np.where(np.isfinite(mx), mx, 0.0)
+    p = np.exp(masked - safe[:, None])
+    csum = np.cumsum(p, axis=1)
+    total = csum[:, -1]
+    target = total * (1.0 - u)
+    idx = np.argmax(csum >= target[:, None], axis=1)
+    idx[total <= 0.0] = -1
+    return idx
+
+
+def reference_membership(state, data, cfg, rng):
+    """gibbs.update_membership in the (observations x labels) layout,
+    drawn by reference_categorical_rows, without the no-mass check.
+    Mutates state the same way."""
+    y, tidx = data.flat
+    eta = cfg.slice_eta
+    log_w = np.log(sticks_to_weights_matrix(state.sticks))
+    log_kernel = gaussian_logpdf(y[:, None], state.atoms[None, :, 0],
+                                 state.atoms[None, :, 1])
+    labels = np.arange(1, state.m + 1, dtype=float)
+    log_mass = log_w[:, tidx].T + eta * labels[None, :] + log_kernel
+    bounds = np.minimum(store.slice_bounds(state.u, eta), state.m)
+    state.s = reference_categorical_rows(
+        log_mass, labels[None, :] <= bounds[:, None],
+        rng.uniform(size=len(bounds))).astype(np.int64)
+
+
 def guarded_label_swaps(state, data, cfg, rng):
     """One pass of adjacent label swaps with every emptiness guard.
 
-    The bitwise reference for gibbs.update_label_swaps, which drops the
-    guards because an empty selection fails np.any and sums to exactly
-    0.0. Mutates state the same way.
+    The bitwise reference for gibbs.update_label_swaps, which lists each
+    label's observations from one argsort of s in place of the boolean
+    masks. Mutates state the same way.
     """
     m = state.m
     if m < 2:

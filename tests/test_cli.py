@@ -176,6 +176,17 @@ class TestFit:
                        "--iters", "3", "--fix-c", "1e308") == 0
         assert np.all(PosteriorDraws.load(out).c == 1e308)
 
+    def test_infinite_c_tau_fits_without_warnings(self, tmp_path):
+        # gaps of 2 make c tau = inf: the index-0 terms are 0, their limit,
+        # not 0 * inf, so every d sits at 0 and the fit runs through
+        data = tmp_path / "toy.csv"
+        run_cli("simulate", "--times", "4", "--per-time", "2", "--t-max",
+                "6", "--seed", "1", "--out", str(data))
+        out = tmp_path / "d.npz"
+        assert run_cli("fit", str(data), "--out", str(out), "--burn-in", "2",
+                       "--iters", "3", "--fix-c", "1e308") == 0
+        assert np.all(PosteriorDraws.load(out).c == 1e308)
+
     def test_negative_seed_usage_error(self, dataset, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("seed=-1\n")

@@ -36,7 +36,8 @@ from diffmix.store import (PosteriorDraws, load_checkpoint, save_checkpoint,
 
 from oracles import (centering_logpdf, centering_posterior,
                      guarded_label_swaps, per_gap_init_chain,
-                     per_gap_prior_components, reference_stick_likelihood,
+                     per_gap_prior_components, reference_categorical_rows,
+                     reference_membership, reference_stick_likelihood,
                      stick_joint_tv, transition_mixture_component,
                      two_block_hyperparams)
 
@@ -357,22 +358,70 @@ class TestMembership:
         data = small_data(rng)
         cfg = dp_config()
         state = init_chain(data, cfg, rng)
-        real, calls = gibbs._categorical_rows, []
+        real, calls = gibbs._categorical, []
 
-        def first_row_two_lost(log_mass, valid, u):
-            idx = real(log_mass, valid, u)
+        def first_row_two_lost(log_mass, width, u):
+            idx = real(log_mass, width, u)
             if not calls:
                 idx[2] = -1
             calls.append(len(idx))
             return idx
 
-        monkeypatch.setattr(gibbs, "_categorical_rows", first_row_two_lost)
+        monkeypatch.setattr(gibbs, "_categorical", first_row_two_lost)
         u, s = state.u.copy(), state.s.copy()
         with pytest.raises(NumericalError, match="for observation 2 "):
             update_membership(state, data, cfg, rng)
         assert calls == [data.n_obs]
         np.testing.assert_array_equal(state.u, u)
         np.testing.assert_array_equal(state.s, s)
+
+    @pytest.mark.parametrize("n_times, per_time", [(6, 2), (70, 5)],
+                             ids=["cumsum", "row_adds"])
+    @pytest.mark.parametrize("stick", [StickConfig.dp(1.0),
+                                       StickConfig.pitman_yor(1.0, 0.3)],
+                             ids=["dp", "py"])
+    def test_matches_row_layout_reference(self, n_times, per_time, stick):
+        # the (labels x observations) draw equals the (observations x
+        # labels) one of the reference kernel: memberships and generator,
+        # with observations on both sides of the row-add switch
+        data = simulate_toy(n_times, per_time, 2.0, np.random.default_rng(4))
+        assert (data.n_obs >= gibbs._ROW_ADD_COLUMNS) == (n_times == 70)
+        cfg = dp_config(stick=stick, fix_theta=1.0)
+        rng = np.random.default_rng(6)
+        state = init_chain(data, cfg, rng)
+        for _ in range(8):
+            gibbs_sweep(state, data, cfg, rng)
+            ref, ref_rng = copy.deepcopy(state), copy.deepcopy(rng)
+            update_membership(state, data, cfg, rng)
+            reference_membership(ref, data, cfg, ref_rng)
+            np.testing.assert_array_equal(state.s, ref.s)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestCategorical:
+    @settings(max_examples=80, deadline=None)
+    @given(rows=st.one_of(st.integers(1, 12),
+                          st.integers(gibbs._ROW_ADD_COLUMNS - 3,
+                                      gibbs._ROW_ADD_COLUMNS + 60)),
+           support=st.one_of(st.integers(1, 6), st.integers(40, 300)),
+           scale=st.sampled_from([1.0, 30.0, 800.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_row_reference(self, rows, support, scale, seed):
+        # tall-narrow and short-wide draws on both sides of the row-add
+        # switch pick what the row-layout reference picks, -1 included:
+        # rows of zero mass, empty supports, masses that underflow past a
+        # row's start, and uniforms at and next to 0 and 1
+        gen = np.random.default_rng(seed)
+        log_mass = gen.normal(scale=scale, size=(rows, support))
+        width = gen.integers(0, support + 1, size=rows)
+        log_mass[gen.uniform(size=rows) < 0.1] = -np.inf
+        u = gen.uniform(size=rows)
+        u[gen.uniform(size=rows) < 0.2] = gen.choice(
+            [0.0, 5e-324, 1e-17, np.nextafter(1.0, 0.0), 1.0 - 1e-12])
+        want = reference_categorical_rows(
+            log_mass, np.arange(support) < width[:, None], u)
+        got = gibbs._categorical(log_mass.T.copy(), width, u)
+        np.testing.assert_array_equal(got, want)
 
 
 class TestLocations:
@@ -458,6 +507,24 @@ class TestTransitionLatents:
                            r"mass at stick 2, gap 1 in sweep 4: "):
             update_transition_latents(state, data, cfg, rng)
         check_invariants(state, data, cfg)
+
+    def test_first_cell_without_mass_named_across_groups(self):
+        # cell (0, 0) sits in the widest group, drawn last, and cell (1, 2)
+        # in the narrowest, drawn first: the error names (0, 0), the first
+        # in row-major order
+        upper = np.full((2, 3), 40)
+        upper[0, 0], upper[1, 2] = 3000, 2
+        lost = [0, 5]
+
+        def log_mass(rows, j):
+            out = np.zeros((len(j), len(rows)))
+            out[:, np.isin(rows, lost)] = -np.inf
+            return out
+
+        with pytest.raises(NumericalError, match=r"^d conditional has no "
+                           r"mass at stick 0, gap 0 in sweep 9: "):
+            gibbs._draw_rows(log_mass, np.zeros_like(upper), upper,
+                             np.random.default_rng(0), "d", 9)
 
     def test_d_zero_forces_k_zero_and_uniform_slice(self, rng):
         data = small_data(rng, n_times=2)
@@ -573,8 +640,8 @@ def _ref_draw_rows(log_mass_fn, upper, lower, rng):
         with np.errstate(invalid="ignore", divide="ignore"):
             lm = log_mass_fn(rows, supp)
         valid = (supp >= lower[rows, None]) & (supp <= upper[rows, None])
-        out[rows] = gibbs._categorical_rows(lm, valid,
-                                            rng.uniform(size=len(rows)))
+        out[rows] = reference_categorical_rows(lm, valid,
+                                               rng.uniform(size=len(rows)))
     return out
 
 
@@ -657,12 +724,10 @@ class TestTransitionDrawReference:
         base = np.repeat(tab.base, gaps)
 
         def new_k(rows, j):
-            return gibbs._k_log_mass(tab, base[rows, None], d[rows, None],
-                                     ratio[rows, None], j)
+            return gibbs._k_log_mass(tab, base[rows], d[rows], ratio[rows], j)
 
         def new_d(rows, j):
-            return gibbs._d_log_mass(tab, base[rows, None], k[rows, None],
-                                     decay[rows, None], j)
+            return gibbs._d_log_mass(tab, base[rows], k[rows], decay[rows], j)
 
         rows = np.arange(cells)
         for fresh, ref, lower, upper in (
@@ -670,7 +735,7 @@ class TestTransitionDrawReference:
                 (new_d, _ref_d_mass(k, A, B, decay), k, d_hi)):
             j = np.arange(int((upper - lower).max()) + 1)[None, :]
             valid = j <= (upper - lower)[:, None]
-            got = np.where(valid, fresh(rows, j), -np.inf)
+            got = np.where(valid, fresh(rows, j.T).T, -np.inf)
             want = np.where(valid, ref(rows, lower[:, None] + j), -np.inf)
             got = got - got.max(axis=1, keepdims=True)
             want = want - want.max(axis=1, keepdims=True)
@@ -1058,6 +1123,28 @@ class TestLabelSwaps:
             np.testing.assert_array_equal(getattr(state, name),
                                           getattr(ref, name), err_msg=name)
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=40, deadline=None)
+    @given(labels=st.lists(st.integers(0, 5), min_size=18, max_size=18),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_chained_swaps_match_guarded_reference(self, labels, seed):
+        # accepted swaps at neighbouring pairs hand a block on: the label
+        # blocks of one argsort stay in step with fresh masks
+        data = simulate_toy(6, 3, 2.0, np.random.default_rng(1))
+        cfg = dp_config(stick=StickConfig.pitman_yor(1.0, 0.3),
+                        fixed_truncation=6, fix_theta=1.0)
+        rng = np.random.default_rng(seed)
+        state = init_chain(data, cfg, rng)
+        state.s = np.array(labels, dtype=np.int64)
+        state.u = gibbs._sample_u(state.s, cfg.slice_eta, rng)
+        for _ in range(3):
+            ref, ref_rng = copy.deepcopy(state), copy.deepcopy(rng)
+            update_label_swaps(state, data, cfg, rng)
+            guarded_label_swaps(ref, data, cfg, ref_rng)
+            for name in ("s", *store._COMPONENTS):
+                np.testing.assert_array_equal(getattr(state, name),
+                                              getattr(ref, name), err_msg=name)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestSweepAndChain:
