@@ -1,0 +1,105 @@
+"""Time the draws archive and a checkpoint at 2,000 draws.
+
+Synthetic draws over 100 times with truncation levels m drawn from
+15..29 (default_rng(0)), the shape of a long README-scale fit: the
+archive is saved and loaded through PosteriorDraws, the checkpoint
+through save_checkpoint and load_checkpoint on a chain state of the
+same grid. Each operation's time is the median of --repeats runs.
+
+    PYTHONPATH=src python3 scripts/bench_draws_io.py --out BENCH_draws_io.json
+
+Only public store entry points are called, so the same script times
+any checkout whose src it is pointed at.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from diffmix.data import TimeGridDataset
+from diffmix.gibbs import SamplerConfig, init_chain
+from diffmix.measure import StickConfig
+from diffmix.mixture import CenteringMeasure
+from diffmix.store import (PosteriorDraws, load_checkpoint,
+                           save_checkpoint)
+
+N_DRAWS, N_TIMES, M_RANGE = 2_000, 100, (15, 30)
+
+
+def snapshots(rng: np.random.Generator) -> list[dict]:
+    """Per-draw snapshot dicts; atoms are given both as one (m, 2) array
+    and as two columns, so checkouts of either snapshot layout read them."""
+    out = []
+    for m in rng.integers(*M_RANGE, N_DRAWS).tolist():
+        atoms = np.column_stack([rng.normal(size=m), rng.uniform(1, 2, m)])
+        out.append({"sticks": rng.uniform(0.05, 0.95, (m, N_TIMES)),
+                    "atoms": atoms, "atom_mean": atoms[:, 0].copy(),
+                    "atom_prec": atoms[:, 1].copy(),
+                    "theta": float(rng.uniform(1, 2)),
+                    "c": float(rng.uniform(1, 2))})
+    return out
+
+
+def timed(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args()
+    rng = np.random.default_rng(0)
+    snaps = snapshots(rng)
+    times = np.arange(N_TIMES, dtype=float)
+    data = TimeGridDataset(times=times, values=tuple(
+        np.array([v]) for v in rng.normal(size=N_TIMES)))
+    cfg = SamplerConfig(stick=StickConfig.dp(1.0), centering=CenteringMeasure(),
+                        burn_in=0, iters=N_DRAWS, seed=1)
+    state = init_chain(data, cfg, np.random.default_rng(1))
+    state.sweep = N_DRAWS  # a sweep that has collected every draw
+    draws = PosteriorDraws.from_snapshots(times, snaps, cfg)
+    own = sum(s[name].nbytes for s in snaps
+              for name in ("sticks", "atom_mean", "atom_prec"))
+    with tempfile.TemporaryDirectory() as tmp:
+        archive, checkpoint = Path(tmp, "draws.npz"), Path(tmp, "cp.npz")
+        result = {
+            "archive_save_s": timed(lambda: draws.save(archive), args.repeats),
+            "archive_load_s": timed(lambda: PosteriorDraws.load(archive),
+                                    args.repeats),
+            "archive_bytes": archive.stat().st_size,
+            "checkpoint_save_s": timed(lambda: save_checkpoint(
+                checkpoint, state, np.random.default_rng(2), cfg, snaps),
+                args.repeats),
+            "checkpoint_load_s": timed(lambda: load_checkpoint(
+                checkpoint, cfg, data), args.repeats),
+            "checkpoint_bytes": checkpoint.stat().st_size,
+        }
+    result.update({"own_row_bytes": own, "n_draws": N_DRAWS,
+                   "n_times": N_TIMES, "m_range": [M_RANGE[0], M_RANGE[1] - 1],
+                   "repeats": args.repeats, "cpus": os.cpu_count(),
+                   "machine": platform.machine(),
+                   "python": platform.python_version(),
+                   "numpy": np.__version__})
+    text = json.dumps(result, indent=1, sort_keys=True)
+    print(text)
+    if args.out is not None:
+        args.out.write_text(text + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

@@ -1,6 +1,7 @@
 """The chain's data and its two files: ChainState with the one layout
 rule of its arrays (_broken_invariant), the draws archive
-(PosteriorDraws) and checkpoints, both archive.py containers.
+(PosteriorDraws) and checkpoints, both archive.py containers that store
+each draw's own component rows (_pack, _unpack).
 
 A sampler configuration is read by attribute only, so this module never
 imports gibbs at run time.
@@ -14,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .archive import read_container, write_container
+from .archive import Rows, read_container, write_container
 from .errors import DataError
 
 if TYPE_CHECKING:
@@ -22,8 +23,8 @@ if TYPE_CHECKING:
     from .gibbs import SamplerConfig
 
 MH_TARGET_ACCEPT = 0.44
-DRAWS_FORMAT, ARCHIVE_VERSION = "diffmix-draws", 1
-CHECKPOINT_FORMAT, CHECKPOINT_VERSION = "diffmix-checkpoint", 3
+DRAWS_FORMAT, ARCHIVE_VERSION = "diffmix-draws", 2
+CHECKPOINT_FORMAT, CHECKPOINT_VERSION = "diffmix-checkpoint", 4
 
 # ChainState arrays holding one row per component, in _prior_components order
 _COMPONENTS = ("sticks", "trans_o", "trans_k", "trans_d", "atoms")
@@ -31,6 +32,9 @@ _COMPONENTS = ("sticks", "trans_o", "trans_k", "trans_d", "atoms")
 _STATE_ARRAYS = ("s", "u", *_COMPONENTS)
 # PosteriorDraws arrays besides times; a checkpoint stores them as draws_<name>
 _DRAW_ARRAYS = ("m", "theta", "c", "sticks", "atom_mean", "atom_prec")
+# the _DRAW_ARRAYS with one row per component: each draw's own m rows are
+# stored stacked, (sum of m, ...), and NaN-padded to the largest m in memory
+_ROW_ARRAYS = ("sticks", "atom_mean", "atom_prec")
 
 
 @dataclass
@@ -134,7 +138,8 @@ class PosteriorDraws:
     """Thinned post-burn-in snapshots of the measure and hyperparameters.
 
     Component arrays are padded with NaN beyond each draw's own
-    truncation level, recorded in m.
+    truncation level, recorded in m; the archive stores only each
+    draw's own rows.
     """
 
     times: np.ndarray
@@ -155,22 +160,34 @@ class PosteriorDraws:
     def from_snapshots(cls, times, snapshots, cfg: SamplerConfig):
         if not snapshots:
             raise ValueError("no snapshots collected")
-        times = np.asarray(times, dtype=float)
-        return cls(times=times, **_padded(snapshots, len(times)),
+        ms = [len(snap["sticks"]) for snap in snapshots]
+        rows = {}
+        for name in _ROW_ARRAYS:
+            rows[name], parts = _padded(ms, snapshots[0][name].shape[1:])
+            for part, snap in zip(parts, snapshots):
+                part[...] = snap[name]
+        return cls(times=np.asarray(times, dtype=float),
+                   m=np.array(ms, dtype=np.int64),
+                   theta=np.array([snap["theta"] for snap in snapshots],
+                                  dtype=float),
+                   c=np.array([snap["c"] for snap in snapshots], dtype=float),
+                   **rows,
                    config_json=cfg.to_json(), config_digest=cfg.digest())
 
     def save(self, path) -> None:
         meta = {"format": DRAWS_FORMAT, "version": ARCHIVE_VERSION,
                 "config": self.config_json, "config_digest": self.config_digest}
-        write_container(path, meta, {name: getattr(self, name)
-                                     for name in ("times", *_DRAW_ARRAYS)})
+        write_container(path, meta, {"times": self.times, **_pack(
+            _snapshots(vars(self)), self.sticks.shape[2])})
 
     @classmethod
     def load(cls, path) -> "PosteriorDraws":
         """Read a draws archive; DataError unless every array is present,
         the shapes agree and each draw's own components are valid."""
-        meta, arrays = read_container(path, DRAWS_FORMAT, ARCHIVE_VERSION,
-                                      ("times", *_DRAW_ARRAYS))
+        meta, arrays = read_container(
+            path, DRAWS_FORMAT, ARCHIVE_VERSION, ("times", *_DRAW_ARRAYS),
+            "re-run diffmix fit to write the draws at this version",
+            rows=_unpack(path))
         _check_draws(path, arrays)
         if len(arrays["m"]) < 1:
             raise DataError(f"{path}: holds no draw; an archive needs at "
@@ -179,16 +196,70 @@ class PosteriorDraws:
                    config_digest=meta.get("config_digest", ""))
 
 
+def _padded(ms: list[int], row_shape: tuple) -> tuple[np.ndarray, list]:
+    """A NaN array (draws, largest m, *row_shape) and the view of each
+    draw's own m rows in it."""
+    out = np.full((len(ms), max(ms, default=0), *row_shape), np.nan)
+    return out, [out[i, :k] for i, k in enumerate(ms)]
+
+
+def _snapshots(draws: dict) -> list[dict]:
+    """Each draw of NaN-padded _DRAW_ARRAYS as a snapshot: its theta, its
+    c and views of its own m rows."""
+    return [{"theta": theta, "c": c,
+             **{name: draws[name][i, :k] for name in _ROW_ARRAYS}}
+            for i, (k, theta, c) in enumerate(zip(
+                draws["m"].tolist(), draws["theta"].tolist(),
+                draws["c"].tolist()))]
+
+
+def _pack(snapshots: list[dict], n_times: int, prefix: str = "") -> dict:
+    """The draws members of a file, named prefix + each of _DRAW_ARRAYS:
+    m, theta and c, and each _ROW_ARRAYS member as the snapshots' own
+    rows stacked, (sum of m, ...), which write_container streams from
+    the snapshots' arrays with no stacked copy."""
+    members = {"m": np.array([len(snap["sticks"]) for snap in snapshots],
+                             dtype=np.int64),
+               "theta": np.array([snap["theta"] for snap in snapshots],
+                                 dtype=float),
+               "c": np.array([snap["c"] for snap in snapshots], dtype=float)}
+    for name in _ROW_ARRAYS:
+        members[name] = Rows([snap[name] for snap in snapshots],
+                             (n_times,) if name == "sticks" else ())
+    return {prefix + name: value for name, value in members.items()}
+
+
+def _unpack(where, prefix: str = "") -> dict:
+    """read_container's readers of the _ROW_ARRAYS members named prefix +
+    name: each reads its stacked rows straight into a NaN-padded
+    (draws, largest m, ...) array, once the m read before it holds one
+    positive integer per draw and sums to the member's float64 rows.
+    DataError messages are led by where."""
+    def read(name, dtype, shape, arrays):
+        m = arrays[prefix + "m"]
+        if m.ndim != 1 or m.dtype.kind not in "iu":
+            raise DataError(f"{where}: m must hold one integer per draw "
+                            f"(found {m.dtype} shape {m.shape})")
+        if np.any(m < 1):
+            draw = int(np.argmax(m < 1))
+            raise DataError(f"{where}: draw {draw} (m = {m[draw]}): m "
+                            "below 1")
+        total = int(m.sum())
+        if dtype != np.float64 or shape[:1] != (total,):
+            raise DataError(f"{where}: m sums to {total} but "
+                            f"{name[len(prefix):]} holds {dtype} shape "
+                            f"{shape}; it needs {total} float64 rows")
+        return _padded(m.tolist(), shape[1:])
+    return {prefix + name: read for name in _ROW_ARRAYS}
+
+
 def _check_draws(where, arrays: dict[str, np.ndarray]) -> None:
     """Raise DataError, its message led by where, naming the draw and the
-    array that breaks the draws layout: d >= 0 draws, m in 1..M, sticks
-    (d, M, times), atoms (d, M), and within each draw's m sticks in
-    (0, 1), finite atom means, positive finite precisions, and theta and
-    c finite and positive."""
+    array that breaks the draws layout as _unpack leaves it: theta and c
+    one per draw, sticks (d, M, times) and atoms (d, M), and within each
+    draw's m sticks in (0, 1), finite atom means, positive finite
+    precisions, and theta and c finite and positive."""
     m, sticks = arrays["m"], arrays["sticks"]
-    if m.ndim != 1 or m.dtype.kind not in "iu":
-        raise DataError(f"{where}: m must hold one integer per draw "
-                        f"(found {m.dtype} shape {m.shape})")
     d, width = len(m), sticks.shape[1] if sticks.ndim == 3 else -1
     shapes = {"times": (arrays["times"].size,), "theta": (d,), "c": (d,),
               "sticks": (d, width, arrays["times"].size),
@@ -202,7 +273,6 @@ def _check_draws(where, arrays: dict[str, np.ndarray]) -> None:
     finite_positive = {name: np.isfinite(arrays[name]) & (arrays[name] > 0)
                        for name in ("theta", "c", "atom_prec")}
     checks = [
-        ("m", f"outside 1..{width}", (m < 1) | (m > width)),
         ("theta", "not finite and positive", ~finite_positive["theta"]),
         ("c", "not finite and positive", ~finite_positive["c"]),
         ("sticks", "outside (0, 1) within its m",
@@ -219,29 +289,17 @@ def _check_draws(where, arrays: dict[str, np.ndarray]) -> None:
                             f"{what}")
 
 
-def _padded(snapshots: list[dict], n: int) -> dict[str, np.ndarray]:
-    """The _DRAW_ARRAYS of a snapshot list over n times, NaN-padded to
-    the largest truncation level; an empty list gives zero rows."""
-    ms = np.array([len(s["sticks"]) for s in snapshots], dtype=np.int64)
-    shape = (len(snapshots), int(ms.max(initial=0)))
-    sticks = np.full((*shape, n), np.nan)
-    atoms = np.full((*shape, 2), np.nan)
-    for i, snap in enumerate(snapshots):
-        sticks[i, :ms[i]] = snap["sticks"]
-        atoms[i, :ms[i]] = snap["atoms"]
-    return {"m": ms, "theta": np.array([s["theta"] for s in snapshots]),
-            "c": np.array([s["c"] for s in snapshots]), "sticks": sticks,
-            "atom_mean": atoms[..., 0].copy(), "atom_prec": atoms[..., 1].copy()}
-
-
 def _snapshot(state: ChainState) -> dict:
-    return {"sticks": state.sticks.copy(), "atoms": state.atoms.copy(),
+    return {"sticks": state.sticks.copy(),
+            "atom_mean": state.atoms[:, 0].copy(),
+            "atom_prec": state.atoms[:, 1].copy(),
             "theta": state.theta, "c": state.c}
 
 
 def save_checkpoint(path, state: ChainState, rng: np.random.Generator,
                     cfg: SamplerConfig, snapshots: list[dict]) -> None:
-    """Freeze the chain, generator and collected snapshots to disk."""
+    """Freeze the chain, generator and collected snapshots to disk, each
+    snapshot's rows streamed from its own arrays."""
     meta = {
         "format": CHECKPOINT_FORMAT, "version": CHECKPOINT_VERSION,
         "config_digest": cfg.digest(), "sweep": state.sweep,
@@ -250,8 +308,7 @@ def save_checkpoint(path, state: ChainState, rng: np.random.Generator,
         "rng_state": rng.bit_generator.state,
     }
     arrays = {name: getattr(state, name) for name in _STATE_ARRAYS}
-    draws = _padded(snapshots, state.sticks.shape[1])
-    arrays.update({"draws_" + name: draws[name] for name in _DRAW_ARRAYS})
+    arrays.update(_pack(snapshots, state.sticks.shape[1], "draws_"))
     write_container(path, meta, arrays)
 
 
@@ -297,7 +354,9 @@ def load_checkpoint(path, cfg: SamplerConfig, data: TimeGridDataset):
     a bad meta key, state array or draws array."""
     meta, arrays = read_container(
         path, CHECKPOINT_FORMAT, CHECKPOINT_VERSION,
-        (*_STATE_ARRAYS, *("draws_" + name for name in _DRAW_ARRAYS)))
+        (*_STATE_ARRAYS, *("draws_" + name for name in _DRAW_ARRAYS)),
+        "drop --resume to start the chain afresh",
+        rows=_unpack(f"{path}: checkpoint draws", "draws_"))
     values = {}
     for key, parse in _CHECKPOINT_META.items():
         if key not in meta:
@@ -326,8 +385,4 @@ def load_checkpoint(path, cfg: SamplerConfig, data: TimeGridDataset):
     rng = values.pop("rng_state")
     state = ChainState(**{name: arrays[name] for name in _STATE_ARRAYS},
                        **values)
-    atoms = np.stack([d["atom_mean"], d["atom_prec"]], axis=-1)
-    snapshots = [{"sticks": d["sticks"][i, :mi], "atoms": atoms[i, :mi],
-                  "theta": float(d["theta"][i]), "c": float(d["c"][i])}
-                 for i, mi in enumerate(d["m"].tolist())]
-    return state, rng, snapshots
+    return state, rng, _snapshots(d)

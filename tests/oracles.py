@@ -464,12 +464,16 @@ def per_gap_init_chain(data, cfg, rng):
                             data_digest=data.digest())
 
 
-def _redraw_observations(state, times, rng):
+def _redraw_observations(state, data, rng):
+    """Redraw the one observation per time of data given the state, in
+    place: its values and the flat copy the sampler reads (data.digest
+    goes stale)."""
     means = state.atoms[state.s, 0]
     sds = 1.0 / np.sqrt(state.atoms[state.s, 1])
-    y = rng.normal(means, sds)
-    return TimeGridDataset(times=times, values=tuple(np.array([v])
-                                                     for v in y))
+    y, _ = data.flat
+    y[:] = rng.normal(means, sds)
+    for values, v in zip(data.values, y.tolist()):
+        values[0] = v
 
 
 def run_geweke(rng, sweeps=100_000, burn=5_000, marginal_reps=400_000,
@@ -500,7 +504,7 @@ def run_geweke(rng, sweeps=100_000, burn=5_000, marginal_reps=400_000,
     w11_tr = np.empty(sweeps)
     for i in range(sweeps):
         gibbs_sweep(state, data, cfg, rng)
-        data = _redraw_observations(state, times, rng)
+        _redraw_observations(state, data, rng)
         theta_tr[i] = state.theta
         v11_tr[i] = state.sticks[0, 0]
         w11_tr[i] = state.sticks[0, 0]  # first weight equals first stick

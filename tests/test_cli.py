@@ -451,12 +451,15 @@ class TestFit:
 
     def test_version_one_checkpoint_exit_two(self, dataset, tmp_path,
                                              capsys):
+        # a version 3 checkpoint (padded draws) names its version and the fix
         cp = tmp_path / "cp.npz"
-        write_container(cp, {"format": "diffmix-checkpoint", "version": 1,
+        write_container(cp, {"format": "diffmix-checkpoint", "version": 3,
                              "n_snapshots": 0}, {})
         assert run_cli(*self.fit_args(dataset, tmp_path / "d.npz",
                                       "--resume", str(cp))) == 2
-        assert "version" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "found diffmix-checkpoint version 3" in err
+        assert "drop --resume" in err
 
     @pytest.mark.parametrize("key, value", [
         ("trans_o", None), ("draws_sticks", None), ("mh", None),
@@ -499,7 +502,7 @@ class TestFit:
                                "--checkpoint-every", every, *flags))
         with zipfile.ZipFile(cp) as zf:
             names = [n[:-4] for n in zf.namelist() if n.endswith(".npy")]
-        meta, arrays = read_container(cp, "diffmix-checkpoint", 3, names)
+        meta, arrays = read_container(cp, "diffmix-checkpoint", 4, names, "")
         edit(meta, arrays)
         write_container(cp, meta, arrays)
         code = run_cli(*self.fit_args(dataset, resumed, "--resume", str(cp),
@@ -538,14 +541,14 @@ class TestFit:
 
     @pytest.mark.parametrize("member, edit, named", [
         ("theta", lambda x: x[:3], "theta has float64 shape (3,)"),
-        ("m", lambda x: x + 100, "m outside"),
+        ("m", lambda x: x + 100, "m sums to"),
         ("sticks", lambda x: np.full_like(x, np.nan), "sticks outside"),
         ("theta", lambda x: -x, "theta not finite and positive"),
     ], ids=["theta_length", "m_above_width", "sticks_nan", "theta_negative"])
     def test_checkpoint_draws_checked_exit_two(self, dataset, tmp_path,
                                                capsys, member, edit, named):
         # the checkpoint at sweep 23 holds 4 draws; one draws array
-        # rewritten to break the draws layout
+        # rewritten to break the draws layout (m past its stored rows)
         def rewrite(meta, arrays):
             arrays["draws_" + member] = edit(arrays["draws_" + member])
         capsys.readouterr()
@@ -559,13 +562,20 @@ class TestFit:
     def test_checkpoint_draw_count_checked_exit_two(self, dataset, tmp_path,
                                                     capsys, keep):
         # the checkpoint at sweep 23 of 10 burn-in + 30 sweeps thinned by
-        # 3 has collected (23 - 10) // 3 = 4 draws; its draws arrays cut
-        # or doubled along the draws axis hold another count
+        # 3 has collected (23 - 10) // 3 = 4 draws; its draws cut or
+        # doubled (m, theta, c and each kept draw's own rows) hold another
+        # count
         def rewrite(meta, arrays):
-            assert meta["sweep"] == 23 and arrays["draws_m"].size == 4
+            m = arrays["draws_m"]
+            assert meta["sweep"] == 23 and m.size == 4
             if keep is not None:
-                for name in [n for n in arrays if n.startswith("draws_")]:
-                    arrays[name] = arrays[name][keep]
+                starts = np.cumsum(m) - m
+                rows = [r for i in np.arange(4)[keep]
+                        for r in range(starts[i], starts[i] + m[i])]
+                for name in ("m", "theta", "c"):
+                    arrays["draws_" + name] = arrays["draws_" + name][keep]
+                for name in ("sticks", "atom_mean", "atom_prec"):
+                    arrays["draws_" + name] = arrays["draws_" + name][rows]
         capsys.readouterr()
         code, same = self.resume_edited(dataset, tmp_path, rewrite, "23")
         if keep is None:
@@ -687,15 +697,16 @@ class TestSummarize:
     @pytest.mark.parametrize("name", ["atom_mean", "m"])
     def test_malformed_draws_exit_two(self, draws, tmp_path, capsys, name):
         # a NaN atom inside draw 1's own components, or draw 1's m past
-        # the padded width
-        meta, arrays = read_container(draws, "diffmix-draws", 1, (
-            "times", "m", "theta", "c", "sticks", "atom_mean", "atom_prec"))
-        width = arrays["sticks"].shape[1]
+        # the stored rows
+        meta, arrays = read_container(draws, "diffmix-draws", 2, (
+            "times", "m", "theta", "c", "sticks", "atom_mean", "atom_prec"),
+            "")
         if name == "m":
-            arrays["m"][1] = width + 1
-            message = f"draw 1 (m = {width + 1}): m outside 1..{width}"
+            arrays["m"][1] += 1
+            message = (f"m sums to {arrays['m'].sum()} but sticks holds "
+                       f"float64 shape ({arrays['m'].sum() - 1}, 4)")
         else:
-            arrays["atom_mean"][1, 0] = np.nan
+            arrays["atom_mean"][arrays["m"][0]] = np.nan
             message = f"draw 1 (m = {arrays['m'][1]}): atom_mean not finite"
         bad = tmp_path / "bad.npz"
         write_container(bad, meta, arrays)
@@ -706,15 +717,16 @@ class TestSummarize:
 
     @pytest.mark.parametrize("at", [0.0, 0.25, 0.5, 0.75])
     def test_corrupted_member_exit_two(self, draws, tmp_path, capsys, at):
-        # one byte of the sticks member's compressed data flipped (its CRC
-        # fails) or, at its start, set to 0b111, which opens a deflate
-        # block of the reserved type 3 (its decompression fails)
+        # one byte of the stored sticks member flipped, at its start (the
+        # .npy magic byte) or inside its data; the CRC fails, as zipfile
+        # reads a member this small whole before the magic is checked
         raw = bytearray(draws.read_bytes())
         with zipfile.ZipFile(draws) as zf:
             info = zf.getinfo("sticks.npy")
+        assert info.compress_type == zipfile.ZIP_STORED
         pos = info.header_offset + 30 + len(info.filename) \
             + int(at * info.compress_size)
-        raw[pos] = 0b111 if at == 0.0 else raw[pos] ^ 0xFF
+        raw[pos] ^= 0xFF
         bad = tmp_path / "bad.npz"
         bad.write_bytes(bytes(raw))
         capsys.readouterr()

@@ -19,7 +19,7 @@ from scipy import stats
 from scipy.special import gammaln, logsumexp
 
 from diffmix import gibbs, measure, mixture, store, wf
-from diffmix.archive import write_container
+from diffmix.archive import read_container, write_container
 from diffmix.data import TimeGridDataset
 from diffmix.errors import (DataError, NumericalError, SeriesTruncationError,
                             TruncationCapError)
@@ -47,6 +47,17 @@ def dp_config(**kw):
                 iters=20, burn_in=10, thin=1, seed=0)
     base.update(kw)
     return SamplerConfig(**base)
+
+
+def stored_members(draws):
+    """The members of draws' archive: times, m, theta, c and each
+    draw's own component rows stacked."""
+    ms = draws.m.tolist()
+    return {"times": draws.times, "m": draws.m.copy(),
+            "theta": draws.theta.copy(), "c": draws.c.copy(),
+            **{name: np.concatenate([getattr(draws, name)[i, :k]
+                                     for i, k in enumerate(ms)])
+               for name in ("sticks", "atom_mean", "atom_prec")}}
 
 
 def small_data(rng, n_times=6, per_time=2, t_max=2.0):
@@ -1383,26 +1394,32 @@ class TestSweepAndChain:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_version_one_checkpoint_refused(self, rng, tmp_path):
-        # version 2 carries no dataset digest and is refused as well
+        # versions 2 (no dataset digest) and 3 (padded draws) are refused
+        # as well, naming the version found and what to do
         cfg = dp_config()
         cp = tmp_path / "cp.npz"
-        for version in (1, 2):
+        for version in (1, 2, 3):
             write_container(cp, {"format": "diffmix-checkpoint",
                                  "version": version,
                                  "config_digest": cfg.digest(),
                                  "n_snapshots": 0}, {})
-            with pytest.raises(DataError, match="version 3"):
+            with pytest.raises(DataError, match=(
+                    f"at version 4 \\(found diffmix-checkpoint version "
+                    f"{version}\\); drop --resume")):
                 load_checkpoint(cp, cfg, small_data(rng))
 
     def test_draws_archive_format_and_version_checked(self, rng, tmp_path):
         data = small_data(rng)
         cfg = dp_config(iters=4, burn_in=2)
         draws = run_chain(data, cfg)
+        # a version 1 archive (padded draws) names its version and the fix
         arrays = {name: getattr(draws, name) for name in (
             "times", "m", "theta", "c", "sticks", "atom_mean", "atom_prec")}
         path = tmp_path / "draws.npz"
-        write_container(path, {"format": "diffmix-draws", "version": 2}, arrays)
-        with pytest.raises(DataError, match="version 1"):
+        write_container(path, {"format": "diffmix-draws", "version": 1}, arrays)
+        with pytest.raises(DataError, match=(
+                "at version 2 \\(found diffmix-draws version 1\\); re-run "
+                "diffmix fit")):
             PosteriorDraws.load(path)
         cp = tmp_path / "cp.npz"
         save_checkpoint(cp, init_chain(data, cfg, rng), rng, cfg, [])
@@ -1410,39 +1427,84 @@ class TestSweepAndChain:
             PosteriorDraws.load(cp)
 
     @pytest.mark.parametrize("case", ["missing", "no_draws", "short_sticks",
-                                      "theta", "stick", "padding"])
+                                      "theta", "stick"])
     def test_malformed_draws_archive_refused(self, rng, tmp_path, case):
+        # hand-built archives of each draw's own rows, stacked
         draws = run_chain(small_data(rng), dp_config(iters=4, burn_in=2))
-        arrays = {name: getattr(draws, name).copy() for name in (
-            "times", "m", "theta", "c", "sticks", "atom_mean", "atom_prec")}
+        arrays = stored_members(draws)
         message = {"missing": "lacks atom_prec",
                    "no_draws": "at least one draw",
                    "short_sticks": "sticks has float64 shape",
                    "theta": f"draw 2 (m = {draws.m[2]}): theta not finite",
-                   "stick": f"draw 1 (m = {draws.m[1]}): sticks outside",
-                   "padding": None}[case]
+                   "stick": f"draw 1 (m = {draws.m[1]}): sticks outside"}[case]
         if case == "missing":
             del arrays["atom_prec"]
         elif case == "no_draws":
             arrays = {name: a if name == "times" else a[:0]
                       for name, a in arrays.items()}
         elif case == "short_sticks":
-            arrays["sticks"] = arrays["sticks"][:, :, 1:]
+            arrays["sticks"] = arrays["sticks"][:, 1:]
         elif case == "theta":
             arrays["theta"][2] = np.inf
-        elif case == "stick":
-            arrays["sticks"][1, draws.m[1] - 1, 0] = 1.0
         else:
-            # beyond its own m a draw may hold anything
-            arrays["sticks"][0, draws.m[0]:] = -1.0
+            arrays["sticks"][draws.m[0] + draws.m[1] - 1, 0] = 1.0
         path = tmp_path / "draws.npz"
-        write_container(path, {"format": "diffmix-draws", "version": 1},
+        write_container(path, {"format": "diffmix-draws", "version": 2},
                         arrays)
-        if message is None:
-            assert PosteriorDraws.load(path).n_draws == draws.n_draws
-        else:
-            with pytest.raises(DataError, match=re.escape(message)):
-                PosteriorDraws.load(path)
+        with pytest.raises(DataError, match=re.escape(message)):
+            PosteriorDraws.load(path)
+
+    @pytest.mark.parametrize("name, damage", [
+        ("theta", lambda b: b"\0" + b[1:]), ("sticks", lambda b: b"\0" + b[1:]),
+        ("theta", lambda b: b[:-8]), ("sticks", lambda b: b[:-8]),
+        ("sticks", lambda b: b + bytes(8)),
+    ], ids=["theta_magic", "sticks_magic", "theta_short", "sticks_short",
+            "sticks_long"])
+    def test_damaged_member_refused(self, rng, tmp_path, name, damage):
+        # a member re-zipped with a valid CRC but a bad .npy magic byte, or
+        # fewer or more bytes than its header says
+        draws = run_chain(small_data(rng), dp_config(iters=4, burn_in=2))
+        good, bad = tmp_path / "good.npz", tmp_path / "bad.npz"
+        draws.save(good)
+        with zipfile.ZipFile(good) as src, zipfile.ZipFile(bad, "w") as dst:
+            for member in src.namelist():
+                payload = src.read(member)
+                dst.writestr(member, damage(payload)
+                             if member == name + ".npy" else payload)
+        with pytest.raises(DataError, match=f"cannot read archive {bad}"):
+            PosteriorDraws.load(bad)
+
+    @pytest.mark.parametrize("name", ["sticks", "atom_mean", "atom_prec"])
+    def test_draws_archive_rows_must_match_m(self, rng, tmp_path, name):
+        # a row member one row short of what m sums to is named with it
+        draws = run_chain(small_data(rng), dp_config(iters=4, burn_in=2))
+        arrays = stored_members(draws)
+        arrays[name] = arrays[name][1:]
+        path = tmp_path / "draws.npz"
+        write_container(path, {"format": "diffmix-draws", "version": 2},
+                        arrays)
+        with pytest.raises(DataError, match=re.escape(
+                f"m sums to {draws.m.sum()} but {name} holds float64 shape")):
+            PosteriorDraws.load(path)
+
+    def test_draws_archive_stores_own_rows(self, rng, tmp_path):
+        # sticks holds one row per component of each draw, sum(m) in all,
+        # and the stored (not deflated) file is those rows' bytes plus
+        # the zip and .npy headers and the config: a few KB
+        draws = run_chain(small_data(rng), dp_config(iters=60, burn_in=2))
+        assert draws.m.min() < draws.m.max()  # padding would show
+        path = tmp_path / "draws.npz"
+        draws.save(path)
+        names = ("times", "m", "theta", "c", "sticks", "atom_mean",
+                 "atom_prec")
+        _, arrays = read_container(path, "diffmix-draws", 2, names, "")
+        assert arrays["sticks"].shape == (draws.m.sum(), len(draws.times))
+        own = sum(a.nbytes for a in stored_members(draws).values())
+        assert own < path.stat().st_size < own + 4096 + len(
+            draws.config_json)
+        with zipfile.ZipFile(path) as zf:
+            assert {info.compress_type for info in zf.infolist()} \
+                == {zipfile.ZIP_STORED}
 
     def test_checkpoint_arguments_validated(self, rng, tmp_path):
         data = small_data(rng)
