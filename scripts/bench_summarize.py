@@ -1,0 +1,118 @@
+"""Time `summarize` and its three exports at 2,000 draws.
+
+Synthetic draws over 100 times with truncation levels m drawn from
+15..29 (default_rng(0)), the shape of a long README-scale fit, reduced
+on the README's 161-point grid -4:8. Each time is the median of
+--repeats runs; each traced peak is tracemalloc's peak over one more
+run of the same call, beyond what the surface or the draws already
+hold.
+
+    PYTHONPATH=src python3 scripts/bench_summarize.py --out BENCH_summarize.json
+
+Only public entry points are called, so the same script times any
+checkout whose src it is pointed at.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import tempfile
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+from diffmix.estimation import summarize
+from diffmix.store import PosteriorDraws
+
+N_DRAWS, N_TIMES, M_RANGE = 2_000, 100, (15, 30)
+GRID = np.linspace(-4.0, 8.0, 161)
+
+
+def synthetic_draws(rng: np.random.Generator) -> PosteriorDraws:
+    """NaN-padded draws whose m varies over M_RANGE, sticks in
+    (0.05, 0.95), atom means N(2, 2^2) and precisions in (1, 5)."""
+    ms = rng.integers(*M_RANGE, N_DRAWS)
+    width = M_RANGE[1] - 1
+    sticks = np.full((N_DRAWS, width, N_TIMES), np.nan)
+    mean = np.full((N_DRAWS, width), np.nan)
+    prec = np.full((N_DRAWS, width), np.nan)
+    for i, m in enumerate(ms.tolist()):
+        sticks[i, :m] = rng.uniform(0.05, 0.95, (m, N_TIMES))
+        mean[i, :m] = rng.normal(2.0, 2.0, m)
+        prec[i, :m] = rng.uniform(1.0, 5.0, m)
+    return PosteriorDraws(times=np.linspace(0.0, 10.0, N_TIMES), m=ms,
+                          theta=np.ones(N_DRAWS), c=np.ones(N_DRAWS),
+                          sticks=sticks, atom_mean=mean, atom_prec=prec)
+
+
+def export(surface, prefix: str) -> None:
+    """Write the three files `diffmix summarize` writes, the way it
+    writes them: in one pass where the surface has one, else by the
+    three writers."""
+    if hasattr(surface, "export"):
+        surface.export(prefix)
+    else:
+        surface.to_density_csv(f"{prefix}.density.csv")
+        surface.to_mean_csv(f"{prefix}.mean.csv")
+        surface.to_json(f"{prefix}.json")
+
+
+def timed(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times)
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--out", type=Path)
+    args = parser.parse_args()
+    draws = synthetic_draws(np.random.default_rng(0))
+    surface = summarize(draws, GRID)
+    with tempfile.TemporaryDirectory() as tmp:
+        prefix = str(Path(tmp, "surface"))
+        result = {
+            "summarize_s": timed(lambda: summarize(draws, GRID),
+                                 args.repeats),
+            "export_s": timed(lambda: export(surface, prefix), args.repeats),
+            "summarize_peak_bytes": traced_peak(
+                lambda: summarize(draws, GRID)),
+            "export_peak_bytes": traced_peak(lambda: export(surface, prefix)),
+            "export_bytes": sum(Path(f"{prefix}{end}").stat().st_size for end
+                                in (".density.csv", ".mean.csv", ".json")),
+        }
+    result.update({"n_draws": N_DRAWS, "n_times": N_TIMES,
+                   "grid_n": len(GRID),
+                   "m_range": [M_RANGE[0], M_RANGE[1] - 1],
+                   "repeats": args.repeats, "cpus": os.cpu_count(),
+                   "machine": platform.machine(),
+                   "python": platform.python_version(),
+                   "numpy": np.__version__,
+                   "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")})
+    text = json.dumps(result, indent=1, sort_keys=True)
+    print(text)
+    if args.out is not None:
+        args.out.write_text(text + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

@@ -323,12 +323,8 @@ def cmd_summarize(args) -> int:
         grid = np.linspace(lo, hi, count)
     else:
         grid = _default_grid(draws, args.data, args.date_column)
-    surface = summarize(draws, grid)
-    prefix = args.out_prefix
-    surface.to_density_csv(f"{prefix}.density.csv")
-    surface.to_mean_csv(f"{prefix}.mean.csv")
-    surface.to_json(f"{prefix}.json")
-    print(f"wrote {prefix}.density.csv, {prefix}.mean.csv, {prefix}.json")
+    paths = summarize(draws, grid).export(args.out_prefix)
+    print(f"wrote {', '.join(paths)}")
     return 0
 
 

@@ -67,18 +67,34 @@ def renormalised_mixture(sticks: np.ndarray, values: np.ndarray,
 
     The stick-breaking weights of the (m, n) stick matrix are divided by
     the mass the m components keep at each time, so a mixture of kernel
-    densities integrates to one. Without time_index, values is (m,) or
-    (m, g), shared by every time, and the result is (n,) or (n, g).
-    With time_index, values is (N, m) and row i is averaged at time
-    time_index[i], giving (N,).
+    densities integrates to one. Where every stick at a time is below
+    about 1.1e-16, 1 - prod_j (1 - v_j) rounds to 0 and the kept mass is
+    -expm1(sum_j log1p(-v_j)) instead; every other kept mass is the
+    product form, bit for bit. Without time_index, values is (m,) or
+    (m, g), shared by every time, and the result is (n,) or (n, g). A
+    (k, m, n) stack of stick matrices takes a (k, m) or (k, m, g) stack
+    of values and gives (k, n) or (k, n, g), each matrix's slice the bits
+    its own call gives. With time_index, values is (N, m) and row i is
+    averaged at time time_index[i], giving (N,).
     """
-    w = sticks_to_weights_matrix(sticks)
-    kept = 1.0 - np.prod(1.0 - sticks, axis=0)
+    sticks = np.asarray(sticks, dtype=float)
+    kept = 1.0 - np.prod(1.0 - sticks, axis=-2)
+    lost = kept == 0.0
+    if lost.any():
+        kept[lost] = -np.expm1(np.log1p(-sticks).sum(axis=-2))[lost]
     if time_index is not None:
+        w = sticks_to_weights_matrix(sticks)
         return np.einsum("jn,nj->n", w[:, time_index], values) \
             / kept[time_index]
-    out = w.T @ values
-    return out / (kept[:, None] if out.ndim == 2 else kept)
+    # each matrix's weights (m, n) in C order, so a stacked product makes
+    # the BLAS call each matrix's own product makes
+    w = sticks_to_weights_matrix(sticks.swapaxes(0, -2)).swapaxes(0, -2)
+    w = np.ascontiguousarray(w).swapaxes(-1, -2)
+    values = np.asarray(values, dtype=float)
+    vector = values.ndim < sticks.ndim
+    out = w @ (values[..., None] if vector else values)
+    out /= kept[..., None]
+    return out[..., 0] if vector else out
 
 
 def toy_mean(t):

@@ -640,6 +640,23 @@ class TestSummarize:
         assert (tmp_path / "surface.mean.csv").exists()
         assert (tmp_path / "surface.json").exists()
 
+    def test_kept_mass_below_resolution(self, tmp_path):
+        # a stick of 1e-20 at t = 1 in all three draws of the atom
+        # (0.3, 1): 1 - (1 - v) rounds to 0 there, and a division by it
+        # would warn (an error in this suite) and export inf and NaN
+        archive, prefix = tmp_path / "underflow.npz", tmp_path / "surface"
+        PosteriorDraws(
+            times=np.arange(3.0), m=np.ones(3, dtype=np.int64),
+            theta=np.ones(3), c=np.ones(3),
+            sticks=np.tile([0.5, 1e-20, 0.5], (3, 1, 1)),
+            atom_mean=np.full((3, 1), 0.3),
+            atom_prec=np.ones((3, 1))).save(archive)
+        assert run_cli("summarize", str(archive), "--out-prefix", str(prefix),
+                       "--y-grid=-2:2:5") == 0
+        rows = (tmp_path / "surface.mean.csv").read_text().splitlines()
+        assert rows[2] == "1.0,0.3,0.3,0.3,0.3"
+        assert "NaN" not in (tmp_path / "surface.json").read_text()
+
     def test_long_grid_within_time_bound(self, tmp_path):
         # 2,000 times at spacing 0.02: a few sweeps, then a surface of
         # 128 grid points whose densities span more than one block

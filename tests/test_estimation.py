@@ -7,10 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from diffmix import estimation
-from diffmix.estimation import (coverage_report, effective_sample_size,
-                                gelman_rubin, histogram_mode, summarize)
+from diffmix.estimation import (MODE_BINS, DensitySurface, coverage_report,
+                                effective_sample_size, gelman_rubin,
+                                histogram_mode, summarize)
+from diffmix.mixture import gaussian_logpdf
 from diffmix.store import PosteriorDraws
 from oracles import one_shot_exports, one_shot_summarize
 
@@ -49,6 +52,38 @@ def ragged_draws(rng, n_draws, n_times, m_max=6):
 SURFACE_ARRAYS = ("times", "y_grid", "dens_q025", "dens_q50", "dens_q975",
                   "dens_mean", "mean_mode", "mean_mean", "mean_median",
                   "mean_lo", "mean_hi")
+
+
+def assert_equals_one_shot(draws, grid, tmp_path):
+    """summarize against the one-shot reference, bit for bit, and its
+    exports, by the one-pass export and by each writer, byte for byte.
+    Returns the reference export paths."""
+    surf = summarize(draws, grid)
+    ref = one_shot_summarize(draws, grid)
+    for name in SURFACE_ARRAYS:
+        assert getattr(surf, name).tobytes() == getattr(ref, name).tobytes(), \
+            name
+    ref_paths = one_shot_exports(ref, tmp_path / "ref")
+    paths = surf.export(tmp_path / "s")
+    assert paths == [f"{tmp_path / 's'}.{end}" for end in
+                     ("density.csv", "mean.csv", "json")]
+    writers = (surf.to_density_csv, surf.to_mean_csv, surf.to_json)
+    for path, ref_path, writer in zip(paths, ref_paths, writers):
+        expected = open(ref_path, "rb").read()
+        assert open(path, "rb").read() == expected, path
+        writer(tmp_path / "one")
+        assert (tmp_path / "one").read_bytes() == expected, writer
+    return ref_paths
+
+
+def kept_underflow_draws():
+    """Three draws of one atom (0.3, 1) whose stick at t = 1, 1e-20,
+    keeps a mass 1 - (1 - v) that rounds to 0."""
+    return PosteriorDraws(
+        times=np.arange(3.0), m=np.ones(3, dtype=np.int64),
+        theta=np.ones(3), c=np.ones(3),
+        sticks=np.tile([0.5, 1e-20, 0.5], (3, 1, 1)),
+        atom_mean=np.full((3, 1), 0.3), atom_prec=np.ones((3, 1)))
 
 
 @pytest.fixture
@@ -107,6 +142,21 @@ class TestSummarize:
         assert mean_path.read_text().splitlines()[0] == "t,mode,mean,lo,hi"
         payload = json.loads(json_path.read_text())
         assert "density" in payload and "mean_functional" in payload
+
+    def test_kept_mass_below_resolution(self):
+        # every stick at t = 1 is 1e-20: the kept mass is the stick itself,
+        # not 0, so no division by zero (RuntimeWarnings fail the suite)
+        grid = np.linspace(-2, 2, 5)
+        surf = summarize(kept_underflow_draws(), grid)
+        kernel = np.exp(gaussian_logpdf(grid, 0.3, 1.0))
+        for name in ("mean_mode", "mean_mean", "mean_median", "mean_lo",
+                     "mean_hi"):
+            np.testing.assert_allclose(getattr(surf, name), 0.3, rtol=1e-15,
+                                       err_msg=name)
+        for name in ("dens_q025", "dens_q50", "dens_q975", "dens_mean"):
+            np.testing.assert_allclose(getattr(surf, name),
+                                       np.tile(kernel, (3, 1)), rtol=1e-15,
+                                       err_msg=name)
 
     def test_empty_draws_rejected(self, rng):
         draws = toy_draws(rng, n_draws=1)
@@ -175,6 +225,104 @@ class TestBlocks:
                 tracemalloc.stop()
         assert peaks[0] < 0.1 * peaks[1], peaks
 
+    @pytest.mark.parametrize("width", [2, 3, None])
+    def test_matches_one_shot_many_levels(self, rng, monkeypatch, tmp_path,
+                                          width):
+        # truncation levels 1..30, two draws each, in a shuffled draw order
+        levels = rng.permutation(np.repeat(np.arange(1, 31), 2))
+        own = np.arange(30) < levels[:, None]
+        draws = PosteriorDraws(
+            times=np.linspace(0, 1, 7), m=levels, theta=np.ones(60),
+            c=np.ones(60), sticks=np.where(
+                own[:, :, None], rng.uniform(0.05, 0.95, (60, 30, 7)), np.nan),
+            atom_mean=np.where(own, rng.normal(0, 1, (60, 30)), np.nan),
+            atom_prec=np.where(own, rng.gamma(10, 0.1, (60, 30)) + 1.0, np.nan))
+        grid = np.linspace(-3, 3, 21)
+        if width is not None:
+            monkeypatch.setattr(estimation, "_BLOCK_ENTRIES", width * 60 * 21)
+        assert_equals_one_shot(draws, grid, tmp_path)
+
+    def test_non_finite_densities_export_like_one_shot(self, rng, tmp_path):
+        # sticks (1e-300, -1e-300) at the second time keep a mass of -0.0:
+        # each draw's densities there are +-inf, or NaN where both kernels
+        # underflow, so their quantiles are NaN and their means +-inf or
+        # NaN; the mean functional is -inf in every draw
+        sticks = rng.uniform(0.05, 0.95, (9, 2, 4))
+        sticks[:, :, 1] = [1e-300, -1e-300]
+        draws = PosteriorDraws(
+            times=np.linspace(0, 1, 4), m=np.full(9, 2), theta=np.ones(9),
+            c=np.ones(9), sticks=sticks, atom_mean=np.tile([1.0, 0.0], (9, 1)),
+            atom_prec=np.full((9, 2), 2.0))
+        grid = np.array([-3.0, 0.5, 2.0, 80.0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            paths = assert_equals_one_shot(draws, grid, tmp_path)
+        dens_csv, mean_csv, json_text = (open(p).read() for p in paths)
+        for word in (",nan,", ",inf\n", ",-inf\n", ",nan\n"):
+            assert word in dens_csv, word
+        assert ",-inf,-inf,nan,nan\n" in mean_csv
+        for word in (" NaN", "[Infinity", " -Infinity"):
+            assert word in json_text, word
+        assert "nan" not in json_text and "inf" not in json_text
+        assert json.loads(json_text)["times"] == draws.times.tolist()
+
+    def test_traced_peak_below_tenth_of_one_shot_ragged(self, rng):
+        # test_traced_peak_below_tenth_of_one_shot's surface with m from 1
+        # to 30: one stack of kernels and one stacked product per level
+        draws = ragged_draws(rng, 50, 1600, m_max=30)
+        grid = np.linspace(-4, 8, 161)
+        peaks = []
+        for fn in (summarize, one_shot_summarize):
+            tracemalloc.start()
+            try:
+                fn(draws, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < 0.1 * peaks[1], peaks
+
+    def test_export_peak_well_below_json_text(self, rng, tmp_path):
+        # a 1,600-time surface: the exports hold one time row of each
+        # array, not the JSON text (about 25 MB here)
+        n, g = 1600, 161
+        dens = rng.lognormal(-3, 3, (4, n, g))
+        line = rng.normal(size=(5, n))
+        surf = DensitySurface(
+            np.linspace(0, 10, n), np.linspace(-4, 8, g), *dens, *line)
+        tracemalloc.start()
+        try:
+            paths = surf.export(tmp_path / "s")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "s.json").stat().st_size
+        assert size > 20e6
+        assert peak < 0.05 * size, (peak, size)
+        assert json.loads(open(paths[2]).read())["density"]["mean"] \
+            == dens[3].tolist()
+
+
+class TestSortedQuantiles:
+    """The sorted-block reader against np.quantile, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 300),
+           shape=st.sampled_from([(1,), (4,), (2, 3)]),
+           nan=st.sampled_from([np.nan, -np.nan]))
+    def test_matches_np_quantile(self, data, n, shape, nan):
+        # (1,) and (4,) are mean-functional shapes (draws x times), (2, 3)
+        # a block's (draws x times x grid). Signed zeros are left out: a sort and a partition may
+        # order 0.0 and -0.0 differently, and no summarized value is -0.0.
+        # One NaN sign an example: np.quantile gives the NaN a partition
+        # leaves last, which for NaNs of two signs is not defined here.
+        values = st.sampled_from([0.0, 1.0, -2.5, np.inf, -np.inf, nan]) \
+            | st.floats(-1e300, 1e300).map(lambda v: v + 0.0)
+        x = data.draw(arrays(float, (n, *shape), elements=values))
+        with np.errstate(invalid="ignore"):
+            expected = np.quantile(x, estimation.QUANTILES, axis=0)
+            got = estimation._sorted_quantiles(
+                x.copy(), x.mean(axis=0), np.empty((3, *shape)))
+        assert got.tobytes() == expected.tobytes(), (x, got, expected)
+
 
 class TestHistogramMode:
     def test_degenerate(self):
@@ -198,6 +346,36 @@ class TestHistogramMode:
     def test_matches_brute_force_window_search(self, values, bins, mass):
         x = np.array(values, dtype=float)
         assert histogram_mode(x, bins, mass) == _brute_force_mode(x, bins, mass)
+
+    @settings(max_examples=200, deadline=None)
+    @given(columns=st.integers(1, 5).flatmap(lambda k: st.lists(
+               st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+               | st.lists(st.integers(-4000, 4000).map(lambda i: i / 1000),
+                          min_size=k, max_size=k)
+               | st.lists(st.floats(1e-310, 1e-305), min_size=k,
+                          max_size=k),
+               min_size=1, max_size=40)),
+           bins=st.sampled_from([1, 7, 32, 512]),
+           mass=st.sampled_from([0.001, 0.1, 1.0, 1.5]))
+    def test_columns_match_brute_force(self, columns, bins, mass):
+        # each column of a matrix at once, np.histogram's bins included
+        # (the 1e-310 range has a subnormal linspace step)
+        x = np.array(columns, dtype=float)
+        expected = [_brute_force_mode(x[:, j], bins, mass)
+                    for j in range(x.shape[1])]
+        assert histogram_mode(x, bins, mass).tolist() == expected
+
+    @pytest.mark.parametrize("column", [
+        [1.0, np.nan], [1.0, np.inf], [-np.inf, np.inf],
+        [0.3, 0.30000000000000004]], ids=["nan", "inf", "both_inf",
+                                          "two_ulps"])
+    def test_columns_refuse_what_np_histogram_refuses(self, column):
+        with pytest.raises(ValueError) as expected:
+            np.histogram(column, bins=MODE_BINS)
+        x = np.column_stack([np.linspace(0, 1, 2), column])
+        with pytest.raises(ValueError) as got:
+            histogram_mode(x)
+        assert str(got.value) == str(expected.value)
 
 
 def _brute_force_mode(x, bins, mass):

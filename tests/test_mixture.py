@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from diffmix import mixture
-from diffmix.measure import StickConfig, sample_sticks
+from diffmix.measure import (StickConfig, sample_sticks,
+                             sticks_to_weights_matrix)
 from diffmix.mixture import (CenteringMeasure, gaussian_logpdf,
                              renormalised_mixture, simulate_toy, toy_mean)
 from oracles import centering_logpdf, centering_posterior
@@ -146,6 +147,44 @@ class TestRenormalisedMixture:
             renormalised_mixture(sticks, means),
             [mean_functional(sticks[:, i], means) for i in range(n_times)],
             rtol=1e-12, atol=1e-15)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 6), st.integers(1, 4),
+           st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+    def test_stack_slices_are_their_own_calls(self, k, m, n, g, seed):
+        # a (k, m, n) stack gives each matrix the bits of its own call,
+        # and that call the bits of the product form w' v / (1 - prod(1 - v))
+        rng = np.random.default_rng(seed)
+        sticks = rng.uniform(0.02, 0.98, (k, m, n))
+        vectors = rng.normal(size=(k, m))
+        matrices = rng.uniform(0, 1, (k, m, g))
+        stacked = [renormalised_mixture(sticks, v) for v in (vectors, matrices)]
+        for i in range(k):
+            w = sticks_to_weights_matrix(sticks[i])
+            kept = 1.0 - np.prod(1.0 - sticks[i], axis=0)
+            for out, values in zip(stacked, (vectors[i], matrices[i])):
+                own = renormalised_mixture(sticks[i], values)
+                product = w.T @ values
+                product = product / (kept[:, None] if product.ndim == 2
+                                     else kept)
+                assert own.tobytes() == product.tobytes()
+                assert out[i].tobytes() == own.tobytes()
+
+    def test_kept_mass_below_resolution(self):
+        # at the second time every stick is below 1.1e-16, where
+        # 1 - prod(1 - v) rounds to 0: the kept mass is the sum of the
+        # weights there, and every other time keeps the product form
+        sticks = np.array([[0.5, 1e-20, 0.5], [0.25, 3e-20, 0.25]])
+        means = np.array([1.0, -1.0])
+        out = renormalised_mixture(sticks, means)
+        w = sticks_to_weights_matrix(sticks)
+        assert out[1] == pytest.approx((1e-20 - 3e-20) / 4e-20, rel=1e-15)
+        kept = 1.0 - np.prod(1.0 - sticks[:, [0, 2]], axis=0)
+        assert out[[0, 2]].tobytes() == ((w.T @ means)[[0, 2]] / kept).tobytes()
+        per_obs = renormalised_mixture(sticks, np.tile(means, (3, 1)),
+                                       np.arange(3))
+        assert per_obs.tobytes() == out.tobytes()
 
 
 class TestPriorPredictive:
