@@ -180,7 +180,9 @@ def histogram_mode(samples: np.ndarray, bins: int = MODE_BINS,
     or a (draws x series) matrix, giving each column's mode at once. The
     bins are np.histogram's: edges from np.linspace over the column's
     range, each draw in the bin np.histogram counts it in, and the same
-    ValueError for a non-finite or too narrow range.
+    ValueError for a non-finite range. A finite range too narrow for
+    `bins` distinct edges (a few ulps wide) has no bin to pick; its mode
+    is the range's midpoint 0.5 (lo + hi).
     """
     x = np.asarray(samples, dtype=float)
     if x.size == 0:
@@ -215,9 +217,13 @@ def _window_modes(x, lo, hi, bins: int, mass: float) -> np.ndarray:
         edges[:, tiny] = np.arange(bins + 1.0)[:, None] / bins * delta[tiny]
     edges += lo
     edges[-1] = hi
-    if np.any(edges[:-1] >= edges[1:]):
-        raise ValueError(f"Too many bins for data range. Cannot create "
-                         f"{bins} finite-sized bins.")
+    narrow = np.any(edges[:-1] >= edges[1:], axis=0)
+    if narrow.any():
+        # the midpoint 0.5 (lo + hi), without overflow: hi - lo is exact
+        out = lo + 0.5 * (hi - lo)
+        wide = ~narrow
+        out[wide] = _window_modes(x[:, wide], lo[wide], hi[wide], bins, mass)
+        return out
     # np.histogram's bin of each draw: the scaled offset, then one step
     # down or up where rounding put it past an edge
     index = ((x - lo) / delta * bins).astype(np.intp)

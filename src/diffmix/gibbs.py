@@ -56,6 +56,15 @@ _MERGE_PADDING = 4096
 # along axis 0 about 3 ns an entry.
 _ROW_ADD_COLUMNS = 320
 
+# _StickTerms gathers a log-gamma factor from tables once the cells it
+# serves outnumber the table entries this many times: a gathered cell
+# costs a few index operations, a table entry one log-gamma, and each
+# table some calls. On README states (100 times) a Dirichlet process has
+# about 2,400 cells against 40-300 entries and gathers; Pitman-Yor, with
+# a table per stick, and the one-stick path prior of label swaps
+# evaluate cell by cell.
+_GATHER_RATIO = 4
+
 
 @dataclass(frozen=True)
 class GammaPrior:
@@ -187,19 +196,38 @@ def _sample_u(s, eta, rng) -> np.ndarray:
     return np.maximum(rng.uniform(0.0, np.exp(-eta * (s + 1.0))), 1e-300)
 
 
-def _prior_index(runs, tau: float, tables: dict, rng) -> list[int]:
-    """Series index d ~ r_tau per stick, one draw per run of stick_runs;
-    tables keeps each run's (size, series table) per distinct gap."""
-    if tau not in tables:
-        tables[tau] = []
-        for lo, hi, p in runs:
-            try:
-                tables[tau].append((hi - lo, wf._nb_table(tau, p)))
-            except SeriesTruncationError as exc:
+def _prior_tables(runs, taus) -> dict:
+    """gap -> [(size, series table)], one entry per run of stick_runs, for
+    each distinct gap in the floats taus. The tables of a run come from
+    one block loop over all its gaps (wf._nb_tables); SeriesTruncationError
+    names the first gap, in grid order, that a run cannot resolve."""
+    gaps = list(dict.fromkeys(taus))
+    built = []
+    for _, _, p in runs:
+        try:
+            built.append(wf._nb_tables(p.a + p.b,
+                                       tuple(p.c * tau for tau in gaps)))
+        except SeriesTruncationError:  # a + b past double range
+            built.append(None)
+    tables = {}
+    for w, tau in enumerate(gaps):
+        for (_, _, p), cums in zip(runs, built):
+            if cums is None or not wf._nb_resolved(cums[w]):
                 raise SeriesTruncationError(
                     f"gap {tau:g} between consecutive observation times "
                     f"gives c tau = {p.c * tau:g} at a + b = {p.a + p.b:g}, "
-                    + _unresolved_cause(p.a + p.b, p.c * tau)) from exc
+                    + _unresolved_cause(p.a + p.b, p.c * tau))
+        tables[tau] = [(hi - lo, cums[w])
+                       for (lo, hi, _), cums in zip(runs, built)]
+    return tables
+
+
+def _prior_index(runs, tau: float, tables: dict, rng) -> list[int]:
+    """Series index d ~ r_tau per stick, one draw per run of stick_runs;
+    tables keeps each run's (size, series table) per distinct gap, as
+    _prior_tables gives them, and gets tau's from it when missing."""
+    if tau not in tables:
+        tables.update(_prior_tables(runs, [tau]))
     return [d for size, cum in tables[tau]
             for d in wf._draw_index(cum, rng, size).tolist()]
 
@@ -260,7 +288,7 @@ def _prior_components(cfg: SamplerConfig, theta: float, c: float,
         else given[0]
     # one list per time (sticks) or gap (the rest), transposed at the end
     vs, ks, ds, us = [v], [], [], []
-    tables = {}
+    tables = _prior_tables(runs, taus.tolist())
     for w, tau in enumerate(taus.tolist()):
         d = _prior_index(runs, tau, tables, rng)
         k = [rng.binomial(dj, vj) for dj, vj in zip(d, v)]
@@ -385,15 +413,20 @@ def update_transition_latents(state: ChainState, data: TimeGridDataset,
 
     lv0, lv1 = np.log(v0), np.log(v1)
     l1mv0, l1mv1 = np.log1p(-v0), np.log1p(-v1)
-    tab = _offset_gammaln(a, b, stick_runs(a, b, state.c),
+    runs = stick_runs(a, b, state.c)
+    tab = _offset_gammaln(a, b, runs,
                           size=int(max(d.max(), d_hi.max())) + 1)
-    base = np.repeat(tab.base, n - 1)
+    # one run (every Dirichlet process): its tables are read as columns
+    base = np.repeat(tab.base, n - 1) if len(runs) > 1 else None
+
+    def at(rows):
+        return None if base is None else base[rows]
     d_flat = d.ravel()
 
     # k | d, v on {0..d}
     ratio = (lv1 + lv0 - l1mv1 - l1mv0).ravel()
     state.trans_k = _draw_rows(
-        lambda rows, j: _k_log_mass(tab, base[rows], d_flat[rows],
+        lambda rows, j: _k_log_mass(tab, at(rows), d_flat[rows],
                                     ratio[rows], j),
         np.zeros_like(d), d, rng, "k", state.sweep)
     k_flat = state.trans_k.ravel()
@@ -402,7 +435,7 @@ def update_transition_latents(state: ChainState, data: TimeGridDataset,
     with np.errstate(over="ignore"):
         decay = (l1mv1 + l1mv0 - state.c * data.gaps + eta2).ravel()
     state.trans_d = _draw_rows(
-        lambda rows, j: _d_log_mass(tab, base[rows], k_flat[rows],
+        lambda rows, j: _d_log_mass(tab, at(rows), k_flat[rows],
                                     decay[rows], j),
         state.trans_k, d_hi, rng, "d", state.sweep)
 
@@ -423,14 +456,76 @@ class _OffsetGammaln(NamedTuple):
 
 
 def _offset_gammaln(a, b, runs, size: int) -> _OffsetGammaln:
-    j = np.arange(size, dtype=float)
     lo = np.array([lo for lo, _, _ in runs])
-    a_r, b_r = a[lo][:, None], b[lo][:, None]
+    a_r, b_r = a[lo], b[lo]
     base = np.repeat(np.arange(len(runs)) * size,
                      [hi - lo for lo, hi, _ in runs])
-    return _OffsetGammaln(gammaln(j + 1.0), gammaln(a_r + j).ravel(),
-                          gammaln(b_r + j).ravel(),
-                          gammaln((a_r + b_r) + j).ravel(), base)
+    return _OffsetGammaln(*(_gammaln_rows(x, size) for x in (
+        np.ones(1), a_r, b_r, a_r + b_r)), base)
+
+
+def _gammaln_rows(x, size: int) -> np.ndarray:
+    """gammaln(x_r + j) at j = 0..size - 1 for each entry x_r, row r at
+    [r size, (r + 1) size) of one flat table.
+
+    The one log-gamma table routine of the latent draws and the stick
+    likelihood: x_r + j is the float sum a per-cell gammaln(x_r + j)
+    takes, so a gathered entry holds the same bits."""
+    return gammaln(x[:, None] + np.arange(size, dtype=float)).ravel()
+
+
+def _value_runs(x):
+    """(first value of each run of equal entries in x, each entry's run
+    index), the index None when x is one run."""
+    xs = x.tolist()
+    firsts = [i for i in range(1, len(xs)) if xs[i] != xs[i - 1]]
+    if not firsts:
+        return x[:1], None
+    run = np.zeros(len(xs), dtype=np.int64)
+    run[firsts] = 1
+    return x[[0, *firsts]], np.cumsum(run)
+
+
+def _cell_gammaln(x, idx, size: int) -> np.ndarray:
+    """gammaln(x_i + idx_ij) for row values x and integer offsets idx
+    (rows x columns) below size: gathered from one table row per run of
+    equal x when those rows hold at most 1 / _GATHER_RATIO as many
+    entries as there are cells, else evaluated cell by cell."""
+    keys, run = _value_runs(x)
+    if len(keys) * size * _GATHER_RATIO > idx.size:
+        return gammaln(x[:, None] + idx)
+    table = _gammaln_rows(keys, size)
+    return table[idx if run is None else (run * size)[:, None] + idx]
+
+
+def _binade_gammaln(b, bd, d, k, size: int) -> np.ndarray:
+    """gammaln(bd - k) for bd = fl(b_i + d_ij), d < size and k <= d, from
+    one table row per run of equal b and binade of bd, gathered or
+    evaluated cell by cell as _cell_gammaln chooses.
+
+    Below 2^51 both bd - k and bd - d are exact, so bd - k = (bd - d) +
+    (d - k), and bd - d is b_i rounded to the spacing of the binade
+    [h, 2h) of bd (an integer d keeps the tie parity): b_i itself when b_i
+    >= h, else fl(b_i + h) - h. A row per run and binade, at offsets
+    d - k, then holds every cell's bits.
+    """
+    keys, run = _value_runs(b)
+    if (len(keys) * size * _GATHER_RATIO > bd.size
+            or keys.max() + size >= 2.0 ** 51):
+        return gammaln(bd - k)
+    col = keys[:, None]
+    # the binade of fl(b + d) for each run and each d below size
+    e = np.frexp(col + np.arange(size, dtype=float))[1]
+    e_lo = int(e.min())
+    half = np.ldexp(0.5, np.arange(e_lo, int(e.max()) + 1))
+    if len(keys) * len(half) * size * _GATHER_RATIO > bd.size:
+        return gammaln(bd - k)
+    table = _gammaln_rows(
+        np.where(col >= half, col, (col + half) - half).ravel(), size)
+    # the start of the row of each run and d
+    start = (len(half) * np.arange(len(keys))[:, None] + (e - e_lo)) * size
+    return table[start.ravel()[d if run is None else (run * size)[:, None]
+                               + d] + (d - k)]
 
 
 def _k_log_mass(tab: _OffsetGammaln, base, d, ratio, j) -> np.ndarray:
@@ -438,12 +533,17 @@ def _k_log_mass(tab: _OffsetGammaln, base, d, ratio, j) -> np.ndarray:
     row arguments of shape (rows,) and the support column j = 0..w - 1.
 
     -log j! - log (d - j)! - log Gamma(a + j) - log Gamma(b + d - j)
-    + j ratio; entries past a row's d are padding.
+    + j ratio; entries past a row's d are padding. base None reads the
+    tables of one run: log Gamma(a + j) is then a broadcast column.
     """
     dj = d - j
-    return (-tab.fact[j] - np.take(tab.fact, dj, mode="clip")
-            - np.take(tab.a, base + j)
-            - np.take(tab.b, base + dj, mode="clip") + j * ratio)
+    if base is None:
+        a_j, b_dj = tab.a[j], np.take(tab.b, dj, mode="clip")
+    else:
+        a_j = np.take(tab.a, base + j)
+        b_dj = np.take(tab.b, base + dj, mode="clip")
+    return (-tab.fact[j] - np.take(tab.fact, dj, mode="clip") - a_j - b_dj
+            + j * ratio)
 
 
 def _d_log_mass(tab: _OffsetGammaln, base, k, decay, j) -> np.ndarray:
@@ -452,9 +552,14 @@ def _d_log_mass(tab: _OffsetGammaln, base, k, decay, j) -> np.ndarray:
     j inside the slice: 2 log Gamma(a + b + k + j) - log Gamma(b + j)
     - log j! + j decay. A j decay past double range is -inf, its exact
     value; the j = 0 term is 0, its limit also at decay = -inf (c tau past
-    double range), which leaves all mass at d = k."""
-    out = (2.0 * np.take(tab.ab, base + k + j, mode="clip")
-           - np.take(tab.b, base + j) - tab.fact[j])
+    double range), which leaves all mass at d = k. base None reads the
+    tables of one run: log Gamma(b + j) is then a broadcast column."""
+    if base is None:
+        ab_kj, b_j = np.take(tab.ab, k + j, mode="clip"), tab.b[j]
+    else:
+        ab_kj = np.take(tab.ab, base + k + j, mode="clip")
+        b_j = np.take(tab.b, base + j)
+    out = 2.0 * ab_kj - b_j - tab.fact[j]
     with np.errstate(over="ignore"):
         out[1:] += j[1:] * decay
     return out
@@ -600,10 +705,15 @@ class _StickTerms:
     The constructor computes what depends on neither theta nor c: the
     logs of the stick values and log d!. at(a, b) adds the terms of one
     set of stick parameters and returns the log likelihood as a function
-    of c alone, which evaluates no log-gamma. Each stage keeps the
-    operation order of the likelihood written as one expression
-    (tests/oracles.py), so the value is the same to the bit however the
-    stages are reused.
+    of c alone, which evaluates no log-gamma. A log-gamma factor is
+    gathered from a table at integer offsets (_gammaln_rows) built once
+    per distinct key when its cells outnumber the table's entries
+    _GATHER_RATIO times, else evaluated cell by cell: log d! at d,
+    log Gamma(a + k) and log Gamma(a + b + d) per run of equal a and
+    a + b, log Gamma(b + d - k) per run of equal b and binade of b + d
+    (_binade_gammaln). Each stage keeps the operation
+    order of the likelihood written as one expression (tests/oracles.py),
+    so the value is the same to the bit however the stages are reused.
     """
 
     def __init__(self, sticks, k, d, taus):
@@ -611,19 +721,29 @@ class _StickTerms:
         self.log_first = np.log(v_first), np.log1p(-v_first)
         self.log_later = np.log(v1), np.log1p(-v1)
         self.k, self.d, self.taus = k, d, taus
-        self.log_fact = gammaln(d + 1.0)
+        self.size = int(d.max()) + 1 if d.size else 1
+        # too few cells for any table to pay: every factor cell by cell
+        self.gather = self.size * _GATHER_RATIO <= d.size
+        self.log_fact = _cell_gammaln(np.ones(len(d)), d, self.size) \
+            if self.gather else gammaln(d + 1.0)
 
     def at(self, a, b):
         """log likelihood as a function of c at stick parameters (a, b)."""
         lv, l1mv = self.log_first
-        total = float(np.sum((a - 1.0) * lv + (b - 1.0) * l1mv
-                             - betaln(a, b)))
+        total = float(((a - 1.0) * lv + (b - 1.0) * l1mv
+                       - betaln(a, b)).sum())
         r, A, B = (a + b)[:, None], a[:, None], b[:, None]
-        k, d, taus = self.k, self.d, self.taus
+        k, d, taus, size = self.k, self.d, self.taus, self.size
         lv1, l1mv1 = self.log_later
-        g = gammaln(r + d)
-        ak, bdk = A + k, B + d - k
-        comp = (g - gammaln(ak) - gammaln(bdk) + (ak - 1.0) * lv1
+        ak, bd = A + k, B + d
+        bdk = bd - k
+        if self.gather:
+            g, g_ak, g_bdk = (_cell_gammaln(a + b, d, size),
+                              _cell_gammaln(a, k, size),
+                              _binade_gammaln(b, bd, d, k, size))
+        else:
+            g, g_ak, g_bdk = gammaln(r + d), gammaln(ak), gammaln(bdk)
+        comp = (g - g_ak - g_bdk + (ak - 1.0) * lv1
                 + (bdk - 1.0) * l1mv1).sum()
         coef = g - gammaln(r) - self.log_fact
 
@@ -650,7 +770,8 @@ def update_hyperparams(state: ChainState, data: TimeGridDataset,
     move runs: the theta- and c-free terms once per call and the theta
     terms once per theta visited. The c move evaluates its current value
     from the terms of the kept theta, and no c evaluation calls a
-    log-gamma.
+    log-gamma. Without components the target is 0.0 at every (theta, c),
+    the value the terms would sum to, and no array is built.
     """
     moves = []  # (name, log prior, value -> the (theta, c) it proposes)
     if cfg.fix_theta is None:
@@ -660,14 +781,18 @@ def update_hyperparams(state: ChainState, data: TimeGridDataset,
         moves.append(("c", cfg.c_prior.logpdf, lambda cv: (state.theta, cv)))
     if not moves:
         return
-    terms = _StickTerms(state.sticks, state.trans_k, state.trans_d,
-                        data.gaps)
-    at_theta = {}  # theta -> the target as a function of c
+    if state.m:
+        terms = _StickTerms(state.sticks, state.trans_k, state.trans_d,
+                            data.gaps)
+        at_theta = {}  # theta -> the target as a function of c
 
-    def target(theta, c):
-        if theta not in at_theta:
-            at_theta[theta] = terms.at(*cfg.stick.params(state.m, theta))
-        return at_theta[theta](c)
+        def target(theta, c):
+            if theta not in at_theta:
+                at_theta[theta] = terms.at(*cfg.stick.params(state.m, theta))
+            return at_theta[theta](c)
+    else:
+        def target(theta, c):  # no sticks: every factor an empty sum
+            return 0.0
 
     for name, log_prior, point in moves:
         value = getattr(state, name)

@@ -173,35 +173,57 @@ def nb_weight(m, t: float, p: WFParams):
 
 @lru_cache(maxsize=256)
 def _nb_cumulative(r: float, ct: float) -> np.ndarray:
-    """Cumulative Negative-Binomial weights up to machine-resolution tail.
+    """Cumulative Negative-Binomial weights up to machine-resolution
+    tail: the one-key case of _nb_tables, cached on its own."""
+    return _nb_tables.__wrapped__(r, (ct,))[0]
 
-    Summation stops at the end of a block once the terms are past the
-    mode and the tail after the last term m, bounded by the geometric
-    series w_m rho / (1 - rho) with rho = (r + m) / (m + 1) e^{-ct} (the
-    term ratio, which only falls beyond m), is below 1e-16. A test on
-    1 - partial sum cannot serve: rounding can hold it above 1e-15.
+
+# one entry per run of sticks and (theta, c): slice growth reads the
+# tables of every gap of a run at once
+@lru_cache(maxsize=32)
+def _nb_tables(r: float, cts: tuple) -> tuple[np.ndarray, ...]:
+    """Cumulative Negative-Binomial weights at size r, one table per ct
+    in cts, all summed in one loop over blocks of indices.
+
+    Summation stops for a key at the end of a block once the terms are
+    past the mode and the tail after the last term m, bounded by the
+    geometric series w_m rho / (1 - rho) with rho = (r + m) / (m + 1)
+    e^{-ct} (the term ratio, which only falls beyond m), is below 1e-16.
+    A test on 1 - partial sum cannot serve: rounding can hold it above
+    1e-15. The log coefficients of a block depend on r alone and are
+    evaluated once for all keys; each weight is the one log_nb_weight
+    gives, so every table holds the bits it would alone.
     SeriesTruncationError when log Gamma(r + m) leaves double range.
     """
     if not _nb_size_in_range(r):
         raise SeriesTruncationError(
             f"a + b = {r:g} leaves double range: log Gamma(a + b) overflows "
             "in the series weights")
+    ct = np.array(cts, dtype=float)[:, None]
+    parts = [[] for _ in cts]  # each key's weights, block by block
+    live = list(range(len(cts)))
     block = 64
-    parts = []
     start = 0
-    while start <= DEFAULT_SERIES_CAP:
+    while start <= DEFAULT_SERIES_CAP and live:
         m = np.arange(start, min(start + block, DEFAULT_SERIES_CAP + 1),
                       dtype=float)
-        w = np.exp(log_nb_weight(m, r, ct))
-        parts.append(w)
-        rho = (r + m[-1]) / (m[-1] + 1.0) * np.exp(-ct)
-        if rho < 1.0 and w[-1] * rho / (1.0 - rho) < 1e-16:
-            break
+        coef = gammaln(r + m) - gammaln(r) - gammaln(m + 1.0)
+        # a lone key goes in as a float, numpy's cheaper scalar path
+        w = np.exp(_log_nb_from_coef(
+            coef, m, r, cts[live[0]] if len(live) == 1 else ct[live]))
+        going = []
+        for key, row in zip(live, w if len(live) > 1 else [w]):
+            parts[key].append(row)
+            rho = (r + m[-1]) / (m[-1] + 1.0) * np.exp(-cts[key])
+            if not (rho < 1.0 and row[-1] * rho / (1.0 - rho) < 1e-16):
+                going.append(key)
+        live = going
         start += block
         block = min(2 * block, 1 << 16)
-    cum = np.cumsum(np.concatenate(parts))
-    cum.flags.writeable = False  # shared through the cache
-    return cum
+    tables = tuple(np.cumsum(np.concatenate(rows)) for rows in parts)
+    for cum in tables:
+        cum.flags.writeable = False  # shared through the caches
+    return tables
 
 
 def _nb_size_in_range(r: float) -> bool:
@@ -250,7 +272,12 @@ def _nb_table(t: float, p: WFParams) -> np.ndarray:
 def _nb_resolves(r: float, ct: float) -> bool:
     """Whether the series weights at size r and ct sum to within 1e-12
     of one inside DEFAULT_SERIES_CAP terms; a NaN sum is not refused."""
-    return not 1.0 - _nb_cumulative(r, ct)[-1] > 1e-12
+    return _nb_resolved(_nb_cumulative(r, ct))
+
+
+def _nb_resolved(cum: np.ndarray) -> bool:
+    """_nb_resolves of the cumulative weights cum."""
+    return not 1.0 - cum[-1] > 1e-12
 
 
 def _draw_index(cum: np.ndarray, rng: np.random.Generator, size):
@@ -261,7 +288,8 @@ def _draw_index(cum: np.ndarray, rng: np.random.Generator, size):
     """
     u = rng.random(size)
     # u beyond the resolved tail (< 1e-15 mass): clamp to the last index
-    return np.minimum(np.searchsorted(cum, u), len(cum) - 1).astype(np.int64)
+    return np.minimum(cum.searchsorted(u), len(cum) - 1).astype(
+        np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------

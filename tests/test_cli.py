@@ -657,6 +657,26 @@ class TestSummarize:
         assert rows[2] == "1.0,0.3,0.3,0.3,0.3"
         assert "NaN" not in (tmp_path / "surface.json").read_text()
 
+    def test_mean_range_a_few_ulps_wide(self, tmp_path):
+        # five draws of the atom (0.3, 1) with different sticks: the mean
+        # functional at each time lies in [0.3 - 2^-54, 0.3 + 2^-54], a
+        # range too narrow for the mode's 512 bins; its midpoint 0.3 is
+        # the mode
+        archive, prefix = tmp_path / "narrow.npz", tmp_path / "surface"
+        sticks = np.array([0.5, 0.7, 0.9, 0.3, 0.11])
+        PosteriorDraws(
+            times=np.arange(3.0), m=np.ones(5, dtype=np.int64),
+            theta=np.ones(5), c=np.ones(5),
+            sticks=np.repeat(sticks, 3).reshape(5, 1, 3),
+            atom_mean=np.full((5, 1), 0.3),
+            atom_prec=np.ones((5, 1))).save(archive)
+        assert run_cli("summarize", str(archive), "--out-prefix", str(prefix),
+                       "--y-grid=-2:2:5") == 0
+        rows = (tmp_path / "surface.mean.csv").read_text().splitlines()
+        for row in rows[1:]:
+            _, mode, _, lo, hi = (float(x) for x in row.split(","))
+            assert lo < mode == 0.3 < hi
+
     def test_long_grid_within_time_bound(self, tmp_path):
         # 2,000 times at spacing 0.02: a few sweeps, then a surface of
         # 128 grid points whose densities span more than one block

@@ -777,6 +777,34 @@ class TestTransitionDrawReference:
             update_stick_values(ref, data, cfg, ref_rng)
         assert state.trans_d.max() >= 64  # rows span several width classes
 
+    @settings(max_examples=40, deadline=None)
+    @given(law=st.sampled_from(sorted(LAWS)), m=st.integers(1, 5),
+           gaps=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           wide=st.lists(st.integers(0, 600), min_size=1, max_size=12))
+    def test_one_run_columns_match_base_form(self, law, m, gaps, seed, wide):
+        # base None reads one run's tables as broadcast columns: the same
+        # log masses, to the bit, as the per-entry base + j gathers
+        gen = np.random.default_rng(seed)
+        a, b = LAWS[law]["stick"].params(m, 1.7)
+        runs = measure.stick_runs(a, b, 0.8)
+        a, b = a[:runs[0][1]], b[:runs[0][1]]  # the first run alone
+        cells = len(a) * gaps
+        d = np.resize(np.array(wide), cells)
+        k = gen.integers(0, d + 1)
+        ratio, decay = gen.normal(size=(2, cells))
+        tab = gibbs._offset_gammaln(a, b, measure.stick_runs(a, b, 0.8),
+                                    size=int(d.max()) + 1)
+        assert len(tab.base) == len(a) and not tab.base.any()
+        base = np.zeros(cells, dtype=np.int64)
+        for w in {1, int(d.max()) + 1}:
+            j = np.arange(w)[:, None]
+            np.testing.assert_array_equal(
+                gibbs._k_log_mass(tab, None, d, ratio, j),
+                gibbs._k_log_mass(tab, base, d, ratio, j))
+            np.testing.assert_array_equal(
+                gibbs._d_log_mass(tab, None, k, decay, j),
+                gibbs._d_log_mass(tab, base, k, decay, j))
+
 
 class TestStickValues:
     def test_shapes_reduce_to_displayed_formulas(self, rng):
@@ -1049,6 +1077,67 @@ class TestHyperparams:
             assert (state.theta, state.c) == (ref.theta, ref.c)
             assert state.mh == ref.mh
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_no_components_target_is_zero_without_terms(self, rng,
+                                                         monkeypatch):
+        # at m = 0 every factor of the target is an empty sum: the update
+        # builds no stick terms and moves exactly as the two-block
+        # reference, which builds them
+        data = small_data(rng)
+        cfg = dp_config(burn_in=100)
+        state = init_chain(data, cfg, rng)
+        state.m = 0
+        for name in ("sticks", "trans_o", "trans_k", "trans_d", "atoms"):
+            setattr(state, name, getattr(state, name)[:0])
+        ref, ref_rng = copy.deepcopy(state), copy.deepcopy(rng)
+        for _ in range(200):
+            two_block_hyperparams(ref, data, cfg, ref_rng)
+            ref.sweep += 1
+        monkeypatch.setattr(gibbs, "_StickTerms", None)
+        for _ in range(200):
+            update_hyperparams(state, data, cfg, rng)
+            state.sweep += 1
+        assert (state.theta, state.c) == (ref.theta, ref.c)
+        assert state.mh == ref.mh
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    # b values just off binade edges and between them; d across powers
+    # of two up to 2,048, so b + d crosses binades within one run
+    EDGE_B = (0.1, 1.0 / 3.0, 1.37, 4.0285, 40.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(law=st.sampled_from(["dp", "py", "gem"]),
+           b0=st.sampled_from(EDGE_B), m=st.integers(1, 4),
+           gaps=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1),
+           powers=st.lists(st.tuples(st.integers(0, 11),
+                                     st.integers(-1, 1)),
+                           min_size=1, max_size=8),
+           gather=st.booleans())
+    def test_gathered_terms_match_one_expression(self, law, b0, m, gaps,
+                                                 seed, powers, gather):
+        # the log-gamma tables give the one-expression likelihood to the
+        # bit, gathered (ratio 0 gathers every factor) or at the default
+        # cost rule; GEM pairs share a and b across different pairs
+        gen = np.random.default_rng(seed)
+        stick = {"dp": StickConfig.dp(b0),
+                 "py": StickConfig.pitman_yor(b0, 0.25),
+                 "gem": StickConfig.general_gem(
+                     [(1.0, b0), (1.5, b0), (1.5, 2 * b0 + 1.0)])}[law]
+        a, b = stick.params(m, b0)
+        cells = m * gaps
+        d = np.resize([max(2 ** p + q, 0) for p, q in powers], cells)
+        d = np.where(gen.uniform(size=cells) < 0.3,
+                     gen.integers(0, 3, size=cells), d).reshape(m, gaps)
+        k = gen.integers(0, d + 1)
+        sticks = gen.uniform(0.01, 0.99, size=(m, gaps + 1))
+        taus = gen.uniform(0.01, 2.0, size=gaps)
+        with pytest.MonkeyPatch.context() as patch:
+            if gather:
+                patch.setattr(gibbs, "_GATHER_RATIO", 0)
+            log_lik = gibbs._StickTerms(sticks, k, d, taus).at(a, b)
+        for c in (1e-3, 0.7, 30.0):
+            assert log_lik(c) == reference_stick_likelihood(
+                sticks, k, d, taus, a, b, c)
 
     def test_tie_keeps_c_locked(self, rng):
         data = small_data(rng)

@@ -10,6 +10,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from diffmix import wf
@@ -103,6 +105,29 @@ class TestSeriesWeights:
         for tol in (1e-8, 1e-9, 1e-10, 1e-11, 1e-12):
             assert wf.nb_truncation_index(1.0, p, tol) == \
                 int(np.searchsorted(full, 1.0 - tol))
+
+    @settings(max_examples=60, deadline=None)
+    @given(r=st.sampled_from([1.0001, 1.7, 2.3, 5.2, 40.0, 2500.0]),
+           cts=st.lists(st.sampled_from([1e-3, 0.01, 0.05, 0.1, 0.41, 1.0,
+                                         3.7, 40.0, 800.0, 1e308,
+                                         float("inf")])
+                        | st.floats(1e-3, 50.0), min_size=1, max_size=9))
+    def test_batched_tables_match_one_key(self, r, cts):
+        # one block loop for every key gives each key's table alone, in
+        # length and bits, however far apart the keys stop
+        tables = wf._nb_tables.__wrapped__(r, tuple(cts))
+        for ct, cum in zip(cts, tables, strict=True):
+            alone = wf._nb_cumulative.__wrapped__(r, ct)
+            assert len(cum) == len(alone)
+            assert cum.tobytes() == alone.tobytes()
+            assert cum.tobytes() == _one_key_loop(r, ct).tobytes()
+
+    def test_batched_tables_stop_in_different_blocks(self):
+        # the table lengths of these keys end in five different blocks
+        cts = (40.0, 0.41, 0.1, 0.02, 0.004, 0.41)
+        lengths = [len(cum) for cum in wf._nb_tables.__wrapped__(2.3, cts)]
+        assert len(set(lengths)) == 5
+        assert lengths[1] == lengths[-1]
 
     def test_huge_size_refused_not_nan(self, rng):
         # log Gamma(a + b) is inf: the weights would be inf - inf = NaN
@@ -510,3 +535,20 @@ class TestEuler:
         with pytest.raises(ValueError) as end_exc:
             wf.euler_endpoints(v0, 0.1, step, p, rng, size=4)
         assert str(end_exc.value) == str(path_exc.value)
+
+
+def _one_key_loop(r, ct):
+    """wf._nb_cumulative's series for one key as one loop over blocks of
+    64, 128, ... indices, each block's weights from log_nb_weight."""
+    parts, block, start = [], 64, 0
+    while start <= wf.DEFAULT_SERIES_CAP:
+        m = np.arange(start, min(start + block, wf.DEFAULT_SERIES_CAP + 1),
+                      dtype=float)
+        w = np.exp(wf.log_nb_weight(m, r, ct))
+        parts.append(w)
+        rho = (r + m[-1]) / (m[-1] + 1.0) * np.exp(-ct)
+        if rho < 1.0 and w[-1] * rho / (1.0 - rho) < 1e-16:
+            break
+        start += block
+        block = min(2 * block, 1 << 16)
+    return np.cumsum(np.concatenate(parts))
