@@ -11,7 +11,12 @@ over the states. Growth draws `count` new components on top of a state
 counts 1, 2 and 4: cold at a (theta, c) no call has seen, as after a
 theta or c move, warm at the state's own once its tables are built. The
 label-swap update of a Pitman-Yor chain (sigma 0.25, the same data) is
-timed too: it evaluates the path prior of one stick at a time.
+timed too: it evaluates the path prior of one stick at a time. Last,
+growth by one component at a fresh (theta, c) on an irregular grid of
+500 times (gaps uniform on [0.01, 0.1], default_rng(3); 499 distinct
+gaps, more series tables than the store keeps) gives its median time
+and the tracemalloc peak over IRREGULAR_GROWTHS calls: what the series
+tables hold at once.
 
     PYTHONPATH=src python3 scripts/bench_sweep.py --out BENCH_sweep.json
 
@@ -28,11 +33,13 @@ import os
 import platform
 import statistics
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
 from diffmix import gibbs
+from diffmix.data import TimeGridDataset
 from diffmix.measure import StickConfig
 from diffmix.mixture import CenteringMeasure, simulate_toy
 
@@ -40,6 +47,7 @@ UPDATES = ("slice_and_truncation", "transition_latents", "stick_values",
            "locations", "hyperparams", "membership", "label_swaps")
 STATE_SWEEPS = (30, 60, 90, 120)
 GROWTH_COUNTS = (1, 2, 4)
+IRREGULAR_GROWTHS = 20
 
 
 def readme_states(stick: StickConfig):
@@ -97,6 +105,25 @@ def growth_ms(data, cfg, states, count: int, warm: bool,
     return statistics.fmean(per_state)
 
 
+def irregular_growth(cfg, repeats: int) -> tuple[float, float]:
+    """(median ms, traced peak MB) of growth by one component at a fresh
+    (theta, c) each call on the irregular grid."""
+    times = np.cumsum(np.random.default_rng(3).uniform(0.01, 0.1, 500))
+    data = TimeGridDataset(times=times,
+                           values=tuple(np.zeros(1) for _ in times))
+
+    def grow(i):
+        gibbs._prior_components(cfg, 1.2, 0.8 * (1.0 + 1e-9 * (i + 1)), 1,
+                                20, data.gaps, np.random.default_rng(i))
+    tracemalloc.start()
+    for i in range(IRREGULAR_GROWTHS):
+        grow(i)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return median_ms(lambda i: grow(IRREGULAR_GROWTHS + i),
+                     repeats), peak / 1e6
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeats", type=int, default=21)
@@ -114,6 +141,8 @@ def main() -> None:
         StickConfig.pitman_yor(1.0, 0.25, c=1.0))
     result["py_label_swaps_ms"] = update_ms(
         gibbs.update_label_swaps, py_data, py_cfg, py_states, args.repeats)
+    result["irregular_growth_ms"], result["irregular_growth_peak_mb"] = \
+        irregular_growth(cfg, max(1, args.repeats // 4))
     result.update({
         "m": [int(s.m) for s in states],
         "d_max": [int(s.trans_d.max()) for s in states],

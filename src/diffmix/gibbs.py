@@ -198,15 +198,17 @@ def _sample_u(s, eta, rng) -> np.ndarray:
 
 def _prior_tables(runs, taus) -> dict:
     """gap -> [(size, series table)], one entry per run of stick_runs, for
-    each distinct gap in the floats taus. The tables of a run come from
-    one block loop over all its gaps (wf._nb_tables); SeriesTruncationError
-    names the first gap, in grid order, that a run cannot resolve."""
-    gaps = list(dict.fromkeys(taus))
+    the first distinct gaps in the floats taus, as many as the series
+    store keeps for all runs (at least one). A run's tables come from one
+    wf._nb_cumulatives call; SeriesTruncationError names the first of these
+    gaps, in grid order, that a run cannot resolve."""
+    gaps = list(dict.fromkeys(taus))[
+        :max(1, wf._NB_STORE_SIZE // len(runs))]
     built = []
     for _, _, p in runs:
         try:
-            built.append(wf._nb_tables(p.a + p.b,
-                                       tuple(p.c * tau for tau in gaps)))
+            built.append(wf._nb_cumulatives(p.a + p.b,
+                                           [p.c * tau for tau in gaps]))
         except SeriesTruncationError:  # a + b past double range
             built.append(None)
     tables = {}
@@ -223,12 +225,11 @@ def _prior_tables(runs, taus) -> dict:
 
 
 def _prior_index(runs, tau: float, tables: dict, rng) -> list[int]:
-    """Series index d ~ r_tau per stick, one draw per run of stick_runs;
-    tables keeps each run's (size, series table) per distinct gap, as
-    _prior_tables gives them, and gets tau's from it when missing."""
-    if tau not in tables:
-        tables.update(_prior_tables(runs, [tau]))
-    return [d for size, cum in tables[tau]
+    """Series index d ~ r_tau per stick, one draw per run of stick_runs,
+    from tau's entry of tables (as _prior_tables gives them), else from
+    _prior_tables(runs, [tau])."""
+    cums = tables[tau] if tau in tables else _prior_tables(runs, [tau])[tau]
+    return [d for size, cum in cums
             for d in wf._draw_index(cum, rng, size).tolist()]
 
 
@@ -288,8 +289,10 @@ def _prior_components(cfg: SamplerConfig, theta: float, c: float,
         else given[0]
     # one list per time (sticks) or gap (the rest), transposed at the end
     vs, ks, ds, us = [v], [], [], []
-    tables = _prior_tables(runs, taus.tolist())
-    for w, tau in enumerate(taus.tolist()):
+    gaps, tables = taus.tolist(), {}
+    for w, tau in enumerate(gaps):
+        if tau not in tables:  # the tables of the gaps from here on
+            tables = _prior_tables(runs, gaps[w:])
         d = _prior_index(runs, tau, tables, rng)
         k = [rng.binomial(dj, vj) for dj, vj in zip(d, v)]
         if given is None:
@@ -491,41 +494,12 @@ def _cell_gammaln(x, idx, size: int) -> np.ndarray:
     (rows x columns) below size: gathered from one table row per run of
     equal x when those rows hold at most 1 / _GATHER_RATIO as many
     entries as there are cells, else evaluated cell by cell."""
-    keys, run = _value_runs(x)
-    if len(keys) * size * _GATHER_RATIO > idx.size:
-        return gammaln(x[:, None] + idx)
-    table = _gammaln_rows(keys, size)
-    return table[idx if run is None else (run * size)[:, None] + idx]
-
-
-def _binade_gammaln(b, bd, d, k, size: int) -> np.ndarray:
-    """gammaln(bd - k) for bd = fl(b_i + d_ij), d < size and k <= d, from
-    one table row per run of equal b and binade of bd, gathered or
-    evaluated cell by cell as _cell_gammaln chooses.
-
-    Below 2^51 both bd - k and bd - d are exact, so bd - k = (bd - d) +
-    (d - k), and bd - d is b_i rounded to the spacing of the binade
-    [h, 2h) of bd (an integer d keeps the tie parity): b_i itself when b_i
-    >= h, else fl(b_i + h) - h. A row per run and binade, at offsets
-    d - k, then holds every cell's bits.
-    """
-    keys, run = _value_runs(b)
-    if (len(keys) * size * _GATHER_RATIO > bd.size
-            or keys.max() + size >= 2.0 ** 51):
-        return gammaln(bd - k)
-    col = keys[:, None]
-    # the binade of fl(b + d) for each run and each d below size
-    e = np.frexp(col + np.arange(size, dtype=float))[1]
-    e_lo = int(e.min())
-    half = np.ldexp(0.5, np.arange(e_lo, int(e.max()) + 1))
-    if len(keys) * len(half) * size * _GATHER_RATIO > bd.size:
-        return gammaln(bd - k)
-    table = _gammaln_rows(
-        np.where(col >= half, col, (col + half) - half).ravel(), size)
-    # the start of the row of each run and d
-    start = (len(half) * np.arange(len(keys))[:, None] + (e - e_lo)) * size
-    return table[start.ravel()[d if run is None else (run * size)[:, None]
-                               + d] + (d - k)]
+    if size * _GATHER_RATIO <= idx.size:  # else no table can pay
+        keys, run = _value_runs(x)
+        if len(keys) * size * _GATHER_RATIO <= idx.size:
+            table = _gammaln_rows(keys, size)
+            return table[idx if run is None else (run * size)[:, None] + idx]
+    return gammaln(x[:, None] + idx)
 
 
 def _k_log_mass(tab: _OffsetGammaln, base, d, ratio, j) -> np.ndarray:
@@ -705,13 +679,10 @@ class _StickTerms:
     The constructor computes what depends on neither theta nor c: the
     logs of the stick values and log d!. at(a, b) adds the terms of one
     set of stick parameters and returns the log likelihood as a function
-    of c alone, which evaluates no log-gamma. A log-gamma factor is
-    gathered from a table at integer offsets (_gammaln_rows) built once
-    per distinct key when its cells outnumber the table's entries
-    _GATHER_RATIO times, else evaluated cell by cell: log d! at d,
-    log Gamma(a + k) and log Gamma(a + b + d) per run of equal a and
-    a + b, log Gamma(b + d - k) per run of equal b and binade of b + d
-    (_binade_gammaln). Each stage keeps the operation
+    of c alone, which evaluates no log-gamma. log d!, log Gamma(a + k)
+    and log Gamma(a + b + d) are gathered from tables at integer offsets
+    per run of equal 1, a and a + b as _cell_gammaln chooses; log Gamma(b
+    + d - k) is evaluated cell by cell. Each stage keeps the operation
     order of the likelihood written as one expression (tests/oracles.py),
     so the value is the same to the bit however the stages are reused.
     """
@@ -722,10 +693,7 @@ class _StickTerms:
         self.log_later = np.log(v1), np.log1p(-v1)
         self.k, self.d, self.taus = k, d, taus
         self.size = int(d.max()) + 1 if d.size else 1
-        # too few cells for any table to pay: every factor cell by cell
-        self.gather = self.size * _GATHER_RATIO <= d.size
-        self.log_fact = _cell_gammaln(np.ones(len(d)), d, self.size) \
-            if self.gather else gammaln(d + 1.0)
+        self.log_fact = _cell_gammaln(np.ones(len(d)), d, self.size)
 
     def at(self, a, b):
         """log likelihood as a function of c at stick parameters (a, b)."""
@@ -735,16 +703,10 @@ class _StickTerms:
         r, A, B = (a + b)[:, None], a[:, None], b[:, None]
         k, d, taus, size = self.k, self.d, self.taus, self.size
         lv1, l1mv1 = self.log_later
-        ak, bd = A + k, B + d
-        bdk = bd - k
-        if self.gather:
-            g, g_ak, g_bdk = (_cell_gammaln(a + b, d, size),
-                              _cell_gammaln(a, k, size),
-                              _binade_gammaln(b, bd, d, k, size))
-        else:
-            g, g_ak, g_bdk = gammaln(r + d), gammaln(ak), gammaln(bdk)
-        comp = (g - g_ak - g_bdk + (ak - 1.0) * lv1
-                + (bdk - 1.0) * l1mv1).sum()
+        g = _cell_gammaln(a + b, d, size)
+        ak, bdk = A + k, B + d - k
+        comp = (g - _cell_gammaln(a, k, size) - gammaln(bdk)
+                + (ak - 1.0) * lv1 + (bdk - 1.0) * l1mv1).sum()
         coef = g - gammaln(r) - self.log_fact
 
         def log_lik(c: float) -> float:

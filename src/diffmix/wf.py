@@ -171,58 +171,80 @@ def nb_weight(m, t: float, p: WFParams):
     return float(out) if out.ndim == 0 else out
 
 
-@lru_cache(maxsize=256)
 def _nb_cumulative(r: float, ct: float) -> np.ndarray:
-    """Cumulative Negative-Binomial weights up to machine-resolution
-    tail: the one-key case of _nb_tables, cached on its own."""
-    return _nb_tables.__wrapped__(r, (ct,))[0]
+    """Cumulative Negative-Binomial weights at size r and ct up to
+    machine-resolution tail (_nb_series), kept in the series store."""
+    cum = _nb_store.pop((r, ct), None)
+    return _nb_keep(r, ct, _nb_series(r, (ct,))[0] if cum is None else cum)
 
 
-# one entry per run of sticks and (theta, c): slice growth reads the
-# tables of every gap of a run at once
-@lru_cache(maxsize=32)
-def _nb_tables(r: float, cts: tuple) -> tuple[np.ndarray, ...]:
+# the series tables used last, least recent first, keyed by (r, ct): the
+# one store of sample_nb and slice growth, at most _NB_STORE_SIZE tables
+_NB_STORE_SIZE = 256
+_nb_store: dict = {}
+
+
+def _nb_cumulatives(r: float, cts) -> list[np.ndarray]:
+    """_nb_cumulative at size r of each ct in cts; the keys the store
+    lacks are built in one _nb_series call."""
+    cums = {ct: _nb_store.pop((r, ct), None) for ct in dict.fromkeys(cts)}
+    missing = [ct for ct, cum in cums.items() if cum is None]
+    if missing:
+        cums.update(zip(missing, _nb_series(r, missing)))
+    for ct, cum in cums.items():
+        _nb_keep(r, ct, cum)
+    return [cums[ct] for ct in cts]
+
+
+def _nb_keep(r: float, ct: float, cum: np.ndarray) -> np.ndarray:
+    """Store cum as the most recent table, dropping the least recent one
+    past _NB_STORE_SIZE, and return it."""
+    _nb_store[r, ct] = cum
+    if len(_nb_store) > _NB_STORE_SIZE:
+        del _nb_store[next(iter(_nb_store))]
+    return cum
+
+
+def _nb_series(r: float, cts) -> list[np.ndarray]:
     """Cumulative Negative-Binomial weights at size r, one table per ct
-    in cts, all summed in one loop over blocks of indices.
+    in cts, each summed over blocks of 64, 128, ... indices.
 
-    Summation stops for a key at the end of a block once the terms are
-    past the mode and the tail after the last term m, bounded by the
-    geometric series w_m rho / (1 - rho) with rho = (r + m) / (m + 1)
-    e^{-ct} (the term ratio, which only falls beyond m), is below 1e-16.
-    A test on 1 - partial sum cannot serve: rounding can hold it above
-    1e-15. The log coefficients of a block depend on r alone and are
-    evaluated once for all keys; each weight is the one log_nb_weight
-    gives, so every table holds the bits it would alone.
+    Summation stops at the end of a block once the terms are past the
+    mode and the tail after the last term m, bounded by the geometric
+    series w_m rho / (1 - rho) with rho = (r + m) / (m + 1) e^{-ct} (the
+    term ratio, which only falls beyond m), is below 1e-16. A test on
+    1 - partial sum cannot serve: rounding can hold it above 1e-15. A
+    block's log coefficients depend on r alone and are evaluated once for
+    all keys; each weight is the one log_nb_weight gives.
     SeriesTruncationError when log Gamma(r + m) leaves double range.
     """
     if not _nb_size_in_range(r):
         raise SeriesTruncationError(
             f"a + b = {r:g} leaves double range: log Gamma(a + b) overflows "
             "in the series weights")
-    ct = np.array(cts, dtype=float)[:, None]
-    parts = [[] for _ in cts]  # each key's weights, block by block
-    live = list(range(len(cts)))
-    block = 64
-    start = 0
-    while start <= DEFAULT_SERIES_CAP and live:
-        m = np.arange(start, min(start + block, DEFAULT_SERIES_CAP + 1),
-                      dtype=float)
-        coef = gammaln(r + m) - gammaln(r) - gammaln(m + 1.0)
-        # a lone key goes in as a float, numpy's cheaper scalar path
-        w = np.exp(_log_nb_from_coef(
-            coef, m, r, cts[live[0]] if len(live) == 1 else ct[live]))
-        going = []
-        for key, row in zip(live, w if len(live) > 1 else [w]):
-            parts[key].append(row)
-            rho = (r + m[-1]) / (m[-1] + 1.0) * np.exp(-cts[key])
-            if not (rho < 1.0 and row[-1] * rho / (1.0 - rho) < 1e-16):
-                going.append(key)
-        live = going
-        start += block
-        block = min(2 * block, 1 << 16)
-    tables = tuple(np.cumsum(np.concatenate(rows)) for rows in parts)
-    for cum in tables:
-        cum.flags.writeable = False  # shared through the caches
+    blocks = []  # (indices, log coefficients) of each block built so far
+    tables = []
+    for ct in cts:
+        parts = []
+        block = 64
+        start = 0
+        while start <= DEFAULT_SERIES_CAP:
+            if len(parts) == len(blocks):
+                m = np.arange(start, min(start + block,
+                                         DEFAULT_SERIES_CAP + 1), dtype=float)
+                blocks.append(
+                    (m, gammaln(r + m) - gammaln(r) - gammaln(m + 1.0)))
+            m, coef = blocks[len(parts)]
+            w = np.exp(_log_nb_from_coef(coef, m, r, ct))
+            parts.append(w)
+            rho = (r + m[-1]) / (m[-1] + 1.0) * np.exp(-ct)
+            if rho < 1.0 and w[-1] * rho / (1.0 - rho) < 1e-16:
+                break
+            start += block
+            block = min(2 * block, 1 << 16)
+        cum = np.cumsum(np.concatenate(parts))
+        cum.flags.writeable = False  # shared through the store
+        tables.append(cum)
     return tables
 
 
@@ -262,11 +284,12 @@ def sample_nb(t: float, p: WFParams, rng: np.random.Generator, size):
 def _nb_table(t: float, p: WFParams) -> np.ndarray:
     """Cached cumulative weights of r_t; SeriesTruncationError unless they
     resolve within DEFAULT_SERIES_CAP."""
-    if not _nb_resolves(p.a + p.b, p.c * t):
+    cum = _nb_cumulative(p.a + p.b, p.c * t)
+    if not _nb_resolved(cum):
         raise SeriesTruncationError(
             f"series index distribution not resolved within cap for t={t}"
         )
-    return _nb_cumulative(p.a + p.b, p.c * t)
+    return cum
 
 
 def _nb_resolves(r: float, ct: float) -> bool:

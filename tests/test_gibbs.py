@@ -236,6 +236,29 @@ class TestSliceAndTruncation:
             np.testing.assert_array_equal(new, ref)
         assert states[0] == states[1]
 
+    @pytest.mark.parametrize("stick", [
+        StickConfig.dp(1.0), StickConfig.pitman_yor(1.0, 0.25),
+    ], ids=["dp", "py"])
+    def test_growth_over_more_gaps_than_the_store_holds(self, stick,
+                                                        monkeypatch):
+        # 300 distinct gaps, more than the series store keeps: the tables
+        # come a store's worth of gaps at a time, the draws are the per-gap
+        # reference's, and the store stays within its size
+        monkeypatch.setattr(wf, "_nb_store", {})
+        times = np.cumsum(np.random.default_rng(4).uniform(0.05, 0.5, 301))
+        data = TimeGridDataset(times=times,
+                               values=tuple(np.array([0.0]) for _ in times))
+        cfg = dp_config(stick=stick)
+        outs, states = [], []
+        for draw in (gibbs._prior_components, per_gap_prior_components):
+            gen = np.random.default_rng(5)
+            outs.append(draw(cfg, 1.3, 0.7, 3, 1, data.gaps, gen))
+            states.append(gen.bit_generator.state)
+            assert len(wf._nb_store) <= wf._NB_STORE_SIZE
+        for new, ref in zip(*outs):
+            np.testing.assert_array_equal(new, ref)
+        assert states[0] == states[1]
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("times, kw", [
         (np.linspace(0.0, 3.0, 12), {}),
@@ -1102,7 +1125,7 @@ class TestHyperparams:
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     # b values just off binade edges and between them; d across powers
-    # of two up to 2,048, so b + d crosses binades within one run
+    # of two up to 2,048, so a + b + d and b + d - k round at binade edges
     EDGE_B = (0.1, 1.0 / 3.0, 1.37, 4.0285, 40.0)
 
     @settings(max_examples=60, deadline=None)

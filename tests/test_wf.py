@@ -113,21 +113,35 @@ class TestSeriesWeights:
                                          float("inf")])
                         | st.floats(1e-3, 50.0), min_size=1, max_size=9))
     def test_batched_tables_match_one_key(self, r, cts):
-        # one block loop for every key gives each key's table alone, in
-        # length and bits, however far apart the keys stop
-        tables = wf._nb_tables.__wrapped__(r, tuple(cts))
+        # one call for many keys, sharing its block coefficients, gives
+        # each key's table alone, in length and bits, however far apart
+        # the keys stop
+        tables = wf._nb_series(r, cts)
         for ct, cum in zip(cts, tables, strict=True):
-            alone = wf._nb_cumulative.__wrapped__(r, ct)
+            alone = wf._nb_series(r, [ct])[0]
             assert len(cum) == len(alone)
             assert cum.tobytes() == alone.tobytes()
             assert cum.tobytes() == _one_key_loop(r, ct).tobytes()
 
     def test_batched_tables_stop_in_different_blocks(self):
         # the table lengths of these keys end in five different blocks
-        cts = (40.0, 0.41, 0.1, 0.02, 0.004, 0.41)
-        lengths = [len(cum) for cum in wf._nb_tables.__wrapped__(2.3, cts)]
+        cts = [40.0, 0.41, 0.1, 0.02, 0.004, 0.41]
+        lengths = [len(cum) for cum in wf._nb_series(2.3, cts)]
         assert len(set(lengths)) == 5
         assert lengths[1] == lengths[-1]
+
+    def test_store_keeps_a_bounded_count_of_tables(self, monkeypatch):
+        # more distinct keys than the store holds: every table is still
+        # the one built alone, and the store keeps the last distinct ones
+        monkeypatch.setattr(wf, "_nb_store", {})
+        cts = [0.01 + 1e-4 * i for i in range(wf._NB_STORE_SIZE + 40)]
+        cums = wf._nb_cumulatives(1.7, cts + cts[:3])
+        assert list(wf._nb_store) == [
+            (1.7, ct) for ct in cts[-wf._NB_STORE_SIZE:]]
+        for ct, cum in zip(cts + cts[:3], cums, strict=True):
+            assert cum.tobytes() == wf._nb_series(1.7, [ct])[0].tobytes()
+        assert cums[0] is cums[-3]
+        assert wf._nb_cumulative(1.7, cts[-1]) is cums[len(cts) - 1]
 
     def test_huge_size_refused_not_nan(self, rng):
         # log Gamma(a + b) is inf: the weights would be inf - inf = NaN
