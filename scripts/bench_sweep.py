@@ -11,12 +11,15 @@ over the states. Growth draws `count` new components on top of a state
 counts 1, 2 and 4: cold at a (theta, c) no call has seen, as after a
 theta or c move, warm at the state's own once its tables are built. The
 label-swap update of a Pitman-Yor chain (sigma 0.25, the same data) is
-timed too: it evaluates the path prior of one stick at a time. Last,
-growth by one component at a fresh (theta, c) on an irregular grid of
-500 times (gaps uniform on [0.01, 0.1], default_rng(3); 499 distinct
-gaps, more series tables than the store keeps) gives its median time
-and the tracemalloc peak over IRREGULAR_GROWTHS calls: what the series
-tables hold at once.
+timed too: it evaluates the path prior of one stick at a time. So is
+the transition-latent update of a dense-workload-shaped chain (20 times
+x 2 observations at spacing 0.02, default_rng(7); Dirichlet process,
+theta = 1 and c = 0.5 fixed, chain seed 1, the same four sweeps), whose
+latent indices reach several hundred. Last, growth by one component at
+a fresh (theta, c) on an irregular grid of 500 times (gaps uniform on
+[0.01, 0.1], default_rng(3); 499 distinct gaps, more series tables than
+the store keeps) gives its median time and the tracemalloc peak over
+IRREGULAR_GROWTHS calls: what the series tables hold at once.
 
     PYTHONPATH=src python3 scripts/bench_sweep.py --out BENCH_sweep.json
 
@@ -47,6 +50,7 @@ UPDATES = ("slice_and_truncation", "transition_latents", "stick_values",
            "locations", "hyperparams", "membership", "label_swaps")
 STATE_SWEEPS = (30, 60, 90, 120)
 GROWTH_COUNTS = (1, 2, 4)
+DENSE_SPACING = 0.02
 IRREGULAR_GROWTHS = 20
 
 
@@ -55,6 +59,20 @@ def readme_states(stick: StickConfig):
     data = simulate_toy(100, 5, 10.0, np.random.default_rng(7))
     cfg = gibbs.SamplerConfig(stick=stick, centering=CenteringMeasure(),
                               burn_in=30, iters=90, seed=1)
+    return data, cfg, chain_states(data, cfg)
+
+
+def dense_states():
+    """(data, cfg, states) of the dense-workload-shaped chain."""
+    data = simulate_toy(20, 2, DENSE_SPACING * 19, np.random.default_rng(7))
+    cfg = gibbs.SamplerConfig(stick=StickConfig.dp(1.0, c=1.0),
+                              centering=CenteringMeasure(), fix_theta=1.0,
+                              fix_c=0.5, burn_in=30, iters=90, seed=1)
+    return data, cfg, chain_states(data, cfg)
+
+
+def chain_states(data, cfg):
+    """Copies of cfg's chain on data after each of STATE_SWEEPS."""
     rng = np.random.default_rng(cfg.seed)
     state = gibbs.init_chain(data, cfg, rng)
     states = []
@@ -62,7 +80,7 @@ def readme_states(stick: StickConfig):
         gibbs.gibbs_sweep(state, data, cfg, rng)
         if sweep in STATE_SWEEPS:
             states.append(copy.deepcopy(state))
-    return data, cfg, states
+    return states
 
 
 def median_ms(fn, repeats: int) -> float:
@@ -141,12 +159,18 @@ def main() -> None:
         StickConfig.pitman_yor(1.0, 0.25, c=1.0))
     result["py_label_swaps_ms"] = update_ms(
         gibbs.update_label_swaps, py_data, py_cfg, py_states, args.repeats)
+    dense_data, dense_cfg, dense = dense_states()
+    result["dense_transition_latents_ms"] = update_ms(
+        gibbs.update_transition_latents, dense_data, dense_cfg, dense,
+        args.repeats)
     result["irregular_growth_ms"], result["irregular_growth_peak_mb"] = \
         irregular_growth(cfg, max(1, args.repeats // 4))
     result.update({
         "m": [int(s.m) for s in states],
         "d_max": [int(s.trans_d.max()) for s in states],
         "py_m": [int(s.m) for s in py_states],
+        "dense_m": [int(s.m) for s in dense],
+        "dense_d_max": [int(s.trans_d.max()) for s in dense],
         "repeats": args.repeats, "cpus": os.cpu_count(),
         "machine": platform.machine(), "python": platform.python_version(),
         "numpy": np.__version__,

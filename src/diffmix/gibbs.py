@@ -53,16 +53,23 @@ _MERGE_PADDING = 4096
 # _categorical sums a draw's masses by one add per support row when it has
 # at least this many columns, else by np.cumsum along the support: on the
 # same host a row add costs about 1 us of call overhead and the cumsum
-# along axis 0 about 3 ns an entry.
+# along axis 0 about 3 ns an entry. The wide form also finds each pick by
+# counting the partial sums below its target, which at README shapes
+# (16 x 1,544) costs less than argmax along axis 0; narrower draws keep
+# argmax, faster on dense shapes.
 _ROW_ADD_COLUMNS = 320
 
-# _StickTerms gathers a log-gamma factor from tables once the cells it
-# serves outnumber the table entries this many times: a gathered cell
-# costs a few index operations, a table entry one log-gamma, and each
-# table some calls. On README states (100 times) a Dirichlet process has
-# about 2,400 cells against 40-300 entries and gathers; Pitman-Yor, with
-# a table per stick, and the one-stick path prior of label swaps
-# evaluate cell by cell.
+# A table of values at integer keys pays once the uses it serves outnumber
+# its entries this many times (_table_pays): a gathered use costs a few
+# index operations, a table entry its full arithmetic, and each table some
+# calls. Three tables follow the rule: the log-gamma rows of _StickTerms
+# (_cell_gammaln), and the key parts of the k and of the d log masses of
+# update_transition_latents. On README states (100 times) a Dirichlet
+# process has about 2,400 cells against 40-300 log-gamma entries, and
+# about 26,000 k and 18,000 d support points against some 2,000 key
+# entries, and gathers all three; Pitman-Yor, with a row per stick, the
+# one-stick path prior of label swaps and dense grids (keys up to ~1,000,
+# a million key entries) evaluate cell by cell.
 _GATHER_RATIO = 4
 
 
@@ -160,25 +167,28 @@ class SamplerConfig:
         return json.dumps(asdict(self), sort_keys=True)
 
 
-def _categorical(log_mass: np.ndarray, width: np.ndarray,
+def _categorical(log_mass: np.ndarray, width: np.ndarray | None,
                  u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draw per column of unnormalised log masses (support x
     columns), one uniform u per column; overwrites log_mass.
 
-    A column's first width entries are its support and the rest padding.
-    Each column is summed in support order, by np.cumsum or by one add
-    per support row, the same additions either way. Padding adds exact
-    zeros after the column's last mass, so the cumulative sums, their
-    total and the first index past the target do not depend on how far a
-    column is padded. Columns whose support entries all underflow to zero
-    mass come back as -1.
+    A column's first width entries are its support and the rest padding,
+    set to -inf here; width None takes masses already -inf past each
+    column's support. Each column is summed in support order, by
+    np.cumsum or by one add per support row, the same additions either
+    way. Padding adds exact zeros after the column's last mass, so the
+    cumulative sums, their total and the first index past the target do
+    not depend on how far a column is padded. Columns whose support
+    entries all underflow to zero mass come back as -1.
     """
     n, cols = log_mass.shape
-    log_mass[np.arange(n)[:, None] >= width] = -np.inf
+    if width is not None:
+        np.putmask(log_mass, np.arange(n)[:, None] >= width, -np.inf)
     mx = log_mass.max(axis=0)
     log_mass -= np.where(np.isfinite(mx), mx, 0.0)
     csum = np.exp(log_mass, out=log_mass)
-    if cols >= _ROW_ADD_COLUMNS:
+    wide = cols >= _ROW_ADD_COLUMNS
+    if wide:
         for i in range(1, n):
             np.add(csum[i - 1], csum[i], out=csum[i])
     else:
@@ -186,7 +196,12 @@ def _categorical(log_mass: np.ndarray, width: np.ndarray,
     total = csum[-1]
     # target in (0, total]: strictly positive so zero-mass prefixes are skipped
     target = total * (1.0 - u)
-    idx = np.argmax(csum >= target, axis=0)
+    if wide:
+        # partial sums never decrease and a NaN carries through to the
+        # total, where both forms give 0: the count is the argmax below
+        idx = np.count_nonzero(csum < target, axis=0)
+    else:
+        idx = np.argmax(csum >= target, axis=0)
     idx[total <= 0.0] = -1
     return idx
 
@@ -426,17 +441,20 @@ def update_transition_latents(state: ChainState, data: TimeGridDataset,
         return None if base is None else base[rows]
     d_flat = d.ravel()
 
-    # k | d, v on {0..d}
+    # k | d, v on {0..d}; its masses are -inf past d, so unmasked
     ratio = (lv1 + lv0 - l1mv1 - l1mv0).ravel()
+    tab = tab._replace(k_keys=_key_table(tab, _k_key, d.size + int(d.sum())))
     state.trans_k = _draw_rows(
         lambda rows, j: _k_log_mass(tab, at(rows), d_flat[rows],
                                     ratio[rows], j),
-        np.zeros_like(d), d, rng, "k", state.sweep)
+        np.zeros_like(d), d, rng, "k", state.sweep, padded=True)
     k_flat = state.trans_k.ravel()
 
     # d | k, o on {k..floor(g_inv(o))}; a c tau past double range is inf
     with np.errstate(over="ignore"):
         decay = (l1mv1 + l1mv0 - state.c * data.gaps + eta2).ravel()
+    tab = tab._replace(d_keys=_key_table(
+        tab, _d_key, int((d_hi - state.trans_k).sum()) + d.size))
     state.trans_d = _draw_rows(
         lambda rows, j: _d_log_mass(tab, at(rows), k_flat[rows],
                                     decay[rows], j),
@@ -444,11 +462,15 @@ def update_transition_latents(state: ChainState, data: TimeGridDataset,
 
 
 class _OffsetGammaln(NamedTuple):
-    """gammaln at integer offsets j = 0..size - 1, built once per scan.
+    """gammaln at integer offsets j = -1..size - 1, built once per scan,
+    offset j at index j + 1 of each row.
 
-    fact[j] = gammaln(j + 1). a, b and ab hold gammaln(x + j) for x the
-    a, b and a + b of each run of stick_runs, run r at [r size, (r + 1)
-    size); base[i] is the start of stick i's run.
+    fact[j + 1] = gammaln(j + 1), so fact[0] = gammaln(0) = +inf is the
+    log factorial every negative offset reads. a, b and ab hold
+    gammaln(x + j) for x the a, b and a + b of each run of stick_runs,
+    run r at [r (size + 1), (r + 1) (size + 1)); base[i] is the start of
+    stick i's run. k_keys and d_keys, when built (_key_table), hold the
+    key parts of the k and d log masses.
     """
 
     fact: np.ndarray
@@ -456,25 +478,27 @@ class _OffsetGammaln(NamedTuple):
     b: np.ndarray
     ab: np.ndarray
     base: np.ndarray
+    k_keys: np.ndarray | None = None
+    d_keys: np.ndarray | None = None
 
 
 def _offset_gammaln(a, b, runs, size: int) -> _OffsetGammaln:
     lo = np.array([lo for lo, _, _ in runs])
     a_r, b_r = a[lo], b[lo]
-    base = np.repeat(np.arange(len(runs)) * size,
+    base = np.repeat(np.arange(len(runs)) * (size + 1),
                      [hi - lo for lo, hi, _ in runs])
-    return _OffsetGammaln(*(_gammaln_rows(x, size) for x in (
+    return _OffsetGammaln(*(_gammaln_rows(x, size, start=-1) for x in (
         np.ones(1), a_r, b_r, a_r + b_r)), base)
 
 
-def _gammaln_rows(x, size: int) -> np.ndarray:
-    """gammaln(x_r + j) at j = 0..size - 1 for each entry x_r, row r at
-    [r size, (r + 1) size) of one flat table.
+def _gammaln_rows(x, size: int, start: int = 0) -> np.ndarray:
+    """gammaln(x_r + j) at j = start..size - 1 for each entry x_r, row r
+    at [r (size - start), (r + 1) (size - start)) of one flat table.
 
     The one log-gamma table routine of the latent draws and the stick
     likelihood: x_r + j is the float sum a per-cell gammaln(x_r + j)
     takes, so a gathered entry holds the same bits."""
-    return gammaln(x[:, None] + np.arange(size, dtype=float)).ravel()
+    return gammaln(x[:, None] + np.arange(start, size, dtype=float)).ravel()
 
 
 def _value_runs(x):
@@ -489,58 +513,102 @@ def _value_runs(x):
     return x[[0, *firsts]], np.cumsum(run)
 
 
+def _table_pays(entries: int, uses: int) -> bool:
+    """Whether a table of entries values serves its uses more cheaply than
+    evaluating each use: at most 1 / _GATHER_RATIO entries per use."""
+    return entries * _GATHER_RATIO <= uses
+
+
 def _cell_gammaln(x, idx, size: int) -> np.ndarray:
     """gammaln(x_i + idx_ij) for row values x and integer offsets idx
     (rows x columns) below size: gathered from one table row per run of
-    equal x when those rows hold at most 1 / _GATHER_RATIO as many
-    entries as there are cells, else evaluated cell by cell."""
-    if size * _GATHER_RATIO <= idx.size:  # else no table can pay
+    equal x when those rows pay for the cells (_table_pays), else
+    evaluated cell by cell."""
+    if _table_pays(size, idx.size):  # else no table can pay
         keys, run = _value_runs(x)
-        if len(keys) * size * _GATHER_RATIO <= idx.size:
+        if _table_pays(len(keys) * size, idx.size):
             table = _gammaln_rows(keys, size)
             return table[idx if run is None else (run * size)[:, None] + idx]
     return gammaln(x[:, None] + idx)
 
 
+def _key_table(tab: _OffsetGammaln, key_fn, points: int):
+    """key_fn at every run, key -1..size - 1 and offset j = 0..size - 1 as
+    one (offsets x keys) table, key column base + key + 1, when it pays
+    for a draw's points support points (_table_pays); else None. The
+    entries are key_fn's own, so a gather holds the bits a cell's
+    evaluation gives."""
+    size, cols = len(tab.fact) - 1, len(tab.a)
+    if not _table_pays(size * cols, points):
+        return None
+    col = np.arange(cols)
+    start = col - col % (size + 1)
+    return key_fn(tab, start, col - start - 1, np.arange(size)[:, None])
+
+
+def _keys_at(table, base, key, j) -> np.ndarray:
+    """Entries of a _key_table table at row keys key (of runs at base, None
+    for one run) and the offset column j = 0..w - 1."""
+    col = key + 1 if base is None else base + key + 1
+    return np.take(table[:len(j)], col, axis=1)
+
+
+def _k_key(tab: _OffsetGammaln, base, d, j) -> np.ndarray:
+    """-log j! - log (d - j)! - log Gamma(a + j) - log Gamma(b + d - j),
+    one column per row for row keys d and the offset column j. Past a
+    row's d the offset d - j is negative and log (d - j)! reads fact[0]
+    = +inf: the entry is -inf. base None reads the tables of one run:
+    log Gamma(a + j) is then a broadcast column."""
+    j1, dj1 = j + 1, (d + 1) - j
+    if base is None:
+        a_j, b_dj = tab.a[j1], np.take(tab.b, dj1, mode="clip")
+    else:
+        a_j = np.take(tab.a, base + j1)
+        b_dj = np.take(tab.b, base + dj1, mode="clip")
+    return -tab.fact[j1] - np.take(tab.fact, dj1, mode="clip") - a_j - b_dj
+
+
 def _k_log_mass(tab: _OffsetGammaln, base, d, ratio, j) -> np.ndarray:
     """log P(k = j | d, v) up to a row constant, one column per row for
-    row arguments of shape (rows,) and the support column j = 0..w - 1.
+    row arguments of shape (rows,) and the support column j = 0..w - 1:
+    the key part _k_key, gathered from tab.k_keys when built, + j ratio.
+    Entries past a row's d are -inf."""
+    out = _k_key(tab, base, d, j) if tab.k_keys is None \
+        else _keys_at(tab.k_keys, base, d, j)
+    out += j * ratio
+    return out
 
-    -log j! - log (d - j)! - log Gamma(a + j) - log Gamma(b + d - j)
-    + j ratio; entries past a row's d are padding. base None reads the
-    tables of one run: log Gamma(a + j) is then a broadcast column.
-    """
-    dj = d - j
+
+def _d_key(tab: _OffsetGammaln, base, k, j) -> np.ndarray:
+    """2 log Gamma(a + b + k + j) - log Gamma(b + j) - log j!, one column
+    per row for row keys k and the offset column j. base None reads the
+    tables of one run: log Gamma(b + j) is then a broadcast column."""
+    j1 = j + 1
     if base is None:
-        a_j, b_dj = tab.a[j], np.take(tab.b, dj, mode="clip")
+        ab_kj, b_j = np.take(tab.ab, (k + 1) + j, mode="clip"), tab.b[j1]
     else:
-        a_j = np.take(tab.a, base + j)
-        b_dj = np.take(tab.b, base + dj, mode="clip")
-    return (-tab.fact[j] - np.take(tab.fact, dj, mode="clip") - a_j - b_dj
-            + j * ratio)
+        ab_kj = np.take(tab.ab, (base + k + 1) + j, mode="clip")
+        b_j = np.take(tab.b, base + j1)
+    return 2.0 * ab_kj - b_j - tab.fact[j1]
 
 
 def _d_log_mass(tab: _OffsetGammaln, base, k, decay, j) -> np.ndarray:
     """log P(d = k + j | k, o, v) up to a row constant, one column per row
     for row arguments of shape (rows,) and the support column j = 0..w - 1,
-    j inside the slice: 2 log Gamma(a + b + k + j) - log Gamma(b + j)
-    - log j! + j decay. A j decay past double range is -inf, its exact
+    j inside the slice: the key part _d_key, gathered from tab.d_keys when
+    built, + j decay. A j decay past double range is -inf, its exact
     value; the j = 0 term is 0, its limit also at decay = -inf (c tau past
-    double range), which leaves all mass at d = k. base None reads the
-    tables of one run: log Gamma(b + j) is then a broadcast column."""
-    if base is None:
-        ab_kj, b_j = np.take(tab.ab, k + j, mode="clip"), tab.b[j]
-    else:
-        ab_kj = np.take(tab.ab, base + k + j, mode="clip")
-        b_j = np.take(tab.b, base + j)
-    out = 2.0 * ab_kj - b_j - tab.fact[j]
+    double range), which leaves all mass at d = k."""
+    out = _d_key(tab, base, k, j) if tab.d_keys is None \
+        else _keys_at(tab.d_keys, base, k, j)
     with np.errstate(over="ignore"):
         out[1:] += j[1:] * decay
     return out
 
 
 def _draw_rows(log_mass_fn, lower: np.ndarray, upper: np.ndarray,
-               rng: np.random.Generator, latent: str, sweep: int) -> np.ndarray:
+               rng: np.random.Generator, latent: str, sweep: int,
+               padded: bool = False) -> np.ndarray:
     """Draw one value per (stick, gap) cell from {lower..upper}.
 
     log_mass_fn(rows, j) returns unnormalised log masses at offsets j (the
@@ -550,10 +618,12 @@ def _draw_rows(log_mass_fn, lower: np.ndarray, upper: np.ndarray,
     class edges, and a group joins the next while the padded points the
     join adds stay below _MERGE_PADDING. Each group is padded to its
     widest row and cut into blocks of at most 4M entries. Padding cannot
-    change a pick (_categorical), so the grouping is a cost choice. The
-    uniforms are drawn once, in row order. Rows without mass or support
-    raise NumericalError naming latent, sweep and the first such cell in
-    row-major order; nothing is drawn into the state before that check.
+    change a pick (_categorical), so the grouping is a cost choice. padded
+    says log_mass_fn already gives -inf past each row's support, so the
+    masses go to _categorical unmasked. The uniforms are drawn once, in
+    row order. Rows without mass or support raise NumericalError naming
+    latent, sweep and the first such cell in row-major order; nothing is
+    drawn into the state before that check.
     """
     shape = upper.shape
     lower, upper = lower.ravel(), upper.ravel()
@@ -572,7 +642,8 @@ def _draw_rows(log_mass_fn, lower: np.ndarray, upper: np.ndarray,
             stop = min(start + chunk, hi)
             rows = order[start:stop]
             out[rows] = lower[rows] + _categorical(
-                log_mass_fn(rows, j), width[start:stop], u[rows])
+                log_mass_fn(rows, j), None if padded else width[start:stop],
+                u[rows])
     lost = np.flatnonzero(out < lower)
     if len(lost):
         stick, gap = np.unravel_index(lost[0], shape)

@@ -457,6 +457,60 @@ class TestCategorical:
         got = gibbs._categorical(log_mass.T.copy(), width, u)
         np.testing.assert_array_equal(got, want)
 
+    @staticmethod
+    def _edge_columns(gen, log_mass, u):
+        """Columns holding a NaN, a +inf or no mass, and uniforms at 0."""
+        rows, support = log_mass.shape
+        hit = gen.uniform(size=rows)
+        at = gen.integers(0, support, size=rows)
+        nan, inf = hit < 0.05, (hit >= 0.05) & (hit < 0.1)
+        log_mass[nan, at[nan]] = np.nan
+        log_mass[inf, at[inf]] = np.inf
+        log_mass[(hit >= 0.1) & (hit < 0.15)] = -np.inf
+        u[gen.uniform(size=rows) < 0.1] = 0.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.one_of(st.integers(1, 12),
+                          st.integers(gibbs._ROW_ADD_COLUMNS,
+                                      gibbs._ROW_ADD_COLUMNS + 60)),
+           support=st.one_of(st.integers(1, 6), st.integers(40, 120)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_unmasked_padding_matches_row_reference(self, rows, support, seed):
+        # width None takes masses already -inf past each column's support,
+        # as the k draw gives them: the picks of the masked reference, with
+        # NaN, +inf and no-mass columns and u = 0, in both sum forms
+        gen = np.random.default_rng(seed)
+        log_mass = gen.normal(scale=30.0, size=(rows, support))
+        width = gen.integers(1, support + 1, size=rows)
+        valid = np.arange(support) < width[:, None]
+        u = gen.uniform(size=rows)
+        self._edge_columns(gen, log_mass, u)
+        log_mass[~valid] = -np.inf
+        with np.errstate(invalid="ignore"):
+            want = reference_categorical_rows(log_mass, valid, u)
+            got = gibbs._categorical(log_mass.T.copy(), None, u)
+        np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(gibbs._ROW_ADD_COLUMNS,
+                            3 * gibbs._ROW_ADD_COLUMNS),
+           support=st.one_of(st.integers(1, 6), st.integers(7, 60)),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_count_form_matches_row_reference(self, rows, support, seed):
+        # from _ROW_ADD_COLUMNS columns up the pick counts the partial sums
+        # below the target: the argmax pick of the reference, NaN and +inf
+        # columns, u = 0 and columns without mass included
+        gen = np.random.default_rng(seed)
+        log_mass = gen.normal(scale=30.0, size=(rows, support))
+        width = gen.integers(0, support + 1, size=rows)
+        u = gen.uniform(size=rows)
+        self._edge_columns(gen, log_mass, u)
+        with np.errstate(invalid="ignore"):
+            want = reference_categorical_rows(
+                log_mass, np.arange(support) < width[:, None], u)
+            got = gibbs._categorical(log_mass.T.copy(), width, u)
+        np.testing.assert_array_equal(got, want)
+
 
 class TestLocations:
     def test_empty_cluster_draws_from_prior(self, rng):
@@ -827,6 +881,112 @@ class TestTransitionDrawReference:
             np.testing.assert_array_equal(
                 gibbs._d_log_mass(tab, None, k, decay, j),
                 gibbs._d_log_mass(tab, base, k, decay, j))
+
+
+def _key_scan(law, m, gaps, seed, wide):
+    """(tab, base, d, k, ratio, decay) of a random scan under law: d mixes
+    the wide values with d = 0..3, a quarter of the decays are -inf (c tau
+    past double range) and the tables reach d_hi up to 150 past d."""
+    gen = np.random.default_rng(seed)
+    cells = m * gaps
+    d = np.resize(np.array(wide), cells)
+    d = np.where(gen.uniform(size=cells) < 0.4,
+                 gen.integers(0, 4, size=cells), d)
+    k = gen.integers(0, d + 1)
+    theta = 1.0 if law == "gem_three_pairs" else 1.7
+    a, b = LAWS[law]["stick"].params(m, theta)
+    runs = measure.stick_runs(a, b, 0.8)
+    ratio, decay = gen.normal(size=(2, cells))
+    decay[gen.uniform(size=cells) < 0.25] = -np.inf
+    tab = gibbs._offset_gammaln(a, b, runs, size=int(d.max()) + 151)
+    base = np.repeat(tab.base, gaps) if len(runs) > 1 else None
+    return tab, base, d, k, ratio, decay
+
+
+def _with_key_tables(tab):
+    """tab with both key tables built, whatever their cost."""
+    return tab._replace(
+        k_keys=gibbs._key_table(tab, gibbs._k_key, 2 ** 62),
+        d_keys=gibbs._key_table(tab, gibbs._d_key, 2 ** 62))
+
+
+class TestLatentKeyTables:
+    """The key parts of the k and d log masses, gathered from one table per
+    scan or evaluated per cell: the same bits on the support."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(law=st.sampled_from(sorted(LAWS)), m=st.integers(1, 5),
+           gaps=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           wide=st.lists(st.integers(0, 300), min_size=1, max_size=12))
+    def test_gathered_keys_match_cell_keys(self, law, m, gaps, seed, wide):
+        tab, base, d, k, ratio, decay = _key_scan(law, m, gaps, seed, wide)
+        gathered = _with_key_tables(tab)
+        assert gathered.k_keys is not None and gathered.d_keys is not None
+        size = len(tab.fact) - 1
+        for w in sorted({1, 2, int(d.max()) + 1, size}):
+            j = np.arange(w)[:, None]
+            np.testing.assert_array_equal(
+                gibbs._k_log_mass(gathered, base, d, ratio, j),
+                gibbs._k_log_mass(tab, base, d, ratio, j))
+            support = j <= size - 1 - k  # k + j inside the tables
+            np.testing.assert_array_equal(
+                gibbs._d_log_mass(gathered, base, k, decay, j)[support],
+                gibbs._d_log_mass(tab, base, k, decay, j)[support])
+        # the draws: unmasked gathered k masses against masked cell ones
+        lower, upper = np.zeros_like(d), d
+        draws = [gibbs._draw_rows(
+            lambda rows, j, t=t: gibbs._k_log_mass(
+                t, None if base is None else base[rows], d[rows],
+                ratio[rows], j),
+            lower.reshape(m, gaps), upper.reshape(m, gaps),
+            np.random.default_rng(seed), "k", 0, padded=padded)
+            for t, padded in ((gathered, True), (tab, False))]
+        np.testing.assert_array_equal(*draws)
+
+    @pytest.mark.parametrize("gathered", [False, True],
+                             ids=["per_cell", "table"])
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_k_padding_is_minus_inf(self, law, gathered):
+        # past a cell's d the key reads log (d - j)! = +inf: every padding
+        # entry is -inf and every support entry finite, on both paths
+        tab, base, d, _, ratio, _ = _key_scan(law, 4, 3, 11,
+                                              [0, 1, 5, 64, 130])
+        if gathered:
+            tab = _with_key_tables(tab)
+        j = np.arange(len(tab.fact) - 1)[:, None]
+        out = gibbs._k_log_mass(tab, base, d, ratio, j)
+        past = j > d
+        assert past.any() and np.all(out[past] == -np.inf)
+        assert np.all(np.isfinite(out[~past]))
+
+    @staticmethod
+    def _tables_built(monkeypatch, data, cfg, sweeps):
+        """Per scan, which of the k and d key tables were built."""
+        rng = np.random.default_rng(1)
+        state = init_chain(data, cfg, rng)
+        for _ in range(sweeps):
+            gibbs_sweep(state, data, cfg, rng)
+        real, built = gibbs._key_table, []
+
+        def spy(tab, key_fn, points):
+            table = real(tab, key_fn, points)
+            built.append(table is not None)
+            return table
+        monkeypatch.setattr(gibbs, "_key_table", spy)
+        update_transition_latents(state, data, cfg, rng)
+        return built
+
+    def test_readme_scan_gathers_and_dense_scan_evaluates(self, monkeypatch):
+        # README-shaped: some 2,000 key entries against tens of thousands
+        # of support points; dense: latent indices in the hundreds, a key
+        # table of a few hundred thousand entries against fewer points
+        readme = simulate_toy(100, 5, 10.0, np.random.default_rng(7))
+        assert self._tables_built(monkeypatch, readme, dp_config(seed=1),
+                                  30) == [True, True]
+        dense = simulate_toy(20, 2, 0.38, np.random.default_rng(7))
+        cfg = dp_config(fix_theta=1.0, fix_c=0.5, seed=1)
+        assert self._tables_built(monkeypatch, dense, cfg,
+                                  30) == [False, False]
 
 
 class TestStickValues:
