@@ -4,7 +4,9 @@ Synthetic draws over 100 times with truncation levels m drawn from
 15..29 (default_rng(0)), the shape of a long README-scale fit: the
 archive is saved and loaded through PosteriorDraws, the checkpoint
 through save_checkpoint and load_checkpoint on a chain state of the
-same grid. Each operation's time is the median of --repeats runs.
+same grid. Each operation's time is the median of --repeats runs, each
+run divided by the host slowdown around it (`hostcal`); the raw times
+are kept under "raw".
 
     PYTHONPATH=src python3 scripts/bench_draws_io.py --out BENCH_draws_io.json
 
@@ -18,13 +20,12 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
 
+import hostcal
 from diffmix.data import TimeGridDataset
 from diffmix.gibbs import SamplerConfig, init_chain
 from diffmix.measure import StickConfig
@@ -49,20 +50,12 @@ def snapshots(rng: np.random.Generator) -> list[dict]:
     return out
 
 
-def timed(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args()
+    clock = hostcal.HostClock(batch=hostcal.CAL_BATCH)
     rng = np.random.default_rng(0)
     snaps = snapshots(rng)
     times = np.arange(N_TIMES, dtype=float)
@@ -77,18 +70,20 @@ def main() -> None:
               for name in ("sticks", "atom_mean", "atom_prec"))
     with tempfile.TemporaryDirectory() as tmp:
         archive, checkpoint = Path(tmp, "draws.npz"), Path(tmp, "cp.npz")
-        result = {
-            "archive_save_s": timed(lambda: draws.save(archive), args.repeats),
-            "archive_load_s": timed(lambda: PosteriorDraws.load(archive),
-                                    args.repeats),
-            "archive_bytes": archive.stat().st_size,
-            "checkpoint_save_s": timed(lambda: save_checkpoint(
+        spans = {
+            "archive_save_s": clock.time(lambda _: draws.save(archive),
+                                         args.repeats),
+            "archive_load_s": clock.time(
+                lambda _: PosteriorDraws.load(archive), args.repeats),
+            "checkpoint_save_s": clock.time(lambda _: save_checkpoint(
                 checkpoint, state, np.random.default_rng(2), cfg, snaps),
                 args.repeats),
-            "checkpoint_load_s": timed(lambda: load_checkpoint(
+            "checkpoint_load_s": clock.time(lambda _: load_checkpoint(
                 checkpoint, cfg, data), args.repeats),
-            "checkpoint_bytes": checkpoint.stat().st_size,
         }
+        result = {"archive_bytes": archive.stat().st_size,
+                  "checkpoint_bytes": checkpoint.stat().st_size}
+    clock.report(result, {key: [span] for key, span in spans.items()})
     result.update({"own_row_bytes": own, "n_draws": N_DRAWS,
                    "n_times": N_TIMES, "m_range": [M_RANGE[0], M_RANGE[1] - 1],
                    "repeats": args.repeats, "cpus": os.cpu_count(),

@@ -5,7 +5,8 @@ Synthetic draws over 100 times with truncation levels m drawn from
 on the README's 161-point grid -4:8. Each time is the median of
 --repeats runs; each traced peak is tracemalloc's peak over one more
 run of the same call, beyond what the surface or the draws already
-hold.
+hold. Each run's time is divided by the host slowdown around it
+(`hostcal`); the raw times are kept under "raw".
 
     PYTHONPATH=src python3 scripts/bench_summarize.py --out BENCH_summarize.json
 
@@ -19,14 +20,13 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import tempfile
-import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
+import hostcal
 from diffmix.estimation import summarize
 from diffmix.store import PosteriorDraws
 
@@ -63,15 +63,6 @@ def export(surface, prefix: str) -> None:
         surface.to_json(f"{prefix}.json")
 
 
-def timed(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
-
-
 def traced_peak(fn) -> int:
     tracemalloc.start()
     try:
@@ -86,20 +77,25 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args()
+    clock = hostcal.HostClock(batch=hostcal.CAL_BATCH)
     draws = synthetic_draws(np.random.default_rng(0))
     surface = summarize(draws, GRID)
     with tempfile.TemporaryDirectory() as tmp:
         prefix = str(Path(tmp, "surface"))
+        spans = {
+            "summarize_s": clock.time(lambda _: summarize(draws, GRID),
+                                      args.repeats),
+            "export_s": clock.time(lambda _: export(surface, prefix),
+                                   args.repeats),
+        }
         result = {
-            "summarize_s": timed(lambda: summarize(draws, GRID),
-                                 args.repeats),
-            "export_s": timed(lambda: export(surface, prefix), args.repeats),
             "summarize_peak_bytes": traced_peak(
                 lambda: summarize(draws, GRID)),
             "export_peak_bytes": traced_peak(lambda: export(surface, prefix)),
             "export_bytes": sum(Path(f"{prefix}{end}").stat().st_size for end
                                 in (".density.csv", ".mean.csv", ".json")),
         }
+    clock.report(result, {key: [span] for key, span in spans.items()})
     result.update({"n_draws": N_DRAWS, "n_times": N_TIMES,
                    "grid_n": len(GRID),
                    "m_range": [M_RANGE[0], M_RANGE[1] - 1],

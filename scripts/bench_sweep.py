@@ -19,7 +19,9 @@ latent indices reach several hundred. Last, growth by one component at
 a fresh (theta, c) on an irregular grid of 500 times (gaps uniform on
 [0.01, 0.1], default_rng(3); 499 distinct gaps, more series tables than
 the store keeps) gives its median time and the tracemalloc peak over
-IRREGULAR_GROWTHS calls: what the series tables hold at once.
+IRREGULAR_GROWTHS calls: what the series tables hold at once. Each
+run's time is divided by the host slowdown around it (`hostcal`) before
+the medians are taken; the raw times are kept under "raw".
 
     PYTHONPATH=src python3 scripts/bench_sweep.py --out BENCH_sweep.json
 
@@ -34,13 +36,12 @@ import copy
 import json
 import os
 import platform
-import statistics
-import time
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
+import hostcal
 from diffmix import gibbs
 from diffmix.data import TimeGridDataset
 from diffmix.measure import StickConfig
@@ -83,32 +84,23 @@ def chain_states(data, cfg):
     return states
 
 
-def median_ms(fn, repeats: int) -> float:
-    """Median wall time of fn(i) over i = 0..repeats - 1, in ms."""
-    times = []
-    for i in range(repeats):
-        start = time.perf_counter()
-        fn(i)
-        times.append(time.perf_counter() - start)
-    return 1e3 * statistics.median(times)
-
-
-def update_ms(update, data, cfg, states, repeats: int) -> float:
-    """Mean over states of the median time of one update on a copy."""
-    per_state = []
+def update_spans(update, data, cfg, states, repeats: int,
+                 clock: hostcal.HostClock) -> list[range]:
+    """Timings of one update on a copy of each state, one range a state."""
+    spans = []
     for index, state in enumerate(states):
         copies = [(copy.deepcopy(state), np.random.default_rng(index))
                   for _ in range(repeats)]
-        per_state.append(median_ms(
+        spans.append(clock.time(
             lambda i: update(copies[i][0], data, cfg, copies[i][1]),
             repeats))
-    return statistics.fmean(per_state)
+    return spans
 
 
-def growth_ms(data, cfg, states, count: int, warm: bool,
-              repeats: int) -> float:
-    """Mean over states of the median time to draw count components."""
-    per_state = []
+def growth_spans(data, cfg, states, count: int, warm: bool, repeats: int,
+                 clock: hostcal.HostClock) -> list[range]:
+    """Timings of drawing count components, one range a state."""
+    spans = []
     for index, state in enumerate(states):
         rng = np.random.default_rng(index)
 
@@ -119,12 +111,13 @@ def growth_ms(data, cfg, states, count: int, warm: bool,
                                     data.gaps, rng)
         if warm:
             grow(0)
-        per_state.append(median_ms(grow, repeats))
-    return statistics.fmean(per_state)
+        spans.append(clock.time(grow, repeats))
+    return spans
 
 
-def irregular_growth(cfg, repeats: int) -> tuple[float, float]:
-    """(median ms, traced peak MB) of growth by one component at a fresh
+def irregular_growth(cfg, repeats: int,
+                     clock: hostcal.HostClock) -> tuple[range, float]:
+    """(timings, traced peak MB) of growth by one component at a fresh
     (theta, c) each call on the irregular grid."""
     times = np.cumsum(np.random.default_rng(3).uniform(0.01, 0.1, 500))
     data = TimeGridDataset(times=times,
@@ -138,8 +131,8 @@ def irregular_growth(cfg, repeats: int) -> tuple[float, float]:
         grow(i)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    return median_ms(lambda i: grow(IRREGULAR_GROWTHS + i),
-                     repeats), peak / 1e6
+    return clock.time(lambda i: grow(IRREGULAR_GROWTHS + i),
+                      repeats), peak / 1e6
 
 
 def main() -> None:
@@ -147,24 +140,30 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=21)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args()
+    clock = hostcal.HostClock()
     data, cfg, states = readme_states(StickConfig.dp(1.0, c=1.0))
-    result = {f"{name}_ms": update_ms(getattr(gibbs, f"update_{name}"), data,
-                                      cfg, states, args.repeats)
-              for name in UPDATES}
+    spans = {f"{name}_ms": update_spans(getattr(gibbs, f"update_{name}"),
+                                        data, cfg, states, args.repeats,
+                                        clock)
+             for name in UPDATES}
     for count in GROWTH_COUNTS:
         for kind in ("cold", "warm"):
-            result[f"growth_{kind}_{count}_ms"] = growth_ms(
-                data, cfg, states, count, kind == "warm", args.repeats)
+            spans[f"growth_{kind}_{count}_ms"] = growth_spans(
+                data, cfg, states, count, kind == "warm", args.repeats, clock)
     py_data, py_cfg, py_states = readme_states(
         StickConfig.pitman_yor(1.0, 0.25, c=1.0))
-    result["py_label_swaps_ms"] = update_ms(
-        gibbs.update_label_swaps, py_data, py_cfg, py_states, args.repeats)
+    spans["py_label_swaps_ms"] = update_spans(
+        gibbs.update_label_swaps, py_data, py_cfg, py_states, args.repeats,
+        clock)
     dense_data, dense_cfg, dense = dense_states()
-    result["dense_transition_latents_ms"] = update_ms(
+    spans["dense_transition_latents_ms"] = update_spans(
         gibbs.update_transition_latents, dense_data, dense_cfg, dense,
-        args.repeats)
-    result["irregular_growth_ms"], result["irregular_growth_peak_mb"] = \
-        irregular_growth(cfg, max(1, args.repeats // 4))
+        args.repeats, clock)
+    irregular, peak_mb = irregular_growth(cfg, max(1, args.repeats // 4),
+                                          clock)
+    spans["irregular_growth_ms"] = [irregular]
+    result = clock.report({"irregular_growth_peak_mb": peak_mb}, spans,
+                          scale=1e3)
     result.update({
         "m": [int(s.m) for s in states],
         "d_max": [int(s.trans_d.max()) for s in states],

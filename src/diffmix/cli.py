@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields, replace
@@ -219,6 +220,20 @@ def _sampler_config(settings: dict) -> SamplerConfig:
         raise UsageError(str(exc)) from exc
 
 
+def _require_dirs(*outputs) -> None:
+    """A UsageError naming the first (flag, path) output whose directory
+    does not exist, so that no work is done before a write must fail.
+    The directory is what precedes the last separator, so an --out-prefix
+    that ends in one names a directory too."""
+    for flag, path in outputs:
+        if path is None:
+            continue
+        directory = os.path.dirname(path) or "."
+        if not os.path.isdir(directory):
+            raise UsageError(f"{flag} {path}: directory {directory} "
+                             "does not exist")
+
+
 def _chain_path(base: str, chain: int, chains: int) -> str:
     if not base or chains == 1:
         return base
@@ -244,6 +259,7 @@ def _fit_one(payload):
 def cmd_simulate(args) -> int:
     if args.seed < 0:
         raise UsageError(f"seed must be non-negative, got {args.seed}")
+    _require_dirs(("--out", args.out))
     rng = np.random.default_rng(args.seed)
     try:
         dataset = simulate_toy(args.times, args.per_time, args.t_max, rng)
@@ -261,6 +277,8 @@ def cmd_fit(args) -> int:
                          "give both or neither")
     if args.checkpoint_every is not None and args.checkpoint_every < 1:
         raise UsageError("--checkpoint-every must be at least 1")
+    _require_dirs(("--out", args.out), ("--checkpoint", args.checkpoint),
+                  ("--telemetry", args.telemetry))
     settings = _resolve_settings(args)
     cfg = _sampler_config(settings)
     data = TimeGridDataset.from_csv(args.data, date_column=args.date_column)
@@ -307,6 +325,7 @@ def _default_grid(draws: PosteriorDraws, data_path, date_column=None):
 
 
 def cmd_summarize(args) -> int:
+    _require_dirs(("--out-prefix", args.out_prefix))
     draws = PosteriorDraws.load(args.draws)
     if args.y_grid:
         parts = args.y_grid.split(":")
@@ -332,6 +351,7 @@ def cmd_validate(args) -> int:
     names = QUICK_CHECKS if args.quick else None
     if args.checks is not None:
         names = tuple(s.strip() for s in args.checks.split(",") if s.strip())
+    _require_dirs(("--report", args.report))
     try:
         results = run_validation(names=names, seed=args.seed)
     except ValueError as exc:

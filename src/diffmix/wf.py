@@ -55,7 +55,8 @@ DEFAULT_SERIES_CAP = 100_000
 
 # Euler paths are clamped inside the open interval; oracle-only bias.
 EULER_CLAMP = 1e-12
-# normals euler_endpoints draws per generator call, whole steps at a time
+# normals euler_endpoints draws per generator call, whole steps at a time,
+# into one of its two buffers while the paths step through the other
 EULER_NORMALS_BLOCK = 1 << 20
 # normals euler_path draws per generator call, the stream of one call
 EULER_PATH_BLOCK = 1 << 16
@@ -634,7 +635,10 @@ def euler_endpoints(v0: float, t: float, step: float, p: WFParams,
 
     Vectorised across paths; same scheme, clamp and arithmetic as
     euler_path. The normals come EULER_NORMALS_BLOCK at a time, one row
-    of `size` per step, which is the stream of one call per step.
+    of `size` per step, which is the stream of one call per step. Block
+    i + 1 is drawn on a second thread while the paths step through
+    block i; blocks are drawn in order and none past the last step, so
+    the generator ends where one call per step leaves it.
     """
     n_steps, drift_scale, diff_scale, sqrt_dt, start = _euler_setup(
         v0, t, step, p)
@@ -642,22 +646,42 @@ def euler_endpoints(v0: float, t: float, step: float, p: WFParams,
     v = np.full(size, start)
     drift = np.empty(size)
     diffusion = np.empty(size)
-    rows = max(1, EULER_NORMALS_BLOCK // max(size, 1))
-    for first in range(0, n_steps, rows):
-        for z in rng.standard_normal((min(rows, n_steps - first), size)):
-            # v + drift_scale (a - ab v) step
-            #   + sqrt(diff_scale v (1 - v)) sqrt_dt z, in euler_path's order
-            np.multiply(ab, v, out=drift)
-            np.subtract(p.a, drift, out=drift)
-            np.multiply(drift_scale, drift, out=drift)
-            np.multiply(drift, step, out=drift)
-            np.add(v, drift, out=drift)
-            np.multiply(diff_scale, v, out=diffusion)
-            np.subtract(1.0, v, out=v)
-            np.multiply(diffusion, v, out=diffusion)
-            np.sqrt(diffusion, out=diffusion)
-            np.multiply(diffusion, sqrt_dt, out=diffusion)
-            np.multiply(diffusion, z, out=diffusion)
-            np.add(drift, diffusion, out=v)
-            np.clip(v, EULER_CLAMP, 1.0 - EULER_CLAMP, out=v)
+    rows = min(n_steps, max(1, EULER_NORMALS_BLOCK // max(size, 1)))
+    buffers = (np.empty((rows, size)), np.empty((rows, size)))
+
+    def block(first: int) -> np.ndarray:
+        return buffers[first // rows % 2][:min(rows, n_steps - first)]
+
+    # imported here: only the Euler oracle needs a worker thread
+    from concurrent.futures import ThreadPoolExecutor
+
+    rng.standard_normal(out=block(0))
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for first in range(0, n_steps, rows):
+            # the generator releases the GIL while it fills the buffer
+            ahead = None
+            if first + rows < n_steps:
+                ahead = pool.submit(rng.standard_normal,
+                                    out=block(first + rows))
+            try:
+                for z in block(first):
+                    # v + drift_scale (a - ab v) step
+                    #   + sqrt(diff_scale v (1 - v)) sqrt_dt z, in
+                    #   euler_path's order
+                    np.multiply(ab, v, out=drift)
+                    np.subtract(p.a, drift, out=drift)
+                    np.multiply(drift_scale, drift, out=drift)
+                    np.multiply(drift, step, out=drift)
+                    np.add(v, drift, out=drift)
+                    np.multiply(diff_scale, v, out=diffusion)
+                    np.subtract(1.0, v, out=v)
+                    np.multiply(diffusion, v, out=diffusion)
+                    np.sqrt(diffusion, out=diffusion)
+                    np.multiply(diffusion, sqrt_dt, out=diffusion)
+                    np.multiply(diffusion, z, out=diffusion)
+                    np.add(drift, diffusion, out=v)
+                    np.clip(v, EULER_CLAMP, 1.0 - EULER_CLAMP, out=v)
+            finally:
+                if ahead is not None:
+                    ahead.result()
     return v

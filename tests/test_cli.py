@@ -1,6 +1,7 @@
 """Command-line interface tests: commands, exit codes, determinism."""
 
 import json
+import os
 import re
 import time
 import warnings
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from diffmix import validate
+from diffmix import gibbs, validate
 from diffmix.archive import read_container, write_container
 from diffmix.cli import (SETTINGS, _build_parser, _load_config_file,
                          _resolve_settings, main)
@@ -37,6 +38,12 @@ FLAG_TEXTS = [
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def assert_missing_dir_refused(capsys, flag, path, directory):
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ")
+    assert f"{flag} {path}: directory {directory} does not exist" in err
 
 
 def with_nan(x):
@@ -67,6 +74,11 @@ class TestSimulate:
         run_cli("simulate", "--times", "30", "--seed", "3", "--out", str(a))
         run_cli("simulate", "--times", "30", "--seed", "3", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_out_in_missing_directory_exit_one(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "toy.csv"
+        assert run_cli("simulate", "--times", "5", "--out", str(out)) == 1
+        assert_missing_dir_refused(capsys, "--out", out, out.parent)
 
     def test_bad_args_usage_error(self, tmp_path, capsys):
         for flag, value, named in (("--times", "0", "n_times"),
@@ -296,6 +308,26 @@ class TestFit:
                                       "--chains", "2")) == 1
         assert f"bad value for workers: '{workers}'" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--out", "--checkpoint",
+                                      "--telemetry"])
+    def test_output_in_missing_directory_exit_one(self, dataset, tmp_path,
+                                                  capsys, monkeypatch, flag):
+        # refused before the first sweep, not at the first write
+        sweeps = []
+        monkeypatch.setattr(gibbs, "gibbs_sweep",
+                            lambda *args: sweeps.append(args))
+        missing = tmp_path / "nodir" / "out.npz"
+        outputs = {"--out": tmp_path / "draws.npz",
+                   "--checkpoint": tmp_path / "cp.npz",
+                   "--telemetry": tmp_path / "telemetry.log", flag: missing}
+        code = run_cli(*self.fit_args(
+            dataset, outputs["--out"], "--checkpoint-every", "5",
+            *(part for name in ("--checkpoint", "--telemetry")
+              for part in (name, str(outputs[name])))))
+        assert code == 1
+        assert_missing_dir_refused(capsys, flag, missing, missing.parent)
+        assert sweeps == []
 
     def test_telemetry_written(self, dataset, tmp_path):
         out = tmp_path / "draws.npz"
@@ -710,6 +742,15 @@ class TestSummarize:
                 "--burn-in", "2", "--seed", "3")
         return draws
 
+    @pytest.mark.parametrize("name", ["surface", ""])
+    def test_out_prefix_in_missing_directory_exit_one(self, draws, tmp_path,
+                                                      capsys, name):
+        # a prefix that ends in a separator names its directory too
+        directory = tmp_path / "nodir"
+        prefix = f"{directory}{os.sep}{name}"
+        assert run_cli("summarize", str(draws), "--out-prefix", prefix) == 1
+        assert_missing_dir_refused(capsys, "--out-prefix", prefix, directory)
+
     def test_bad_grid_exit_one(self, draws, tmp_path, capsys):
         for grid, message in [("oops", "expects LO:HI:COUNT"),
                               ("-inf:inf:10", "finite"),
@@ -807,6 +848,19 @@ class TestValidate:
         assert run_cli("validate", "--checks", "deficit", "--seed", "-1") == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: ") and "seed" in err
+
+    def test_report_in_missing_directory_exit_one(self, monkeypatch, capsys,
+                                                  tmp_path):
+        # refused before any check runs, not after the battery
+        ran = []
+        monkeypatch.setitem(validate.FULL_CHECKS, "deficit",
+                            lambda rng: ran.append(rng) or [])
+        report = tmp_path / "nodir" / "report.txt"
+        assert run_cli("validate", "--checks", "deficit", "--report",
+                       str(report)) == 1
+        assert_missing_dir_refused(capsys, "--report", report,
+                                   report.parent)
+        assert ran == []
 
     def test_failing_check_exit_three(self, monkeypatch, capsys, tmp_path):
         failing = lambda rng: [validate._result("deficit_forced", 1.0, 0.5,

@@ -5,6 +5,7 @@ scipy Beta facts for the invariant law, Euler-Maruyama endpoints and the
 linear-drift conditional-mean identity for the transition law.
 """
 
+import threading
 import warnings
 
 import mpmath
@@ -507,6 +508,41 @@ class TestEulerBitIdentity:
                                      np.random.default_rng(9), size)
             assert np.array_equal(out, ref[-1])
             assert np.any(ref == 1.0 - wf.EULER_CLAMP)
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_endpoints_leave_the_reference_loops_generator(self, monkeypatch,
+                                                            rows):
+        # the draw-ahead thread never draws past the last step: 703 steps
+        # end on a partial 7-row block, and the default block holds them all
+        p, v0, _, step, _ = EULER_CASES["clamped"]
+        size = 40
+        if rows is not None:
+            monkeypatch.setattr(wf, "EULER_NORMALS_BLOCK", rows * size)
+        ref_rng, rng = np.random.default_rng(9), np.random.default_rng(9)
+        reference_euler(v0, 0.703, step, p, ref_rng, size)
+        wf.euler_endpoints(v0, 0.703, step, p, rng, size)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_endpoints_raise_a_failed_draw_and_join_its_thread(self,
+                                                               monkeypatch):
+        class FailsOnThirdBlock:
+            def __init__(self):
+                self.blocks = 0
+
+            def standard_normal(self, out):
+                self.blocks += 1
+                if self.blocks == 3:
+                    raise RuntimeError("third block")
+                out[...] = 0.5
+
+        monkeypatch.setattr(wf, "EULER_NORMALS_BLOCK", 7 * 40)
+        p, v0, _, step, _ = EULER_CASES["clamped"]
+        threads = threading.active_count()
+        rng = FailsOnThirdBlock()
+        with pytest.raises(RuntimeError, match="third block"):
+            wf.euler_endpoints(v0, 0.703, step, p, rng, 40)
+        assert rng.blocks == 3
+        assert threading.active_count() == threads
 
 
 class TestEuler:
