@@ -11,6 +11,15 @@ lasts up to seconds, longer than the samples beside it tell. The
 values are digested as the sha256 of their reprs, one per line, so two
 trees with the same digest give the battery's values bit for bit.
 
+Memory is recorded next to the times: the process's ru_maxrss after
+each check (it only grows, so the last is the battery's peak), as the
+median over the batteries, and each check's tracemalloc peak above what
+was traced when it started, from one more battery per tree in its own
+process, traced and untimed, since tracing slows the Euler path's loop
+several times over. scipy.stats is imported before the first check, as
+in perfbench, so the check that first needs it is not charged for the
+import.
+
     PYTHONPATH=src python3 scripts/bench_validate.py --out BENCH_validate.json
 
 With --baseline SRC, each repeat also runs the battery on the tree whose
@@ -32,10 +41,12 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -47,31 +58,63 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 SEED = 0
 
 
-def battery() -> dict:
-    """One battery in this process: raw seconds per check, the host
-    slowdown and the values' digest and count."""
+def _rss_mb() -> float:
+    """Peak resident set of this process so far, in MB (Linux KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def _battery_setup():
+    """The generator at SEED and the checks, with scipy.stats imported."""
     # imported here: the driving process imports no tree's diffmix
+    from scipy import stats  # noqa: F401
     from diffmix.validate import FULL_CHECKS
 
-    rng = np.random.default_rng(SEED)
-    seconds, values = {}, []
+    return np.random.default_rng(SEED), FULL_CHECKS
+
+
+def _digest(values: list[str]) -> dict:
+    return {"n_values": len(values), "values_sha256": hashlib.sha256(
+        "\n".join(values).encode()).hexdigest()}
+
+
+def battery() -> dict:
+    """One battery in this process: raw seconds and ru_maxrss per check,
+    the battery's peak, the host slowdown and the values' digest."""
+    rng, checks = _battery_setup()
+    seconds, rss_mb, values = {}, {}, []
     cal = [calibration_sample() for _ in range(CAL_BATCH)]
-    for name, fn in FULL_CHECKS.items():
+    for name, fn in checks.items():
         start = time.perf_counter()
         results = fn(rng)
         seconds[name] = time.perf_counter() - start
+        rss_mb[name] = _rss_mb()
         cal += [calibration_sample() for _ in range(CAL_BATCH)]
         values.extend(repr(r.value) for r in results)
-    return {"seconds": seconds, "host_slowdown": host_slowdown(cal),
-            "n_values": len(values), "values_sha256": hashlib.sha256(
-                "\n".join(values).encode()).hexdigest()}
+    return {"seconds": seconds, "rss_mb": rss_mb, "peak_rss_mb": _rss_mb(),
+            "host_slowdown": host_slowdown(cal), **_digest(values)}
 
 
-def battery_in(src: Path) -> dict:
-    """One battery in a fresh process that imports diffmix from src."""
+def traced_battery() -> dict:
+    """One untimed battery under tracemalloc: each check's peak above
+    what was traced when it started, in MiB, and the values' digest."""
+    rng, checks = _battery_setup()
+    peaks, values = {}, []
+    tracemalloc.start()
+    for name, fn in checks.items():
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        results = fn(rng)
+        peaks[name] = (tracemalloc.get_traced_memory()[1] - held) / 2 ** 20
+        values.extend(repr(r.value) for r in results)
+    return {"traced_peak_mib": peaks, **_digest(values)}
+
+
+def battery_in(src: Path, kind: str = "timed") -> dict:
+    """One battery of kind "timed" or "traced" in a fresh process that
+    imports diffmix from src."""
     env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, __file__, "--battery"], env=env,
-                          check=True, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, __file__, "--battery", kind],
+                          env=env, check=True, capture_output=True, text=True)
     return json.loads(done.stdout)
 
 
@@ -85,20 +128,28 @@ def tree_name(src: Path) -> str:
     return done.stdout.strip() if done.returncode == 0 else str(src)
 
 
-def summary(runs: list[dict]) -> dict:
-    """Median calibrated and raw seconds per check over runs."""
-    digests = {run["values_sha256"] for run in runs}
+def summary(runs: list[dict], traced: dict) -> dict:
+    """Median calibrated and raw seconds and ru_maxrss per check over
+    runs, with the traced battery's tracemalloc peaks."""
+    digests = {run["values_sha256"] for run in runs + [traced]}
     if len(digests) != 1:
         raise RuntimeError("one tree's batteries gave different values")
     names = runs[0]["seconds"]
+
+    def per_check(key):
+        return {name: statistics.median(run[key][name] for run in runs)
+                for name in names}
+
     return {
         "checks_s": {name: statistics.median(
             run["seconds"][name] / run["host_slowdown"] for run in runs)
             for name in names},
-        "raw": {"checks_s": {name: statistics.median(
-            run["seconds"][name] for run in runs) for name in names}},
+        "raw": {"checks_s": per_check("seconds")},
         "host_slowdown": statistics.median(run["host_slowdown"]
                                            for run in runs),
+        "rss_mb_after": per_check("rss_mb"),
+        "peak_rss_mb": statistics.median(run["peak_rss_mb"] for run in runs),
+        "traced_peak_mib": traced["traced_peak_mib"],
         "n_values": runs[0]["n_values"], "values_sha256": digests.pop(),
     }
 
@@ -108,22 +159,23 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--baseline", type=Path,
                         help="src directory of a tree to alternate with")
-    parser.add_argument("--battery", action="store_true",
+    parser.add_argument("--battery", choices=("timed", "traced"),
                         help=argparse.SUPPRESS)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args()
-    if args.battery:
-        print(json.dumps(battery()))
+    if args.battery is not None:
+        print(json.dumps(battery() if args.battery == "timed"
+                         else traced_battery()))
         return
     own, base = [], []
     for _ in range(args.repeats):
         if args.baseline is not None:
             base.append(battery_in(args.baseline))
         own.append(battery_in(SRC))
-    result = summary(own)
+    result = summary(own, battery_in(SRC, "traced"))
     if base:
-        result["baseline"] = {"name": tree_name(args.baseline),
-                              **summary(base)}
+        result["baseline"] = {"name": tree_name(args.baseline), **summary(
+            base, battery_in(args.baseline, "traced"))}
     result.update({"seed": SEED, "repeats": args.repeats,
                    "cpus": os.cpu_count(), "machine": platform.machine(),
                    "python": platform.python_version(),

@@ -625,7 +625,8 @@ def euler_path(v0: float, horizon: float, step: float, p: WFParams,
             elif v > hi:
                 v = hi
             append(v)
-    times = np.arange(n_steps + 1) * step
+    times = np.arange(n_steps + 1, dtype=float)
+    times *= step
     return times, np.frombuffer(values, dtype=float)
 
 

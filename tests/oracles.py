@@ -8,7 +8,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import betaln, gammaln
 
-from diffmix import gibbs, store, wf
+from diffmix import gibbs, measure, store, wf
 from diffmix.data import TimeGridDataset
 from diffmix.estimation import (DensitySurface, effective_sample_size,
                                 histogram_mode)
@@ -20,6 +20,7 @@ from diffmix.measure import (OPEN_UNIT, StickConfig, stick_runs,
 from diffmix.mixture import (LOG_2PI, CenteringMeasure, gaussian_logpdf,
                              renormalised_mixture)
 from diffmix.store import MH_TARGET_ACCEPT
+from diffmix.validate import _result, _set_mass
 
 
 def pair_mixture_density(log_weights, v0, v1, p):
@@ -137,6 +138,47 @@ def expected_weight_overlap(theta: float, s):
     e = np.exp(-rate * np.asarray(s, dtype=float))
     out = (c1 + c2 * e) / (1.0 - c1 * theta ** 2 - c2 * e)
     return float(out) if out.ndim == 0 else out
+
+
+def matrix_bootstrap_acf(rng, reps: int = 10_000):
+    """validate.check_acf with its bootstrap drawn as one (200, reps)
+    index matrix: the reference for the check's row-at-a-time draw,
+    whose results and generator state after must be the same."""
+    theta = 1.0
+    cfg = StickConfig.dp(theta)
+    lags = [0.0, 0.5, 1.0, 2.0, 20.0]
+    sticks = measure.sample_sticks(cfg, 1e-4, rng, reps)
+    inside = rng.uniform(size=sticks.shape) < 0.5
+    vals = np.empty((reps, len(lags)))
+    prev = 0.0
+    for col, s in enumerate(lags):
+        if s > prev:
+            sticks = measure.move_sticks(sticks, cfg, s - prev, rng)
+            prev = s
+        vals[:, col] = _set_mass(sticks, inside)
+    out = []
+    boot = 200
+    idx = rng.integers(0, reps, size=(boot, reps))
+    for col, s in enumerate(lags):
+        target = measure.theoretical_acf(theta, s)
+        if s == 0.0:
+            err = abs(target - 1.0)
+            out.append(_result("acf_lag0_identity", err, 1e-12, "<"))
+            continue
+        r_hat = float(np.corrcoef(vals[:, 0], vals[:, col])[0, 1])
+        boot_r = np.array([
+            np.corrcoef(vals[rows, 0], vals[rows, col])[0, 1]
+            for rows in idx
+        ])
+        se = float(boot_r.std(ddof=1))
+        err = abs(r_hat - target)
+        out.append(_result(f"acf_lag_{s:g}", err, 3 * se, "<",
+                           f"mc={r_hat:.4f},closed={target:.4f}"))
+        if s == lags[-1]:
+            floor_val = (1.0 + theta) / (1.0 + 2.0 * theta)
+            out.append(_result("acf_floor", r_hat, floor_val - 3 * se, ">",
+                               f"floor={floor_val:.4f}"))
+    return out
 
 
 def lineage_table_loggamma(theta, ts, dps):
