@@ -10,16 +10,13 @@ are kept under "raw".
 
     PYTHONPATH=src python3 scripts/bench_draws_io.py --out BENCH_draws_io.json
 
-Only public store entry points are called, so the same script times
-any checkout whose src it is pointed at.
+Only public store entry points are called, on snapshots whose atoms
+are two columns (`atom_mean`, `atom_prec`), so the same script times
+any checkout whose src stores that layout.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import tempfile
 from pathlib import Path
 
@@ -37,24 +34,19 @@ N_DRAWS, N_TIMES, M_RANGE = 2_000, 100, (15, 30)
 
 
 def snapshots(rng: np.random.Generator) -> list[dict]:
-    """Per-draw snapshot dicts; atoms are given both as one (m, 2) array
-    and as two columns, so checkouts of either snapshot layout read them."""
+    """Per-draw snapshot dicts: sticks, atom means and precisions."""
     out = []
     for m in rng.integers(*M_RANGE, N_DRAWS).tolist():
-        atoms = np.column_stack([rng.normal(size=m), rng.uniform(1, 2, m)])
+        mean, prec = rng.normal(size=m), rng.uniform(1, 2, m)
         out.append({"sticks": rng.uniform(0.05, 0.95, (m, N_TIMES)),
-                    "atoms": atoms, "atom_mean": atoms[:, 0].copy(),
-                    "atom_prec": atoms[:, 1].copy(),
+                    "atom_mean": mean, "atom_prec": prec,
                     "theta": float(rng.uniform(1, 2)),
                     "c": float(rng.uniform(1, 2))})
     return out
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", type=Path)
-    args = parser.parse_args()
+    args = hostcal.parser(__doc__, repeats=5).parse_args()
     clock = hostcal.HostClock(batch=hostcal.CAL_BATCH)
     rng = np.random.default_rng(0)
     snaps = snapshots(rng)
@@ -86,14 +78,8 @@ def main() -> None:
     clock.report(result, {key: [span] for key, span in spans.items()})
     result.update({"own_row_bytes": own, "n_draws": N_DRAWS,
                    "n_times": N_TIMES, "m_range": [M_RANGE[0], M_RANGE[1] - 1],
-                   "repeats": args.repeats, "cpus": os.cpu_count(),
-                   "machine": platform.machine(),
-                   "python": platform.python_version(),
-                   "numpy": np.__version__})
-    text = json.dumps(result, indent=1, sort_keys=True)
-    print(text)
-    if args.out is not None:
-        args.out.write_text(text + "\n", encoding="utf-8")
+                   "repeats": args.repeats})
+    hostcal.write(result, args.out)
 
 
 if __name__ == "__main__":

@@ -11,8 +11,9 @@ kept. Per chain seed the file gives:
   around it; the raw seconds are kept under "raw".
 - ess: `estimation.effective_sample_size` of theta, c, the per-sweep
   log-likelihood and the mean functional at time indices 0, 50 and 99
-  (meanfn_i0, meanfn_i50, meanfn_i99; the times are under
-  "mean_times"); ess_per_s divides each by wall_s.
+  (meanfn_i0, meanfn_i50, meanfn_i99, each draw's from
+  `mixture.renormalised_mixture`; the times are under "mean_times");
+  ess_per_s divides each by wall_s.
 - coverage and rmse: acceptance criterion 8's measures on this chain,
   the fraction of times whose 95% mean band holds `toy_mean` and the
   RMS error of the posterior median mean.
@@ -25,10 +26,6 @@ checkout whose src it is pointed at.
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import statistics
 import tempfile
 import time
@@ -36,15 +33,15 @@ from pathlib import Path
 
 import numpy as np
 
-import hostcal  # noqa: F401  puts perfbench/ on the import path
+import hostcal
 from calibration import effective_slowdown, local_slowdowns
-from harness import SweepClock, mean_functional_draws, telemetry_loglik
+from harness import SweepClock, telemetry_loglik
 from diffmix.estimation import (coverage_report, effective_sample_size,
                                 summarize)
 from diffmix.gibbs import SamplerConfig, run_chain
 from diffmix.measure import StickConfig
-from diffmix.mixture import (CenteringMeasure, simulate_toy, toy_density,
-                             toy_mean)
+from diffmix.mixture import (CenteringMeasure, renormalised_mixture,
+                             simulate_toy, toy_density, toy_mean)
 
 BURN_IN, ITERS = 500, 1_500
 MEAN_TIMES = (0, 50, 99)
@@ -66,7 +63,9 @@ def chain(data, seed: int) -> dict:
             wall = time.perf_counter() - start - clock.overhead_s
         loglik = telemetry_loglik(path, BURN_IN)
     slowdown = effective_slowdown(clock.times, local_slowdowns(clock.cal))
-    means = mean_functional_draws(draws)[:, list(MEAN_TIMES)]
+    means = np.array([renormalised_mixture(
+        draws.sticks[i, :m], draws.atom_mean[i, :m])[list(MEAN_TIMES)]
+        for i, m in enumerate(draws.m.tolist())])
     ess = {"theta": effective_sample_size(draws.theta),
            "c": effective_sample_size(draws.c),
            "loglik": effective_sample_size(loglik),
@@ -90,10 +89,9 @@ def chain(data, seed: int) -> dict:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser = hostcal.parser(__doc__)
     parser.add_argument("--seeds", default="1,2,3,4,5",
                         help="comma-separated chain seeds")
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args()
     seeds = [int(s) for s in args.seeds.split(",")]
     data = simulate_toy(100, 5, 10.0, np.random.default_rng(7))
@@ -104,14 +102,8 @@ def main() -> None:
             c["ess_per_s"][key] for c in chains.values())
             for key in next(iter(chains.values()))["ess_per_s"]},
         "burn_in": BURN_IN, "iters": ITERS, "seeds": seeds,
-        "mean_times": [float(data.times[j]) for j in MEAN_TIMES],
-        "cpus": os.cpu_count(), "machine": platform.machine(),
-        "python": platform.python_version(), "numpy": np.__version__,
-        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}
-    text = json.dumps(result, indent=1, sort_keys=True)
-    print(text)
-    if args.out is not None:
-        args.out.write_text(text + "\n", encoding="utf-8")
+        "mean_times": [float(data.times[j]) for j in MEAN_TIMES]}
+    hostcal.write(result, args.out)
 
 
 if __name__ == "__main__":

@@ -10,18 +10,14 @@ hold. Each run's time is divided by the host slowdown around it
 
     PYTHONPATH=src python3 scripts/bench_summarize.py --out BENCH_summarize.json
 
-Only public entry points are called, so the same script times any
-checkout whose src it is pointed at.
+Only public entry points are called (`summarize` and
+`DensitySurface.export`), so the same script times any checkout whose
+src has them.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -51,32 +47,8 @@ def synthetic_draws(rng: np.random.Generator) -> PosteriorDraws:
                           sticks=sticks, atom_mean=mean, atom_prec=prec)
 
 
-def export(surface, prefix: str) -> None:
-    """Write the three files `diffmix summarize` writes, the way it
-    writes them: in one pass where the surface has one, else by the
-    three writers."""
-    if hasattr(surface, "export"):
-        surface.export(prefix)
-    else:
-        surface.to_density_csv(f"{prefix}.density.csv")
-        surface.to_mean_csv(f"{prefix}.mean.csv")
-        surface.to_json(f"{prefix}.json")
-
-
-def traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--out", type=Path)
-    args = parser.parse_args()
+    args = hostcal.parser(__doc__, repeats=5).parse_args()
     clock = hostcal.HostClock(batch=hostcal.CAL_BATCH)
     draws = synthetic_draws(np.random.default_rng(0))
     surface = summarize(draws, GRID)
@@ -85,13 +57,14 @@ def main() -> None:
         spans = {
             "summarize_s": clock.time(lambda _: summarize(draws, GRID),
                                       args.repeats),
-            "export_s": clock.time(lambda _: export(surface, prefix),
+            "export_s": clock.time(lambda _: surface.export(prefix),
                                    args.repeats),
         }
         result = {
-            "summarize_peak_bytes": traced_peak(
+            "summarize_peak_bytes": hostcal.traced_peak(
                 lambda: summarize(draws, GRID)),
-            "export_peak_bytes": traced_peak(lambda: export(surface, prefix)),
+            "export_peak_bytes": hostcal.traced_peak(
+                lambda: surface.export(prefix)),
             "export_bytes": sum(Path(f"{prefix}{end}").stat().st_size for end
                                 in (".density.csv", ".mean.csv", ".json")),
         }
@@ -99,15 +72,8 @@ def main() -> None:
     result.update({"n_draws": N_DRAWS, "n_times": N_TIMES,
                    "grid_n": len(GRID),
                    "m_range": [M_RANGE[0], M_RANGE[1] - 1],
-                   "repeats": args.repeats, "cpus": os.cpu_count(),
-                   "machine": platform.machine(),
-                   "python": platform.python_version(),
-                   "numpy": np.__version__,
-                   "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")})
-    text = json.dumps(result, indent=1, sort_keys=True)
-    print(text)
-    if args.out is not None:
-        args.out.write_text(text + "\n", encoding="utf-8")
+                   "repeats": args.repeats})
+    hostcal.write(result, args.out)
 
 
 if __name__ == "__main__":

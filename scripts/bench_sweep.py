@@ -31,13 +31,7 @@ same script times any checkout whose src it is pointed at.
 
 from __future__ import annotations
 
-import argparse
 import copy
-import json
-import os
-import platform
-import tracemalloc
-from pathlib import Path
 
 import numpy as np
 
@@ -126,20 +120,17 @@ def irregular_growth(cfg, repeats: int,
     def grow(i):
         gibbs._prior_components(cfg, 1.2, 0.8 * (1.0 + 1e-9 * (i + 1)), 1,
                                 20, data.gaps, np.random.default_rng(i))
-    tracemalloc.start()
-    for i in range(IRREGULAR_GROWTHS):
-        grow(i)
-    peak = tracemalloc.get_traced_memory()[1]
-    tracemalloc.stop()
+
+    def grow_all():
+        for i in range(IRREGULAR_GROWTHS):
+            grow(i)
+    peak = hostcal.traced_peak(grow_all)
     return clock.time(lambda i: grow(IRREGULAR_GROWTHS + i),
                       repeats), peak / 1e6
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--repeats", type=int, default=21)
-    parser.add_argument("--out", type=Path)
-    args = parser.parse_args()
+    args = hostcal.parser(__doc__, repeats=21).parse_args()
     clock = hostcal.HostClock()
     data, cfg, states = readme_states(StickConfig.dp(1.0, c=1.0))
     spans = {f"{name}_ms": update_spans(getattr(gibbs, f"update_{name}"),
@@ -170,14 +161,8 @@ def main() -> None:
         "py_m": [int(s.m) for s in py_states],
         "dense_m": [int(s.m) for s in dense],
         "dense_d_max": [int(s.trans_d.max()) for s in dense],
-        "repeats": args.repeats, "cpus": os.cpu_count(),
-        "machine": platform.machine(), "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")})
-    text = json.dumps(result, indent=1, sort_keys=True)
-    print(text)
-    if args.out is not None:
-        args.out.write_text(text + "\n", encoding="utf-8")
+        "repeats": args.repeats})
+    hostcal.write(result, args.out)
 
 
 if __name__ == "__main__":

@@ -40,7 +40,6 @@ import argparse
 import hashlib
 import json
 import os
-import platform
 import resource
 import statistics
 import subprocess
@@ -51,7 +50,7 @@ from pathlib import Path
 
 import numpy as np
 
-import hostcal  # noqa: F401  puts perfbench/ on the import path
+import hostcal
 from calibration import CAL_BATCH, calibration_sample, host_slowdown
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -155,13 +154,11 @@ def summary(runs: list[dict], traced: dict) -> dict:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--repeats", type=int, default=5)
+    parser = hostcal.parser(__doc__, repeats=5)
     parser.add_argument("--baseline", type=Path,
                         help="src directory of a tree to alternate with")
     parser.add_argument("--battery", choices=("timed", "traced"),
                         help=argparse.SUPPRESS)
-    parser.add_argument("--out", type=Path)
     args = parser.parse_args()
     if args.battery is not None:
         print(json.dumps(battery() if args.battery == "timed"
@@ -176,15 +173,8 @@ def main() -> None:
     if base:
         result["baseline"] = {"name": tree_name(args.baseline), **summary(
             base, battery_in(args.baseline, "traced"))}
-    result.update({"seed": SEED, "repeats": args.repeats,
-                   "cpus": os.cpu_count(), "machine": platform.machine(),
-                   "python": platform.python_version(),
-                   "numpy": np.__version__,
-                   "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")})
-    text = json.dumps(result, indent=1, sort_keys=True)
-    print(text)
-    if args.out is not None:
-        args.out.write_text(text + "\n", encoding="utf-8")
+    result.update({"seed": SEED, "repeats": args.repeats})
+    hostcal.write(result, args.out)
 
 
 if __name__ == "__main__":

@@ -1,4 +1,9 @@
-"""Host-speed calibration shared by the scripts/bench_*.py files.
+"""The runner shared by the scripts/bench_*.py files.
+
+Each script keeps its workload and its measurements; this module gives
+them the `--out` / `--repeats` parser (`parser`), the writer that adds
+the host record and writes the JSON (`write`), tracemalloc's peak over
+one call (`traced_peak`) and the host-speed calibration (`HostClock`).
 
 Puts perfbench/ on the import path and calibrates timings the way
 perfbench's SweepClock calibrates sweeps: after each timed call, outside
@@ -14,10 +19,17 @@ them under "raw".
 
 from __future__ import annotations
 
+import argparse
+import json
+import os
+import platform
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -67,3 +79,36 @@ class HostClock:
                          for key, ranges in spans.items()}
         result["host_slowdown"] = effective_slowdown(self.times, slowdowns)
         return result
+
+
+def parser(doc: str, repeats: int | None = None) -> argparse.ArgumentParser:
+    """A script's parser, described by the first line of its doc: --out,
+    and --repeats where a default is given."""
+    out = argparse.ArgumentParser(description=doc.split("\n")[0])
+    if repeats is not None:
+        out.add_argument("--repeats", type=int, default=repeats)
+    out.add_argument("--out", type=Path)
+    return out
+
+
+def traced_peak(fn) -> int:
+    """tracemalloc's peak in bytes over one call of fn()."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def write(result: dict, out: Path | None) -> None:
+    """result with the host record, printed as sorted indented JSON and
+    written to out where it is given."""
+    result.update({"cpus": os.cpu_count(), "machine": platform.machine(),
+                   "python": platform.python_version(),
+                   "numpy": np.__version__,
+                   "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")})
+    text = json.dumps(result, indent=1, sort_keys=True)
+    print(text)
+    if out is not None:
+        out.write_text(text + "\n", encoding="utf-8")

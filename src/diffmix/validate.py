@@ -270,7 +270,7 @@ def check_euler_ergodic(rng, steps: int = 1_000_000) -> list[CheckResult]:
     from scipy import stats
 
     p = WFParams.standard(1.0, 4.0)
-    _, path = wf.euler_path(0.5, steps * 0.01, 0.01, p, rng)
+    path = wf.euler_path(0.5, steps * 0.01, 0.01, p, rng)
     tail = path[len(path) // 20:]  # after burn-in; the check owns the path
     tail.sort()
     ks = _ks_statistic(tail, stats.beta(p.a, p.b).cdf)

@@ -602,7 +602,9 @@ def euler_path(v0: float, horizon: float, step: float, p: WFParams,
                rng: np.random.Generator, noise: bool = True):
     """Euler-Maruyama path on [0, horizon] with the generalised drift.
 
-    Returns (times, values). Values are clamped to
+    Returns the values at times 0, step, 2 step, ...,
+    round(horizon / step) step, the first of them the clamped v0. Values
+    are clamped to
     [EULER_CLAMP, 1 - EULER_CLAMP] after every step; the clamp is a
     documented bias of this reference simulator, which serves only as an
     independent oracle and never feeds inference. With noise=False the
@@ -625,9 +627,7 @@ def euler_path(v0: float, horizon: float, step: float, p: WFParams,
             elif v > hi:
                 v = hi
             append(v)
-    times = np.arange(n_steps + 1, dtype=float)
-    times *= step
-    return times, np.frombuffer(values, dtype=float)
+    return np.frombuffer(values, dtype=float)
 
 
 def euler_endpoints(v0: float, t: float, step: float, p: WFParams,

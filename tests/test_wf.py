@@ -473,10 +473,9 @@ class TestEulerBitIdentity:
         p, v0, span, step, noise = EULER_CASES[case]
         ref = reference_euler(v0, span, step, p, np.random.default_rng(5),
                               1, noise)[:, 0]
-        times, path = wf.euler_path(v0, span, step, p,
-                                    np.random.default_rng(5), noise=noise)
+        path = wf.euler_path(v0, span, step, p, np.random.default_rng(5),
+                             noise=noise)
         assert np.array_equal(path, ref)
-        assert np.array_equal(times, np.arange(len(ref)) * step)
         if case == "clamped":
             assert np.any(ref == 1.0 - wf.EULER_CLAMP)
 
@@ -489,8 +488,8 @@ class TestEulerBitIdentity:
             p, v0, span, step, noise = EULER_CASES[case]
             ref = reference_euler(v0, span, step, p,
                                   np.random.default_rng(5), 1, noise)[:, 0]
-            _, path = wf.euler_path(v0, span, step, p,
-                                    np.random.default_rng(5), noise=noise)
+            path = wf.euler_path(v0, span, step, p,
+                                 np.random.default_rng(5), noise=noise)
             assert np.array_equal(path, ref)
 
     @pytest.mark.parametrize("rows", [1, 7, None])
@@ -548,7 +547,8 @@ class TestEulerBitIdentity:
 class TestEuler:
     def test_zero_noise_solves_linear_ode(self, rng):
         p = WFParams(2, 3, 1.5)
-        times, path = wf.euler_path(0.9, 2.0, 1e-4, p, rng, noise=False)
+        path = wf.euler_path(0.9, 2.0, 1e-4, p, rng, noise=False)
+        times = np.arange(len(path)) * 1e-4
         rate = wf.mean_reversion_rate(p)
         mu = wf.stationary_mean(p)
         expected = mu + (0.9 - mu) * np.exp(-rate * times)
@@ -556,7 +556,7 @@ class TestEuler:
 
     def test_ergodic_occupancy(self, rng):
         p = WFParams.standard(1, 4)
-        _, path = wf.euler_path(0.5, 2000.0, 0.01, p, rng)
+        path = wf.euler_path(0.5, 2000.0, 0.01, p, rng)
         ks = stats.kstest(path[2000:], stats.beta(1, 4).cdf).statistic
         assert ks < 0.02
 
@@ -572,7 +572,7 @@ class TestEuler:
 
     def test_path_stays_inside_unit_interval(self, rng):
         p = WFParams(1.1, 0.4, 1.0)
-        _, path = wf.euler_path(0.99, 5.0, 1e-3, p, rng)
+        path = wf.euler_path(0.99, 5.0, 1e-3, p, rng)
         assert np.all(path >= wf.EULER_CLAMP)
         assert np.all(path <= 1 - wf.EULER_CLAMP)
 
