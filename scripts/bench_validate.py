@@ -11,6 +11,14 @@ lasts up to seconds, longer than the samples beside it tell. The
 values are digested as the sha256 of their reprs, one per line, so two
 trees with the same digest give the battery's values bit for bit.
 
+The exact engine's lineage-count tables are also timed on their own:
+`wf._lineage_cumulative`, uncached, at each (a + b, standardised time)
+of TABLES, in a fresh process per repeat, alternated like the
+batteries. A table's time is the median over the repeats of its median
+build, calibrated per build as the other scripts/bench_*.py files
+calibrate theirs, in ms under "lineage_tables_ms"; the raw times are
+under "raw".
+
 Memory is recorded next to the times: the process's ru_maxrss after
 each check (it only grows, so the last is the battery's peak), as the
 median over the batteries, and each check's tracemalloc peak above what
@@ -30,8 +38,9 @@ file gives that tree's numbers under "baseline", named by that tree's
     python3 scripts/bench_validate.py --baseline ../parent/src \\
         --out BENCH_validate.json
 
-Only `diffmix.validate.FULL_CHECKS` is called, so the same script times
-any checkout whose src it is pointed at.
+Only `diffmix.validate.FULL_CHECKS` and `wf._lineage_cumulative` are
+called, so the same script times any checkout whose src it is pointed
+at.
 """
 
 from __future__ import annotations
@@ -55,6 +64,14 @@ from calibration import CAL_BATCH, calibration_sample, host_slowdown
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 SEED = 0
+# (a + b, standardised time) of the tables timed on their own: the two
+# 40-digit tables the battery builds, and the 90-digit one move_sticks
+# needs to move the sticks of a DP with theta = 1 (a + b = 2) by dt 0.01
+# at c = 0.5
+TABLES = ((5.0, 0.05), (5.0, 0.075), (2.0, 0.01))
+# builds of each table per process; the median drops the first, which
+# also pays the import of whatever the engine loads on first use
+TABLE_BUILDS = 3
 
 
 def _rss_mb() -> float:
@@ -108,9 +125,21 @@ def traced_battery() -> dict:
     return {"traced_peak_mib": peaks, **_digest(values)}
 
 
+def tables() -> dict:
+    """Each table of TABLES built TABLE_BUILDS times in this process, in
+    ms: the median calibrated build, and the raw one under "raw"."""
+    from diffmix import wf
+
+    clock = hostcal.HostClock(batch=CAL_BATCH)
+    spans = {f"{theta:g},{ts:g}": [clock.time(
+        lambda _, theta=theta, ts=ts: wf._lineage_cumulative.__wrapped__(
+            theta, ts), TABLE_BUILDS)] for theta, ts in TABLES}
+    return clock.report({}, spans, scale=1e3)
+
+
 def battery_in(src: Path, kind: str = "timed") -> dict:
-    """One battery of kind "timed" or "traced" in a fresh process that
-    imports diffmix from src."""
+    """One battery of kind "timed" or "traced", or the table timings of
+    kind "tables", in a fresh process that imports diffmix from src."""
     env = {**os.environ, "PYTHONPATH": str(src)}
     done = subprocess.run([sys.executable, __file__, "--battery", kind],
                           env=env, check=True, capture_output=True, text=True)
@@ -127,9 +156,10 @@ def tree_name(src: Path) -> str:
     return done.stdout.strip() if done.returncode == 0 else str(src)
 
 
-def summary(runs: list[dict], traced: dict) -> dict:
+def summary(runs: list[dict], traced: dict, table_runs: list[dict]) -> dict:
     """Median calibrated and raw seconds and ru_maxrss per check over
-    runs, with the traced battery's tracemalloc peaks."""
+    runs, with the traced battery's tracemalloc peaks and the median
+    calibrated and raw table times over table_runs."""
     digests = {run["values_sha256"] for run in runs + [traced]}
     if len(digests) != 1:
         raise RuntimeError("one tree's batteries gave different values")
@@ -139,11 +169,18 @@ def summary(runs: list[dict], traced: dict) -> dict:
         return {name: statistics.median(run[key][name] for run in runs)
                 for name in names}
 
+    def per_table(raw: bool):
+        return {key: statistics.median(
+            (run["raw"] if raw else run)[key] for run in table_runs)
+            for key in table_runs[0]["raw"]}
+
     return {
         "checks_s": {name: statistics.median(
             run["seconds"][name] / run["host_slowdown"] for run in runs)
             for name in names},
-        "raw": {"checks_s": per_check("seconds")},
+        "raw": {"checks_s": per_check("seconds"),
+                "lineage_tables_ms": per_table(raw=True)},
+        "lineage_tables_ms": per_table(raw=False),
         "host_slowdown": statistics.median(run["host_slowdown"]
                                            for run in runs),
         "rss_mb_after": per_check("rss_mb"),
@@ -157,22 +194,27 @@ def main() -> None:
     parser = hostcal.parser(__doc__, repeats=5)
     parser.add_argument("--baseline", type=Path,
                         help="src directory of a tree to alternate with")
-    parser.add_argument("--battery", choices=("timed", "traced"),
+    parser.add_argument("--battery", choices=("timed", "traced", "tables"),
                         help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.battery is not None:
-        print(json.dumps(battery() if args.battery == "timed"
-                         else traced_battery()))
+        kinds = {"timed": battery, "traced": traced_battery,
+                 "tables": tables}
+        print(json.dumps(kinds[args.battery]()))
         return
-    own, base = [], []
+    trees = {"own": SRC} if args.baseline is None else {
+        "base": args.baseline, "own": SRC}
+    runs = {tree: {"timed": [], "tables": []} for tree in trees}
     for _ in range(args.repeats):
-        if args.baseline is not None:
-            base.append(battery_in(args.baseline))
-        own.append(battery_in(SRC))
-    result = summary(own, battery_in(SRC, "traced"))
-    if base:
+        for kind in ("timed", "tables"):
+            for tree, src in trees.items():
+                runs[tree][kind].append(battery_in(src, kind))
+    result = summary(runs["own"]["timed"], battery_in(SRC, "traced"),
+                     runs["own"]["tables"])
+    if args.baseline is not None:
         result["baseline"] = {"name": tree_name(args.baseline), **summary(
-            base, battery_in(args.baseline, "traced"))}
+            runs["base"]["timed"], battery_in(args.baseline, "traced"),
+            runs["base"]["tables"])}
     result.update({"seed": SEED, "repeats": args.repeats})
     hostcal.write(result, args.out)
 

@@ -26,8 +26,9 @@ differing only in the law of the series index m:
   quadratic rates i (i + a + b - 1) / 2. These weights make the mixture
   the exact diffusion transition function; `transition_density` and
   `sample_transition` use them. The alternating series behind them is
-  evaluated with cancellation-error control and an arbitrary-precision
-  fallback for small times.
+  evaluated with cancellation-error control, in floats or, for small
+  times, in the standard library's decimal arithmetic at 40 or more
+  digits.
 
 * Negative-Binomial weights r_t(m) with size a + b and success parameter
   e^{-c t} (`nb_weight`, `series_transition_density`). All summands are
@@ -43,8 +44,11 @@ from __future__ import annotations
 
 import math
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from functools import lru_cache
+from itertools import count, islice
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
@@ -320,29 +324,22 @@ def _draw_index(cum: np.ndarray, rng: np.random.Generator, size):
 # Exact lineage-count weights (death process started from infinity)
 # ---------------------------------------------------------------------------
 
-def _lineage_row(theta, ts, m: int, mp=None):
+def _lineage_row(theta: float, ts: float, m: int):
     """(q_m, log of its largest term) of the alternating lineage series
 
         q_m = sum_{i >= m} (-1)^(i-m) (theta + 2i - 1) Gamma(theta + m + i - 1)
               / (m! (i - m)! Gamma(theta + m)) e^{-i (i + theta - 1) ts / 2}
 
-    (Griffiths 1980): term m from log-gammas, each later term from the one
-    before by their ratio, which falls with i, so the row ends at the first
-    falling term below the cutoff. Python floats (cutoff 1e-22), or mpmath
-    at its working precision (cutoff 10^(8 - dps)) when mp is `mpmath.mp`.
+    (Griffiths 1980) in Python floats: term m from log-gammas, each later
+    term from the one before by their ratio, which falls with i, so the
+    row ends at the first falling term below the cutoff 1e-22.
     """
-    if mp is None:
-        exp, log, loggamma, cutoff = math.exp, math.log, math.lgamma, 1e-22
-    else:
-        theta, ts = mp.mpf(theta), mp.mpf(ts)
-        exp, log, loggamma = mp.exp, mp.log, mp.loggamma
-        cutoff = mp.mpf(10) ** (8 - mp.dps)
-    log_mag = (-m * (m + theta - 1) * ts / 2 + log(theta + 2 * m - 1)
-               + loggamma(theta + 2 * m - 1) - loggamma(m + 1)
-               - loggamma(theta + m))
+    log_mag = (-m * (m + theta - 1) * ts / 2 + math.log(theta + 2 * m - 1)
+               + math.lgamma(theta + 2 * m - 1) - math.lgamma(m + 1)
+               - math.lgamma(theta + m))
     # capped below float overflow but past _LINEAGE_TERM_MAX: the loop raises
-    mag = exp(min(log_mag, 701.0))
-    decay, step_decay = exp(-(2 * m + theta) * ts / 2), exp(-ts)
+    mag = math.exp(min(log_mag, 701.0))
+    decay, step_decay = math.exp(-(2 * m + theta) * ts / 2), math.exp(-ts)
     q_m, peak, sign, i = 0.0, 0.0, 1, m
     while True:
         q_m += mag if sign > 0 else -mag
@@ -351,9 +348,9 @@ def _lineage_row(theta, ts, m: int, mp=None):
                 raise SeriesTruncationError(
                     f"t too small for stable series evaluation at ts={ts}")
             peak = mag
-        elif mag < cutoff:
-            # peak stays 0 only when a float first term underflows
-            return q_m, (log(peak) if peak else -math.inf)
+        elif mag < 1e-22:
+            # peak stays 0 only when the first term underflows
+            return q_m, (math.log(peak) if peak else -math.inf)
         mag *= (decay * (theta + 2 * i + 1) / (theta + 2 * i - 1)
                 * (theta + m + i - 1) / (i - m + 1))
         decay *= step_decay
@@ -363,26 +360,89 @@ def _lineage_row(theta, ts, m: int, mp=None):
                 f"lineage series for m={m} not converging at ts={ts}")
 
 
-def _lineage_table(theta: float, ts: float, mp=None):
-    """(q_m for m = 0, 1, ... as floats, cancellation bound) from
-    _lineage_row in floats, or in mpmath when mp is `mpmath.mp`.
+def _decimal_lineage_rows(theta: float, ts: float, prec: int):
+    """_lineage_row's rows for m = 0, 1, ... in decimal arithmetic, with
+    q_m as a Decimal; the caller makes the prec-digit context current.
 
-    Each row adds 4 units of its precision (4e-16 in floats) times its
-    largest term to the bound. The table ends early once the bound passes
-    1e-8, else once the tail is below 1e-12 and q_m below 1e-13, or after
-    four rows below 1e-14 once the mass passes 1/2.
+    The row ends at its first falling term below 10^(8 - prec). decimal
+    has no log-gamma, so term m is the exact product
+
+        prod_{k<m} (theta + m + k) / (k + 1) e^{-m (m + theta - 1) ts / 2},
+
+    carried from row to row. The step from term i to i + 1 is
+    r_i (theta + m + i - 1) / (i - m + 1) with
+    r_i = e^{-(theta + 2i) ts / 2} (theta + 2i + 1) / (theta + 2i - 1),
+    which no row changes, so each r_i is computed once per table.
     """
-    unit = 4.0e-16 if mp is None else 4 * mp.eps
-    weights, total, err, negligible = [], 0.0, 0.0, 0
-    for m in range(DEFAULT_SERIES_CAP + 1):
-        q_m, max_log = _lineage_row(theta, ts, m, mp)
-        weights.append(float(q_m))
-        total += q_m
-        err += unit * math.exp(max_log)
-        negligible = negligible + 1 if abs(q_m) < 1e-14 else 0
-        done = 1 - total < _LINEAGE_TAIL and abs(q_m) < 1e-13
-        if err > 1e-8 or done or (negligible >= 4 and total > 0.5):
-            return np.array(weights), err
+    th, t = Decimal(theta), Decimal(ts)
+    cutoff, term_max = Decimal(10) ** (8 - prec), Decimal(_LINEAGE_TERM_MAX)
+    decay, step_decay = (-th * t / 2).exp(), (-t).exp()
+    decays, ratios = [], []  # e^{-(theta + 2i) ts / 2} and r_i by i
+    first, m = Decimal(1), 0
+    while True:
+        mag, num = first, th + (2 * m - 1)
+        q_m, peak, i = 0, 0, m
+        while True:
+            if (i - m) & 1:
+                q_m -= mag
+            else:
+                q_m += mag
+            if mag > peak:
+                if mag > term_max:
+                    raise SeriesTruncationError(
+                        f"t too small for stable series evaluation at ts={ts}")
+                peak = mag
+            elif mag < cutoff:
+                break
+            if i == len(ratios):
+                decays.append(decay)
+                ratios.append(decay * (th + (2 * i + 1)) / (th + (2 * i - 1)))
+                decay *= step_decay
+            mag = mag * ratios[i] * num / (i - m + 1)
+            num += 1
+            i += 1
+            if i - m > 1 << 20:
+                raise SeriesTruncationError(
+                    f"lineage series for m={m} not converging at ts={ts}")
+        # the guard bounds the peak above; 0.0 only past double range below
+        peak = float(peak)
+        yield q_m, (math.log(peak) if peak else -math.inf)
+        first = (first * decays[m] * (th + 2 * m) * (th + (2 * m + 1))
+                 / ((th + m) * (m + 1)))
+        m += 1
+
+
+def _lineage_context(digits: int) -> Context:
+    """The decimal context of a digits-digit lineage table: exponents at
+    their extremes, so that no term over- or underflows."""
+    return Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _lineage_table(theta: float, ts: float, ctx: Context | None = None):
+    """(q_m for m = 0, 1, ... as floats, cancellation bound) from
+    _lineage_row in floats, or from _decimal_lineage_rows under the
+    decimal context ctx (see _lineage_context).
+
+    Each row adds 4 units of its precision (4e-16 in floats, 4 10^-prec
+    in decimal) times its largest term to the bound. The table ends early
+    once the bound passes 1e-8, else once the tail is below 1e-12 and q_m
+    below 1e-13, or after four rows below 1e-14 once the mass passes 1/2.
+    """
+    if ctx is None:
+        unit, rows = 4.0e-16, (_lineage_row(theta, ts, m) for m in count())
+    else:
+        unit = 4 * 10.0 ** -ctx.prec
+        rows = _decimal_lineage_rows(theta, ts, ctx.prec)
+    weights, total, err, negligible = [], 0, 0.0, 0
+    with nullcontext() if ctx is None else localcontext(ctx):
+        for q_m, max_log in islice(rows, DEFAULT_SERIES_CAP + 1):
+            weights.append(float(q_m))
+            total += q_m
+            err += unit * math.exp(max_log)
+            negligible = negligible + 1 if abs(q_m) < 1e-14 else 0
+            done = 1 - total < _LINEAGE_TAIL and abs(q_m) < 1e-13
+            if err > 1e-8 or done or (negligible >= 4 and total > 0.5):
+                return np.array(weights), err
     raise SeriesTruncationError(
         f"lineage-count support exceeds cap {DEFAULT_SERIES_CAP} at ts={ts}")
 
@@ -399,15 +459,14 @@ def _lineage_cumulative(theta: float, ts: float) -> np.ndarray:
     """Cached cumulative lineage-count weights at standardised time ts.
 
     Resolves the distribution to tail mass 1e-12 and absolute weight
-    accuracy near 1e-9 in floats, escalating to mpmath when the float
-    pass would lose the alternating series to cancellation.
+    accuracy near 1e-9 in floats, escalating to decimal arithmetic at 40
+    or more digits when the float pass would lose the alternating series
+    to cancellation.
     """
     if not ts > 0:
         raise ValueError("standardised time must be positive")
     weights, err = _lineage_table(theta, ts)
     if not _lineage_resolved(weights, err, 1e-8):
-        from mpmath import mp
-
         # digits for the largest term on rows across the support (about
         # 2/ts plus slack), raised until the mass diagnostic passes
         mmax_probe = int(2.4 / ts) + 48
@@ -419,8 +478,7 @@ def _lineage_cumulative(theta: float, ts: float) -> np.ndarray:
                 raise SeriesTruncationError(
                     f"t too small for stable series evaluation at ts={ts}")
             try:
-                with mp.workdps(dps):
-                    weights, err = _lineage_table(theta, ts, mp)
+                weights, err = _lineage_table(theta, ts, _lineage_context(dps))
                 if _lineage_resolved(weights, err, 1e-9):
                     break
             except SeriesTruncationError:

@@ -8,7 +8,6 @@ linear-drift conditional-mean identity for the transition law.
 import threading
 import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,11 +202,30 @@ class TestLineageWeights:
             table, ref = (np.pad(x, (0, n - len(x))) for x in (table, ref))
             np.testing.assert_allclose(table, ref, rtol=0.0, atol=1e-10)
         else:
-            with mpmath.workdps(dps):
-                table, _ = wf._lineage_table(5.0, ts, mpmath.mp)
-            ref = lineage_table_loggamma(5.0, ts, dps)
-            assert len(table) == len(ref)
-            np.testing.assert_allclose(table, ref, rtol=0.0, atol=1e-15)
+            assert_decimal_table_matches_loggamma(5.0, ts, dps)
+
+    @pytest.mark.parametrize("theta, ts, dps", [(1.5, 0.03, 45),
+                                                (3.7, 0.05, 40),
+                                                (8.0, 0.02, 56)])
+    def test_decimal_rows_match_loggamma_rows_off_theta_five(
+            self, theta, ts, dps):
+        # the product first term and the cached step ratios at other
+        # theta; dps is the precision _lineage_cumulative starts from
+        assert_decimal_table_matches_loggamma(theta, ts, dps)
+
+    @pytest.mark.parametrize("theta, ts, dps", [(5.0, 0.05, 40),
+                                                (5.0, 0.075, 40),
+                                                (2.0, 0.01, 90)])
+    def test_decimal_tables_draw_the_loggamma_indices(self, theta, ts, dps):
+        # the decimal and the reference tables differ below about 1e-20;
+        # a million inverse-CDF draws at seed 0 must not see it. dps is the
+        # precision the decimal table resolves at
+        weights = np.clip(lineage_table_loggamma(theta, ts, dps), 0.0, None)
+        weights /= weights.sum()
+        draws = [wf._draw_index(cum, np.random.default_rng(0), 10 ** 6)
+                 for cum in (wf._lineage_cumulative.__wrapped__(theta, ts),
+                             np.cumsum(weights))]
+        np.testing.assert_array_equal(*draws)
 
     def test_float_pass_hands_over_below_ts_one_tenth(self, monkeypatch):
         # the float cancellation bound at theta 5 passes 1e-9 between
@@ -215,9 +233,9 @@ class TestLineageWeights:
         precisions = []
         table = wf._lineage_table
 
-        def spy(theta, ts, mp=None):
-            precisions.append(None if mp is None else mp.dps)
-            return table(theta, ts, mp)
+        def spy(theta, ts, ctx=None):
+            precisions.append(None if ctx is None else ctx.prec)
+            return table(theta, ts, ctx)
 
         monkeypatch.setattr(wf, "_lineage_table", spy)
         for ts, expected in [(0.1, [None]), (0.09, [None, 40])]:
@@ -248,6 +266,15 @@ class TestMixtureComponent:
         x, w = unit_gauss_legendre(256)
         dens = transition_mixture_component(x, 3, 0.3, p)
         assert w @ dens == pytest.approx(1.0, abs=1e-8)
+
+
+def assert_decimal_table_matches_loggamma(theta, ts, dps):
+    """The dps-digit decimal lineage table has the reference's length and
+    lies within 1e-15 of it."""
+    table, _ = wf._lineage_table(theta, ts, wf._lineage_context(dps))
+    ref = lineage_table_loggamma(theta, ts, dps)
+    assert len(table) == len(ref)
+    np.testing.assert_allclose(table, ref, rtol=0.0, atol=1e-15)
 
 
 def series_log_weights(t, p, tol=1e-9):
