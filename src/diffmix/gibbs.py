@@ -260,9 +260,10 @@ def _unresolved_cause(r: float, ct: float) -> str:
     if r * np.expm1(ct) > 1.0:
         return ("an a + b too large to resolve the series index within its "
                 f"cap; {lower_theta}, or {raise_c}")
+    lower_helps = wf._nb_resolved(wf._nb_cumulative(1.0, ct))
     return ("too small to resolve the series index within its cap; merge "
             f"near-duplicate times, or {raise_c}"
-            + (f", or {lower_theta}" if wf._nb_resolves(1.0, ct) else ""))
+            + (f", or {lower_theta}" if lower_helps else ""))
 
 
 def _slice_at(d, eta2, u) -> np.ndarray:

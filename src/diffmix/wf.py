@@ -26,9 +26,8 @@ differing only in the law of the series index m:
   quadratic rates i (i + a + b - 1) / 2. These weights make the mixture
   the exact diffusion transition function; `transition_density` and
   `sample_transition` use them. The alternating series behind them is
-  evaluated with cancellation-error control, in floats or, for small
-  times, in the standard library's decimal arithmetic at 40 or more
-  digits.
+  evaluated with cancellation-error control in the standard library's
+  decimal arithmetic, at 40 or more digits.
 
 * Negative-Binomial weights r_t(m) with size a + b and success parameter
   e^{-c t} (`nb_weight`, `series_transition_density`). All summands are
@@ -44,11 +43,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from contextlib import nullcontext
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from functools import lru_cache
-from itertools import count, islice
+from itertools import islice
 
 import numpy as np
 from scipy.special import gammaln, xlog1py, xlogy
@@ -68,7 +66,7 @@ EULER_PATH_BLOCK = 1 << 16
 _LINEAGE_TAIL = 1e-12
 _LINEAGE_ACCURACY = 1e-9
 # largest lineage-series term: e^700 needs more digits than the 320-digit
-# cap, and a float overflows past e^709
+# cap
 _LINEAGE_TERM_MAX = math.exp(700.0)
 
 # largest M |d log x| and M |d log(1 - x)| across one block of nodes in
@@ -176,17 +174,16 @@ def nb_weight(m, t: float, p: WFParams):
     return float(out) if out.ndim == 0 else out
 
 
-def _nb_cumulative(r: float, ct: float) -> np.ndarray:
-    """Cumulative Negative-Binomial weights at size r and ct up to
-    machine-resolution tail (_nb_series), kept in the series store."""
-    cum = _nb_store.pop((r, ct), None)
-    return _nb_keep(r, ct, _nb_series(r, (ct,))[0] if cum is None else cum)
-
-
 # the series tables used last, least recent first, keyed by (r, ct): the
 # one store of sample_nb and slice growth, at most _NB_STORE_SIZE tables
 _NB_STORE_SIZE = 256
 _nb_store: dict = {}
+
+
+def _nb_cumulative(r: float, ct: float) -> np.ndarray:
+    """Cumulative Negative-Binomial weights at size r and ct up to
+    machine-resolution tail (_nb_series), kept in the series store."""
+    return _nb_cumulatives(r, (ct,))[0]
 
 
 def _nb_cumulatives(r: float, cts) -> list[np.ndarray]:
@@ -197,17 +194,11 @@ def _nb_cumulatives(r: float, cts) -> list[np.ndarray]:
     if missing:
         cums.update(zip(missing, _nb_series(r, missing)))
     for ct, cum in cums.items():
-        _nb_keep(r, ct, cum)
+        # the most recent table, dropping the least recent past the size
+        _nb_store[r, ct] = cum
+        if len(_nb_store) > _NB_STORE_SIZE:
+            del _nb_store[next(iter(_nb_store))]
     return [cums[ct] for ct in cts]
-
-
-def _nb_keep(r: float, ct: float, cum: np.ndarray) -> np.ndarray:
-    """Store cum as the most recent table, dropping the least recent one
-    past _NB_STORE_SIZE, and return it."""
-    _nb_store[r, ct] = cum
-    if len(_nb_store) > _NB_STORE_SIZE:
-        del _nb_store[next(iter(_nb_store))]
-    return cum
 
 
 def _nb_series(r: float, cts) -> list[np.ndarray]:
@@ -283,28 +274,16 @@ def sample_nb(t: float, p: WFParams, rng: np.random.Generator, size):
     Inverse-CDF on the cumulative weights keeps draws exact and
     deterministic under a seeded generator.
     """
-    return _draw_index(_nb_table(t, p), rng, size)
-
-
-def _nb_table(t: float, p: WFParams) -> np.ndarray:
-    """Cached cumulative weights of r_t; SeriesTruncationError unless they
-    resolve within DEFAULT_SERIES_CAP."""
     cum = _nb_cumulative(p.a + p.b, p.c * t)
     if not _nb_resolved(cum):
         raise SeriesTruncationError(
-            f"series index distribution not resolved within cap for t={t}"
-        )
-    return cum
-
-
-def _nb_resolves(r: float, ct: float) -> bool:
-    """Whether the series weights at size r and ct sum to within 1e-12
-    of one inside DEFAULT_SERIES_CAP terms; a NaN sum is not refused."""
-    return _nb_resolved(_nb_cumulative(r, ct))
+            f"series index distribution not resolved within cap for t={t}")
+    return _draw_index(cum, rng, size)
 
 
 def _nb_resolved(cum: np.ndarray) -> bool:
-    """_nb_resolves of the cumulative weights cum."""
+    """Whether the cumulative series weights cum sum to within 1e-12 of
+    one inside DEFAULT_SERIES_CAP terms; a NaN sum is not refused."""
     return not 1.0 - cum[-1] > 1e-12
 
 
@@ -324,48 +303,18 @@ def _draw_index(cum: np.ndarray, rng: np.random.Generator, size):
 # Exact lineage-count weights (death process started from infinity)
 # ---------------------------------------------------------------------------
 
-def _lineage_row(theta: float, ts: float, m: int):
+def _decimal_lineage_rows(theta: float, ts: float, prec: int):
     """(q_m, log of its largest term) of the alternating lineage series
 
         q_m = sum_{i >= m} (-1)^(i-m) (theta + 2i - 1) Gamma(theta + m + i - 1)
               / (m! (i - m)! Gamma(theta + m)) e^{-i (i + theta - 1) ts / 2}
 
-    (Griffiths 1980) in Python floats: term m from log-gammas, each later
-    term from the one before by their ratio, which falls with i, so the
-    row ends at the first falling term below the cutoff 1e-22.
-    """
-    log_mag = (-m * (m + theta - 1) * ts / 2 + math.log(theta + 2 * m - 1)
-               + math.lgamma(theta + 2 * m - 1) - math.lgamma(m + 1)
-               - math.lgamma(theta + m))
-    # capped below float overflow but past _LINEAGE_TERM_MAX: the loop raises
-    mag = math.exp(min(log_mag, 701.0))
-    decay, step_decay = math.exp(-(2 * m + theta) * ts / 2), math.exp(-ts)
-    q_m, peak, sign, i = 0.0, 0.0, 1, m
-    while True:
-        q_m += mag if sign > 0 else -mag
-        if mag > peak:
-            if mag > _LINEAGE_TERM_MAX:
-                raise SeriesTruncationError(
-                    f"t too small for stable series evaluation at ts={ts}")
-            peak = mag
-        elif mag < 1e-22:
-            # peak stays 0 only when the first term underflows
-            return q_m, (math.log(peak) if peak else -math.inf)
-        mag *= (decay * (theta + 2 * i + 1) / (theta + 2 * i - 1)
-                * (theta + m + i - 1) / (i - m + 1))
-        decay *= step_decay
-        sign, i = -sign, i + 1
-        if i - m > 1 << 20:
-            raise SeriesTruncationError(
-                f"lineage series for m={m} not converging at ts={ts}")
+    (Griffiths 1980) for m = 0, 1, ... in decimal arithmetic, with q_m as
+    a Decimal; the caller makes the prec-digit context current.
 
-
-def _decimal_lineage_rows(theta: float, ts: float, prec: int):
-    """_lineage_row's rows for m = 0, 1, ... in decimal arithmetic, with
-    q_m as a Decimal; the caller makes the prec-digit context current.
-
-    The row ends at its first falling term below 10^(8 - prec). decimal
-    has no log-gamma, so term m is the exact product
+    Each later term comes from the one before by their ratio, which falls
+    with i, so a row ends at its first falling term below 10^(8 - prec).
+    decimal has no log-gamma, so term m is the exact product
 
         prod_{k<m} (theta + m + k) / (k + 1) e^{-m (m + theta - 1) ts / 2},
 
@@ -418,24 +367,22 @@ def _lineage_context(digits: int) -> Context:
     return Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-def _lineage_table(theta: float, ts: float, ctx: Context | None = None):
+def _lineage_table(theta: float, ts: float, ctx: Context):
     """(q_m for m = 0, 1, ... as floats, cancellation bound) from
-    _lineage_row in floats, or from _decimal_lineage_rows under the
-    decimal context ctx (see _lineage_context).
+    _decimal_lineage_rows under the decimal context ctx (see
+    _lineage_context).
 
-    Each row adds 4 units of its precision (4e-16 in floats, 4 10^-prec
-    in decimal) times its largest term to the bound. The table ends early
-    once the bound passes 1e-8, else once the tail is below 1e-12 and q_m
-    below 1e-13, or after four rows below 1e-14 once the mass passes 1/2.
+    Each row adds 4 units of its precision, 4 10^-prec, times its largest
+    term to the bound. The table ends early once the bound passes 1e-8,
+    else once the tail is below 1e-12 and q_m below 1e-13, or after four
+    rows below 1e-14 once the mass passes 1/2.
     """
-    if ctx is None:
-        unit, rows = 4.0e-16, (_lineage_row(theta, ts, m) for m in count())
-    else:
-        unit = 4 * 10.0 ** -ctx.prec
-        rows = _decimal_lineage_rows(theta, ts, ctx.prec)
+    unit = 4 * 10.0 ** -ctx.prec
     weights, total, err, negligible = [], 0, 0.0, 0
-    with nullcontext() if ctx is None else localcontext(ctx):
-        for q_m, max_log in islice(rows, DEFAULT_SERIES_CAP + 1):
+    with localcontext(ctx):
+        for q_m, max_log in islice(
+                _decimal_lineage_rows(theta, ts, ctx.prec),
+                DEFAULT_SERIES_CAP + 1):
             weights.append(float(q_m))
             total += q_m
             err += unit * math.exp(max_log)
@@ -447,9 +394,42 @@ def _lineage_table(theta: float, ts: float, ctx: Context | None = None):
         f"lineage-count support exceeds cap {DEFAULT_SERIES_CAP} at ts={ts}")
 
 
-def _lineage_resolved(weights, err, mass_tol: float) -> bool:
-    return (err <= _LINEAGE_ACCURACY and abs(weights.sum() - 1.0) <= mass_tol
+def _lineage_resolved(weights, err) -> bool:
+    return (err <= _LINEAGE_ACCURACY and abs(weights.sum() - 1.0) <= 1e-9
             and not np.any(weights < -1e-9))
+
+
+def _lineage_peak_log(theta: float, ts: float) -> float:
+    """Log of the largest lineage-series term on the rows m = 0, s, 2s, ...
+    below int(2.4 / ts) + 48, about 2 / ts plus slack, which spans the
+    support; s is a 40th of that bound. Each term is read from its closed
+    form
+
+        log(theta + 2i - 1) + log Gamma(theta + m + i - 1) - log m!
+        - log (i - m)! - log Gamma(theta + m) - i (i + theta - 1) ts / 2.
+
+    The step ratio from term i to i + 1 falls with i and is below 1 for
+    every i - m past 4 / ts, so each row peaks at its first i whose ratio
+    is below 1, found by bisection in i - m.
+    """
+    # the bounds keep every index an exact float; below ts 1e-15, where
+    # they bind, the largest term is far past _LINEAGE_TERM_MAX
+    probe = int(min(2.4 / ts, 2.0 ** 52)) + 48
+    m = np.arange(0, probe, max(1, probe // 40), dtype=float)
+    lo = np.zeros_like(m)
+    hi = np.full_like(m, int(min(4 / ts, 2.0 ** 52)) + 2)
+    while np.any(lo < hi):
+        j = (lo + hi) // 2
+        i = m + j
+        rises = (np.log((theta + 2 * i + 1) / (theta + 2 * i - 1)
+                        * (theta + m + i - 1) / (j + 1))
+                 >= (theta + 2 * i) * ts / 2)
+        lo, hi = np.where(rises, j + 1, lo), np.where(rises, hi, j)
+    i = m + lo
+    return float(np.max(
+        np.log(theta + 2 * i - 1) + gammaln(theta + m + i - 1)
+        - gammaln(m + 1) - gammaln(lo + 1) - gammaln(theta + m)
+        - i * (i + theta - 1) * ts / 2))
 
 
 # one key per distinct (a + b, time) pair: a Pitman-Yor state moved by one
@@ -459,31 +439,24 @@ def _lineage_cumulative(theta: float, ts: float) -> np.ndarray:
     """Cached cumulative lineage-count weights at standardised time ts.
 
     Resolves the distribution to tail mass 1e-12 and absolute weight
-    accuracy near 1e-9 in floats, escalating to decimal arithmetic at 40
-    or more digits when the float pass would lose the alternating series
-    to cancellation.
+    accuracy near 1e-9 in decimal arithmetic. The table starts at 40
+    digits, or at 25 more than the largest term needs
+    (_lineage_peak_log), and its precision rises 1.6-fold until the mass
+    diagnostic passes, up to 320 digits.
     """
-    if not ts > 0:
-        raise ValueError("standardised time must be positive")
-    weights, err = _lineage_table(theta, ts)
-    if not _lineage_resolved(weights, err, 1e-8):
-        # digits for the largest term on rows across the support (about
-        # 2/ts plus slack), raised until the mass diagnostic passes
-        mmax_probe = int(2.4 / ts) + 48
-        max_log = max(_lineage_row(theta, ts, m)[1] for m in
-                      range(0, mmax_probe, max(1, mmax_probe // 40)))
-        dps = max(40, 25 + int(max_log / 2.302585))
-        while True:
-            if dps > 320:
-                raise SeriesTruncationError(
-                    f"t too small for stable series evaluation at ts={ts}")
-            try:
-                weights, err = _lineage_table(theta, ts, _lineage_context(dps))
-                if _lineage_resolved(weights, err, 1e-9):
-                    break
-            except SeriesTruncationError:
-                pass
-            dps = int(dps * 1.6)
+    _positive("standardised time", ts)
+    dps = max(40, 25 + int(_lineage_peak_log(theta, ts) / 2.302585))
+    while True:
+        if dps > 320:
+            raise SeriesTruncationError(
+                f"t too small for stable series evaluation at ts={ts}")
+        try:
+            weights, err = _lineage_table(theta, ts, _lineage_context(dps))
+            if _lineage_resolved(weights, err):
+                break
+        except SeriesTruncationError:
+            pass
+        dps = int(dps * 1.6)
     weights = np.clip(weights, 0.0, None)
     weights /= weights.sum()
     cum = np.cumsum(weights)

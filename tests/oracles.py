@@ -186,9 +186,9 @@ def lineage_table_loggamma(theta, ts, dps):
     own log-gammas.
 
     The reference for wf._lineage_table's rows, which step from term to
-    term by their ratio and, in decimal, start from a product carried
-    from row to row. A row stops at its first falling term below
-    10^(8 - dps); the table stops by wf._lineage_table's rule.
+    term by their ratio and start from a decimal product carried from row
+    to row. A row stops at its first falling term below 10^(8 - dps); the
+    table stops by wf._lineage_table's rule.
     """
     import mpmath as mp
 

@@ -187,22 +187,12 @@ class TestLineageWeights:
             assert slope == pytest.approx(
                 np.exp(-wf.mean_reversion_rate(p) * t), abs=1e-9)
 
-    @pytest.mark.parametrize("ts, dps", [(5.0, None), (1.0, None),
-                                         (0.2, None), (0.1, None),
-                                         (0.05, 40), (0.02, 56)])
+    @pytest.mark.parametrize("ts, dps", [(5.0, 40), (1.0, 40), (0.2, 40),
+                                         (0.1, 40), (0.05, 40), (0.02, 56)])
     def test_ratio_rows_match_loggamma_rows(self, ts, dps):
-        # theta = 5 is (a, b) = (1, 4). dps None is the float pass, checked
-        # against a 60-digit reference; otherwise dps is the precision
+        # theta = 5 is (a, b) = (1, 4); dps is the precision
         # _lineage_cumulative starts from at this time
-        if dps is None:
-            table, err = wf._lineage_table(5.0, ts)
-            assert err <= wf._LINEAGE_ACCURACY
-            ref = lineage_table_loggamma(5.0, ts, 60)
-            n = max(len(table), len(ref))
-            table, ref = (np.pad(x, (0, n - len(x))) for x in (table, ref))
-            np.testing.assert_allclose(table, ref, rtol=0.0, atol=1e-10)
-        else:
-            assert_decimal_table_matches_loggamma(5.0, ts, dps)
+        assert_decimal_table_matches_loggamma(5.0, ts, dps)
 
     @pytest.mark.parametrize("theta, ts, dps", [(1.5, 0.03, 45),
                                                 (3.7, 0.05, 40),
@@ -227,27 +217,44 @@ class TestLineageWeights:
                              np.cumsum(weights))]
         np.testing.assert_array_equal(*draws)
 
-    def test_float_pass_hands_over_below_ts_one_tenth(self, monkeypatch):
-        # the float cancellation bound at theta 5 passes 1e-9 between
-        # ts 0.1 and 0.09, so the 0.09 table is rebuilt at 40 digits
+    @pytest.mark.parametrize("theta, ts, digits", [(5.0, 0.1, 40),
+                                                   (5.0, 0.09, 40),
+                                                   (5.0, 0.05, 40),
+                                                   (5.0, 0.02, 56),
+                                                   (1.5, 0.03, 45),
+                                                   (8.0, 0.02, 56),
+                                                   (2.0, 0.01, 90)])
+    def test_one_decimal_table_per_build(self, monkeypatch, theta, ts,
+                                         digits):
+        # every table is built in decimal, once, at the precision the
+        # largest term asks for
         precisions = []
         table = wf._lineage_table
 
-        def spy(theta, ts, ctx=None):
-            precisions.append(None if ctx is None else ctx.prec)
+        def spy(theta, ts, ctx):
+            precisions.append(ctx.prec)
             return table(theta, ts, ctx)
 
         monkeypatch.setattr(wf, "_lineage_table", spy)
-        for ts, expected in [(0.1, [None]), (0.09, [None, 40])]:
-            precisions.clear()
-            wf._lineage_cumulative.__wrapped__(5.0, ts)
-            assert precisions == expected
+        wf._lineage_cumulative.__wrapped__(theta, ts)
+        assert precisions == [digits]
 
     def test_term_past_double_range_raises(self):
         # the largest terms pass e^700 near ts 0.002: more digits than
         # the 320-digit cap, where a float would overflow
         with pytest.raises(SeriesTruncationError, match="stable"):
             wf._lineage_cumulative.__wrapped__(5.0, 0.002)
+
+    @pytest.mark.parametrize("ts", [1e-20, 1e-310])
+    def test_tiny_time_raises_before_any_row(self, ts):
+        # the largest term comes from its closed form, so the precision
+        # cap refuses the time before a row is summed
+        with pytest.raises(SeriesTruncationError, match="stable"):
+            wf._lineage_cumulative.__wrapped__(5.0, ts)
+
+    def test_infinite_time_refused(self):
+        with pytest.raises(ValueError, match="positive and finite"):
+            wf._lineage_cumulative.__wrapped__(5.0, np.inf)
 
 
 class TestMixtureComponent:
