@@ -15,11 +15,12 @@ timed too: it evaluates the path prior of one stick at a time. So is
 the transition-latent update of a dense-workload-shaped chain (20 times
 x 2 observations at spacing 0.02, default_rng(7); Dirichlet process,
 theta = 1 and c = 0.5 fixed, chain seed 1, the same four sweeps), whose
-latent indices reach several hundred. Last, growth by one component at
-a fresh (theta, c) on an irregular grid of 500 times (gaps uniform on
-[0.01, 0.1], default_rng(3); 499 distinct gaps, more series tables than
-the store keeps) gives its median time and the tracemalloc peak over
-IRREGULAR_GROWTHS calls: what the series tables hold at once. Each
+latent indices reach several hundred. Last, growth by one component on
+an irregular grid of 500 times (gaps uniform on [0.01, 0.1],
+default_rng(3); 499 distinct gaps, each one series table) gives its
+median time cold, at a fresh (theta, c) each call, and warm, at the c of
+the call before it, and the tracemalloc peak over IRREGULAR_GROWTHS cold
+calls: what the series tables hold at once. Each
 run's time is divided by the host slowdown around it (`hostcal`) before
 the medians are taken; the raw times are kept under "raw".
 
@@ -109,24 +110,28 @@ def growth_spans(data, cfg, states, count: int, warm: bool, repeats: int,
     return spans
 
 
-def irregular_growth(cfg, repeats: int,
-                     clock: hostcal.HostClock) -> tuple[range, float]:
-    """(timings, traced peak MB) of growth by one component at a fresh
-    (theta, c) each call on the irregular grid."""
+def irregular_growth(cfg, repeats: int, clock: hostcal.HostClock
+                     ) -> tuple[range, range, float]:
+    """(cold timings, warm timings, traced peak MB) of growth by one
+    component on the irregular grid: cold at a fresh (theta, c) each
+    call, warm at the c of the call before it."""
     times = np.cumsum(np.random.default_rng(3).uniform(0.01, 0.1, 500))
     data = TimeGridDataset(times=times,
                            values=tuple(np.zeros(1) for _ in times))
 
-    def grow(i):
-        gibbs._prior_components(cfg, 1.2, 0.8 * (1.0 + 1e-9 * (i + 1)), 1,
-                                20, data.gaps, np.random.default_rng(i))
+    def grow(i, c=None):
+        gibbs._prior_components(
+            cfg, 1.2, c or 0.8 * (1.0 + 1e-9 * (i + 1)), 1, 20, data.gaps,
+            np.random.default_rng(i))
 
     def grow_all():
         for i in range(IRREGULAR_GROWTHS):
             grow(i)
     peak = hostcal.traced_peak(grow_all)
-    return clock.time(lambda i: grow(IRREGULAR_GROWTHS + i),
-                      repeats), peak / 1e6
+    cold = clock.time(lambda i: grow(IRREGULAR_GROWTHS + i), repeats)
+    grow(0, 0.8)
+    warm = clock.time(lambda i: grow(i, 0.8), repeats)
+    return cold, warm, peak / 1e6
 
 
 def main() -> None:
@@ -150,9 +155,10 @@ def main() -> None:
     spans["dense_transition_latents_ms"] = update_spans(
         gibbs.update_transition_latents, dense_data, dense_cfg, dense,
         args.repeats, clock)
-    irregular, peak_mb = irregular_growth(cfg, max(1, args.repeats // 4),
-                                          clock)
-    spans["irregular_growth_ms"] = [irregular]
+    cold, warm, peak_mb = irregular_growth(cfg, max(1, args.repeats // 4),
+                                           clock)
+    spans["irregular_growth_ms"] = [cold]
+    spans["irregular_growth_warm_ms"] = [warm]
     result = clock.report({"irregular_growth_peak_mb": peak_mb}, spans,
                           scale=1e3)
     result.update({

@@ -23,7 +23,7 @@ from .errors import DataError
 class TimeGridDataset:
     """Observations grouped on a strictly increasing time grid.
 
-    times: (n,) strictly increasing floats.
+    times: (n,) strictly increasing floats, their differences finite.
     values: one nonempty float array per time.
     """
 
@@ -42,11 +42,16 @@ class TimeGridDataset:
             raise DataError("one value group per time required")
         if np.any(~np.isfinite(times)):
             raise DataError("times must be finite")
-        if np.any(np.diff(times) <= 0):
-            idx = int(np.nonzero(np.diff(times) <= 0)[0][0])
-            raise DataError(
-                f"times must be strictly increasing; violation at row {idx + 2}"
-            )
+        back = np.flatnonzero(times[1:] <= times[:-1])
+        if back.size:
+            raise DataError("times must be strictly increasing; violation "
+                            f"at row {back[0] + 2}")
+        with np.errstate(over="ignore"):  # the gaps give c tau
+            wide = np.flatnonzero(np.isinf(np.diff(times)))
+        if wide.size:
+            i = wide[0]
+            raise DataError(f"the gap between times {times[i]:g} and "
+                            f"{times[i + 1]:g} overflows; rescale the times")
         for i, v in enumerate(values):
             if len(v) == 0:
                 raise DataError(f"time {times[i]} has no observations")
@@ -101,9 +106,10 @@ class TimeGridDataset:
             raise DataError("times and values must be parallel 1-D arrays")
         if len(times) == 0:
             raise DataError("empty dataset")
-        if np.any(np.diff(times) < 0):
-            idx = int(np.nonzero(np.diff(times) < 0)[0][0])
-            raise DataError(f"times must be sorted; violation at row {idx + 2}")
+        back = np.flatnonzero(times[1:] < times[:-1])
+        if back.size:
+            raise DataError(
+                f"times must be sorted; violation at row {back[0] + 2}")
         grid, start = np.unique(times, return_index=True)
         bounds = np.append(start, len(times))
         groups = tuple(values[bounds[i]:bounds[i + 1]]
@@ -152,11 +158,10 @@ class TimeGridDataset:
         values = np.array([r[1] for r in rows])
         if date_column is not None:
             times = times - times.min()
-        if np.any(np.diff(times) < 0):
-            idx = int(np.nonzero(np.diff(times) < 0)[0][0])
-            raise DataError(
-                f"{path}: times must be sorted; row {idx + 3} goes backwards"
-            )
+        back = np.flatnonzero(times[1:] < times[:-1])
+        if back.size:
+            raise DataError(f"{path}: times must be sorted; row "
+                            f"{back[0] + 3} goes backwards")
         return cls.from_pairs(times, values)
 
     def to_csv(self, path) -> None:

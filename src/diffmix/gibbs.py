@@ -211,41 +211,28 @@ def _sample_u(s, eta, rng) -> np.ndarray:
     return np.maximum(rng.uniform(0.0, np.exp(-eta * (s + 1.0))), 1e-300)
 
 
-def _prior_tables(runs, taus) -> dict:
-    """gap -> [(size, series table)], one entry per run of stick_runs, for
-    the first distinct gaps in the floats taus, as many as the series
-    store keeps for all runs (at least one). A run's tables come from one
-    wf._nb_cumulatives call; SeriesTruncationError names the first of these
-    gaps, in grid order, that a run cannot resolve."""
-    gaps = list(dict.fromkeys(taus))[
-        :max(1, wf._NB_STORE_SIZE // len(runs))]
-    built = []
+def _series_tables(runs, tau: float) -> list[np.ndarray]:
+    """The cached series table of each run of stick_runs at gap tau;
+    SeriesTruncationError names the first run that cannot resolve it."""
+    cums = []
     for _, _, p in runs:
+        r, ct = p.a + p.b, p.c * tau
         try:
-            built.append(wf._nb_cumulatives(p.a + p.b,
-                                           [p.c * tau for tau in gaps]))
+            cums.append(wf._nb_cumulative(r, ct))
         except SeriesTruncationError:  # a + b past double range
-            built.append(None)
-    tables = {}
-    for w, tau in enumerate(gaps):
-        for (_, _, p), cums in zip(runs, built):
-            if cums is None or not wf._nb_resolved(cums[w]):
-                raise SeriesTruncationError(
-                    f"gap {tau:g} between consecutive observation times "
-                    f"gives c tau = {p.c * tau:g} at a + b = {p.a + p.b:g}, "
-                    + _unresolved_cause(p.a + p.b, p.c * tau))
-        tables[tau] = [(hi - lo, cums[w])
-                       for (lo, hi, _), cums in zip(runs, built)]
-    return tables
+            cums.append(None)
+        if cums[-1] is None or not wf._nb_resolved(cums[-1]):
+            raise SeriesTruncationError(
+                f"gap {tau:g} between consecutive observation times gives "
+                f"c tau = {ct:g} at a + b = {r:g}, "
+                + _unresolved_cause(r, ct))
+    return cums
 
 
-def _prior_index(runs, tau: float, tables: dict, rng) -> list[int]:
-    """Series index d ~ r_tau per stick, one draw per run of stick_runs,
-    from tau's entry of tables (as _prior_tables gives them), else from
-    _prior_tables(runs, [tau])."""
-    cums = tables[tau] if tau in tables else _prior_tables(runs, [tau])[tau]
-    return [d for size, cum in cums
-            for d in wf._draw_index(cum, rng, size).tolist()]
+def _prior_index(runs, cums, rng) -> list[int]:
+    """Series index d ~ r_tau per stick: one draw per run from cums."""
+    return [d for (lo, hi, _), cum in zip(runs, cums)
+            for d in wf._draw_index(cum, rng, hi - lo).tolist()]
 
 
 def _unresolved_cause(r: float, ct: float) -> str:
@@ -284,11 +271,13 @@ def _prior_components(cfg: SamplerConfig, theta: float, c: float,
     offset is the number of components already present, so stick labels
     start at offset + 1. Sticks and their transition latents are drawn
     jointly along the path: v(t_1) from its Beta marginal, then at each
-    gap d ~ r_tau for every stick (one run of stick_runs at a time),
-    k ~ Bin(d, v_prev) for every stick, v_next ~ Beta(a + k, b + d - k)
-    for every stick, and the uniforms of the slices o | d. Given sticks
-    of shape (count, times), the stick values are taken from them in
-    place of both Beta draws, and everything else is drawn as above.
+    gap d ~ r_tau for every stick (one run of stick_runs at a time, from
+    each distinct gap's tables, resolved before the first d and held to
+    the last), k ~ Bin(d, v_prev) for every stick,
+    v_next ~ Beta(a + k, b + d - k) for every stick, and the uniforms of
+    the slices o | d. Given sticks of shape (count, times), the stick
+    values are taken from them in place of both Beta draws, and
+    everything else is drawn as above.
 
     Growth adds a few sticks at a time and init_chain some tens, so k
     and v are scalar generator calls, one stick at a time: on a handful
@@ -305,11 +294,10 @@ def _prior_components(cfg: SamplerConfig, theta: float, c: float,
         else given[0]
     # one list per time (sticks) or gap (the rest), transposed at the end
     vs, ks, ds, us = [v], [], [], []
-    gaps, tables = taus.tolist(), {}
+    gaps = taus.tolist()
+    tables = {tau: _series_tables(runs, tau) for tau in dict.fromkeys(gaps)}
     for w, tau in enumerate(gaps):
-        if tau not in tables:  # the tables of the gaps from here on
-            tables = _prior_tables(runs, gaps[w:])
-        d = _prior_index(runs, tau, tables, rng)
+        d = _prior_index(runs, tables[tau], rng)
         k = [rng.binomial(dj, vj) for dj, vj in zip(d, v)]
         if given is None:
             v = [min(max(rng.beta(aj + kj, bj + dj - kj), lo), hi)

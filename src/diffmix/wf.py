@@ -174,74 +174,50 @@ def nb_weight(m, t: float, p: WFParams):
     return float(out) if out.ndim == 0 else out
 
 
-# the series tables used last, least recent first, keyed by (r, ct): the
-# one store of sample_nb and slice growth, at most _NB_STORE_SIZE tables
-_NB_STORE_SIZE = 256
-_nb_store: dict = {}
+# tables in each series cache, _nb_cumulative and _lineage_cumulative: well
+# above a Pitman-Yor state's stick count and a grid's few hundred gaps
+_SERIES_CACHE_SIZE = 1024
 
 
+@lru_cache(maxsize=256)  # holds every run's blocks in a Pitman-Yor growth
+def _nb_coef_block(r: float, start: int, stop: int):
+    """(m, log Gamma(r + m) - log Gamma(r) - log m!) for m in [start,
+    stop): the c-free part of the log weights, shared by every ct."""
+    m = np.arange(start, stop, dtype=float)
+    return m, gammaln(r + m) - gammaln(r) - gammaln(m + 1.0)
+
+
+@lru_cache(maxsize=_SERIES_CACHE_SIZE)
 def _nb_cumulative(r: float, ct: float) -> np.ndarray:
-    """Cumulative Negative-Binomial weights at size r and ct up to
-    machine-resolution tail (_nb_series), kept in the series store."""
-    return _nb_cumulatives(r, (ct,))[0]
-
-
-def _nb_cumulatives(r: float, cts) -> list[np.ndarray]:
-    """_nb_cumulative at size r of each ct in cts; the keys the store
-    lacks are built in one _nb_series call."""
-    cums = {ct: _nb_store.pop((r, ct), None) for ct in dict.fromkeys(cts)}
-    missing = [ct for ct, cum in cums.items() if cum is None]
-    if missing:
-        cums.update(zip(missing, _nb_series(r, missing)))
-    for ct, cum in cums.items():
-        # the most recent table, dropping the least recent past the size
-        _nb_store[r, ct] = cum
-        if len(_nb_store) > _NB_STORE_SIZE:
-            del _nb_store[next(iter(_nb_store))]
-    return [cums[ct] for ct in cts]
-
-
-def _nb_series(r: float, cts) -> list[np.ndarray]:
-    """Cumulative Negative-Binomial weights at size r, one table per ct
-    in cts, each summed over blocks of 64, 128, ... indices.
+    """Cumulative Negative-Binomial weights at size r and ct, summed over
+    blocks of 64, 128, ... indices; cached.
 
     Summation stops at the end of a block once the terms are past the
     mode and the tail after the last term m, bounded by the geometric
     series w_m rho / (1 - rho) with rho = (r + m) / (m + 1) e^{-ct} (the
     term ratio, which only falls beyond m), is below 1e-16. A test on
-    1 - partial sum cannot serve: rounding can hold it above 1e-15. A
-    block's log coefficients depend on r alone and are evaluated once for
-    all keys; each weight is the one log_nb_weight gives.
-    SeriesTruncationError when log Gamma(r + m) leaves double range.
+    1 - partial sum cannot serve: rounding can hold it above 1e-15. Each
+    weight is the one log_nb_weight gives. SeriesTruncationError when
+    log Gamma(r + m) leaves double range.
     """
     if not _nb_size_in_range(r):
         raise SeriesTruncationError(
             f"a + b = {r:g} leaves double range: log Gamma(a + b) overflows "
             "in the series weights")
-    blocks = []  # (indices, log coefficients) of each block built so far
-    tables = []
-    for ct in cts:
-        parts = []
-        block = 64
-        start = 0
-        while start <= DEFAULT_SERIES_CAP:
-            if len(parts) == len(blocks):
-                m = np.arange(start, min(start + block,
-                                         DEFAULT_SERIES_CAP + 1), dtype=float)
-                blocks.append(
-                    (m, gammaln(r + m) - gammaln(r) - gammaln(m + 1.0)))
-            m, coef = blocks[len(parts)]
-            w = np.exp(_log_nb_from_coef(coef, m, r, ct))
-            parts.append(w)
-            rho = (r + m[-1]) / (m[-1] + 1.0) * np.exp(-ct)
-            if rho < 1.0 and w[-1] * rho / (1.0 - rho) < 1e-16:
-                break
-            start += block
-            block = min(2 * block, 1 << 16)
-        cum = np.cumsum(np.concatenate(parts))
-        cum.flags.writeable = False  # shared through the store
-        tables.append(cum)
-    return tables
+    parts, start, size = [], 0, 64
+    while start <= DEFAULT_SERIES_CAP:
+        m, coef = _nb_coef_block(
+            r, start, min(start + size, DEFAULT_SERIES_CAP + 1))
+        w = np.exp(_log_nb_from_coef(coef, m, r, ct))
+        parts.append(w)
+        rho = (r + m[-1]) / (m[-1] + 1.0) * np.exp(-ct)
+        if rho < 1.0 and w[-1] * rho / (1.0 - rho) < 1e-16:
+            break
+        start += size
+        size = min(2 * size, 1 << 16)
+    cum = np.cumsum(np.concatenate(parts))
+    cum.flags.writeable = False  # shared through the cache
+    return cum
 
 
 def _nb_size_in_range(r: float) -> bool:
@@ -269,11 +245,8 @@ def nb_truncation_index(t: float, p: WFParams, tol: float) -> int:
 
 
 def sample_nb(t: float, p: WFParams, rng: np.random.Generator, size):
-    """Inverse-CDF draws of the Negative-Binomial series index m ~ r_t.
-
-    Inverse-CDF on the cumulative weights keeps draws exact and
-    deterministic under a seeded generator.
-    """
+    """Inverse-CDF draws of the Negative-Binomial series index m ~ r_t
+    from its cached table; SeriesTruncationError if that is unresolved."""
     cum = _nb_cumulative(p.a + p.b, p.c * t)
     if not _nb_resolved(cum):
         raise SeriesTruncationError(
@@ -394,11 +367,6 @@ def _lineage_table(theta: float, ts: float, ctx: Context):
         f"lineage-count support exceeds cap {DEFAULT_SERIES_CAP} at ts={ts}")
 
 
-def _lineage_resolved(weights, err) -> bool:
-    return (err <= _LINEAGE_ACCURACY and abs(weights.sum() - 1.0) <= 1e-9
-            and not np.any(weights < -1e-9))
-
-
 def _lineage_peak_log(theta: float, ts: float) -> float:
     """Log of the largest lineage-series term on the rows m = 0, s, 2s, ...
     below int(2.4 / ts) + 48, about 2 / ts plus slack, which spans the
@@ -432,9 +400,7 @@ def _lineage_peak_log(theta: float, ts: float) -> float:
         - i * (i + theta - 1) * ts / 2))
 
 
-# one key per distinct (a + b, time) pair: a Pitman-Yor state moved by one
-# dt needs one table per stick, so the bound sits well above the stick count
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=_SERIES_CACHE_SIZE)
 def _lineage_cumulative(theta: float, ts: float) -> np.ndarray:
     """Cached cumulative lineage-count weights at standardised time ts.
 
@@ -452,7 +418,8 @@ def _lineage_cumulative(theta: float, ts: float) -> np.ndarray:
                 f"t too small for stable series evaluation at ts={ts}")
         try:
             weights, err = _lineage_table(theta, ts, _lineage_context(dps))
-            if _lineage_resolved(weights, err):
+            if (err <= _LINEAGE_ACCURACY and abs(weights.sum() - 1.0) <= 1e-9
+                    and not np.any(weights < -1e-9)):
                 break
         except SeriesTruncationError:
             pass

@@ -494,9 +494,9 @@ def per_gap_init_chain(data, cfg, rng):
     o = np.empty((m, n - 1))
     kk = np.empty((m, n - 1), dtype=np.int64)
     dd = np.empty((m, n - 1), dtype=np.int64)
-    tables = {}
     for w, tau in enumerate(data.gaps.tolist()):
-        dd[:, w] = gibbs._prior_index(runs, tau, tables, rng)
+        dd[:, w] = gibbs._prior_index(
+            runs, gibbs._series_tables(runs, tau), rng)
         kk[:, w] = rng.binomial(dd[:, w], sticks[:, w])
         o[:, w] = gibbs._sample_slice(dd[:, w], cfg.trans_slice_eta, rng)
 

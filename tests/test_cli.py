@@ -225,6 +225,20 @@ class TestFit:
         assert "largest |value| 1e+160 at time 2" in err
         assert not out.exists()
 
+    def test_overflowing_time_gap_exit_two(self, tmp_path, capsys):
+        # the gap from -1e308 to 1e308 overflows: a data error naming the
+        # two times, not a RuntimeWarning from the gaps
+        wide = tmp_path / "wide.csv"
+        wide.write_text("time,value\n-1e308,0.1\n1e308,0.2\n")
+        out = tmp_path / "d.npz"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_cli(*self.fit_args(wide, out)) == 2
+        err = capsys.readouterr().err
+        assert "between times -1e+308 and 1e+308 overflows" in err
+        assert "rescale the times" in err
+        assert not out.exists()
+
     def test_far_outlier_fits(self, dataset, tmp_path):
         big = tmp_path / "big.csv"
         big.write_text(dataset.read_text() + "2.0,1e153\n")

@@ -1,6 +1,7 @@
 """Dataset container and CSV round-trip tests."""
 
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,22 @@ class TestConstruction:
             TimeGridDataset(times=[0.0, 2.0],
                             values=(np.array([1e154, -1.2e154]),
                                     np.array([-1.3e154, 1.0])))
+
+    def test_rejects_overflowing_gap(self):
+        # each time is finite but their difference is not: refused
+        # without a RuntimeWarning, naming the two times
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match=r"between times -1e\+308 "
+                               r"and 1e\+308 overflows; rescale"):
+                TimeGridDataset(times=[-1e308, 1e308, 1.5e308],
+                                values=(np.zeros(1),) * 3)
+            with pytest.raises(DataError, match="rescale the times"):
+                TimeGridDataset.from_pairs([-1e308, 1e308], [0.0, 1.0])
+            # wide but finite gaps stay a grid
+            data = TimeGridDataset(times=[-8e307, 8e307],
+                                   values=(np.zeros(1),) * 2)
+        assert data.gaps[0] == 1.6e308
 
 
 class TestCsv:

@@ -239,22 +239,25 @@ class TestSliceAndTruncation:
     @pytest.mark.parametrize("stick", [
         StickConfig.dp(1.0), StickConfig.pitman_yor(1.0, 0.25),
     ], ids=["dp", "py"])
-    def test_growth_over_more_gaps_than_the_store_holds(self, stick,
-                                                        monkeypatch):
-        # 300 distinct gaps, more than the series store keeps: the tables
-        # come a store's worth of gaps at a time, the draws are the per-gap
-        # reference's, and the store stays within its size
-        monkeypatch.setattr(wf, "_nb_store", {})
-        times = np.cumsum(np.random.default_rng(4).uniform(0.05, 0.5, 301))
+    def test_growth_over_more_gaps_than_the_store_holds(self, stick):
+        # more distinct gaps than the series-table cache keeps, from a
+        # cold cache: the draws are the per-gap reference's, whose tables
+        # the cache has evicted and rebuilds, and the cache stays within
+        # its bound
+        wf._nb_cumulative.cache_clear()
+        n = wf._SERIES_CACHE_SIZE + 100
+        times = np.cumsum(np.random.default_rng(4).uniform(0.05, 0.5, n + 1))
         data = TimeGridDataset(times=times,
                                values=tuple(np.array([0.0]) for _ in times))
+        assert len(set(data.gaps.tolist())) == n
         cfg = dp_config(stick=stick)
         outs, states = [], []
         for draw in (gibbs._prior_components, per_gap_prior_components):
             gen = np.random.default_rng(5)
             outs.append(draw(cfg, 1.3, 0.7, 3, 1, data.gaps, gen))
             states.append(gen.bit_generator.state)
-            assert len(wf._nb_store) <= wf._NB_STORE_SIZE
+            assert wf._nb_cumulative.cache_info().currsize == \
+                wf._SERIES_CACHE_SIZE
         for new, ref in zip(*outs):
             np.testing.assert_array_equal(new, ref)
         assert states[0] == states[1]
@@ -302,6 +305,27 @@ class TestSliceAndTruncation:
         assert messages[0] == messages[1]
         assert re.search(r"gap 1e-09 .*merge near-duplicate times",
                          messages[0])
+
+    def test_late_unresolved_gap_refused_before_any_index_draw(self):
+        # the one unresolved gap comes last, past as many distinct gaps as
+        # the series-table cache keeps: it is named, and the generator has
+        # drawn the first stick values only, no series index
+        gaps = np.random.default_rng(4).uniform(
+            0.05, 0.5, wf._SERIES_CACHE_SIZE + 100)
+        gaps[-1] = 1e-9
+        times = np.concatenate([[0.0], np.cumsum(gaps)])
+        data = TimeGridDataset(times=times,
+                               values=tuple(np.array([0.0]) for _ in times))
+        cfg = dp_config()
+        gen = np.random.default_rng(5)
+        late = re.escape(f"gap {data.gaps[-1]:g} between")
+        with pytest.raises(SeriesTruncationError,
+                           match=late + ".*merge near-duplicate times"):
+            gibbs._prior_components(cfg, 1.3, 0.7, 3, 1, data.gaps, gen)
+        ref = np.random.default_rng(5)
+        a, b = cfg.stick.params(4, 1.3)
+        ref.beta(a[1:], b[1:])
+        assert gen.bit_generator.state == ref.bit_generator.state
 
     def test_growth_over_near_duplicate_times_names_the_gap(self, rng):
         values = tuple(np.array([0.1 * i]) for i in range(3))

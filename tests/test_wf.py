@@ -112,36 +112,49 @@ class TestSeriesWeights:
                                          3.7, 40.0, 800.0, 1e308,
                                          float("inf")])
                         | st.floats(1e-3, 50.0), min_size=1, max_size=9))
-    def test_batched_tables_match_one_key(self, r, cts):
-        # one call for many keys, sharing its block coefficients, gives
-        # each key's table alone, in length and bits, however far apart
-        # the keys stop
-        tables = wf._nb_series(r, cts)
-        for ct, cum in zip(cts, tables, strict=True):
-            alone = wf._nb_series(r, [ct])[0]
-            assert len(cum) == len(alone)
-            assert cum.tobytes() == alone.tobytes()
+    def test_cached_tables_match_one_key(self, r, cts):
+        # each table, built one key at a time from its size's shared block
+        # coefficients, holds the bits of one loop over log_nb_weight,
+        # cached or built afresh, however far apart the keys stop
+        for ct in cts:
+            cum = wf._nb_cumulative(r, ct)
             assert cum.tobytes() == _one_key_loop(r, ct).tobytes()
+            assert wf._nb_cumulative.__wrapped__(r, ct).tobytes() == \
+                cum.tobytes()
 
-    def test_batched_tables_stop_in_different_blocks(self):
-        # the table lengths of these keys end in five different blocks
-        cts = [40.0, 0.41, 0.1, 0.02, 0.004, 0.41]
-        lengths = [len(cum) for cum in wf._nb_series(2.3, cts)]
-        assert len(set(lengths)) == 5
-        assert lengths[1] == lengths[-1]
+    def test_cached_tables_stop_in_different_blocks(self):
+        # the tables of these keys end in five different blocks; each is
+        # the one-key loop's, and the five compute each block's log
+        # coefficients once
+        wf._nb_cumulative.cache_clear()
+        wf._nb_coef_block.cache_clear()
+        cts = [40.0, 0.41, 0.1, 0.02, 0.004]
+        cums = [wf._nb_cumulative(2.3, ct) for ct in cts]
+        for ct, cum in zip(cts, cums):
+            assert cum.tobytes() == _one_key_loop(2.3, ct).tobytes()
+        # the block each table ends in: blocks of 64, 128, ... indices
+        stops = np.cumsum([min(64 << i, 1 << 16) for i in range(11)])
+        ends = {int(np.searchsorted(stops, len(cum))) for cum in cums}
+        assert len(ends) == 5
+        assert wf._nb_coef_block.cache_info().misses == max(ends) + 1
 
-    def test_store_keeps_a_bounded_count_of_tables(self, monkeypatch):
-        # more distinct keys than the store holds: every table is still
-        # the one built alone, and the store keeps the last distinct ones
-        monkeypatch.setattr(wf, "_nb_store", {})
-        cts = [0.01 + 1e-4 * i for i in range(wf._NB_STORE_SIZE + 40)]
-        cums = wf._nb_cumulatives(1.7, cts + cts[:3])
-        assert list(wf._nb_store) == [
-            (1.7, ct) for ct in cts[-wf._NB_STORE_SIZE:]]
-        for ct, cum in zip(cts + cts[:3], cums, strict=True):
-            assert cum.tobytes() == wf._nb_series(1.7, [ct])[0].tobytes()
-        assert cums[0] is cums[-3]
-        assert wf._nb_cumulative(1.7, cts[-1]) is cums[len(cts) - 1]
+    def test_series_caches_share_one_bound(self):
+        for cache in (wf._nb_cumulative, wf._lineage_cumulative):
+            assert cache.cache_info().maxsize == wf._SERIES_CACHE_SIZE
+
+    def test_evicted_table_rebuilds_bit_identical(self):
+        # more distinct keys than the cache holds: it keeps the last
+        # ones, and the first, evicted, is rebuilt with the same bits
+        wf._nb_cumulative.cache_clear()
+        cts = [0.01 + 1e-4 * i for i in range(wf._SERIES_CACHE_SIZE + 40)]
+        cums = [wf._nb_cumulative(1.7, ct) for ct in cts]
+        assert wf._nb_cumulative.cache_info().currsize == \
+            wf._SERIES_CACHE_SIZE
+        assert wf._nb_cumulative(1.7, cts[-1]) is cums[-1]
+        again = wf._nb_cumulative(1.7, cts[0])
+        assert again is not cums[0]
+        assert again.tobytes() == cums[0].tobytes()
+        assert not again.flags.writeable
 
     def test_huge_size_refused_not_nan(self, rng):
         # log Gamma(a + b) is inf: the weights would be inf - inf = NaN
