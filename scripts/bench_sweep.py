@@ -11,11 +11,12 @@ over the states. Growth draws `count` new components on top of a state
 counts 1, 2 and 4: cold at a (theta, c) no call has seen, as after a
 theta or c move, warm at the state's own once its tables are built. The
 label-swap update of a Pitman-Yor chain (sigma 0.25, the same data) is
-timed too: it evaluates the path prior of one stick at a time. So is
-the transition-latent update of a dense-workload-shaped chain (20 times
-x 2 observations at spacing 0.02, default_rng(7); Dirichlet process,
-theta = 1 and c = 0.5 fixed, chain seed 1, the same four sweeps), whose
-latent indices reach several hundred. Last, growth by one component on
+timed too: it evaluates the path prior of one stick at a time. So are
+the transition-latent update and the whole sweep (`gibbs_sweep`) of a
+dense-workload-shaped chain (20 times x 2 observations at spacing 0.02,
+default_rng(7); Dirichlet process, theta = 1 and c = 0.5 fixed, chain
+seed 1, the same four sweeps), whose latent indices reach several
+hundred. Last, growth by one component on
 an irregular grid of 500 times (gaps uniform on [0.01, 0.1],
 default_rng(3); 499 distinct gaps, each one series table) gives its
 median time cold, at a fresh (theta, c) each call, and warm, at the c of
@@ -155,6 +156,8 @@ def main() -> None:
     spans["dense_transition_latents_ms"] = update_spans(
         gibbs.update_transition_latents, dense_data, dense_cfg, dense,
         args.repeats, clock)
+    spans["dense_sweep_ms"] = update_spans(
+        gibbs.gibbs_sweep, dense_data, dense_cfg, dense, args.repeats, clock)
     cold, warm, peak_mb = irregular_growth(cfg, max(1, args.repeats // 4),
                                            clock)
     spans["irregular_growth_ms"] = [cold]

@@ -174,20 +174,25 @@ def _categorical(log_mass: np.ndarray, width: np.ndarray | None,
 
     A column's first width entries are its support and the rest padding,
     set to -inf here; width None takes masses already -inf past each
-    column's support. Each column is summed in support order, by
-    np.cumsum or by one add per support row, the same additions either
-    way. Padding adds exact zeros after the column's last mass, so the
-    cumulative sums, their total and the first index past the target do
-    not depend on how far a column is padded. Columns whose support
+    column's support; the mask follows log_mass's memory order, C or
+    Fortran. Each column is summed in support order, by np.cumsum or, for
+    wide C-ordered masses, by one add per support row, the same additions
+    either way. Padding adds exact zeros after the column's last mass, so
+    the cumulative sums, their total and the first index past the target
+    do not depend on how far a column is padded. Columns whose support
     entries all underflow to zero mass come back as -1.
     """
     n, cols = log_mass.shape
+    cell_major = np.isfortran(log_mass)
     if width is not None:
-        np.putmask(log_mass, np.arange(n)[:, None] >= width, -np.inf)
+        if cell_major:  # masked through its C-ordered transpose
+            np.putmask(log_mass.T, np.arange(n) >= width[:, None], -np.inf)
+        else:
+            np.putmask(log_mass, np.arange(n)[:, None] >= width, -np.inf)
     mx = log_mass.max(axis=0)
     log_mass -= np.where(np.isfinite(mx), mx, 0.0)
     csum = np.exp(log_mass, out=log_mass)
-    wide = cols >= _ROW_ADD_COLUMNS
+    wide = cols >= _ROW_ADD_COLUMNS and not cell_major
     if wide:
         for i in range(1, n):
             np.add(csum[i - 1], csum[i], out=csum[i])
@@ -537,9 +542,12 @@ def _key_table(tab: _OffsetGammaln, key_fn, points: int):
 
 def _keys_at(table, base, key, j) -> np.ndarray:
     """Entries of a _key_table table at row keys key (of runs at base, None
-    for one run) and the offset column j = 0..w - 1."""
+    for one run) and the offset column j = 0..w - 1; for row keys of
+    shape (rows, 1) and j a row, the transpose."""
     col = key + 1 if base is None else base + key + 1
-    return np.take(table[:len(j)], col, axis=1)
+    if col.ndim == 1:
+        return np.take(table[:len(j)], col, axis=1)
+    return np.take(table[:j.size].T, col[:, 0], axis=0)
 
 
 def _k_key(tab: _OffsetGammaln, base, d, j) -> np.ndarray:
@@ -583,15 +591,19 @@ def _d_key(tab: _OffsetGammaln, base, k, j) -> np.ndarray:
 
 def _d_log_mass(tab: _OffsetGammaln, base, k, decay, j) -> np.ndarray:
     """log P(d = k + j | k, o, v) up to a row constant, one column per row
-    for row arguments of shape (rows,) and the support column j = 0..w - 1,
-    j inside the slice: the key part _d_key, gathered from tab.d_keys when
-    built, + j decay. A j decay past double range is -inf, its exact
-    value; the j = 0 term is 0, its limit also at decay = -inf (c tau past
-    double range), which leaves all mass at d = k."""
+    for row arguments of shape (rows,) and the support column j = 0..w - 1
+    (one row per row for (rows, 1) and j a row), j inside the slice: the
+    key part _d_key, gathered from tab.d_keys when built, + j decay. A j
+    decay past double range is -inf, its exact value; the j = 0 term is 0,
+    its limit also at decay = -inf (c tau past double range), which
+    leaves all mass at d = k."""
     out = _d_key(tab, base, k, j) if tab.d_keys is None \
         else _keys_at(tab.d_keys, base, k, j)
     with np.errstate(over="ignore"):
-        out[1:] += j[1:] * decay
+        if decay.ndim == 1:
+            out[1:] += j[1:] * decay
+        else:
+            out[:, 1:] += j[:, 1:] * decay
     return out
 
 
@@ -600,14 +612,18 @@ def _draw_rows(log_mass_fn, lower: np.ndarray, upper: np.ndarray,
                padded: bool = False) -> np.ndarray:
     """Draw one value per (stick, gap) cell from {lower..upper}.
 
-    log_mass_fn(rows, j) returns unnormalised log masses at offsets j (the
-    column 0..w - 1) from the lower bounds of rows, one column per row,
-    cells in row-major order. One stable argsort orders the rows by their
-    width upper - lower + 1; the sorted rows are cut at the power-of-two
-    class edges, and a group joins the next while the padded points the
-    join adds stay below _MERGE_PADDING. Each group is padded to its
-    widest row and cut into blocks of at most 4M entries. Padding cannot
-    change a pick (_categorical), so the grouping is a cost choice. padded
+    log_mass_fn(rows, j) returns unnormalised log masses at offsets j =
+    0..w - 1 from the lower bounds of rows, cells in row-major order, row
+    arguments broadcast against j: rows of shape (rows,) and j a column
+    give one column per row, rows of shape (rows, 1) and j a row one row
+    per row. One stable argsort orders the rows by their width upper -
+    lower + 1; the sorted rows are cut at the power-of-two class edges,
+    and a group joins the next while the padded points the join adds stay
+    below _MERGE_PADDING. Each group is padded to its widest row and cut
+    into blocks of at most 4M entries, whose (support x cells) masses are
+    in Fortran order, each cell's support contiguous, where _cell_major
+    says so and in C order otherwise. Layout and padding change no mass
+    or pick (_categorical), so both are cost choices. padded
     says log_mass_fn already gives -inf past each row's support, so the
     masses go to _categorical unmasked. The uniforms are drawn once, in
     row order. Rows without mass or support raise NumericalError naming
@@ -626,13 +642,15 @@ def _draw_rows(log_mass_fn, lower: np.ndarray, upper: np.ndarray,
     for lo, hi in _width_groups(width):
         w = max(1, int(width[hi - 1]))
         j = np.arange(w)[:, None]
+        cell_major = _cell_major(w, hi - lo)
         chunk = max(1, 4_000_000 // w)
         for start in range(lo, hi, chunk):
             stop = min(start + chunk, hi)
             rows = order[start:stop]
+            mass = log_mass_fn(rows[:, None], j.T).T if cell_major \
+                else log_mass_fn(rows, j)
             out[rows] = lower[rows] + _categorical(
-                log_mass_fn(rows, j), None if padded else width[start:stop],
-                u[rows])
+                mass, None if padded else width[start:stop], u[rows])
     lost = np.flatnonzero(out < lower)
     if len(lost):
         stick, gap = np.unravel_index(lost[0], shape)
@@ -640,6 +658,13 @@ def _draw_rows(log_mass_fn, lower: np.ndarray, upper: np.ndarray,
             f"{latent} conditional has no mass at stick {stick}, gap {gap} "
             f"in sweep {sweep}: every mass underflowed")
     return out.reshape(shape)
+
+
+def _cell_major(width: int, cells: int) -> bool:
+    """Whether _draw_rows lays out a group of cells padded to width cell by
+    cell: when it is taller than wide, as dense grids' groups of a few
+    dozen cells padded to 500-1,000 points are."""
+    return width > cells
 
 
 def _width_groups(width: np.ndarray) -> list[tuple[int, int]]:

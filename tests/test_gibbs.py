@@ -628,10 +628,8 @@ class TestTransitionLatents:
         upper[0, 0], upper[1, 2] = 3000, 2
         lost = [0, 5]
 
-        def log_mass(rows, j):
-            out = np.zeros((len(j), len(rows)))
-            out[:, np.isin(rows, lost)] = -np.inf
-            return out
+        def log_mass(rows, j):  # rows broadcast against j, either layout
+            return np.where(np.isin(rows, lost), -np.inf, np.zeros(j.shape))
 
         with pytest.raises(NumericalError, match=r"^d conditional has no "
                            r"mass at stick 0, gap 0 in sweep 9: "):
@@ -861,11 +859,12 @@ class TestTransitionDrawReference:
             np.testing.assert_array_equal(draws, expect)
 
     @pytest.mark.parametrize("law", sorted(LAWS))
-    def test_sweeps_bitwise_equal_on_dense_grid(self, law):
+    def test_sweeps_bitwise_equal_on_dense_grid(self, law, monkeypatch):
         data = simulate_toy(20, 2, 0.38, np.random.default_rng(5))
         assert np.allclose(data.gaps, 0.02)
         cfg = dp_config(**LAWS[law], fixed_truncation=6)
         state = init_chain(data, cfg, np.random.default_rng(1))
+        layouts = _layout_spy(monkeypatch)
         ref = copy.deepcopy(state)
         rng, ref_rng = np.random.default_rng(2), np.random.default_rng(2)
         for _ in range(30):
@@ -877,6 +876,74 @@ class TestTransitionDrawReference:
             update_stick_values(state, data, cfg, rng)
             update_stick_values(ref, data, cfg, ref_rng)
         assert state.trans_d.max() >= 64  # rows span several width classes
+        assert any(pick for *_, pick in layouts)  # some drawn cell-major
+
+    def test_readme_scans_draw_few_points_cell_major(self, monkeypatch):
+        # README groups hold hundreds of cells at widths of tens; only a
+        # group of a few of the widest cells can be taller than wide, so
+        # nearly every support point of every scan keeps the C layout
+        data = simulate_toy(100, 5, 10.0, np.random.default_rng(7))
+        cfg = dp_config(seed=1)
+        layouts = _layout_spy(monkeypatch)
+        rng = np.random.default_rng(cfg.seed)
+        state = init_chain(data, cfg, rng)
+        for _ in range(120):
+            layouts.clear()
+            gibbs_sweep(state, data, cfg, rng)
+            points = np.array([(w * cells, pick)
+                               for w, cells, pick in layouts])
+            assert points[:, 0] @ points[:, 1] < 0.01 * points[:, 0].sum()
+
+    @settings(max_examples=40, deadline=None)
+    @given(law=st.sampled_from(sorted(LAWS)), m=st.integers(1, 5),
+           gaps=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+           wide=st.lists(st.integers(0, 300), min_size=1, max_size=12),
+           gathered=st.booleans())
+    def test_both_layouts_give_the_same_bits(self, law, m, gaps, seed, wide,
+                                             gathered):
+        # every group forced cell-major against every group forced
+        # support-major: the masses _categorical receives, padding
+        # included, and the picks, for the k draw and for the d draw with
+        # the -inf decays of _key_scan
+        tab, base, d, k, ratio, decay = _key_scan(law, m, gaps, seed, wide)
+        if gathered:
+            tab = _with_key_tables(tab)
+        size = len(tab.fact) - 1
+        d_hi = k + np.random.default_rng([seed, 1]).integers(0, size - k)
+
+        def at(rows):
+            return None if base is None else base[rows]
+        draws = {"k": (lambda rows, j: gibbs._k_log_mass(
+                     tab, at(rows), d[rows], ratio[rows], j),
+                     np.zeros_like(d), d, True),
+                 "d": (lambda rows, j: gibbs._d_log_mass(
+                     tab, at(rows), k[rows], decay[rows], j),
+                     k, d_hi, False)}
+        real = gibbs._categorical
+        for latent, (log_mass, lower, upper, padded) in draws.items():
+            picks, masses = {}, {}
+            for cell_major in (False, True):
+                seen = masses[cell_major] = []
+
+                def spy(mass, width, u, seen=seen):
+                    seen.append(mass.copy(order="K"))
+                    return real(mass, width, u)
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(gibbs, "_cell_major",
+                               lambda width, cells, f=cell_major: f)
+                    mp.setattr(gibbs, "_categorical", spy)
+                    picks[cell_major] = gibbs._draw_rows(
+                        log_mass, lower.reshape(m, gaps),
+                        upper.reshape(m, gaps), np.random.default_rng(seed),
+                        latent, 0, padded=padded)
+                assert all(x.flags.f_contiguous if cell_major
+                           else x.flags.c_contiguous for x in seen)
+            np.testing.assert_array_equal(picks[False], picks[True])
+            assert len(masses[False]) == len(masses[True])
+            for a, b in zip(masses[False], masses[True]):
+                assert a.shape == b.shape
+                assert np.ascontiguousarray(a).tobytes() \
+                    == np.ascontiguousarray(b).tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(law=st.sampled_from(sorted(LAWS)), m=st.integers(1, 5),
@@ -905,6 +972,18 @@ class TestTransitionDrawReference:
             np.testing.assert_array_equal(
                 gibbs._d_log_mass(tab, None, k, decay, j),
                 gibbs._d_log_mass(tab, base, k, decay, j))
+
+
+def _layout_spy(monkeypatch):
+    """(width, cells, _cell_major's answer) of each group _draw_rows draws
+    from now on."""
+    real, layouts = gibbs._cell_major, []
+
+    def spy(width, cells):
+        layouts.append((width, cells, real(width, cells)))
+        return layouts[-1][-1]
+    monkeypatch.setattr(gibbs, "_cell_major", spy)
+    return layouts
 
 
 def _key_scan(law, m, gaps, seed, wide):
